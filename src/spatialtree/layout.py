@@ -115,16 +115,13 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     sorted_children = light_first_children(t, sizes)
     succ, head, _ = tour_links(t, sorted_children)
     rank = list_rank(sim, succ, head, rng.next_u64())
-    m = len(succ)
-    permute(sim, {slot: rank[slot] for slot in range(m)})
-    flags = [False] * m
-    for slot in range(m):
-        if slot < n:
-            flags[rank[slot]] = True
+    permute(sim, dict(enumerate(rank)))
+    flags = np.zeros(len(rank), dtype=bool)
+    flags[rank[:n]] = True  # slots below n are first visits
     dest, count = compact(sim, flags)
     if count != n:
         raise RuntimeError("first-occurrence compaction lost vertices")
-    pos = [dest[rank[v]] for v in range(n)]
+    pos = [dest[r] for r in rank[:n]]
     layout = Layout.from_positions(kind, pos)
     return layout, sim.report(), sim
 

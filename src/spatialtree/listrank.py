@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .rng import Lcg
 from .sim import SimState
@@ -58,98 +61,94 @@ def euler_tour(t: RootedTree, child_order: list[list[int]] | None = None) -> Eul
     return EulerTour(order, first, last)
 
 
-def _validate_chain(succ: list[int], head: int) -> None:
+def _validate_chain(succ: np.ndarray, head: int) -> None:
     m = len(succ)
     if not 0 <= head < m:
         raise ChainError(f"head {head} out of range")
-    npred = [0] * m
-    tails = 0
-    for x, s in enumerate(succ):
-        if s == -1:
-            tails += 1
-        elif 0 <= s < m:
-            npred[s] += 1
-        else:
-            raise ChainError(f"successor {s} of element {x} out of range")
-    if tails != 1 or npred[head] != 0 or any(npred[x] > 1 for x in range(m)):
-        raise ChainError("successor links must form one chain covering all elements")
-    if sum(npred) != m - 1:
+    bad = (succ < -1) | (succ >= m)
+    if bad.any():
+        x = int(bad.argmax())
+        raise ChainError(f"successor {succ[x]} of element {x} out of range")
+    linked = succ[succ >= 0]
+    npred = np.bincount(linked, minlength=m)
+    if m - len(linked) != 1 or npred[head] != 0 or npred.max() > 1:
         raise ChainError("successor links must form one chain covering all elements")
 
 
-def list_rank(sim: SimState, succ: list[int], head: int, seed: int,
+def list_rank(sim: SimState, succ, head: int, seed: int,
               iteration_stats: list | None = None) -> list[int]:
     """Rank of every element: rank(head) = 0, rank(succ(x)) = rank(x) + 1.
 
-    Elements occupy curve positions equal to their ids.  Each contraction
-    iteration charges one announce message per live link and one splice
-    message per removed element; the remnant of at most max(4, ceil(log2 m))
-    elements is walked sequentially, then iterations are reverted in
-    descending order.
+    ``succ`` is a sequence of ints, -1 marking the tail.  Elements occupy
+    curve positions equal to their ids.  Each contraction iteration charges
+    one announce round (a message per live link) and one splice round (a
+    message per removed element); the remnant of at most
+    max(4, ceil(log2 m)) elements is walked sequentially, then iterations
+    are reverted in descending order, one round each.
 
     When ``iteration_stats`` is a list, one (live, messages, energy) triple
     is appended per contraction iteration.
     """
-    m = len(succ)
-    _validate_chain(succ, head)
+    nxt = np.array(succ, dtype=np.int64)
+    m = len(nxt)
+    _validate_chain(nxt, head)
     if m == 1:
         return [0]
     rng = Lcg(seed)
-    nxt = list(succ)
-    pred = [-1] * m
-    for x, s in enumerate(nxt):
-        if s >= 0:
-            pred[s] = x
-    weight = [1] * m           # original hops from x to nxt[x]
-    alive = [True] * m
-    src = [-1] * m             # who jumped over x
-    delta = [0] * m            # rank offset of x from src[x]
-    live = [x for x in range(m)]
+    tails = nxt < 0
+    pred = np.full(m, -1, dtype=np.int64)
+    pred[nxt[~tails]] = np.flatnonzero(~tails)
+    weight = np.ones(m, dtype=np.int64)   # original hops from x to nxt[x]
+    src = np.full(m, -1, dtype=np.int64)  # who jumped over x
+    delta = np.zeros(m, dtype=np.int64)   # rank offset of x from src[x]
+    coin = np.zeros(m, dtype=np.uint8)
+    live = np.arange(m, dtype=np.int64)
     threshold = max(4, math.ceil(math.log2(m)))
-    removed_per_iter: list[list[int]] = []
+    removed_per_iter: list[np.ndarray] = []
     while len(live) > threshold:
         msg0, en0 = sim.messages, sim.energy
-        coin = {}
-        for x in live:
-            coin[x] = rng.next_bit()
+        coin[live] = rng.next_bits(len(live))
+        after = nxt[live]
+        linked = after >= 0
         # one round of announces: identity and coin to the successor
-        sim.send_batch([(x, nxt[x]) for x in live if nxt[x] >= 0])
+        sim.send_round(live[linked], after[linked])
         # heads whose successor flipped tails; selecting before any splice
-        # keeps the set non-adjacent in the current chain
-        removed = [y for y in live
-                   if y != head and coin[y] == 1 and nxt[y] >= 0 and coin[nxt[y]] == 0]
+        # keeps the set independent in the current chain, so the splices
+        # below touch distinct predecessors and successors
+        picked = linked & (live != head) & (coin[live] == 1)
+        picked[picked] = coin[after[picked]] == 0
+        removed = live[picked]
+        p = pred[removed]
+        z = nxt[removed]
         # one round of splice messages to the predecessors
-        sim.send_batch([(y, pred[y]) for y in removed])
-        for y in removed:
-            p = pred[y]
-            z = nxt[y]
-            delta[y] = weight[p]
-            weight[p] += weight[y]
-            nxt[p] = z
-            pred[z] = p
-            src[y] = p
-            alive[y] = False
+        sim.send_round(removed, p)
+        delta[removed] = weight[p]
+        weight[p] += weight[removed]
+        nxt[p] = z
+        pred[z] = p
+        src[removed] = p
         removed_per_iter.append(removed)
         if iteration_stats is not None:
             iteration_stats.append((len(live), sim.messages - msg0,
                                     sim.energy - en0))
         if sim.audit:
-            for x in live:
+            for x in live.tolist():
                 sim.note_words(x, 7)  # succ, pred, weight, rank, tag, src, coin
-        live = [x for x in live if alive[x]]
+        live = live[~picked]
         sim.rounds += 1
-    rank = [0] * m
+    rank = np.zeros(m, dtype=np.int64)
     cur = head
-    while nxt[cur] >= 0:
-        z = nxt[cur]
+    nxt_list = nxt.tolist()
+    while nxt_list[cur] >= 0:
+        z = nxt_list[cur]
         sim.send(cur, z)
         rank[z] = rank[cur] + weight[cur]
         cur = z
     for removed in reversed(removed_per_iter):
-        for y in removed:
-            sim.send(src[y], y)
-            rank[y] = rank[src[y]] + delta[y]
-    return rank
+        p = src[removed]
+        sim.send_round(p, removed)
+        rank[removed] = rank[p] + delta[removed]
+    return rank.tolist()
 
 
 def tour_links(t: RootedTree, child_order: list[list[int]] | None = None):
@@ -157,62 +156,45 @@ def tour_links(t: RootedTree, child_order: list[list[int]] | None = None):
 
     Slot v (v < n) is the first visit of vertex v; slot n + j is the j-th
     return visit, enumerated over (vertex, child index) pairs.  Returns
-    (succ, head, ret_id) where ret_id[(v, i)] is the slot visiting v after
-    its i-th child's subtree.
+    (succ, head, ret_base) as arrays, where slot ret_base[v] + i visits v
+    after its i-th child's subtree.
     """
     ch = child_order if child_order is not None else t.children
     n = t.n
-    ret_id: dict[tuple[int, int], int] = {}
-    nid = n
-    for v in range(n):
-        for i in range(len(ch[v])):
-            ret_id[(v, i)] = nid
-            nid += 1
-    m = 2 * n - 1
-    succ = [-1] * m
-    child_index = [0] * n
-    for v in range(n):
-        for i, c in enumerate(ch[v]):
-            child_index[c] = i
-
-    def after(v: int) -> int:
-        p = t.parent[v]
-        if p < 0:
-            return -1
-        return ret_id[(p, child_index[v])]
-
-    for v in range(n):
-        if ch[v]:
-            succ[v] = ch[v][0]
-            for i in range(len(ch[v])):
-                nxt = ch[v][i + 1] if i + 1 < len(ch[v]) else None
-                succ[ret_id[(v, i)]] = nxt if nxt is not None else after(v)
-        else:
-            succ[v] = after(v)
-    return succ, t.root, ret_id
+    deg = np.fromiter(map(len, ch), np.int64, n)
+    kids = np.fromiter(chain.from_iterable(ch), np.int64, n - 1)
+    ret_base = n + np.cumsum(deg) - deg
+    # the return slot after c's subtree is the slot of c's place in kids
+    after = np.full(n, -1, dtype=np.int64)
+    after[kids] = n + np.arange(n - 1)
+    inner = np.flatnonzero(deg)
+    succ = np.empty(2 * n - 1, dtype=np.int64)
+    succ[:n] = after
+    succ[inner] = kids[ret_base[inner] - n]
+    # a return slot continues with the next sibling, or after the last
+    # child with whatever follows the parent's own subtree
+    succ[n:-1] = kids[1:]
+    succ[ret_base[inner] + deg[inner] - 1] = after[inner]
+    return succ, t.root, ret_base
 
 
 def subtree_sizes_via_tour(sim: SimState, t: RootedTree, seed: int) -> list[int]:
     """Subtree sizes from a ranked Euler tour: s(v) = (last - first)/2 + 1.
 
-    The first-visit slot of v sits at v's own position; the slot of v's last
-    return visit sends its rank home, one message per internal vertex.
+    The first-visit slot of v sits at v's own position; in one round the
+    slot of each internal vertex's last return visit sends its rank home.
     """
     n = t.n
     if n == 1:
         return [1]
     if sim.placement.n < 2 * n - 1:
         raise ValueError("placement too small for the 2n-1 tour slots")
-    succ, head, ret_id = tour_links(t)
-    rank = list_rank(sim, succ, head, seed)
-    sizes = [1] * n
-    for v in range(n):
-        first = rank[v]
-        if t.children[v]:
-            last_slot = ret_id[(v, len(t.children[v]) - 1)]
-            sim.send(last_slot, v)
-            last = rank[last_slot]
-        else:
-            last = first
-        sizes[v] = (last - first) // 2 + 1
-    return sizes
+    succ, head, ret_base = tour_links(t)
+    rank = np.array(list_rank(sim, succ, head, seed))
+    deg = np.fromiter(map(len, t.children), np.int64, n)
+    inner = np.flatnonzero(deg)
+    last_slot = ret_base[inner] + deg[inner] - 1
+    sim.send_round(last_slot, inner)
+    sizes = np.ones(n, dtype=np.int64)
+    sizes[inner] = (rank[last_slot] - rank[inner]) // 2 + 1
+    return sizes.tolist()

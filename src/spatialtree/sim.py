@@ -6,10 +6,20 @@ and the message count.  Local computation is free; each message adds one
 level to the receiver's dependency clock.  No routing, congestion, or timing
 is modeled: the simulator prices exactly distance and dependency chains.
 
+Messages are charged one at a time (``send``, ``send_at``) or one
+synchronous round at a time (``send_round``).  In a round every message
+departs at its source's clock from the start of the round, so a position
+that both sends and receives in the same round sends its old clock; each
+receiver's clock rises to the largest depth it receives.  A round is checked
+whole before any of it is charged, and when tracing is on it appends one
+event per message in array order.
+
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
-compaction of flagged records.
+compaction of flagged records.  The barrier and the prefix sum charge their
+range tree one level per round, deepest level first on the way up and top
+level first on the way down, so their trace lists events level by level.
 """
 
 from __future__ import annotations
@@ -17,11 +27,15 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
+_SLICE = 4096  # clock entries written back per step of a wide round
 
 
 class TraceEvent(NamedTuple):
@@ -56,17 +70,13 @@ class Placement:
             k += 1
         return Placement(CurveKind(kind), k, n)
 
-    def coord_lists(self):
-        rows, cols = curve_coords(self.kind, self.k)
-        return rows.tolist(), cols.tolist()
-
-    def distance(self, i: int, j: int) -> int:
-        rows, cols = curve_coords(self.kind, self.k)
-        return int(abs(rows[i] - rows[j]) + abs(cols[i] - cols[j]))
-
 
 class SimState:
-    """Mutable cost accumulator for one run; confine to a single execution."""
+    """Mutable cost accumulator for one run; confine to a single execution.
+
+    ``clock`` stays a Python list: the scalar send path indexes it millions
+    of times per run, which numpy scalar indexing would slow down.
+    """
 
     __slots__ = (
         "placement",
@@ -82,12 +92,15 @@ class SimState:
         "violations",
         "_rows",
         "_cols",
+        "_row_arr",
+        "_col_arr",
     )
 
     def __init__(self, placement: Placement, trace: bool = False,
                  audit_memory: bool = False, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.placement = placement
-        self.clock = [0] * placement.n
+        n = placement.n
+        self.clock = [0] * n
         self.energy = 0
         self.messages = 0
         self.depth = 0
@@ -97,15 +110,27 @@ class SimState:
         self.memory_budget = memory_budget
         self.max_words = 0
         self.violations: list[tuple[int, int]] = []
-        self._rows, self._cols = placement.coord_lists()
+        # rounds index the cached arrays; scalar sends index plain lists
+        self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
+        self._rows = self._row_arr[:n].tolist()
+        self._cols = self._col_arr[:n].tolist()
 
-    def _deliver(self, src: int, dst: int, d: int) -> None:
+    def send(self, src: int, dst: int) -> None:
+        """Record one message departing at the source's current clock."""
+        clock = self.clock
+        # an out-of-range source is rejected by send_at, not by the lookup
+        self.send_at(src, dst, clock[src] if 0 <= src < len(clock) else 0)
+
+    def send_at(self, src: int, dst: int, ready: int) -> None:
+        """Record one message departing at clock ``ready``; it arrives at
+        depth ready + 1.  Cost is the Manhattan distance between positions."""
         n = self.placement.n
         if src < 0 or src >= n or dst < 0 or dst >= n:
             raise ValueError(f"position out of range: {src} -> {dst} with n={n}")
         rows = self._rows
         cols = self._cols
         cost = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
+        d = ready + 1
         self.energy += cost
         self.messages += 1
         if d > self.clock[dst]:
@@ -115,16 +140,58 @@ class SimState:
         if self.events is not None:
             self.events.append(TraceEvent(src, dst, cost, d))
 
-    def send(self, src: int, dst: int) -> None:
-        """Record one message; cost is the Manhattan distance between positions."""
-        self._deliver(src, dst, self.clock[src] + 1)
+    def send_round(self, src, dst) -> None:
+        """Charge one synchronous round: message i goes from src[i] to dst[i].
+
+        Every message departs at its source's start-of-round clock; each
+        receiver's clock rises to the largest depth it receives.  The whole
+        round is checked before anything is charged.
+        """
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("a round needs two 1-D position arrays of equal length")
+        count = len(src)
+        if count == 0:
+            return
+        if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
+            raise ValueError("positions must be integers")
+        n = self.placement.n
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"position out of range: {src[i]} -> {dst[i]} with n={n}")
+        clock = self.clock
+        if 4 * count > n:
+            # wide round: one pass over the whole clock beats per-message
+            # indexing; writing it back in slices keeps the old and new int
+            # objects from coexisting for the whole grid
+            now = np.array(clock, dtype=np.int64)
+            depth = now[src] + 1
+            np.maximum.at(now, dst, depth)
+            for lo in range(0, n, _SLICE):
+                clock[lo:lo + _SLICE] = now[lo:lo + _SLICE].tolist()
+        else:
+            depth = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64, count) + 1
+            for j, d in zip(dst.tolist(), depth.tolist()):
+                if d > clock[j]:
+                    clock[j] = d
+        rows = self._row_arr
+        cols = self._col_arr
+        cost = np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
+        self.energy += int(cost.sum())
+        self.messages += count
+        top = int(depth.max())
+        if top > self.depth:
+            self.depth = top
+        if self.events is not None:
+            self.events.extend(map(TraceEvent, src.tolist(), dst.tolist(),
+                                   cost.tolist(), depth.tolist()))
 
     def send_batch(self, pairs) -> None:
-        """One synchronous round of independent messages: every send departs
-        at its source's start-of-round clock."""
-        depths = [self.clock[src] + 1 for src, _ in pairs]
-        for (src, dst), d in zip(pairs, depths):
-            self._deliver(src, dst, d)
+        """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        self.send_round(pairs[:, 0], pairs[:, 1])
 
     def note_words(self, pos: int, words: int) -> None:
         """Audit hook: position currently holds this many live words."""
@@ -187,14 +254,46 @@ def reduce_range(sim: SimState, a: int, b: int, values: Sequence, op: Callable):
     return go(a, b)
 
 
+def _range_levels(lo: int, hi: int):
+    """The halving range tree over [lo, hi], one recursion depth at a time.
+
+    Yields (los, mids) arrays for the internal nodes of each depth, top
+    first; node [l, h] splits into [l, mid] and [mid + 1, h].
+    """
+    los = np.array([lo], dtype=np.int64)
+    his = np.array([hi], dtype=np.int64)
+    while True:
+        inner = los < his
+        los, his = los[inner], his[inner]
+        if len(los) == 0:
+            return
+        mids = (los + his) // 2
+        yield los, mids
+        los = np.concatenate((los, mids + 1))
+        his = np.concatenate((mids, his))
+
+
+def _sweep(sim: SimState, m: int) -> None:
+    """Up-sweep then down-sweep over the range tree of positions [0, m).
+
+    Up, each right half reports to its range's head, deepest level first;
+    down, each head passes on to its right half, top level first.  The only
+    dependent sends run between ancestor and descendant ranges, so level
+    rounds charge the same depths as the recursive order.
+    """
+    levels = list(_range_levels(0, m - 1))
+    for los, mids in reversed(levels):
+        sim.send_round(mids + 1, los)
+    for los, mids in levels:
+        sim.send_round(los, mids + 1)
+
+
 def all_reduce_barrier(sim: SimState) -> None:
     """Reduce then broadcast over the whole grid; afterwards every clock is
     at least the pre-barrier maximum."""
     n = sim.placement.n
-    if n <= 1:
-        return
-    reduce_range(sim, 0, n - 1, [0] * n, operator.add)
-    broadcast_range(sim, 0, n - 1)
+    if n > 1:
+        _sweep(sim, n)
 
 
 def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
@@ -209,34 +308,22 @@ def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
         return []
     if m > sim.placement.n:
         raise ValueError("more values than occupied positions")
-    totals = {}
+    _sweep(sim, m)
+    return list(accumulate(values, op, initial=identity))[1:]
 
-    def up(lo, hi):
-        if lo == hi:
-            totals[(lo, hi)] = values[lo]
-            return values[lo]
-        mid = (lo + hi) // 2
-        left = up(lo, mid)
-        right = up(mid + 1, hi)
-        sim.send(mid + 1, lo)
-        tot = op(left, right)
-        totals[(lo, hi)] = tot
-        return tot
 
-    out = [identity] * m
-
-    def down(lo, hi, carry):
-        if lo == hi:
-            out[lo] = op(carry, values[lo])
-            return
-        mid = (lo + hi) // 2
-        down(lo, mid, carry)
-        sim.send(lo, mid + 1)
-        down(mid + 1, hi, op(carry, totals[(lo, mid)]))
-
-    up(0, m - 1)
-    down(0, m - 1, identity)
-    return out
+def _route(sim: SimState, src: np.ndarray, dst: np.ndarray) -> None:
+    """One round moving the record at src[i] to dst[i]; the sources are
+    distinct and ascending, and the targets must be distinct."""
+    n = sim.placement.n
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"permutation entry {src[i]} -> {dst[i]} out of range")
+    hits = np.bincount(dst, minlength=n)
+    if hits.max(initial=0) > 1:
+        raise ValueError(f"duplicate permutation target {int(hits.argmax())}")
+    sim.send_round(src, dst)
 
 
 def permute(sim: SimState, targets: dict[int, int]) -> None:
@@ -244,15 +331,10 @@ def permute(sim: SimState, targets: dict[int, int]) -> None:
 
     ``targets`` must be a partial injection on occupied positions.
     """
-    seen = set()
-    n = sim.placement.n
-    for src, dst in targets.items():
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"permutation entry {src} -> {dst} out of range")
-        if dst in seen:
-            raise ValueError(f"duplicate permutation target {dst}")
-        seen.add(dst)
-    sim.send_batch([(src, targets[src]) for src in sorted(targets)])
+    src = np.fromiter(targets.keys(), np.int64, len(targets))
+    dst = np.fromiter(targets.values(), np.int64, len(targets))
+    order = np.argsort(src)
+    _route(sim, src[order], dst[order])
 
 
 def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:
@@ -265,12 +347,12 @@ def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:
     m = len(flags)
     if m == 0:
         return [], 0
-    counts = prefix_sum(sim, [1 if f else 0 for f in flags])
+    flagged = np.asarray(flags, dtype=bool)
+    counts = np.array(prefix_sum(sim, flagged.astype(np.int64).tolist()))
+    src = np.flatnonzero(flagged)
+    dst = counts[src] - 1
+    _route(sim, src, dst)
     dest: list[int | None] = [None] * m
-    targets = {}
-    for i, f in enumerate(flags):
-        if f:
-            dest[i] = counts[i] - 1
-            targets[i] = counts[i] - 1
-    permute(sim, targets)
-    return dest, counts[m - 1]
+    for i, d in zip(src.tolist(), dst.tolist()):
+        dest[i] = d
+    return dest, int(counts[-1])

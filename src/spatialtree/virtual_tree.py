@@ -184,13 +184,13 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     for x in reversed(vt.order()):
         for a in vt.app[x]:
             d = ready[a] + 1
-            sim._deliver(pos[a], pos[x], d)
+            sim.send_at(pos[a], pos[x], ready[a])
             up[x] = op(up[x], up[a])
             if d > ready[x]:
                 ready[x] = d
         acc = identity
         for c in vt.cur[x]:
-            sim._deliver(pos[c], pos[x], ready[c] + 1)
+            sim.send_at(pos[c], pos[x], ready[c])
             acc = op(acc, up[c])
         result[x] = acc
     return result

@@ -115,6 +115,84 @@ def test_list_rank_per_iteration_message_and_energy_bounds():
         assert energy <= 16 * live * math.sqrt(n)
 
 
+def test_list_rank_iteration_stats_pinned():
+    succ, head, _ = random_chain(100, seed=3)
+    s = sim_for(100)
+    stats = []
+    list_rank(s, succ, head, seed=9, iteration_stats=stats)
+    assert stats == [(100, 124, 1009), (75, 90, 690), (59, 74, 553),
+                     (43, 53, 444), (32, 38, 283), (25, 29, 206), (20, 20, 125),
+                     (19, 22, 141), (15, 18, 93), (11, 13, 72), (8, 8, 53)]
+    assert (s.energy, s.depth, s.messages, s.rounds) == (4416, 23, 588, 11)
+
+
+def list_rank_reference(sim, succ, head, seed, iteration_stats):
+    """Element-at-a-time list ranking; rounds depart at start-of-round clocks."""
+    def round_(pairs):
+        start = list(sim.clock)
+        for a, b in pairs:
+            sim.send_at(a, b, start[a])
+
+    m = len(succ)
+    rng = Lcg(seed)
+    nxt = list(succ)
+    pred = [-1] * m
+    for x, y in enumerate(nxt):
+        if y >= 0:
+            pred[y] = x
+    weight = [1] * m
+    src = [-1] * m
+    delta = [0] * m
+    live = list(range(m))
+    removed_per_iter = []
+    while len(live) > max(4, math.ceil(math.log2(m))):
+        msg0, en0 = sim.messages, sim.energy
+        coin = {x: rng.next_bit() for x in live}
+        round_([(x, nxt[x]) for x in live if nxt[x] >= 0])
+        removed = [y for y in live if y != head and coin[y] == 1
+                   and nxt[y] >= 0 and coin[nxt[y]] == 0]
+        round_([(y, pred[y]) for y in removed])
+        for y in removed:
+            p, z = pred[y], nxt[y]
+            delta[y] = weight[p]
+            weight[p] += weight[y]
+            nxt[p] = z
+            pred[z] = p
+            src[y] = p
+        removed_per_iter.append(removed)
+        iteration_stats.append((len(live), sim.messages - msg0, sim.energy - en0))
+        gone = set(removed)
+        live = [x for x in live if x not in gone]
+        sim.rounds += 1
+    rank = [0] * m
+    cur = head
+    while nxt[cur] >= 0:
+        sim.send(cur, nxt[cur])
+        rank[nxt[cur]] = rank[cur] + weight[cur]
+        cur = nxt[cur]
+    for removed in reversed(removed_per_iter):
+        for y in removed:
+            sim.send(src[y], y)
+            rank[y] = rank[src[y]] + delta[y]
+    return rank
+
+
+@pytest.mark.parametrize("m", [2, 17, 100, 1000])
+def test_list_rank_matches_element_at_a_time_reference(m):
+    for seed in range(3):
+        succ, head, _ = random_chain(m, seed=seed)
+        got = SimState(Placement.for_size(CurveKind.ZORDER, m), trace=True)
+        want = SimState(Placement.for_size(CurveKind.ZORDER, m), trace=True)
+        got.clock[:] = [x % 5 for x in range(m)]
+        want.clock[:] = got.clock
+        got_stats, want_stats = [], []
+        ranks = list_rank(got, succ, head, seed + 50, iteration_stats=got_stats)
+        assert ranks == list_rank_reference(want, succ, head, seed + 50, want_stats)
+        assert got_stats == want_stats
+        assert got.report() == want.report() and got.clock == want.clock
+        assert got.events == want.events
+
+
 def test_list_rank_cost_regression_anchors():
     # constants pinned from measurements, with headroom
     for n in (256, 1024, 4096):

@@ -1,12 +1,13 @@
 import json
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spatialtree.curves import CurveKind, curve_distance
-from spatialtree.sim import (Placement, SimState, all_reduce_barrier,
+from spatialtree.sim import (Placement, SimState, TraceEvent, all_reduce_barrier,
                              broadcast_range, compact, permute, prefix_sum,
                              reduce_range)
 
@@ -48,6 +49,98 @@ def test_send_rejects_out_of_range():
         s.send(0, 4)
     with pytest.raises(ValueError):
         s.send(-1, 0)
+
+
+def test_send_at_departs_at_the_given_clock():
+    s = fresh(4)
+    s.send_at(0, 3, 5)
+    assert s.clock[3] == 6 and s.depth == 6 and s.clock[0] == 0
+    s.send_at(1, 3, 2)  # an earlier arrival does not lower the clock
+    assert s.clock[3] == 6 and s.messages == 2
+    with pytest.raises(ValueError):
+        s.send_at(0, 4, 0)
+
+
+def test_send_rejects_source_past_the_end():
+    s = fresh(4)
+    with pytest.raises(ValueError):
+        s.send(4, 0)
+    assert s.messages == 0
+
+
+def reference_round(sim, src, dst):
+    """Scalar sends that all depart at the start-of-round clocks."""
+    start = list(sim.clock)
+    for a, b in zip(src, dst):
+        sim.send_at(a, b, start[a])
+
+
+def state_of(sim):
+    return (sim.energy, sim.depth, sim.messages, list(sim.clock), sim.events)
+
+
+@pytest.mark.parametrize("n,count", [(64, 5), (64, 40), (1000, 3000)])
+def test_send_round_matches_scalar_sends_from_start_clocks(n, count):
+    # narrow and wide rounds, with repeated receivers and self-sends
+    rng = np.random.default_rng(n + count)
+    got = fresh(n, trace=True)
+    want = fresh(n, trace=True)
+    for _ in range(4):
+        src = rng.integers(0, n, count)
+        dst = rng.integers(0, n, count)
+        dst[:3] = src[:3]
+        got.send_round(src, dst)
+        reference_round(want, src.tolist(), dst.tolist())
+        assert state_of(got) == state_of(want)
+
+
+def test_send_round_duplicate_receivers_take_the_largest_depth():
+    s = fresh(8, trace=True)
+    s.clock[1] = 4
+    s.send_round(np.array([0, 1, 2]), np.array([5, 5, 5]))
+    assert s.clock[5] == 5 and s.depth == 5
+    assert [e.depth for e in s.events] == [1, 5, 1]
+
+
+def test_send_round_self_send_and_swap_use_start_clocks():
+    s = fresh(4, trace=True)
+    s.clock[0] = 2
+    s.send_round(np.array([0, 1, 3]), np.array([1, 0, 3]))
+    assert s.clock == [2, 3, 0, 1]
+    assert s.energy == 2 and s.messages == 3
+    assert s.events == [TraceEvent(0, 1, 1, 3), TraceEvent(1, 0, 1, 1),
+                        TraceEvent(3, 3, 0, 1)]
+    assert all(type(v) is int for e in s.events for v in e)
+
+
+def test_send_round_empty_is_free():
+    s = fresh(4, trace=True)
+    s.send_round(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    s.send_batch([])
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (5, 0)], [(0, 1), (1, 7)],
+                                   [(0, 1), (-1, 2)], [(0, 1), (2, -3)]])
+def test_bad_round_raises_and_charges_nothing(pairs):
+    s = fresh(4, trace=True)
+    s.send(2, 3)
+    before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
+    with pytest.raises(ValueError):
+        s.send_batch(pairs)
+    src, dst = zip(*pairs)
+    with pytest.raises(ValueError):
+        s.send_round(np.array(src), np.array(dst))
+    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+
+
+def test_send_round_rejects_malformed_arrays():
+    s = fresh(4)
+    with pytest.raises(ValueError):
+        s.send_round(np.array([0, 1]), np.array([1]))
+    with pytest.raises(ValueError):
+        s.send_round(np.array([0.0]), np.array([1.0]))
+    assert s.messages == 0
 
 
 def test_depth_matches_longest_path_in_hand_built_dag():
@@ -165,6 +258,44 @@ def test_prefix_sum_matches_sequential_scan(vals):
     assert got == exp
 
 
+def recursive_sweep(sim, m):
+    """The up/down sweep in recursion order, one scalar send at a time."""
+    def up(lo, hi):
+        if lo < hi:
+            mid = (lo + hi) // 2
+            up(lo, mid)
+            up(mid + 1, hi)
+            sim.send(mid + 1, lo)
+
+    def down(lo, hi):
+        if lo < hi:
+            mid = (lo + hi) // 2
+            down(lo, mid)
+            sim.send(lo, mid + 1)
+            down(mid + 1, hi)
+
+    up(0, m - 1)
+    down(0, m - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 100, 257])
+@pytest.mark.parametrize("kernel", ["prefix_sum", "barrier"])
+def test_level_sweeps_charge_like_the_recursive_order(m, kernel):
+    start = np.random.default_rng(m).integers(0, 9, m).tolist()
+    got = fresh(m, trace=True)
+    want = fresh(m, trace=True)
+    got.clock[:] = start
+    want.clock[:] = start
+    if kernel == "prefix_sum":
+        assert prefix_sum(got, list(range(m))) == [i * (i + 1) // 2 for i in range(m)]
+    else:
+        all_reduce_barrier(got)
+    recursive_sweep(want, m)
+    assert (got.energy, got.depth, got.messages, got.clock) == \
+        (want.energy, want.depth, want.messages, want.clock)
+    assert sorted(got.events) == sorted(want.events)
+
+
 def test_permute_identity_free_and_reverse_pinned():
     s = fresh(4)
     permute(s, {i: i for i in range(4)})
@@ -180,6 +311,13 @@ def test_permute_rejects_duplicate_targets():
     s = fresh(4)
     with pytest.raises(ValueError):
         permute(s, {0: 2, 1: 2})
+
+
+def test_permute_rejects_out_of_range_before_charging():
+    s = fresh(4)
+    with pytest.raises(ValueError):
+        permute(s, {0: 1, 1: 4})
+    assert s.messages == 0 and s.energy == 0
 
 
 def test_permute_energy_diameter_bound():
