@@ -117,9 +117,11 @@ class SimState:
 
     def send(self, src: int, dst: int) -> None:
         """Record one message departing at the source's current clock."""
-        clock = self.clock
-        # an out-of-range source is rejected by send_at, not by the lookup
-        self.send_at(src, dst, clock[src] if 0 <= src < len(clock) else 0)
+        try:
+            ready = self.clock[src]
+        except IndexError:
+            ready = 0  # send_at rejects the position
+        self.send_at(src, dst, ready)
 
     def send_at(self, src: int, dst: int, ready: int) -> None:
         """Record one message departing at clock ``ready``; it arrives at
