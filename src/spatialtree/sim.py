@@ -314,9 +314,13 @@ def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
     return list(accumulate(values, op, initial=identity))[1:]
 
 
-def _route(sim: SimState, src: np.ndarray, dst: np.ndarray) -> None:
-    """One round moving the record at src[i] to dst[i]; the sources are
-    distinct and ascending, and the targets must be distinct."""
+def permute(sim: SimState, targets: dict[int, int]) -> None:
+    """Route each source's record directly to its target, all in one round.
+
+    ``targets`` must be a partial injection on occupied positions.
+    """
+    src = np.fromiter(targets.keys(), np.int64, len(targets))
+    dst = np.fromiter(targets.values(), np.int64, len(targets))
     n = sim.placement.n
     bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
     if bad.any():
@@ -325,18 +329,8 @@ def _route(sim: SimState, src: np.ndarray, dst: np.ndarray) -> None:
     hits = np.bincount(dst, minlength=n)
     if hits.max(initial=0) > 1:
         raise ValueError(f"duplicate permutation target {int(hits.argmax())}")
-    sim.send_round(src, dst)
-
-
-def permute(sim: SimState, targets: dict[int, int]) -> None:
-    """Route each source's record directly to its target, all in one round.
-
-    ``targets`` must be a partial injection on occupied positions.
-    """
-    src = np.fromiter(targets.keys(), np.int64, len(targets))
-    dst = np.fromiter(targets.values(), np.int64, len(targets))
     order = np.argsort(src)
-    _route(sim, src[order], dst[order])
+    sim.send_round(src[order], dst[order])
 
 
 def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:
@@ -352,8 +346,8 @@ def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:
     flagged = np.asarray(flags, dtype=bool)
     counts = np.array(prefix_sum(sim, flagged.astype(np.int64).tolist()))
     src = np.flatnonzero(flagged)
-    dst = counts[src] - 1
-    _route(sim, src, dst)
+    dst = counts[src] - 1  # distinct and below m <= n
+    sim.send_round(src, dst)
     dest: list[int | None] = [None] * m
     for i, d in zip(src.tolist(), dst.tolist()):
         dest[i] = d

@@ -79,9 +79,11 @@ def state_of(sim):
     return (sim.energy, sim.depth, sim.messages, list(sim.clock), sim.events)
 
 
-@pytest.mark.parametrize("n,count", [(64, 5), (64, 40), (1000, 3000)])
+@pytest.mark.parametrize("n,count", [(64, 5), (64, 40), (1000, 3000),
+                                     (20000, 30000)])
 def test_send_round_matches_scalar_sends_from_start_clocks(n, count):
-    # narrow and wide rounds, with repeated receivers and self-sends
+    # narrow and wide rounds, with repeated receivers and self-sends; the
+    # last grid is wider than one clock write-back slice
     rng = np.random.default_rng(n + count)
     got = fresh(n, trace=True)
     want = fresh(n, trace=True)
