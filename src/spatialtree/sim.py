@@ -6,20 +6,25 @@ and the message count.  Local computation is free; each message adds one
 level to the receiver's dependency clock.  No routing, congestion, or timing
 is modeled: the simulator prices exactly distance and dependency chains.
 
-Messages are charged one at a time (``send``, ``send_at``) or one
-synchronous round at a time (``send_round``).  In a round every message
-departs at its source's clock from the start of the round, so a position
-that both sends and receives in the same round sends its old clock; each
-receiver's clock rises to the largest depth it receives.  A round is checked
-whole before any of it is charged, and when tracing is on it appends one
-event per message in array order.
+Messages are charged one at a time (``send``, ``send_at``), one
+synchronous round at a time (``send_round``, or several rounds in order with
+``send_rounds``), or as an ordered wave (``send_wave``).  In a round every
+message departs at its source's clock from the start of the round, so a
+position that both sends and receives in the same round sends its old
+clock; each receiver's clock rises to the largest depth it receives.  A
+wave is charged exactly as the same messages sent one ``send`` at a time in
+array order, so a message can depart after an earlier message of the same
+wave raised its source's clock; no position may receive twice in one wave.
+Rounds and waves are checked whole before any of them is charged, and when
+tracing is on they append one event per message in array order.
 
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
-compaction of flagged records.  The barrier and the prefix sum charge their
-range tree one level per round, deepest level first on the way up and top
-level first on the way down, so their trace lists events level by level.
+compaction of flagged records.  The barrier, the prefix sum and
+``broadcast_ranges`` charge their range trees one level per round, deepest
+level first on the way up and top level first on the way down, so their
+trace lists events level by level.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
 _SLICE = 4096  # clock entries written back per step of a wide round
+_WAVE_CHUNK = 4096  # messages charged per step of a wave
 
 
 class TraceEvent(NamedTuple):
@@ -94,6 +100,7 @@ class SimState:
         "_cols",
         "_row_arr",
         "_col_arr",
+        "_ids",
     )
 
     def __init__(self, placement: Placement, trace: bool = False,
@@ -114,6 +121,9 @@ class SimState:
         self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
         self._rows = self._row_arr[:n].tolist()
         self._cols = self._col_arr[:n].tolist()
+        # traced batches map positions through one shared int per position
+        # instead of holding a fresh int object per event
+        self._ids = list(range(n)) if trace else None
 
     def send(self, src: int, dst: int) -> None:
         """Record one message departing at the source's current clock."""
@@ -142,20 +152,15 @@ class SimState:
         if self.events is not None:
             self.events.append(TraceEvent(src, dst, cost, d))
 
-    def send_round(self, src, dst) -> None:
-        """Charge one synchronous round: message i goes from src[i] to dst[i].
-
-        Every message departs at its source's start-of-round clock; each
-        receiver's clock rises to the largest depth it receives.  The whole
-        round is checked before anything is charged.
-        """
+    def _positions(self, src, dst):
+        """Both arrays of a batch, checked: 1-D, equal length, integer
+        positions on the placement.  Raises ValueError otherwise."""
         src = np.asarray(src)
         dst = np.asarray(dst)
         if src.ndim != 1 or src.shape != dst.shape:
-            raise ValueError("a round needs two 1-D position arrays of equal length")
-        count = len(src)
-        if count == 0:
-            return
+            raise ValueError("a batch needs two 1-D position arrays of equal length")
+        if len(src) == 0:
+            return src, dst
         if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
             raise ValueError("positions must be integers")
         n = self.placement.n
@@ -163,32 +168,111 @@ class SimState:
         if bad.any():
             i = int(bad.argmax())
             raise ValueError(f"position out of range: {src[i]} -> {dst[i]} with n={n}")
-        clock = self.clock
-        if 4 * count > n:
-            # wide round: one pass over the whole clock beats per-message
-            # indexing; writing it back in slices keeps the old and new int
-            # objects from coexisting for the whole grid
-            now = np.array(clock, dtype=np.int64)
-            depth = now[src] + 1
-            np.maximum.at(now, dst, depth)
-            for lo in range(0, n, _SLICE):
-                clock[lo:lo + _SLICE] = now[lo:lo + _SLICE].tolist()
-        else:
-            depth = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64, count) + 1
-            for j, d in zip(dst.tolist(), depth.tolist()):
-                if d > clock[j]:
-                    clock[j] = d
+        return src, dst
+
+    def _charge(self, src, dst, depth) -> None:
+        """Add energy, messages, depth and trace events of a charged batch."""
         rows = self._row_arr
         cols = self._col_arr
         cost = np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
         self.energy += int(cost.sum())
-        self.messages += count
+        self.messages += len(src)
         top = int(depth.max())
         if top > self.depth:
             self.depth = top
         if self.events is not None:
-            self.events.extend(map(TraceEvent, src.tolist(), dst.tolist(),
-                                   cost.tolist(), depth.tolist()))
+            ids = self._ids.__getitem__
+            self.events.extend(map(TraceEvent, map(ids, src.tolist()),
+                                   map(ids, dst.tolist()), cost.tolist(),
+                                   depth.tolist()))
+
+    def send_round(self, src, dst) -> None:
+        """Charge one synchronous round: message i goes from src[i] to dst[i].
+
+        Every message departs at its source's start-of-round clock; each
+        receiver's clock rises to the largest depth it receives.  The whole
+        round is checked before anything is charged.
+        """
+        self.send_rounds(((src, dst),))
+
+    def send_rounds(self, rounds) -> None:
+        """Charge a sequence of (src, dst) rounds in order, exactly as the
+        same calls of :meth:`send_round` one after another.  Every round is
+        checked before any is charged."""
+        rounds = [self._positions(src, dst) for src, dst in rounds]
+        rounds = [(src, dst) for src, dst in rounds if len(src)]
+        count = sum(len(src) for src, _ in rounds)
+        if count == 0:
+            return
+        clock = self.clock
+        n = self.placement.n
+        if 4 * count > n:
+            # wide: one pass over the whole clock beats per-message
+            # indexing; writing it back in slices keeps the old and new int
+            # objects from coexisting for the whole grid
+            now = np.array(clock, dtype=np.int64)
+            for src, dst in rounds:
+                depth = now[src] + 1
+                np.maximum.at(now, dst, depth)
+                self._charge(src, dst, depth)
+            for lo in range(0, n, _SLICE):
+                clock[lo:lo + _SLICE] = now[lo:lo + _SLICE].tolist()
+            return
+        for src, dst in rounds:
+            depth = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64,
+                                len(src)) + 1
+            for j, d in zip(dst.tolist(), depth.tolist()):
+                if d > clock[j]:
+                    clock[j] = d
+            self._charge(src, dst, depth)
+
+    def send_wave(self, src, dst) -> None:
+        """Charge message i from src[i] to dst[i] for i in order, exactly as
+        ``send(src[i], dst[i])`` one at a time.  No position may receive
+        twice; the whole wave is checked before anything is charged.
+
+        With distinct receivers, at most one earlier message of the wave
+        reaches a source, so departures follow a forest of chains: message
+        i departs at max(clock[src[i]], departure of that earlier message
+        + 1), solved by pointer doubling.  Chunks are charged in order, each
+        against the clock the earlier chunks left.
+        """
+        src, dst = self._positions(src, dst)
+        count = len(src)
+        if count == 0:
+            return
+        n = self.placement.n
+        index = np.arange(count, dtype=np.int32)
+        last = np.full(n, -1, dtype=np.int32)
+        last[dst] = index
+        if (last[dst] != index).any():
+            i = int(np.flatnonzero(last[dst] != index)[0])
+            raise ValueError(f"position {dst[i]} receives twice in one wave")
+        pred = last[src]  # the message into src[i], if it comes earlier
+        pred[pred >= index] = -1
+        del last, index
+        clock = self.clock
+        for lo in range(0, count, _WAVE_CHUNK):
+            hi = min(lo + _WAVE_CHUNK, count)
+            s = src[lo:hi]
+            d = dst[lo:hi]
+            depart = np.fromiter(map(clock.__getitem__, s.tolist()), np.int64, hi - lo)
+            jump = pred[lo:hi] - lo
+            jump[jump < 0] = -1  # messages of earlier chunks are in the clock
+            step = 1
+            while True:
+                has = np.flatnonzero(jump >= 0)
+                if len(has) == 0:
+                    break
+                up = jump[has]
+                depart[has] = np.maximum(depart[has], depart[up] + step)
+                jump[has] = jump[up]
+                step *= 2
+            depth = depart + 1
+            for j, x in zip(d.tolist(), depth.tolist()):
+                if x > clock[j]:
+                    clock[j] = x
+            self._charge(s, d, depth)
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
@@ -240,6 +324,22 @@ def broadcast_range(sim: SimState, a: int, b: int) -> None:
         stack.append((mid + 1, hi))
 
 
+def broadcast_ranges(sim: SimState, los, his) -> None:
+    """:func:`broadcast_range` over each of the disjoint ranges
+    [los[i], his[i]], charged as one round per level of their range trees.
+
+    A position receives at most once, before any send of its own, so level
+    rounds charge the same events and depths as the scalar order.
+    """
+    los = np.asarray(los, dtype=np.int64)
+    his = np.asarray(his, dtype=np.int64)
+    bad = (los > his) | (los < 0) | (his >= sim.placement.n)
+    if bad.any():
+        i = int(bad.argmax())
+        _check_range(sim, int(los[i]), int(his[i]))
+    sim.send_rounds([(lo, mid + 1) for lo, mid in _range_levels(los, his)])
+
+
 def reduce_range(sim: SimState, a: int, b: int, values: Sequence, op: Callable):
     """Fold values[a..b] with op; the result lands at position a."""
     _check_range(sim, a, b)
@@ -256,14 +356,16 @@ def reduce_range(sim: SimState, a: int, b: int, values: Sequence, op: Callable):
     return go(a, b)
 
 
-def _range_levels(lo: int, hi: int):
-    """The halving range tree over [lo, hi], one recursion depth at a time.
+def _range_levels(los, his):
+    """The halving range trees over the disjoint ranges [los[i], his[i]],
+    one recursion depth at a time.
 
     Yields (los, mids) arrays for the internal nodes of each depth, top
-    first; node [l, h] splits into [l, mid] and [mid + 1, h].
+    first; node [l, h] splits into [l, mid] and [mid + 1, h].  The holders
+    of a depth's right halves are distinct and send nothing at that depth.
     """
-    los = np.array([lo], dtype=np.int64)
-    his = np.array([hi], dtype=np.int64)
+    los = np.asarray(los, dtype=np.int64)
+    his = np.asarray(his, dtype=np.int64)
     while True:
         inner = los < his
         los, his = los[inner], his[inner]
@@ -283,11 +385,9 @@ def _sweep(sim: SimState, m: int) -> None:
     dependent sends run between ancestor and descendant ranges, so level
     rounds charge the same depths as the recursive order.
     """
-    levels = list(_range_levels(0, m - 1))
-    for los, mids in reversed(levels):
-        sim.send_round(mids + 1, los)
-    for los, mids in levels:
-        sim.send_round(los, mids + 1)
+    levels = list(_range_levels([0], [m - 1]))
+    sim.send_rounds([(mids + 1, los) for los, mids in reversed(levels)]
+                    + [(los, mids + 1) for los, mids in levels])
 
 
 def all_reduce_barrier(sim: SimState) -> None:

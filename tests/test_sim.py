@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from spatialtree.curves import CurveKind, curve_distance
 from spatialtree.sim import (Placement, SimState, TraceEvent, all_reduce_barrier,
-                             broadcast_range, compact, permute, prefix_sum,
-                             reduce_range)
+                             broadcast_range, broadcast_ranges, compact, permute,
+                             prefix_sum, reduce_range)
 
 
 def fresh(n, kind=CurveKind.HILBERT, **kw):
@@ -143,6 +143,117 @@ def test_send_round_rejects_malformed_arrays():
     with pytest.raises(ValueError):
         s.send_round(np.array([0.0]), np.array([1.0]))
     assert s.messages == 0
+
+
+def scalar_wave(sim, src, dst):
+    for a, b in zip(src, dst):
+        sim.send(a, b)
+
+
+def random_wave(rng, n, count):
+    """Distinct receivers in random order, sources drawn partly from the
+    receivers so many messages depart after an earlier one reached them."""
+    dst = rng.permutation(n)[:count]
+    src = np.where(rng.random(count) < 0.7, rng.permutation(dst),
+                   rng.integers(0, n, count))
+    return src, dst
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("n,count", [(8, 1), (64, 20), (64, 64), (1000, 700),
+                                     (20000, 15000)])
+def test_send_wave_matches_scalar_sends(n, count, trace):
+    # the last case spans several chunks of a wave
+    rng = np.random.default_rng(n * 7 + count)
+    got = fresh(n, trace=trace)
+    want = fresh(n, trace=trace)
+    start = rng.integers(0, 5, n).tolist()
+    got.clock[:] = start
+    want.clock[:] = start
+    for _ in range(3):
+        src, dst = random_wave(rng, n, count)
+        got.send_wave(src, dst)
+        scalar_wave(want, src.tolist(), dst.tolist())
+        assert state_of(got) == state_of(want)
+
+
+def test_send_wave_late_receiver_departs_at_its_old_clock():
+    s = fresh(8, trace=True)
+    s.clock[3] = 2
+    s.send_wave(np.array([3, 0, 5]), np.array([6, 3, 7]))
+    # 3 sends before it receives; 5 never receives in the wave
+    assert [e.depth for e in s.events] == [3, 1, 1]
+    assert s.clock[3] == 2 and s.clock[6] == 3
+
+
+@pytest.mark.parametrize("length", [5, 4096, 9000])
+def test_send_wave_chain_against_index_order(length):
+    # message i relays what message i - 1 delivered, but the chain visits
+    # positions in descending order; the longest chain crosses chunks
+    n = length + 1
+    path = np.arange(n)[::-1]
+    got = fresh(n, trace=True)
+    want = fresh(n, trace=True)
+    got.send_wave(path[:-1], path[1:])
+    scalar_wave(want, path[:-1].tolist(), path[1:].tolist())
+    assert got.depth == length
+    assert state_of(got) == state_of(want)
+
+
+@pytest.mark.parametrize("src,dst", [([0, 1], [2, 2]), ([0, 1, 2], [3, 0, 3]),
+                                     ([0, 1], [1, 4]), ([-1], [0]),
+                                     ([0.0], [1.0]), ([0, 1], [1])])
+def test_bad_wave_raises_and_charges_nothing(src, dst):
+    s = fresh(4, trace=True)
+    s.send(2, 3)
+    before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
+    with pytest.raises(ValueError):
+        s.send_wave(np.array(src), np.array(dst))
+    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+
+
+def test_send_wave_empty_is_free():
+    s = fresh(4, trace=True)
+    s.send_wave(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+
+
+def test_send_rounds_equal_consecutive_send_rounds():
+    rng = np.random.default_rng(5)
+    for n, count in ((64, 5), (256, 300)):  # narrow and wide
+        rounds = [(rng.integers(0, n, count), rng.integers(0, n, count))
+                  for _ in range(4)]
+        got = fresh(n, trace=True)
+        want = fresh(n, trace=True)
+        got.send_rounds(rounds)
+        for src, dst in rounds:
+            want.send_round(src, dst)
+        assert state_of(got) == state_of(want)
+
+
+def test_send_rounds_checks_every_round_first():
+    s = fresh(4)
+    with pytest.raises(ValueError):
+        s.send_rounds([(np.array([0]), np.array([1])), (np.array([0]), np.array([4]))])
+    assert s.messages == 0 and s.clock == [0] * 4
+
+
+def test_broadcast_ranges_match_scalar_broadcasts():
+    ranges = [(0, 0), (1, 9), (10, 11), (15, 47), (50, 63)]
+    got = fresh(64, trace=True)
+    want = fresh(64, trace=True)
+    start = np.random.default_rng(3).integers(0, 6, 64).tolist()
+    got.clock[:] = start
+    want.clock[:] = start
+    los, his = zip(*ranges)
+    broadcast_ranges(got, np.array(los), np.array(his))
+    for a, b in ranges:
+        broadcast_range(want, a, b)
+    assert (got.energy, got.depth, got.messages, got.clock) == \
+        (want.energy, want.depth, want.messages, want.clock)
+    assert sorted(got.events) == sorted(want.events)
+    with pytest.raises(ValueError):
+        broadcast_ranges(got, np.array([3]), np.array([64]))
 
 
 def test_depth_matches_longest_path_in_hand_built_dag():
