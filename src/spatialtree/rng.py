@@ -36,7 +36,9 @@ class Lcg:
         if count <= 0:
             return np.zeros(0, dtype=np.uint8)
         powers = np.multiply.accumulate(np.full(count, _MULT, dtype=np.uint64))
-        sums = np.cumsum(np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1])))
+        # add.accumulate, not np.cumsum: under numpy 2.4 repeated cumsum
+        # calls left small objects alive and let the heap grow run by run
+        sums = np.add.accumulate(np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1])))
         states = powers * np.uint64(self.state) + sums * np.uint64(_INC)
         self.state = int(states[-1])
         return (states >> np.uint64(63)).astype(np.uint8)

@@ -18,8 +18,12 @@ sum'(u) = val(u) + A_u for the top-down variant.
 from __future__ import annotations
 
 import math
+from itertools import compress
+
+import numpy as np
 
 from .layout import Layout
+from .rng import Lcg
 from .sim import SimState
 from .trees import RootedTree, subtree_sizes
 from .virtual_tree import VirtualTree, block_broadcast, block_members, block_reduce, transform
@@ -30,6 +34,11 @@ OP_RAKE = 2
 
 BOTTOM_UP = "bottom-up"
 TOP_DOWN = "top-down"
+
+NO_COIN = 2  # coin byte of a vertex that flipped none this round
+# shared child set of every childless supervertex: leaves never gain
+# children, and a compressed vertex gets its set back only on undo
+NO_CHILDREN: frozenset[int] = frozenset()
 
 # modeled per-vertex words: val/P/A, activity+op+round tags, log entry (op,
 # two members, round), saved log entry, parent/bottom/child-count
@@ -46,13 +55,12 @@ class ContractionEngine:
     def __init__(self, sim: SimState, t: RootedTree, layout: Layout, values,
                  seed: int, vt: VirtualTree | None = None,
                  asynchronous: bool = False):
-        from .rng import Lcg
-
         n = t.n
         self.sim = sim
         self.t = t
         self.vt = vt if vt is not None else transform(t, subtree_sizes(t))
         self.pos = layout.pos
+        self.pos_arr = np.asarray(layout.pos, dtype=np.int32)
         self.val = list(values)
         self.P = list(values)
         self.A = [0] * n
@@ -64,11 +72,11 @@ class ContractionEngine:
         self.op_tag = [OP_NONE] * n
         self.iter_tag = [0] * n
         self.lc_op = [OP_NONE] * n
-        self.lc_members: list[list[int]] = [[] for _ in range(n)]
+        self.lc_member = [-1] * n  # compressed child or kept non-leaf, -1 = none
         self.lc_tag = [0] * n
         self.saved: list[tuple | None] = [None] * n
         self.svparent = list(t.parent)
-        self.children = [set(cs) for cs in t.children]
+        self.children = [set(cs) if cs else NO_CHILDREN for cs in t.children]
         self.bottom = list(range(n))
         self.rng = Lcg(seed)
         self.rounds = 0
@@ -92,9 +100,9 @@ class ContractionEngine:
         w = next(iter(self.children[v]))
         self.sim.send(pos[v], pos[u])  # partial sum and inherited-child handoff
         self.sim.send(pos[v], pos[w])  # reparent notice
-        self.saved[v] = (self.lc_op[u], self.lc_members[u], self.lc_tag[u])
+        self.saved[v] = (self.lc_op[u], self.lc_member[u], self.lc_tag[u])
         self.lc_op[u] = OP_COMPRESS
-        self.lc_members[u] = [v]
+        self.lc_member[u] = v
         self.lc_tag[u] = self.rounds
         self.P[u] += self.P[v]
         self.S[u] += self.S[v]
@@ -102,7 +110,7 @@ class ContractionEngine:
         self.op_tag[v] = OP_COMPRESS
         self.iter_tag[v] = self.rounds
         self.children[u] = self.children[v]
-        self.children[v] = set()
+        self.children[v] = NO_CHILDREN
         self.svparent[w] = u
         self.bottom[u] = self.bottom[v]
         self.active_count -= 1
@@ -142,9 +150,9 @@ class ContractionEngine:
 
     def _apply_rake(self, u, ordered, w, total):
         anchor = ordered[0]
-        self.saved[anchor] = (self.lc_op[u], self.lc_members[u], self.lc_tag[u])
+        self.saved[anchor] = (self.lc_op[u], self.lc_member[u], self.lc_tag[u])
         self.lc_op[u] = OP_RAKE
-        self.lc_members[u] = [w] if w >= 0 else []
+        self.lc_member[u] = w
         self.lc_tag[u] = self.rounds
         self.P[u] += total
         for c in ordered:
@@ -163,21 +171,19 @@ class ContractionEngine:
         pos = self.pos
         self.rounds += 1
         before = self.active_count
-        actives = [v for v in range(self.t.n) if self.active[v]]
-        coin = {}
-        for v in actives:
-            coin[v] = self.rng.next_bit()
+        actives = list(compress(range(self.t.n), self.active))
+        coins = np.full(self.t.n, NO_COIN, dtype=np.uint8)
+        coins[actives] = self.rng.next_bits(len(actives))
+        coin = bytearray(coins)  # read per vertex from Python below
         if self.asynchronous:
             self._eager_round(actives, coin)
         else:
             self._flag_broadcasts(actives)
-            for u in actives:
-                if len(self.children[u]) == 1:
-                    sim.send(pos[u], pos[next(iter(self.children[u]))])  # parent coin
+            self._parent_coins(actives)
             selected = [v for v in actives if self._in_mate_set(v, coin)]
             for v in selected:
                 self.compress(self.svparent[v], v)
-            self._flag_broadcasts([v for v in actives if self.active[v]])
+            self._flag_broadcasts(actives)
             # eligibility is frozen before any rake: rounds are synchronized
             plans = []
             for u in actives:
@@ -197,15 +203,39 @@ class ContractionEngine:
         return before - self.active_count
 
     def _flag_broadcasts(self, actives):
-        for u in actives:
-            if self.active[u] and self.children[u]:
-                block_broadcast(self.sim, self.vt, self.pos, self.pos[u], self.bottom[u])
+        """Each live supervertex with children broadcasts over the child
+        block of its bottom, in the order of ``actives``, as one wave:
+        bottoms are distinct and every vertex sits in one child block."""
+        us = [u for u in actives if self.active[u] and self.children[u]]
+        if not us:
+            return
+        ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in self.vt.blocks)
+        bottoms = np.fromiter(map(self.bottom.__getitem__, us), np.int32, len(us))
+        starts = ptr[bottoms]
+        lens = ptr[bottoms + 1] - starts
+        # entry k of the wave reads CSR slot starts[j] + (k - offset of j);
+        # add.accumulate rather than np.cumsum, see Lcg.next_bits
+        slots = np.repeat(starts - (np.add.accumulate(lens) - lens), lens)
+        slots += np.arange(len(slots), dtype=np.int32)
+        src = np.repeat(self.pos_arr[us], lens)
+        relay = relay[slots]
+        relayed = relay >= 0
+        src[relayed] = self.pos_arr[relay[relayed]]
+        self.sim.send_wave(src, self.pos_arr[child[slots]])
+
+    def _parent_coins(self, actives):
+        """Each non-branching supervertex sends its coin to its only child,
+        as one wave in the order of ``actives``: every child has one parent."""
+        children = self.children
+        us = [u for u in actives if len(children[u]) == 1]
+        kids = [next(iter(children[u])) for u in us]
+        self.sim.send_wave(self.pos_arr[us], self.pos_arr[kids])
 
     def _in_mate_set(self, v, coin):
         u = self.svparent[v]
         if u < 0 or not self.active[v]:
             return False
-        return (coin[v] == 1 and coin.get(u) == 0
+        return (coin[v] == 1 and coin[u] == 0
                 and len(self.children[u]) == 1 and len(self.children[v]) == 1)
 
     def _rake_plan(self, u):
@@ -266,7 +296,7 @@ class ContractionEngine:
         pos = self.pos
         op = self.lc_op[u]
         if op == OP_COMPRESS:
-            v = self.lc_members[u][0]
+            v = self.lc_member[u]
             sim.send(pos[u], pos[v])  # wake + correction term
             sim.send(pos[v], pos[u])  # frozen partial sum back to u
             if mode == BOTTOM_UP:
@@ -287,7 +317,7 @@ class ContractionEngine:
             self.active[v] = True
             self.active_count += 1
             self.op_tag[v] = OP_NONE
-            (self.lc_op[u], self.lc_members[u], self.lc_tag[u]) = self.saved[v]
+            (self.lc_op[u], self.lc_member[u], self.lc_tag[u]) = self.saved[v]
             self.saved[v] = None
             return [v]
         if op == OP_RAKE:
@@ -318,7 +348,7 @@ class ContractionEngine:
                 self.op_tag[c] = OP_NONE
             self.active_count += len(raked)
             anchor = raked[0]
-            (self.lc_op[u], self.lc_members[u], self.lc_tag[u]) = self.saved[anchor]
+            (self.lc_op[u], self.lc_member[u], self.lc_tag[u]) = self.saved[anchor]
             self.saved[anchor] = None
             return raked
         raise ContractError(f"nothing to undo at {u}")

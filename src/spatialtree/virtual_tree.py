@@ -12,12 +12,29 @@ light-first layouts.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .layout import Layout
 from .sim import SimState
 from .trees import RootedTree, bfs_order, light_first_children
+
+
+class BlockOrder(NamedTuple):
+    """Relay order of every child block, as CSR arrays of C ints.
+
+    Block v (the original children of v) is entries ptr[v]..ptr[v+1]-1:
+    dst[k] is the child reached by relay step k and src[k] the vertex that
+    relays to it, or -1 for the broadcaster itself.  Current children come
+    first, then the appended links breadth-first.  The arrays slice cheaply
+    from Python, and ``np.frombuffer(a, np.intc)`` views them without a copy.
+    """
+
+    ptr: array
+    src: array
+    dst: array
 
 
 @dataclass
@@ -26,6 +43,26 @@ class VirtualTree:
     app: list[list[int]]     # A(v): at most 2
     vparent: list[int]       # parent in the virtual tree, -1 at the root
     root: int
+
+    @cached_property
+    def blocks(self) -> BlockOrder:
+        """Every child block's relay order, built once on first use."""
+        app = self.app
+        ptr = array("i", [0])
+        src = array("i")
+        dst = array("i")
+        for kept in self.cur:
+            head = len(dst)
+            dst.extend(kept)
+            src.extend([-1] * len(kept))
+            while head < len(dst):
+                x = dst[head]
+                head += 1
+                for a in app[x]:
+                    dst.append(a)
+                    src.append(x)
+            ptr.append(len(dst))
+        return BlockOrder(ptr, src, dst)
 
     def order(self) -> list[int]:
         """Top-down order over cur+app links."""
@@ -201,17 +238,11 @@ def block_broadcast(sim: SimState, vt: VirtualTree, pos, src_pos: int,
     """Deliver one word from src_pos to every original child of
     parent_vertex, relaying through the child block's appended links.
     Returns the children in delivery order."""
-    order = []
-    for c in vt.cur[parent_vertex]:
-        sim.send(src_pos, pos[c])
-        order.append(c)
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for a in vt.app[x]:
-            sim.send(pos[x], pos[a])
-            order.append(a)
+    b = vt.blocks
+    lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
+    order = b.dst[lo:hi].tolist()
+    for x, c in zip(b.src[lo:hi], order):
+        sim.send(src_pos if x < 0 else pos[x], pos[c])
     return order
 
 
@@ -235,10 +266,5 @@ def block_reduce(sim: SimState, vt: VirtualTree, pos, parent_vertex: int,
 
 def block_members(vt: VirtualTree, parent_vertex: int) -> list[int]:
     """Original children of parent_vertex in block relay order."""
-    order = list(vt.cur[parent_vertex])
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        order.extend(vt.app[x])
-    return order
+    b = vt.blocks
+    return b.dst[b.ptr[parent_vertex]:b.ptr[parent_vertex + 1]].tolist()
