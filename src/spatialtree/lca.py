@@ -11,12 +11,13 @@ other's position inside r(w) minus r(x).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .layout import Layout
 from .rng import Lcg
-from .sim import SimState, all_reduce_barrier, broadcast_range
+from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
 from .trees import RootedTree, bfs_order, light_first_children, subtree_sizes
 from .virtual_tree import VirtualTree, build_refs_protocol, local_broadcast
@@ -101,65 +102,61 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     sizes_ref = subtree_sizes(t)
     vt = build_refs_protocol(sim, t, sizes_ref, layout)
 
-    # step 1: ranges from a unit treefix sum; answer containment queries
+    # step 1: ranges from a unit treefix sum
     sums = treefix_sum(sim, t, layout, [1] * n, rng.next_u64(), vt=vt)
-    lo = [pos[v] for v in range(n)]
-    hi = [pos[v] + sums[v] - 1 for v in range(n)]
-    answers: list[int | None] = [None] * len(queries)
-    for qi, (u, v) in enumerate(queries):
-        if u == v:
-            answers[qi] = u
-        elif lo[u] <= pos[v] <= hi[u]:
-            answers[qi] = u
-        elif lo[v] <= pos[u] <= hi[v]:
-            answers[qi] = v
+    hi = [p + s - 1 for p, s in zip(pos, sums)]
 
     # step 2: every vertex sends its range to its children
-    local_broadcast(sim, vt, layout, list(zip(lo, hi)))
+    local_broadcast(sim, vt, layout, list(zip(pos, hi)))
 
     # step 3: path decomposition
     decomp = path_decomposition(sim, t, layout, sizes_ref, rng.next_u64(), vt=vt)
     cover = subtree_cover(decomp, sums, layout)
 
-    # step 4: per layer, broadcast r(w) \ r(x) within each cover subtree
+    # the ranges settle the ancestor-descendant queries; that is local work,
+    # left until here so its arrays are not alive during step 3
+    lo_arr = np.array(pos, dtype=np.int32)
+    hi_arr = np.array(hi, dtype=np.int32)
+    qu, qv = np.array(queries, dtype=np.int32).reshape(-1, 2).T
+    pu = lo_arr[qu]
+    pv = lo_arr[qv]
+    answers = np.full(len(queries), -1, dtype=np.int64)
+    u_in_v = (pv <= pu) & (pu <= hi_arr[qv])
+    answers[u_in_v] = qv[u_in_v]
+    v_in_u = (pu <= pv) & (pv <= hi_arr[qu])
+    answers[v_in_u] = qu[v_in_u]  # also settles u == v
+
+    # step 4: per layer, broadcast r(w) \ r(x) within each cover subtree;
+    # each open query is matched from both endpoints, "mine" seeing "other"
     by_layer: dict[int, list[CoverEntry]] = {}
     for e in cover:
-        by_layer.setdefault(e.layer, []).append(e)
-    pending: dict[int, list[tuple[int, int, int]]] = {}
-    for qi, (u, v) in enumerate(queries):
-        if answers[qi] is None:
-            pending.setdefault(pos[u], []).append((qi, u, v))
-            pending.setdefault(pos[v], []).append((qi, v, u))
-    layers = 0
+        if e.root != t.root:  # the whole-tree subtree has no parent
+            by_layer.setdefault(e.layer, []).append(e)
+    open_q = np.flatnonzero(answers < 0)
+    qi = np.concatenate((open_q, open_q))
+    mine = np.concatenate((pu[open_q], pv[open_q]))
+    other = np.concatenate((pv[open_q], pu[open_q]))
+    parent = np.array(t.parent, dtype=np.int32)
     for layer in sorted(by_layer):
-        entries = by_layer[layer]
-        starts = [e.lo for e in entries]
-        did_broadcast = False
-        for e in entries:
-            if e.root == t.root:
-                continue  # the whole-tree subtree has no parent
-            broadcast_range(sim, e.lo, e.hi)
-            did_broadcast = True
-        if did_broadcast:
-            layers += 1
-            for p, recs in pending.items():
-                i = bisect_right(starts, p) - 1
-                if i < 0:
-                    continue
-                e = entries[i]
-                if not (e.lo <= p <= e.hi) or e.root == t.root:
-                    continue
-                w = t.parent[e.root]
-                wlo, whi = lo[w], hi[w]
-                for qi, mine, other in recs:
-                    op = pos[other]
-                    if (wlo <= op < e.lo or e.hi < op <= whi):
-                        if answers[qi] is None:
-                            answers[qi] = w
-                        elif answers[qi] != w:
-                            raise RuntimeError("conflicting answers for one query")
-            all_reduce_barrier(sim)
-    sim.rounds += layers
-    if any(a is None for a in answers):
+        entries = by_layer[layer]  # disjoint ranges, sorted by start
+        elo = np.array([e.lo for e in entries], dtype=np.int32)
+        ehi = np.array([e.hi for e in entries], dtype=np.int32)
+        broadcast_ranges(sim, elo, ehi)
+        wpar = parent[[e.root for e in entries]]
+        i = np.searchsorted(elo, mine, side="right") - 1
+        inside = i >= 0
+        i[~inside] = 0
+        inside &= mine <= ehi[i]
+        w = wpar[i]
+        hit = inside & (((lo_arr[w] <= other) & (other < elo[i]))
+                        | ((ehi[i] < other) & (other <= hi_arr[w])))
+        q, w = qi[hit], w[hit]
+        prev = answers[q]
+        answers[q] = w
+        if ((prev >= 0) & (prev != w)).any() or (answers[q] != w).any():
+            raise RuntimeError("conflicting answers for one query")
+        all_reduce_barrier(sim)
+    sim.rounds += len(by_layer)
+    if (answers < 0).any():
         raise RuntimeError("a query was left unanswered")
-    return answers
+    return answers.tolist()
