@@ -3,6 +3,10 @@
 Reports are rows of energy/depth/message counts, one per repetition, written
 as CSV or JSON.  All randomness flows from --seed through the fixed LCG, so
 identical invocations produce identical reports.
+
+Exit codes: 0 success, 1 an output failed its --check oracle, 2 invalid
+input or arguments (including a file that cannot be read), 3 an internal
+invariant of an algorithm failed (a RuntimeError, reported in one line).
 """
 
 from __future__ import annotations
@@ -316,6 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, ChainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -148,6 +148,10 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
         p = src[removed]
         sim.send_round(p, removed)
         rank[removed] = rank[p] + delta[removed]
+    # a cycle disjoint from the chain passes the link counts above, but its
+    # elements never get a rank of their own
+    if (np.bincount(rank, minlength=m) != 1).any():
+        raise ChainError("successor links must form one chain covering all elements")
     return rank.tolist()
 
 

@@ -88,6 +88,19 @@ def test_run_check_failure_is_exit_1(tmp_path, capsys, monkeypatch):
     assert "check failed" in err
 
 
+def test_internal_invariant_failure_is_exit_3(capsys, monkeypatch):
+    import spatialtree.cli as cli_mod
+
+    def broken(*_args):
+        raise RuntimeError("conflicting answers for one query")
+
+    monkeypatch.setattr(cli_mod, "batched_lca", broken)
+    code, _, err = run_cli(capsys, "run", "--algorithm", "lca",
+                           "--kind", "path", "--n", "8")
+    assert code == 3
+    assert err == "internal error: conflicting answers for one query\n"
+
+
 def test_csv_schema_and_json_fields(tmp_path, capsys):
     out = tmp_path / "r.csv"
     run_cli(capsys, "run", "--algorithm", "reduce", "--kind", "star",

@@ -89,6 +89,16 @@ def test_list_rank_rejects_malformed_chains():
         list_rank(sim_for(4), [2, 2, 3, -1], 0, seed=1)  # two preds
     with pytest.raises(ChainError):
         list_rank(sim_for(4), [1, 2, 3, 9], 0, seed=1)  # successor range
+    with pytest.raises(ChainError):
+        list_rank(sim_for(4), [1, -1, 3, 2], 0, seed=1)  # chain plus 2-cycle
+
+
+def test_list_rank_rejects_a_long_cycle_beside_the_chain():
+    # the cycle is long enough to go through contraction iterations
+    m = 200
+    succ = [1, -1] + [3 + i for i in range(m - 3)] + [2]
+    with pytest.raises(ChainError):
+        list_rank(sim_for(m), succ, 0, seed=3)
 
 
 def test_list_rank_contraction_iterations_bounded():
