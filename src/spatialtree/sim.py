@@ -170,8 +170,12 @@ class SimState:
             raise ValueError(f"position out of range: {src[i]} -> {dst[i]} with n={n}")
         return src, dst
 
-    def _charge(self, src, dst, depth) -> None:
-        """Add energy, messages, depth and trace events of a charged batch."""
+    def _charge(self, src, dst, depth, depths=None) -> None:
+        """Add energy, messages, depth and trace events of a charged batch.
+
+        ``depths`` is ``depth.tolist()`` when the caller already made it to
+        update the clock; trace events then share those ints with the clock.
+        """
         rows = self._row_arr
         cols = self._col_arr
         cost = np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
@@ -184,7 +188,7 @@ class SimState:
             ids = self._ids.__getitem__
             self.events.extend(map(TraceEvent, map(ids, src.tolist()),
                                    map(ids, dst.tolist()), cost.tolist(),
-                                   depth.tolist()))
+                                   depth.tolist() if depths is None else depths))
 
     def send_round(self, src, dst) -> None:
         """Charge one synchronous round: message i goes from src[i] to dst[i].
@@ -221,10 +225,11 @@ class SimState:
         for src, dst in rounds:
             depth = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64,
                                 len(src)) + 1
-            for j, d in zip(dst.tolist(), depth.tolist()):
+            depths = depth.tolist()
+            for j, d in zip(dst.tolist(), depths):
                 if d > clock[j]:
                     clock[j] = d
-            self._charge(src, dst, depth)
+            self._charge(src, dst, depth, depths)
 
     def send_wave(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
@@ -250,7 +255,6 @@ class SimState:
             raise ValueError(f"position {dst[i]} receives twice in one wave")
         pred = last[src]  # the message into src[i], if it comes earlier
         pred[pred >= index] = -1
-        del last, index
         clock = self.clock
         for lo in range(0, count, _WAVE_CHUNK):
             hi = min(lo + _WAVE_CHUNK, count)
@@ -269,10 +273,11 @@ class SimState:
                 jump[has] = jump[up]
                 step *= 2
             depth = depart + 1
-            for j, x in zip(d.tolist(), depth.tolist()):
+            depths = depth.tolist()
+            for j, x in zip(d.tolist(), depths):
                 if x > clock[j]:
                     clock[j] = x
-            self._charge(s, d, depth)
+            self._charge(s, d, depth, depths)
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
