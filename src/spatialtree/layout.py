@@ -109,9 +109,8 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     placement = Placement.for_size(kind, 2 * n - 1)
     sim = SimState(placement, trace=trace, audit_memory=audit_memory)
     sizes = subtree_sizes_via_tour(sim, t, rng.next_u64())
-    if sim.audit:
-        for v in range(n):
-            sim.note_words(v, 6)  # id, first/last rank, size, succ link, coin
+    # id, first/last rank, size, succ link, coin
+    sim.note_words_many(range(n), 6)
     sorted_children = light_first_children(t, sizes)
     succ, head, _ = tour_links(t, sorted_children)
     rank = list_rank(sim, succ, head, rng.next_u64())

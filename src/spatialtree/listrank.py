@@ -132,8 +132,8 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
             iteration_stats.append((len(live), sim.messages - msg0,
                                     sim.energy - en0))
         if sim.audit:
-            for x in live.tolist():
-                sim.note_words(x, 7)  # succ, pred, weight, rank, tag, src, coin
+            # succ, pred, weight, rank, tag, src, coin
+            sim.note_words_many(live.tolist(), 7)
         live = live[~picked]
         sim.rounds += 1
     rank = np.zeros(m, dtype=np.int64)

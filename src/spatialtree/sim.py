@@ -18,6 +18,12 @@ wave raised its source's clock; no position may receive twice in one wave.
 Rounds and waves are checked whole before any of them is charged, and when
 tracing is on they append one event per message in array order.
 
+A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
+(src, dst, cost, depth) per message, so an event takes 32 bytes.
+``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
+that yields :class:`TraceEvent` tuples of Python ints, and ``dump_trace``
+writes the JSON-lines file straight from the flat array.
+
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
@@ -29,11 +35,12 @@ trace lists events level by level.
 
 from __future__ import annotations
 
-import json
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,9 @@ from .curves import CurveKind, cell_count, curve_coords
 DEFAULT_MEMORY_BUDGET = 16
 _SLICE = 4096  # clock entries written back per step of a wide round
 _WAVE_CHUNK = 4096  # messages charged per step of a wave
+_DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
+# what json.dumps gives for a dict of these four Python ints
+_TRACE_LINE = '{"src": %d, "dst": %d, "cost": %d, "depth": %d}\n'
 
 
 class TraceEvent(NamedTuple):
@@ -49,6 +59,39 @@ class TraceEvent(NamedTuple):
     dst: int
     cost: int
     depth: int
+
+
+class TraceLog(Sequence):
+    """Read-only view of a run's trace events, held four ints per event in
+    one flat ``array('q')``; it sees events charged after it was made."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: array):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __iter__(self):
+        it = iter(self._flat)
+        return map(TraceEvent, it, it, it, it)
+
+    def __getitem__(self, i: int) -> TraceEvent:
+        count = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError("trace event index out of range")
+        return TraceEvent(*self._flat[4 * i:4 * i + 4])
+
+    def __eq__(self, other):
+        if isinstance(other, TraceLog):
+            return self._flat == other._flat
+        if isinstance(other, Sequence):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -91,7 +134,7 @@ class SimState:
         "messages",
         "depth",
         "rounds",
-        "events",
+        "_trace",
         "audit",
         "memory_budget",
         "max_words",
@@ -100,7 +143,6 @@ class SimState:
         "_cols",
         "_row_arr",
         "_col_arr",
-        "_ids",
     )
 
     def __init__(self, placement: Placement, trace: bool = False,
@@ -112,7 +154,7 @@ class SimState:
         self.messages = 0
         self.depth = 0
         self.rounds = 0
-        self.events: list[TraceEvent] | None = [] if trace else None
+        self._trace = array("q") if trace else None
         self.audit = audit_memory
         self.memory_budget = memory_budget
         self.max_words = 0
@@ -121,9 +163,11 @@ class SimState:
         self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
         self._rows = self._row_arr[:n].tolist()
         self._cols = self._col_arr[:n].tolist()
-        # traced batches map positions through one shared int per position
-        # instead of holding a fresh int object per event
-        self._ids = list(range(n)) if trace else None
+
+    @property
+    def events(self) -> TraceLog | None:
+        """The trace events in charge order, or None when tracing is off."""
+        return None if self._trace is None else TraceLog(self._trace)
 
     def send(self, src: int, dst: int) -> None:
         """Record one message departing at the source's current clock."""
@@ -149,8 +193,8 @@ class SimState:
             self.clock[dst] = d
         if d > self.depth:
             self.depth = d
-        if self.events is not None:
-            self.events.append(TraceEvent(src, dst, cost, d))
+        if self._trace is not None:
+            self._trace.extend((src, dst, cost, d))
 
     def _positions(self, src, dst):
         """Both arrays of a batch, checked: 1-D, equal length, integer
@@ -170,12 +214,8 @@ class SimState:
             raise ValueError(f"position out of range: {src[i]} -> {dst[i]} with n={n}")
         return src, dst
 
-    def _charge(self, src, dst, depth, depths=None) -> None:
-        """Add energy, messages, depth and trace events of a charged batch.
-
-        ``depths`` is ``depth.tolist()`` when the caller already made it to
-        update the clock; trace events then share those ints with the clock.
-        """
+    def _charge(self, src, dst, depth) -> None:
+        """Add energy, messages, depth and trace events of a charged batch."""
         rows = self._row_arr
         cols = self._col_arr
         cost = np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
@@ -184,11 +224,14 @@ class SimState:
         top = int(depth.max())
         if top > self.depth:
             self.depth = top
-        if self.events is not None:
-            ids = self._ids.__getitem__
-            self.events.extend(map(TraceEvent, map(ids, src.tolist()),
-                                   map(ids, dst.tolist()), cost.tolist(),
-                                   depth.tolist() if depths is None else depths))
+        if self._trace is not None:
+            block = np.empty((len(src), 4), dtype=np.int64)
+            block[:, 0] = src
+            block[:, 1] = dst
+            block[:, 2] = cost
+            block[:, 3] = depth
+            # array.frombytes takes only a 1-D byte buffer
+            self._trace.frombytes(memoryview(block).cast("B"))
 
     def send_round(self, src, dst) -> None:
         """Charge one synchronous round: message i goes from src[i] to dst[i].
@@ -229,7 +272,7 @@ class SimState:
             for j, d in zip(dst.tolist(), depths):
                 if d > clock[j]:
                     clock[j] = d
-            self._charge(src, dst, depth, depths)
+            self._charge(src, dst, depth)
 
     def send_wave(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
@@ -277,7 +320,7 @@ class SimState:
             for j, x in zip(d.tolist(), depths):
                 if x > clock[j]:
                     clock[j] = x
-            self._charge(s, d, depth, depths)
+            self._charge(s, d, depth)
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
@@ -293,17 +336,30 @@ class SimState:
         if words > self.memory_budget:
             self.violations.append((pos, words))
 
+    def note_words_many(self, positions: Sequence[int], words: int) -> None:
+        """Audit hook: each of ``positions``, in order, holds this many live
+        words; the same as one :meth:`note_words` call per position."""
+        if not self.audit or not positions:
+            return
+        if words > self.max_words:
+            self.max_words = words
+        if words > self.memory_budget:
+            self.violations.extend([(pos, words) for pos in positions])
+
     def report(self) -> CostReport:
         return CostReport(self.energy, self.depth, self.messages, self.rounds)
 
     def dump_trace(self, path) -> None:
-        if self.events is None:
+        """Write one JSON line per event, in charge order, with the keys
+        src, dst, cost and depth."""
+        if self._trace is None:
             raise ValueError("tracing was not enabled for this run")
+        rows = np.frombuffer(self._trace, np.int64).reshape(-1, 4)
+        line = _TRACE_LINE.__mod__
         with open(path, "w") as fh:
-            for ev in self.events:
-                fh.write(json.dumps({"src": ev.src, "dst": ev.dst,
-                                     "cost": ev.cost, "depth": ev.depth}))
-                fh.write("\n")
+            for lo in range(0, len(rows), _DUMP_CHUNK):
+                cols = rows[lo:lo + _DUMP_CHUNK].T.tolist()
+                fh.write("".join(map(line, zip(*cols))))
 
 
 def _check_range(sim: SimState, a: int, b: int) -> None:

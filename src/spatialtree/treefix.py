@@ -18,6 +18,7 @@ sum'(u) = val(u) + A_u for the top-down variant.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import compress
 
 import numpy as np
@@ -80,6 +81,9 @@ class ContractionEngine:
         self.bottom = list(range(n))
         self.rng = Lcg(seed)
         self.rounds = 0
+        # representatives whose log entry each round set, one array per
+        # round (index 0 for operations called outside compact_round)
+        self.round_reps = [array("i")]
         self.active_count = n
         self.asynchronous = asynchronous
 
@@ -104,6 +108,7 @@ class ContractionEngine:
         self.lc_op[u] = OP_COMPRESS
         self.lc_member[u] = v
         self.lc_tag[u] = self.rounds
+        self.round_reps[self.rounds].append(u)
         self.P[u] += self.P[v]
         self.S[u] += self.S[v]
         self.active[v] = False
@@ -154,6 +159,7 @@ class ContractionEngine:
         self.lc_op[u] = OP_RAKE
         self.lc_member[u] = w
         self.lc_tag[u] = self.rounds
+        self.round_reps[self.rounds].append(u)
         self.P[u] += total
         for c in ordered:
             self.active[c] = False
@@ -170,6 +176,7 @@ class ContractionEngine:
         sim = self.sim
         pos = self.pos
         self.rounds += 1
+        self.round_reps.append(array("i"))
         before = self.active_count
         actives = list(compress(range(self.t.n), self.active))
         coins = np.full(self.t.n, NO_COIN, dtype=np.uint8)
@@ -197,9 +204,7 @@ class ContractionEngine:
                                      lambda c, ls=set(ordered): self.P[c] if c in ls else 0,
                                      lambda a, b: a + b, 0)
                 self._apply_rake(u, ordered, w, total)
-        if self.sim.audit:
-            for v in range(self.t.n):
-                self.sim.note_words(self.pos[v], STATE_WORDS)
+        self.sim.note_words_many(self.pos, STATE_WORDS)
         return before - self.active_count
 
     def _flag_broadcasts(self, actives):
@@ -354,7 +359,9 @@ class ContractionEngine:
         raise ContractError(f"nothing to undo at {u}")
 
     def undo_round(self, tau: int, mode: str) -> None:
-        work = [u for u in range(self.t.n)
+        # a log entry tagged tau was set in round tau, so its representative
+        # is in that round's record; ids ascend as in a scan of all vertices
+        work = [u for u in sorted(set(self.round_reps[tau]))
                 if self.active[u] and self.lc_op[u] != OP_NONE and self.lc_tag[u] == tau]
         while work:
             nxt = []

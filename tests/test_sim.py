@@ -475,6 +475,70 @@ def test_trace_export_jsonl(tmp_path):
     assert set(ev) == {"src", "dst", "cost", "depth"}
 
 
+def reference_dump(events, path):
+    """The JSON-lines trace written one json.dumps call per event."""
+    with open(path, "w") as fh:
+        for ev in events:
+            fh.write(json.dumps({"src": ev.src, "dst": ev.dst,
+                                 "cost": ev.cost, "depth": ev.depth}) + "\n")
+
+
+def mixed_traced_run():
+    """Scalar sends, a narrow round, a wide round and a wave on one grid."""
+    s = fresh(64, trace=True)
+    s.send(np.int64(3), 40)
+    s.send_at(40, 7, 5)
+    s.send_round(np.array([7, 40, 3]), np.array([9, 9, 63]))
+    rng = np.random.default_rng(5)
+    s.send_round(rng.integers(0, 64, 50), rng.integers(0, 64, 50))
+    s.send_wave(np.array([9, 1, 2, 30]), np.array([1, 2, 30, 9]))
+    return s
+
+
+def test_dump_trace_matches_json_dumps_per_event(tmp_path):
+    s = mixed_traced_run()
+    assert len(s.events) == s.messages == 59
+    s.dump_trace(tmp_path / "got.jsonl")
+    reference_dump(s.events, tmp_path / "want.jsonl")
+    want = (tmp_path / "want.jsonl").read_bytes()
+    assert (tmp_path / "got.jsonl").read_bytes() == want
+    assert want.count(b"\n") == 59
+
+
+def test_trace_fields_are_python_ints():
+    s = mixed_traced_run()
+    assert all(type(v) is int for e in s.events for v in e)
+    assert type(s.events[0].src) is int
+
+
+def test_dump_trace_without_messages_is_empty(tmp_path):
+    s = fresh(8, trace=True)
+    s.dump_trace(tmp_path / "trace.jsonl")
+    assert (tmp_path / "trace.jsonl").read_bytes() == b""
+    assert len(s.events) == 0 and s.events == []
+
+
+def test_untraced_state_has_no_events(tmp_path):
+    s = fresh(8)
+    s.send(0, 1)
+    assert s.events is None
+    with pytest.raises(ValueError):
+        s.dump_trace(tmp_path / "trace.jsonl")
+
+
+def test_trace_events_index_like_a_list():
+    s = mixed_traced_run()
+    events = list(s.events)
+    count = len(events)
+    assert s.events[-1] == events[-1] == s.events[count - 1]
+    assert s.events[0] == events[0] == s.events[-count]
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            s.events[i]
+    assert s.events == events and s.events == mixed_traced_run().events
+    assert s.events != events[:-1] and s.events != tuple(events)
+
+
 def test_energy_additivity():
     s = fresh(64, trace=True)
     broadcast_range(s, 0, 63)
@@ -493,3 +557,16 @@ def test_memory_audit_reports_not_fatal():
     s2 = fresh(8)  # audit off: no tracking
     s2.note_words(0, 99)
     assert s2.max_words == 0
+
+
+@pytest.mark.parametrize("words", [3, 4, 9])
+@pytest.mark.parametrize("positions", [[], [5], [2, 0, 7, 2]])
+def test_note_words_many_equals_one_call_per_position(positions, words):
+    got = fresh(8, audit_memory=True, memory_budget=4)
+    want = fresh(8, audit_memory=True, memory_budget=4)
+    for s in (got, want):
+        s.note_words(6, 2)
+    got.note_words_many(positions, words)
+    for pos in positions:
+        want.note_words(pos, words)
+    assert (got.max_words, got.violations) == (want.max_words, want.violations)

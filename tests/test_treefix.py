@@ -5,8 +5,8 @@ import pytest
 from spatialtree.layout import light_first_layout
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
-from spatialtree.treefix import (ContractError, ContractionEngine, treefix_sum,
-                                 treefix_topdown)
+from spatialtree.treefix import (STATE_WORDS, ContractError, ContractionEngine,
+                                 treefix_sum, treefix_topdown)
 from spatialtree.trees import (RootedTree, gen_tree, root_path_sums,
                                subtree_sizes, subtree_sums)
 
@@ -233,6 +233,21 @@ def test_memory_audit_within_budget():
     treefix_sum(sim, t, lay, [1] * 200, seed=1)
     assert sim.max_words <= sim.memory_budget
     assert not sim.violations
+
+
+def test_memory_audit_over_budget_reports_every_vertex_each_round():
+    t = gen_tree("random-attachment", 100, seed=3)
+    lay = light_first_layout(t)
+    sim = SimState(lay.placement(), audit_memory=True, memory_budget=10)
+    treefix_sum(sim, t, lay, [1] * 100, seed=3)
+    # per-vertex reference: every round notes each vertex's state words
+    want = SimState(lay.placement(), audit_memory=True, memory_budget=10)
+    for _ in range(sim.rounds):
+        for v in range(t.n):
+            want.note_words(lay.pos[v], STATE_WORDS)
+    assert sim.rounds > 1
+    assert sim.max_words == want.max_words == STATE_WORDS
+    assert sim.violations == want.violations
 
 
 def test_cost_scaling_energy_and_depth():
