@@ -8,15 +8,17 @@ is modeled: the simulator prices exactly distance and dependency chains.
 
 Messages are charged one at a time (``send``, ``send_at``), one
 synchronous round at a time (``send_round``, or several rounds in order with
-``send_rounds``), or as an ordered wave (``send_wave``).  In a round every
+``send_rounds``), or as an ordered batch (``send_ordered``).  In a round every
 message departs at its source's clock from the start of the round, so a
 position that both sends and receives in the same round sends its old
-clock; each receiver's clock rises to the largest depth it receives.  A
-wave is charged exactly as the same messages sent one ``send`` at a time in
-array order, so a message can depart after an earlier message of the same
-wave raised its source's clock; no position may receive twice in one wave.
-Rounds and waves are checked whole before any of them is charged, and when
-tracing is on they append one event per message in array order.
+clock; each receiver's clock rises to the largest depth it receives.  An
+ordered batch is charged exactly as the same messages sent one ``send`` at a
+time in array order, so a message can depart after an earlier message of
+the same batch raised its source's clock, and a position may receive any
+number of times.  ``send_wave`` is the checked case of an ordered batch in
+which no position receives twice.  Rounds and batches are checked whole
+before any of them is charged, and when tracing is on they append one event
+per message in array order.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -48,7 +50,10 @@ from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
 _SLICE = 4096  # clock entries written back per step of a wide round
-_WAVE_CHUNK = 4096  # messages charged per step of a wave
+# messages charged per step of an ordered batch; code that queues messages
+# for send_ordered charges them whenever this many wait, since a batch cut
+# anywhere charges the same and a short queue keeps its buffers small
+ORDERED_CHUNK = 4096
 _DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
 # what json.dumps gives for a dict of these four Python ints
 _TRACE_LINE = '{"src": %d, "dst": %d, "cost": %d, "depth": %d}\n'
@@ -274,53 +279,41 @@ class SimState:
                     clock[j] = d
             self._charge(src, dst, depth)
 
-    def send_wave(self, src, dst) -> None:
+    def send_ordered(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
-        ``send(src[i], dst[i])`` one at a time.  No position may receive
-        twice; the whole wave is checked before anything is charged.
-
-        With distinct receivers, at most one earlier message of the wave
-        reaches a source, so departures follow a forest of chains: message
-        i departs at max(clock[src[i]], departure of that earlier message
-        + 1), solved by pointer doubling.  Chunks are charged in order, each
-        against the clock the earlier chunks left.
-        """
+        ``send(src[i], dst[i])`` one at a time.  A position may receive any
+        number of times and send after it received; the whole batch is
+        checked before anything is charged."""
         src, dst = self._positions(src, dst)
-        count = len(src)
-        if count == 0:
-            return
-        n = self.placement.n
-        index = np.arange(count, dtype=np.int32)
-        last = np.full(n, -1, dtype=np.int32)
-        last[dst] = index
-        if (last[dst] != index).any():
-            i = int(np.flatnonzero(last[dst] != index)[0])
-            raise ValueError(f"position {dst[i]} receives twice in one wave")
-        pred = last[src]  # the message into src[i], if it comes earlier
-        pred[pred >= index] = -1
+        self._charge_ordered(src, dst)
+
+    def send_wave(self, src, dst) -> None:
+        """:meth:`send_ordered` for a batch in which no position receives
+        twice; a repeated receiver raises ValueError and charges nothing."""
+        src, dst = self._positions(src, dst)
+        seen = np.sort(dst)
+        twice = seen[1:] == seen[:-1]
+        if twice.any():
+            raise ValueError(f"position {seen[1:][twice][0]} receives twice in one wave")
+        self._charge_ordered(src, dst)
+
+    def _charge_ordered(self, src, dst) -> None:
+        """The clock loop of :meth:`send_ordered` on checked arrays, one
+        chunk at a time.  Depths go straight into a C array, so a depth that
+        raises no clock is freed at once instead of living to the chunk's
+        end as a Python int."""
         clock = self.clock
-        for lo in range(0, count, _WAVE_CHUNK):
-            hi = min(lo + _WAVE_CHUNK, count)
-            s = src[lo:hi]
-            d = dst[lo:hi]
-            depart = np.fromiter(map(clock.__getitem__, s.tolist()), np.int64, hi - lo)
-            jump = pred[lo:hi] - lo
-            jump[jump < 0] = -1  # messages of earlier chunks are in the clock
-            step = 1
-            while True:
-                has = np.flatnonzero(jump >= 0)
-                if len(has) == 0:
-                    break
-                up = jump[has]
-                depart[has] = np.maximum(depart[has], depart[up] + step)
-                jump[has] = jump[up]
-                step *= 2
-            depth = depart + 1
-            depths = depth.tolist()
-            for j, x in zip(d.tolist(), depths):
-                if x > clock[j]:
-                    clock[j] = x
-            self._charge(s, d, depth)
+        for lo in range(0, len(src), ORDERED_CHUNK):
+            s = src[lo:lo + ORDERED_CHUNK]
+            d = dst[lo:lo + ORDERED_CHUNK]
+            depths = array("q")
+            keep = depths.append
+            for a, b in zip(s.tolist(), d.tolist()):
+                x = clock[a] + 1
+                if x > clock[b]:
+                    clock[b] = x
+                keep(x)
+            self._charge(s, d, np.frombuffer(depths, dtype=np.int64))
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""

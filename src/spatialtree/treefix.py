@@ -18,6 +18,7 @@ sum'(u) = val(u) + A_u for the top-down variant.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from itertools import compress
 
@@ -25,9 +26,9 @@ import numpy as np
 
 from .layout import Layout
 from .rng import Lcg
-from .sim import SimState
+from .sim import ORDERED_CHUNK, SimState
 from .trees import RootedTree, subtree_sizes
-from .virtual_tree import VirtualTree, block_broadcast, block_members, block_reduce, transform
+from .virtual_tree import VirtualTree, block_members, transform
 
 OP_NONE = 0
 OP_COMPRESS = 1
@@ -51,7 +52,15 @@ class ContractError(ValueError):
 
 
 class ContractionEngine:
-    """Contraction state for one treefix run; confine to a single execution."""
+    """Contraction state for one treefix run; confine to a single execution.
+
+    Messages of compresses, rakes and undos are queued in the order a
+    one-send-at-a-time engine would send them, and charged with
+    ``SimState.send_ordered`` before each flag or coin wave, at the end of
+    each round, before a public single operation returns, and whenever
+    ``ORDERED_CHUNK`` messages wait.  Nothing the engine decides depends on
+    what a message costs, so the queue changes no cost and no trace event.
+    """
 
     def __init__(self, sim: SimState, t: RootedTree, layout: Layout, values,
                  seed: int, vt: VirtualTree | None = None,
@@ -62,13 +71,15 @@ class ContractionEngine:
         self.vt = vt if vt is not None else transform(t, subtree_sizes(t))
         self.pos = layout.pos
         self.pos_arr = np.asarray(layout.pos, dtype=np.int32)
-        self.val = list(values)
-        self.P = list(values)
+        try:
+            self.P = list(map(operator.index, values))
+        except TypeError:
+            raise ValueError("treefix values must be integers") from None
         self.A = [0] * n
         # spine sum: values along the path from the representative to the
         # supervertex bottom; rakes leave it untouched, so top-down
         # corrections stay clean of off-path raked values
-        self.S = list(values)
+        self.S = list(self.P)
         self.active = [True] * n
         self.op_tag = [OP_NONE] * n
         self.iter_tag = [0] * n
@@ -78,7 +89,7 @@ class ContractionEngine:
         self.saved: list[tuple | None] = [None] * n
         self.svparent = list(t.parent)
         self.children = [set(cs) if cs else NO_CHILDREN for cs in t.children]
-        self.bottom = list(range(n))
+        self.bottom = array("i", range(n))  # not n fresh 28-byte Python ints
         self.rng = Lcg(seed)
         self.rounds = 0
         # representatives whose log entry each round set, one array per
@@ -86,6 +97,51 @@ class ContractionEngine:
         self.round_reps = [array("i")]
         self.active_count = n
         self.asynchronous = asynchronous
+        self._qsrc = array("i")
+        self._qdst = array("i")
+
+    # -- the message queue ----------------------------------------------------
+
+    def _queue_send(self, src: int, dst: int) -> None:
+        self._qsrc.append(src)
+        self._qdst.append(dst)
+        if len(self._qsrc) >= ORDERED_CHUNK:
+            self._flush()
+
+    def _queue_broadcast(self, u: int, parent_vertex: int) -> None:
+        """Queue ``block_broadcast``'s messages from u over the child block
+        of parent_vertex: to the current children, then the relays down the
+        appended links."""
+        b = self.vt.blocks
+        lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
+        kept = len(self.vt.cur[parent_vertex])  # the block's first slots
+        self._qsrc.extend([u] * kept)
+        self._qsrc.extend(b.src[lo + kept:hi])
+        self._qdst.extend(b.dst[lo:hi])
+        if len(self._qsrc) >= ORDERED_CHUNK:
+            self._flush()
+
+    def _queue_reduce(self, parent_vertex: int, u: int) -> None:
+        """Queue ``block_reduce``'s messages over the child block of
+        parent_vertex: up the appended links, then the current children
+        to u."""
+        b = self.vt.blocks
+        lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
+        kept = len(self.vt.cur[parent_vertex])  # the block's last slots
+        slots = self.vt.reduce_slots[lo:hi]
+        self._qsrc.extend(map(b.dst.__getitem__, slots))
+        self._qdst.extend(map(b.src.__getitem__, slots[:hi - lo - kept]))
+        self._qdst.extend([u] * kept)
+        if len(self._qsrc) >= ORDERED_CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Charge the queued messages in queue order."""
+        if self._qsrc:
+            src, dst = self._qsrc, self._qdst
+            self._qsrc, self._qdst = array("i"), array("i")
+            self.sim.send_ordered(self.pos_arr[np.frombuffer(src, dtype=np.intc)],
+                                  self.pos_arr[np.frombuffer(dst, dtype=np.intc)])
 
     # -- contraction operations -------------------------------------------
 
@@ -100,10 +156,13 @@ class ContractionEngine:
             raise ContractError("parent must be non-branching")
         if len(self.children[v]) != 1:
             raise ContractError("compressed vertex must have exactly one child")
-        pos = self.pos
+        self._compress(u, v)
+        self._flush()
+
+    def _compress(self, u: int, v: int) -> None:
         w = next(iter(self.children[v]))
-        self.sim.send(pos[v], pos[u])  # partial sum and inherited-child handoff
-        self.sim.send(pos[v], pos[w])  # reparent notice
+        self._queue_send(v, u)  # partial sum and inherited-child handoff
+        self._queue_send(v, w)  # reparent notice
         self.saved[v] = (self.lc_op[u], self.lc_member[u], self.lc_tag[u])
         self.lc_op[u] = OP_COMPRESS
         self.lc_member[u] = v
@@ -132,7 +191,6 @@ class ContractionEngine:
             others = kids - leaf_set
             if len(others) > 1:
                 raise ContractError("more than one non-leaf child")
-            w = next(iter(others)) if others else -1
         else:
             leaf_set = set(leaves)
             if not leaf_set <= kids:
@@ -142,16 +200,19 @@ class ContractionEngine:
             others = kids - leaf_set
             if len(others) > 1 or (others and others != {w}):
                 raise ContractError("at most one non-rake child is allowed")
-            w = next(iter(others)) if others else -1
         if not leaf_set:
             raise ContractError("nothing to rake")
+        w = next(iter(others)) if others else -1
         ordered = [c for c in block_members(self.vt, self.bottom[u]) if c in leaf_set]
-        total = block_reduce(self.sim, self.vt, self.pos, self.bottom[u],
-                             self.pos[u],
-                             lambda c: self.P[c] if c in leaf_set else 0,
-                             lambda a, b: a + b, 0)
-        self._apply_rake(u, ordered, w, total)
+        self._rake(u, ordered, w)
+        self._flush()
         return ordered
+
+    def _rake(self, u, ordered, w):
+        """The one rake path: queue the reduce over u's child block, which
+        delivers the sum of the raked leaves, then absorb them."""
+        self._queue_reduce(self.bottom[u], u)
+        self._apply_rake(u, ordered, w, sum(map(self.P.__getitem__, ordered)))
 
     def _apply_rake(self, u, ordered, w, total):
         anchor = ordered[0]
@@ -173,49 +234,75 @@ class ContractionEngine:
     def compact_round(self) -> int:
         """Branching flags down, random-mate compress, flags again, then rake
         everything eligible.  Returns the number of deactivated supervertices."""
-        sim = self.sim
-        pos = self.pos
         self.rounds += 1
         self.round_reps.append(array("i"))
         before = self.active_count
         actives = list(compress(range(self.t.n), self.active))
         coins = np.full(self.t.n, NO_COIN, dtype=np.uint8)
         coins[actives] = self.rng.next_bits(len(actives))
-        coin = bytearray(coins)  # read per vertex from Python below
         if self.asynchronous:
-            self._eager_round(actives, coin)
+            self._eager_round(actives, bytearray(coins))
         else:
-            self._flag_broadcasts(actives)
-            self._parent_coins(actives)
-            selected = [v for v in actives if self._in_mate_set(v, coin)]
-            for v in selected:
-                self.compress(self.svparent[v], v)
-            self._flag_broadcasts(actives)
-            # eligibility is frozen before any rake: rounds are synchronized
-            plans = []
-            for u in actives:
-                if not self.active[u]:
-                    continue
-                plan = self._rake_plan(u)
-                if plan is not None:
-                    plans.append((u, plan))
-            for u, (ordered, w) in plans:
-                total = block_reduce(sim, self.vt, pos, self.bottom[u], pos[u],
-                                     lambda c, ls=set(ordered): self.P[c] if c in ls else 0,
-                                     lambda a, b: a + b, 0)
-                self._apply_rake(u, ordered, w, total)
+            self._synchronous_round(actives, coins)
+        self._flush()
         self.sim.note_words_many(self.pos, STATE_WORDS)
         return before - self.active_count
 
-    def _flag_broadcasts(self, actives):
-        """Each live supervertex with children broadcasts over the child
-        block of its bottom, in the order of ``actives``, as one wave:
-        bottoms are distinct and every vertex sits in one child block."""
-        us = [u for u in actives if self.active[u] and self.children[u]]
+    def _parent_and_degree(self, vs):
+        """Arrays of the supervertex parent and child count of each of vs."""
+        par = np.fromiter(map(self.svparent.__getitem__, vs), np.int32, len(vs))
+        deg = np.fromiter(map(len, map(self.children.__getitem__, vs)), np.int32, len(vs))
+        return par, deg
+
+    def _synchronous_round(self, actives, coins):
+        """One round against round-start state, with mate selection and rake
+        eligibility decided for every live supervertex at once."""
+        n = self.t.n
+        children = self.children
+        self._flag_broadcasts(list(compress(actives, map(children.__getitem__, actives))))
+        par, deg = self._parent_and_degree(actives)
+        live = np.array(actives, dtype=np.int32)
+        # live ascends and holds every parent, so a search finds its index
+        up = np.searchsorted(live, par)
+        up[par < 0] = 0
+        only = (par >= 0) & (deg[up] == 1)  # its parent's only child
+        order = np.argsort(par[only])  # senders in id order, as a scan sends
+        self._parent_coins(par[only][order], live[only][order])
+        # random mate: a heads child with one child under a tails parent
+        # with one child; no vertex is both, so the compresses are disjoint
+        mate = only & (deg == 1) & (coins[live] == 1) & (coins[par] == 0)
+        for u, v in zip(par[mate].tolist(), live[mate].tolist()):
+            self._compress(u, v)
+        live = list(compress(actives, map(self.active.__getitem__, actives)))
+        self._flag_broadcasts(list(compress(live, map(children.__getitem__, live))))
+        # eligibility is frozen before any rake: rounds are synchronized
+        par, deg = self._parent_and_degree(live)
+        live = np.array(live, dtype=np.int32)
+        up = np.searchsorted(live, par)
+        leaf = deg == 0
+        rooted = par >= 0
+        leaves = np.bincount(up[leaf & rooted], minlength=len(live))
+        can = (leaves > 0) & (deg - leaves <= 1)
+        kept = np.full(len(live), -1, dtype=np.int32)  # a raker's non-leaf child
+        kept[up[~leaf & rooted]] = live[~leaf & rooted]
+        is_leaf = np.zeros(n, dtype=np.uint8)
+        is_leaf[live[leaf]] = 1
+        is_leaf = is_leaf.tobytes()
+        b = self.vt.blocks
+        bottom = self.bottom
+        for u, w in zip(live[can].tolist(), kept[can].tolist()):
+            lo, hi = b.ptr[bottom[u]], b.ptr[bottom[u] + 1]
+            self._rake(u, [c for c in b.dst[lo:hi] if is_leaf[c]], w)
+
+    def _flag_broadcasts(self, us):
+        """Each of ``us`` broadcasts over the child block of its bottom, in
+        order, as one wave: bottoms are distinct and every vertex sits in
+        one child block."""
+        self._flush()
         if not us:
             return
         ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in self.vt.blocks)
-        bottoms = np.fromiter(map(self.bottom.__getitem__, us), np.int32, len(us))
+        bottoms = np.frombuffer(self.bottom, dtype=np.intc)[us]
         starts = ptr[bottoms]
         lens = ptr[bottoms + 1] - starts
         # entry k of the wave reads CSR slot starts[j] + (k - offset of j);
@@ -228,12 +315,10 @@ class ContractionEngine:
         src[relayed] = self.pos_arr[relay[relayed]]
         self.sim.send_wave(src, self.pos_arr[child[slots]])
 
-    def _parent_coins(self, actives):
-        """Each non-branching supervertex sends its coin to its only child,
-        as one wave in the order of ``actives``: every child has one parent."""
-        children = self.children
-        us = [u for u in actives if len(children[u]) == 1]
-        kids = [next(iter(children[u])) for u in us]
+    def _parent_coins(self, us, kids):
+        """Each non-branching supervertex of ``us`` sends its coin to its
+        only child in ``kids``, as one wave: every child has one parent."""
+        self._flush()
         self.sim.send_wave(self.pos_arr[us], self.pos_arr[kids])
 
     def _in_mate_set(self, v, coin):
@@ -258,32 +343,26 @@ class ContractionEngine:
     def _eager_round(self, actives, coin):
         """No-global-barrier variant: each vertex runs its steps as soon as
         possible, against current rather than round-start state."""
-        sim = self.sim
-        pos = self.pos
         order = list(actives)
         for i in range(len(order) - 1, 0, -1):
             j = self.rng.next_below(i + 1)
             order[i], order[j] = order[j], order[i]
-        self._flag_broadcasts(order)
+        self._flag_broadcasts([u for u in order if self.children[u]])
         for v in order:
             if not self.active[v]:
                 continue
             u = self.svparent[v]
             if u >= 0 and len(self.children[u]) == 1:
-                sim.send(pos[u], pos[v])
+                self._queue_send(u, v)
             if self._in_mate_set(v, coin):
-                self.compress(u, v)
+                self._compress(u, v)
         for u in order:
             if not self.active[u]:
                 continue
             plan = self._rake_plan(u)
             if plan is not None:
-                ordered, w = plan
-                block_broadcast(sim, self.vt, pos, pos[u], self.bottom[u])
-                total = block_reduce(sim, self.vt, pos, self.bottom[u], pos[u],
-                                     lambda c, ls=set(ordered): self.P[c] if c in ls else 0,
-                                     lambda a, b: a + b, 0)
-                self._apply_rake(u, ordered, w, total)
+                self._queue_broadcast(u, self.bottom[u])
+                self._rake(u, *plan)
 
     def contract(self) -> None:
         limit = 64 * max(1, math.ceil(math.log2(max(2, self.t.n)))) + 64
@@ -297,13 +376,16 @@ class ContractionEngine:
     def undo_at(self, u: int, mode: str) -> list[int]:
         """Pop and revert u's most recent contraction; returns the
         reactivated supervertices."""
-        sim = self.sim
-        pos = self.pos
+        out = self._undo(u, mode)
+        self._flush()
+        return out
+
+    def _undo(self, u: int, mode: str) -> list[int]:
         op = self.lc_op[u]
         if op == OP_COMPRESS:
             v = self.lc_member[u]
-            sim.send(pos[u], pos[v])  # wake + correction term
-            sim.send(pos[v], pos[u])  # frozen partial sum back to u
+            self._queue_send(u, v)  # wake + correction term
+            self._queue_send(v, u)  # frozen partial sum back to u
             if mode == BOTTOM_UP:
                 self.A[v] = self.A[u]
                 self.A[u] += self.P[v]
@@ -328,21 +410,19 @@ class ContractionEngine:
         if op == OP_RAKE:
             tau = self.lc_tag[u]
             bot = self.bottom[u]
-            block_broadcast(sim, self.vt, pos, pos[u], bot)  # wake call
+            self._queue_broadcast(u, bot)  # wake call
             raked = [c for c in block_members(self.vt, bot)
                      if not self.active[c] and self.op_tag[c] == OP_RAKE
                      and self.iter_tag[c] == tau]
-            raked_set = set(raked)
-            total = block_reduce(sim, self.vt, pos, bot, pos[u],
-                                 lambda c: self.P[c] if c in raked_set else 0,
-                                 lambda a, b: a + b, 0)
+            self._queue_reduce(bot, u)  # the raked leaves' partial sums
+            total = sum(map(self.P.__getitem__, raked))
             if mode == BOTTOM_UP:
                 for c in raked:
                     self.A[c] = 0
                 self.A[u] += total
             else:
                 base = self.A[u] + self.S[u]  # raked leaves hang off the bottom
-                block_broadcast(sim, self.vt, pos, pos[u], bot)  # deliver base term
+                self._queue_broadcast(u, bot)  # deliver base term
                 for c in raked:
                     self.A[c] = base
             self.P[u] -= total
@@ -368,10 +448,11 @@ class ContractionEngine:
             for u in work:
                 while (self.active[u] and self.lc_op[u] != OP_NONE
                        and self.lc_tag[u] == tau):
-                    for x in self.undo_at(u, mode):
+                    for x in self._undo(u, mode):
                         if self.lc_op[x] != OP_NONE and self.lc_tag[x] == tau:
                             nxt.append(x)
             work = nxt
+        self._flush()
 
     def uncontract(self, mode: str) -> None:
         for tau in range(self.rounds, 0, -1):
@@ -395,14 +476,21 @@ def _run(sim, t, layout, values, seed, mode, vt, asynchronous):
     sim.rounds += engine.rounds
     if mode == BOTTOM_UP:
         return [engine.P[v] + engine.A[v] for v in range(t.n)]
-    return [engine.val[v] + engine.A[v] for v in range(t.n)]
+    return list(map(operator.add, map(operator.index, values), engine.A))
 
 
 def treefix_sum(sim: SimState, t: RootedTree, layout: Layout, values,
                 seed: int, vt: VirtualTree | None = None,
                 asynchronous: bool = False) -> list[int]:
     """Per-vertex sum over its subtree: contract to one supervertex, then
-    uncontract maintaining sum(u) = P_u + A_u."""
+    uncontract maintaining sum(u) = P_u + A_u.
+
+    Values must be integers, meaning anything ``operator.index`` accepts;
+    anything else raises ValueError before a message is charged.  A rake
+    adds its leaves' partial sums directly rather than folding them along
+    the child block's relay order, and uncontraction subtracts them again;
+    both match the fold only for exact integer arithmetic.
+    """
     return _run(sim, t, layout, values, seed, BOTTOM_UP, vt, asynchronous)
 
 
@@ -410,5 +498,6 @@ def treefix_topdown(sim: SimState, t: RootedTree, layout: Layout, values,
                     seed: int, vt: VirtualTree | None = None,
                     asynchronous: bool = False) -> list[int]:
     """Per-vertex sum along the path from the root, maintaining
-    sum'(u) = val(u) + A_u through the same contraction."""
+    sum'(u) = val(u) + A_u through the same contraction.  Values must be
+    integers, as for :func:`treefix_sum`."""
     return _run(sim, t, layout, values, seed, TOP_DOWN, vt, asynchronous)

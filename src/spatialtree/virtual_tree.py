@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .layout import Layout
-from .sim import SimState
+from .sim import ORDERED_CHUNK, SimState
 from .trees import RootedTree, bfs_order, light_first_children
 
 
@@ -63,6 +65,20 @@ class VirtualTree:
                     src.append(x)
             ptr.append(len(dst))
         return BlockOrder(ptr, src, dst)
+
+    @cached_property
+    def reduce_slots(self) -> array:
+        """The CSR slots of every child block in :func:`block_reduce`'s send
+        order: appended links grouped by relay, relays taken last to first,
+        then the current children.  Slot k sends from its child to its relay,
+        or to the reduce's destination when the relay is -1."""
+        ptr, src, dst = (np.frombuffer(a, dtype=np.intc) for a in self.blocks)
+        slot = np.arange(len(dst), dtype=np.intc)
+        slot_of = np.zeros(len(self.cur), dtype=np.intc)
+        slot_of[dst] = slot
+        group = np.where(src >= 0, -slot_of[src], 1)
+        block = np.repeat(np.arange(len(ptr) - 1, dtype=np.intc), np.diff(ptr))
+        return array("i", np.lexsort((slot, group, block)).astype(np.intc).tobytes())
 
     def order(self) -> list[int]:
         """Top-down order over cur+app links."""
@@ -131,6 +147,21 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     cur: list[list[int]] = [[] for _ in range(n)]
     app: list[list[int]] = [[] for _ in range(n)]
     vparent = [-1] * n
+    # the protocol's messages, queued in the order it sends them and
+    # charged in batches; nothing it decides depends on their cost
+    qsrc = array("i")
+    qdst = array("i")
+
+    def charge() -> None:
+        sim.send_ordered(np.frombuffer(qsrc, dtype=np.intc),
+                         np.frombuffer(qdst, dtype=np.intc))
+        del qsrc[:], qdst[:]
+
+    def send(src_pos: int, dst_pos: int) -> None:
+        qsrc.append(src_pos)
+        qdst.append(dst_pos)
+        if len(qsrc) >= ORDERED_CHUNK:
+            charge()
 
     for v in bfs_order(t):
         cs = sc[v]
@@ -141,7 +172,7 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
         cur[v] = kept
         for c in kept:
             vparent[c] = v
-            sim.send(pos[c], pos[v])  # child announces its reference
+            send(pos[c], pos[v])  # child announces its reference
 
         # finish(x over cs[lo:hi]): bottom-up; returns the cs-index just past
         # x's appended subtree ("the right sibling of the rightmost descendant")
@@ -154,15 +185,15 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
             m = hi - lo
             mid = lo + (m // 2 if m >= 2 else 1)
             after_y = finish(y, lo + 1, mid)
-            sim.send(pos[y], pos[x])  # y reports the sibling past its subtree
+            send(pos[y], pos[x])  # y reports the sibling past its subtree
             if after_y >= hi:
                 return after_y
             z = cs[after_y]
             app[x].append(z)
-            sim.send(pos[x], pos[z])  # request: z also learns its virtual parent
+            send(pos[x], pos[z])  # request: z also learns its virtual parent
             vparent[z] = x
             after_z = finish(z, after_y + 1, hi)
-            sim.send(pos[z], pos[x])  # response with the ref past z's subtree
+            send(pos[z], pos[x])  # response with the ref past z's subtree
             return after_z
 
         for owner, block in subs:
@@ -172,6 +203,7 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
                 if end != lo + len(block):
                     raise RuntimeError("reference protocol drifted off its block")
 
+    charge()
     direct = transform(t, sizes)
     if (cur, app, vparent) != (direct.cur, direct.app, direct.vparent):
         raise RuntimeError("reference protocol disagrees with direct transform")

@@ -4,9 +4,13 @@ Every generator numbers parents before their children, so within one
 compact round the flag broadcasts and parent-coin sends, which go out in
 vertex-id order, always reach a vertex before it sends.  Relabelling a
 generated tree with a random permutation breaks that order.  The wave
-charging in ``ContractionEngine`` must still match a reference engine that
-sends those messages one ``sim.send`` at a time.
+charging in ``ContractionEngine``, and its queue of compress, rake and undo
+messages, must still match a reference engine that sends every message one
+``sim.send`` at a time, the block ones through ``block_broadcast`` and
+``block_reduce``.
 """
+
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from spatialtree.lca import batched_lca
 from spatialtree.sim import SimState
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
                                root_path_sums, subtree_sums)
+from spatialtree.virtual_tree import block_broadcast, block_reduce
 
 
 def scalar_block_broadcast(sim, vt, pos, src_pos, parent_vertex):
@@ -38,18 +43,31 @@ def scalar_block_broadcast(sim, vt, pos, src_pos, parent_vertex):
 
 
 class ScalarSendEngine(treefix.ContractionEngine):
-    """Charges flag broadcasts and parent coins one message at a time."""
+    """Sends every message with its own ``sim.send`` the moment the engine
+    would queue it, so the queue stays empty."""
 
-    def _flag_broadcasts(self, actives):
-        for u in actives:
+    def _flag_broadcasts(self, us):
+        for u in us:
             if self.active[u] and self.children[u]:
                 scalar_block_broadcast(self.sim, self.vt, self.pos, self.pos[u],
                                        self.bottom[u])
 
-    def _parent_coins(self, actives):
-        for u in actives:
-            if len(self.children[u]) == 1:
+    def _parent_coins(self, us, kids):
+        # called at the start of a synchronous round: every live
+        # non-branching supervertex, in id order
+        for u in range(self.t.n):
+            if self.active[u] and len(self.children[u]) == 1:
                 self.sim.send(self.pos[u], self.pos[next(iter(self.children[u]))])
+
+    def _queue_send(self, src, dst):
+        self.sim.send(self.pos[src], self.pos[dst])
+
+    def _queue_broadcast(self, u, parent_vertex):
+        block_broadcast(self.sim, self.vt, self.pos, self.pos[u], parent_vertex)
+
+    def _queue_reduce(self, parent_vertex, u):
+        block_reduce(self.sim, self.vt, self.pos, parent_vertex, self.pos[u],
+                     lambda c: 0, operator.add, 0)
 
 
 def relabelled(kind, n, seed):

@@ -218,6 +218,65 @@ def test_send_wave_empty_is_free():
     assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
+def random_ordered_batch(rng, n, count):
+    """Receivers drawn with repeats, sources drawn mostly from receivers
+    earlier in the batch, so many messages relay what just arrived."""
+    dst = rng.integers(0, n, count)
+    src = rng.integers(0, n, count)
+    back = rng.random(count) < 0.7
+    back[0] = False
+    earlier = (rng.random(count) * np.arange(count)).astype(np.int64)
+    src[back] = dst[earlier[back]]
+    return src, dst
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("n,count", [(8, 1), (8, 40), (64, 64), (1000, 3000),
+                                     (5000, 13000)])
+def test_send_ordered_matches_scalar_sends(n, count, trace):
+    # the last two cases span several chunks of an ordered batch
+    rng = np.random.default_rng(n * 3 + count)
+    got = fresh(n, trace=trace)
+    want = fresh(n, trace=trace)
+    start = rng.integers(0, 5, n).tolist()
+    got.clock[:] = start
+    want.clock[:] = start
+    for _ in range(3):
+        src, dst = random_ordered_batch(rng, n, count)
+        assert len(np.unique(dst)) < count or count == 1
+        got.send_ordered(src, dst)
+        scalar_wave(want, src.tolist(), dst.tolist())
+        assert state_of(got) == state_of(want)
+
+
+def test_send_ordered_repeated_receiver_relays_after_each_arrival():
+    s = fresh(8, trace=True)
+    s.clock[2] = 3
+    s.send_ordered(np.array([0, 1, 2, 1, 5]), np.array([1, 5, 1, 6, 1]))
+    # 1 receives three times and sends twice, each time at its clock then
+    assert [e.depth for e in s.events] == [1, 2, 4, 5, 3]
+    assert s.clock[:7] == [0, 4, 3, 0, 0, 2, 5]
+    assert s.depth == 5 and s.messages == 5
+
+
+@pytest.mark.parametrize("src,dst", [([0, 1], [2, 4]), ([-1], [0]), ([0], [-2]),
+                                     ([0.0], [1.0]), ([0, 1], [1]),
+                                     ([[0, 1]], [[1, 2]])])
+def test_bad_ordered_batch_raises_and_charges_nothing(src, dst):
+    s = fresh(4, trace=True)
+    s.send(2, 3)
+    before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
+    with pytest.raises(ValueError):
+        s.send_ordered(np.array(src), np.array(dst))
+    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+
+
+def test_send_ordered_empty_is_free():
+    s = fresh(4, trace=True)
+    s.send_ordered(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+
+
 def test_send_rounds_equal_consecutive_send_rounds():
     rng = np.random.default_rng(5)
     for n, count in ((64, 5), (256, 300)):  # narrow and wide

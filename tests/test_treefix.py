@@ -1,5 +1,7 @@
 import math
+import operator
 
+import numpy as np
 import pytest
 
 from spatialtree.layout import light_first_layout
@@ -9,6 +11,7 @@ from spatialtree.treefix import (STATE_WORDS, ContractError, ContractionEngine,
                                  treefix_sum, treefix_topdown)
 from spatialtree.trees import (RootedTree, gen_tree, root_path_sums,
                                subtree_sizes, subtree_sums)
+from spatialtree.virtual_tree import block_broadcast, block_reduce
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -94,6 +97,40 @@ def test_figure_tree_rake_at_vertex_one():
     raked = eng.rake(1)
     assert raked == [2, 3]
     assert eng.P[1] == 3
+
+
+def charged(sim):
+    return sim.messages, sim.energy, sim.depth, sim.events
+
+
+def test_single_operations_charge_like_scalar_sends():
+    # the star's child block has appended links, so its reduce and
+    # broadcasts relay through siblings
+    star = gen_tree("star", 7)
+    eng = engine_for(star, trace=True)
+    want = SimState(eng.sim.placement, trace=True)
+    vt, pos = eng.vt, eng.pos
+    eng.rake(0)
+    block_reduce(want, vt, pos, 0, pos[0], lambda c: 0, operator.add, 0)
+    assert charged(eng.sim) == charged(want)
+    eng.undo_at(0, "top-down")
+    block_broadcast(want, vt, pos, pos[0], 0)
+    block_reduce(want, vt, pos, 0, pos[0], lambda c: 0, operator.add, 0)
+    block_broadcast(want, vt, pos, pos[0], 0)
+    assert charged(eng.sim) == charged(want)
+
+    path = gen_tree("path", 3)
+    eng = engine_for(path, trace=True)
+    want = SimState(eng.sim.placement, trace=True)
+    pos = eng.pos
+    eng.compress(0, 1)
+    want.send(pos[1], pos[0])
+    want.send(pos[1], pos[2])
+    assert charged(eng.sim) == charged(want)
+    eng.undo_at(0, "bottom-up")
+    want.send(pos[0], pos[1])
+    want.send(pos[1], pos[0])
+    assert charged(eng.sim) == charged(want)
 
 
 def test_two_vertex_tree_single_round():
@@ -211,6 +248,28 @@ def test_every_rooted_shape_up_to_six_vertices():
             assert got == subtree_sums(t, vals), parents
             got = treefix_topdown(SimState(lay.placement()), t, lay, vals, seed=1)
             assert got == root_path_sums(t, vals), parents
+
+
+def test_non_integer_values_are_rejected_before_any_message():
+    t = gen_tree("path", 4)
+    lay = light_first_layout(t)
+    for fn in (treefix_sum, treefix_topdown):
+        sim = SimState(lay.placement(), trace=True)
+        with pytest.raises(ValueError, match="integers"):
+            fn(sim, t, lay, [1, 2.5, 3, 4], seed=1)
+        assert charged(sim) == (0, 0, 0, [])
+
+
+def test_integer_like_values_are_accepted():
+    t = gen_tree("random-attachment", 40, seed=4)
+    lay = light_first_layout(t)
+    vals = np.arange(-20, 20, dtype=np.int64)
+    got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=4)
+    assert got == subtree_sums(t, vals.tolist())
+    assert all(type(x) is int for x in got)
+    flags = [v % 3 == 0 for v in range(t.n)]
+    got = treefix_topdown(SimState(lay.placement()), t, lay, flags, seed=4)
+    assert got == root_path_sums(t, [int(f) for f in flags])
 
 
 def test_asynchronous_outputs_identical():
