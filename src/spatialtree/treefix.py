@@ -10,25 +10,33 @@ previous log entry on a vertex deactivated by that contraction (the
 compressed child, or the first raked leaf), so per-vertex state stays
 constant-size and uncontraction can replay everything backwards.
 
+A supervertex knows its children only as a live-child count and a running
+sum of live child ids, so when the count is 1 the sum is the only child.
+Its full child set, which a rake or an undo needs, is the live part of the
+child block of its bottom vertex, read from ``VirtualTree.blocks``.  All
+per-vertex state lives in numpy arrays, and each round's compresses, rakes
+and undos run as a few array passes over that round's supervertices.
+
 Uncontraction maintains, per supervertex u, a correction term A_u such that
 subtree sums satisfy sum(u) = P_u + A_u, or root-path sums satisfy
-sum'(u) = val(u) + A_u for the top-down variant.
+sum'(u) = val(u) + A_u for the top-down variant.  Every partial sum P, spine
+sum S and correction A is a sum of values over a set of distinct vertices,
+so all of them are int64 when the sum of |values| is below 2**62; above
+that they are object arrays of Python ints, run through the same code.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from array import array
-from itertools import compress
 
 import numpy as np
 
 from .layout import Layout
 from .rng import Lcg
-from .sim import ORDERED_CHUNK, SimState
+from .sim import SimState
 from .trees import RootedTree, subtree_sizes
-from .virtual_tree import VirtualTree, block_members, transform
+from .virtual_tree import VirtualTree, transform
 
 OP_NONE = 0
 OP_COMPRESS = 1
@@ -38,9 +46,14 @@ BOTTOM_UP = "bottom-up"
 TOP_DOWN = "top-down"
 
 NO_COIN = 2  # coin byte of a vertex that flipped none this round
-# shared child set of every childless supervertex: leaves never gain
-# children, and a compressed vertex gets its set back only on undo
-NO_CHILDREN: frozenset[int] = frozenset()
+INT64_LIMIT = 2 ** 62  # sum of |values| below which P, S and A are int64
+OP, MEMBER, TAG = 0, 1, 2  # fields of a log entry: op, member, round
+# vertices per array pass of a step.  A step's vertices are independent and
+# in send order, so passes over consecutive slices charge what one pass
+# would; slicing keeps each pass's temporary arrays near ORDERED_CHUNK
+# messages, where whole-step arrays fragmented the heap that a traced run's
+# growing event array lives in (peak RSS +17 % on shapes-traced)
+STEP_SLICE = 1024
 
 # modeled per-vertex words: val/P/A, activity+op+round tags, log entry (op,
 # two members, round), saved log entry, parent/bottom/child-count
@@ -54,17 +67,16 @@ class ContractError(ValueError):
 class ContractionEngine:
     """Contraction state for one treefix run; confine to a single execution.
 
-    Messages of compresses, rakes and undos are queued in the order a
-    one-send-at-a-time engine would send them, and charged with
-    ``SimState.send_ordered`` before each flag or coin wave, at the end of
-    each round, before a public single operation returns, and whenever
-    ``ORDERED_CHUNK`` messages wait.  Nothing the engine decides depends on
-    what a message costs, so the queue changes no cost and no trace event.
+    Each step (a round's compresses, its rakes, an undo round) runs as
+    array passes over slices of ``STEP_SLICE`` of its vertices.  Each pass
+    builds its messages as arrays in the order a one-send-at-a-time engine
+    sends them and charges them with one ``SimState.send_ordered``; flag
+    broadcasts and parent coins go out as waves.  Nothing the engine
+    decides depends on what a message costs.
     """
 
     def __init__(self, sim: SimState, t: RootedTree, layout: Layout, values,
-                 seed: int, vt: VirtualTree | None = None,
-                 asynchronous: bool = False):
+                 seed: int, vt: VirtualTree | None = None):
         n = t.n
         self.sim = sim
         self.t = t
@@ -72,76 +84,99 @@ class ContractionEngine:
         self.pos = layout.pos
         self.pos_arr = np.asarray(layout.pos, dtype=np.int32)
         try:
-            self.P = list(map(operator.index, values))
+            vals = list(map(operator.index, values))
         except TypeError:
             raise ValueError("treefix values must be integers") from None
-        self.A = [0] * n
+        dtype = np.int64 if sum(map(abs, vals)) < INT64_LIMIT else object
+        self.P = np.array(vals, dtype=dtype)
         # spine sum: values along the path from the representative to the
         # supervertex bottom; rakes leave it untouched, so top-down
         # corrections stay clean of off-path raked values
-        self.S = list(self.P)
-        self.active = [True] * n
-        self.op_tag = [OP_NONE] * n
-        self.iter_tag = [0] * n
-        self.lc_op = [OP_NONE] * n
-        self.lc_member = [-1] * n  # compressed child or kept non-leaf, -1 = none
-        self.lc_tag = [0] * n
-        self.saved: list[tuple | None] = [None] * n
-        self.svparent = list(t.parent)
-        self.children = [set(cs) if cs else NO_CHILDREN for cs in t.children]
-        self.bottom = array("i", range(n))  # not n fresh 28-byte Python ints
+        self.S = self.P.copy()
+        self.A = np.zeros(n, dtype=dtype)
+        self.parent = np.asarray(t.parent, dtype=np.intc)
+        self.svparent = self.parent.copy()
+        kids = np.flatnonzero(self.parent >= 0)
+        self.child_count = np.bincount(self.parent[kids], minlength=n).astype(np.intc)
+        self.child_sum = np.zeros(n, dtype=np.int64)
+        np.add.at(self.child_sum, self.parent[kids], kids)
+        self.bottom = np.arange(n, dtype=np.intc)
+        self.active = np.ones(n, dtype=bool)
+        self.op_tag = np.zeros(n, dtype=np.int8)
+        self.iter_tag = np.zeros(n, dtype=np.intc)
+        # log entry of each representative, and the entry saved on each
+        # deactivated vertex: (op, compressed child or kept non-leaf, round),
+        # one array per field.  One (n, 3) array was larger than any list a
+        # later op allocates; freeing it raised glibc's mmap threshold past
+        # those lists and lifted lca-65k peak RSS by 2 MiB
+        self.log = (np.zeros(n, np.int8), np.full(n, -1, np.intc), np.zeros(n, np.intc))
+        self.saved = tuple(a.copy() for a in self.log)
         self.rng = Lcg(seed)
         self.rounds = 0
         # representatives whose log entry each round set, one array per
-        # round (index 0 for operations called outside compact_round)
-        self.round_reps = [array("i")]
+        # step (index 0 for operations called outside compact_round)
+        self.round_reps = [[]]
         self.active_count = n
-        self.asynchronous = asynchronous
-        self._qsrc = array("i")
-        self._qdst = array("i")
+        self._ptr, self._relay, self._child = (np.frombuffer(a, dtype=np.intc)
+                                               for a in self.vt.blocks)
+        self._reduce_slots = np.frombuffer(self.vt.reduce_slots, dtype=np.intc)
 
-    # -- the message queue ----------------------------------------------------
+    # -- block gathers and charging -------------------------------------------
 
-    def _queue_send(self, src: int, dst: int) -> None:
-        self._qsrc.append(src)
-        self._qdst.append(dst)
-        if len(self._qsrc) >= ORDERED_CHUNK:
-            self._flush()
+    def _block_slots(self, parents):
+        """CSR slots of the child blocks of ``parents``, block after block in
+        relay order, and the length of each block."""
+        starts = self._ptr[parents]
+        lens = self._ptr[parents + 1] - starts
+        # add.accumulate rather than np.cumsum, see Lcg.next_bits
+        slots = np.repeat(starts - (np.add.accumulate(lens) - lens), lens)
+        slots += np.arange(len(slots), dtype=slots.dtype)
+        return slots, lens
 
-    def _queue_broadcast(self, u: int, parent_vertex: int) -> None:
-        """Queue ``block_broadcast``'s messages from u over the child block
-        of parent_vertex: to the current children, then the relays down the
+    def _broadcasts(self, us, slots, lens):
+        """``block_broadcast``'s messages from each of us over its gathered
+        block, as vertex ids: to the current children, then down the
         appended links."""
-        b = self.vt.blocks
-        lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
-        kept = len(self.vt.cur[parent_vertex])  # the block's first slots
-        self._qsrc.extend([u] * kept)
-        self._qsrc.extend(b.src[lo + kept:hi])
-        self._qdst.extend(b.dst[lo:hi])
-        if len(self._qsrc) >= ORDERED_CHUNK:
-            self._flush()
+        relay = self._relay[slots]
+        return np.where(relay >= 0, relay, np.repeat(us, lens)), self._child[slots]
 
-    def _queue_reduce(self, parent_vertex: int, u: int) -> None:
-        """Queue ``block_reduce``'s messages over the child block of
-        parent_vertex: up the appended links, then the current children
-        to u."""
-        b = self.vt.blocks
-        lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
-        kept = len(self.vt.cur[parent_vertex])  # the block's last slots
-        slots = self.vt.reduce_slots[lo:hi]
-        self._qsrc.extend(map(b.dst.__getitem__, slots))
-        self._qdst.extend(map(b.src.__getitem__, slots[:hi - lo - kept]))
-        self._qdst.extend([u] * kept)
-        if len(self._qsrc) >= ORDERED_CHUNK:
-            self._flush()
+    def _reduces(self, us, slots, lens):
+        """``block_reduce``'s messages over each gathered block to each of
+        us, as vertex ids: up the appended links, then the current
+        children."""
+        rs = self._reduce_slots[slots]
+        relay = self._relay[rs]
+        return self._child[rs], np.where(relay >= 0, relay, np.repeat(us, lens))
 
-    def _flush(self) -> None:
-        """Charge the queued messages in queue order."""
-        if self._qsrc:
-            src, dst = self._qsrc, self._qdst
-            self._qsrc, self._qdst = array("i"), array("i")
-            self.sim.send_ordered(self.pos_arr[np.frombuffer(src, dtype=np.intc)],
-                                  self.pos_arr[np.frombuffer(dst, dtype=np.intc)])
+    def _send(self, parts) -> None:
+        """Charge (key, src, dst) message parts as one ordered batch, merged
+        by a stable sort on key: each key's messages go out together, in
+        part order."""
+        key, src, dst = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(key, kind="stable")
+        self.sim.send_ordered(self.pos_arr[src[order]], self.pos_arr[dst[order]])
+
+    def _push(self, us, anchors, op, members) -> None:
+        """Save each of us's log entry on its anchor, then log the new
+        contraction."""
+        for saved, log, new in zip(self.saved, self.log, (op, members, self.rounds)):
+            saved[anchors] = log[us]
+            log[us] = new
+        self.round_reps[self.rounds].append(us)
+
+    def _pop(self, us, anchors) -> None:
+        for saved, log, empty in zip(self.saved, self.log, (OP_NONE, -1, 0)):
+            log[us] = saved[anchors]
+            saved[anchors] = empty
+
+    def _deactivate(self, vs, op) -> None:
+        self.active[vs] = False
+        self.op_tag[vs] = op
+        self.iter_tag[vs] = self.rounds
+        self.active_count -= len(vs)
+
+    def _tagged(self, us, tau):
+        return (self.log[OP][us] != OP_NONE) & (self.log[TAG][us] == tau)
 
     # -- contraction operations -------------------------------------------
 
@@ -152,32 +187,29 @@ class ContractionEngine:
             raise ContractError("compress needs two active supervertices")
         if self.svparent[v] != u:
             raise ContractError(f"{v} is not a child of {u}")
-        if len(self.children[u]) != 1:
+        if self.child_count[u] != 1:
             raise ContractError("parent must be non-branching")
-        if len(self.children[v]) != 1:
+        if self.child_count[v] != 1:
             raise ContractError("compressed vertex must have exactly one child")
-        self._compress(u, v)
-        self._flush()
+        self._send(self._compress(np.array([u]), np.array([v])))
 
-    def _compress(self, u: int, v: int) -> None:
-        w = next(iter(self.children[v]))
-        self._queue_send(v, u)  # partial sum and inherited-child handoff
-        self._queue_send(v, w)  # reparent notice
-        self.saved[v] = (self.lc_op[u], self.lc_member[u], self.lc_tag[u])
-        self.lc_op[u] = OP_COMPRESS
-        self.lc_member[u] = v
-        self.lc_tag[u] = self.rounds
-        self.round_reps[self.rounds].append(u)
+    def _compress(self, u, v):
+        """Contract each v[i] into its parent u[i].  The pairs are disjoint
+        and none reads what another writes, so they run as one step.
+        Returns the message parts: v sends to u, then to its child w."""
+        w = self.child_sum[v]
+        self._push(u, v, OP_COMPRESS, v)
         self.P[u] += self.P[v]
         self.S[u] += self.S[v]
-        self.active[v] = False
-        self.op_tag[v] = OP_COMPRESS
-        self.iter_tag[v] = self.rounds
-        self.children[u] = self.children[v]
-        self.children[v] = NO_CHILDREN
+        self._deactivate(v, OP_COMPRESS)
+        self.child_count[u] = 1
+        self.child_sum[u] = w
+        self.child_count[v] = 0
+        self.child_sum[v] = 0
         self.svparent[w] = u
         self.bottom[u] = self.bottom[v]
-        self.active_count -= 1
+        # partial sum and inherited-child handoff, then the reparent notice
+        return [(v, v, u), (v, v, w)]
 
     def rake(self, u: int, leaves: list[int] | None = None, w: int = -1) -> list[int]:
         """Absorb u's leaf-supervertex children via a local reduce over the
@@ -185,49 +217,51 @@ class ContractionEngine:
         Returns the raked children in block order."""
         if not self.active[u]:
             raise ContractError("rake needs an active supervertex")
-        kids = self.children[u]
+        slots, _ = self._block_slots(self.bottom[[u]])
+        kids = self._child[slots]
+        kids = kids[self.active[kids]].tolist()
         if leaves is None:
-            leaf_set = {c for c in kids if not self.children[c]}
-            others = kids - leaf_set
+            leaf_set = {c for c in kids if not self.child_count[c]}
+            others = set(kids) - leaf_set
             if len(others) > 1:
                 raise ContractError("more than one non-leaf child")
         else:
             leaf_set = set(leaves)
-            if not leaf_set <= kids:
+            if not leaf_set <= set(kids):
                 raise ContractError("rake targets must be children of u")
-            if any(self.children[c] for c in leaf_set):
+            if any(self.child_count[c] for c in leaf_set):
                 raise ContractError("rake targets must be leaf supervertices")
-            others = kids - leaf_set
+            others = set(kids) - leaf_set
             if len(others) > 1 or (others and others != {w}):
                 raise ContractError("at most one non-rake child is allowed")
         if not leaf_set:
             raise ContractError("nothing to rake")
-        w = next(iter(others)) if others else -1
-        ordered = [c for c in block_members(self.vt, self.bottom[u]) if c in leaf_set]
-        self._rake(u, ordered, w)
-        self._flush()
-        return ordered
+        mark = np.zeros(self.t.n, dtype=bool)
+        mark[list(leaf_set)] = True
+        self._send(self._rake(np.array([u]), mark))
+        return [c for c in kids if c in leaf_set]
 
-    def _rake(self, u, ordered, w):
-        """The one rake path: queue the reduce over u's child block, which
-        delivers the sum of the raked leaves, then absorb them."""
-        self._queue_reduce(self.bottom[u], u)
-        self._apply_rake(u, ordered, w, sum(map(self.P.__getitem__, ordered)))
-
-    def _apply_rake(self, u, ordered, w, total):
-        anchor = ordered[0]
-        self.saved[anchor] = (self.lc_op[u], self.lc_member[u], self.lc_tag[u])
-        self.lc_op[u] = OP_RAKE
-        self.lc_member[u] = w
-        self.lc_tag[u] = self.rounds
-        self.round_reps[self.rounds].append(u)
-        self.P[u] += total
-        for c in ordered:
-            self.active[c] = False
-            self.op_tag[c] = OP_RAKE
-            self.iter_tag[c] = self.rounds
-            self.children[u].discard(c)
-        self.active_count -= len(ordered)
+    def _rake(self, us, leaf):
+        """Each of us absorbs its children marked in ``leaf``, at least one
+        each.  Rakers, their bottoms and their leaves are disjoint, so they
+        run as one step.  Returns the message parts: each raker's reduce over
+        its child block, which delivers the sum of the raked leaves."""
+        slots, lens = self._block_slots(self.bottom[us])
+        part = (np.repeat(us, lens), *self._reduces(us, slots, lens))
+        child = self._child[slots]
+        hit = leaf[child]
+        raked = child[hit]
+        counts = np.bincount(np.repeat(np.arange(len(us)), lens)[hit], minlength=len(us))
+        starts = np.add.accumulate(counts) - counts
+        ids = _run_sums(raked.astype(np.int64), starts)
+        # the one child a raker keeps, if any, is what its id sum leaves
+        kept = np.where(self.child_count[us] > counts, self.child_sum[us] - ids, -1)
+        self._push(us, raked[starts], OP_RAKE, kept)
+        self.P[us] += _run_sums(self.P[raked], starts)
+        self._deactivate(raked, OP_RAKE)
+        self.child_count[us] -= counts
+        self.child_sum[us] -= ids
+        return [part]
 
     # -- one round of Compact ---------------------------------------------
 
@@ -235,134 +269,43 @@ class ContractionEngine:
         """Branching flags down, random-mate compress, flags again, then rake
         everything eligible.  Returns the number of deactivated supervertices."""
         self.rounds += 1
-        self.round_reps.append(array("i"))
+        self.round_reps.append([])
         before = self.active_count
-        actives = list(compress(range(self.t.n), self.active))
+        count = self.child_count
+        actives = np.flatnonzero(self.active)
         coins = np.full(self.t.n, NO_COIN, dtype=np.uint8)
         coins[actives] = self.rng.next_bits(len(actives))
-        if self.asynchronous:
-            self._eager_round(actives, bytearray(coins))
-        else:
-            self._synchronous_round(actives, coins)
-        self._flush()
-        self.sim.note_words_many(self.pos, STATE_WORDS)
-        return before - self.active_count
-
-    def _parent_and_degree(self, vs):
-        """Arrays of the supervertex parent and child count of each of vs."""
-        par = np.fromiter(map(self.svparent.__getitem__, vs), np.int32, len(vs))
-        deg = np.fromiter(map(len, map(self.children.__getitem__, vs)), np.int32, len(vs))
-        return par, deg
-
-    def _synchronous_round(self, actives, coins):
-        """One round against round-start state, with mate selection and rake
-        eligibility decided for every live supervertex at once."""
-        n = self.t.n
-        children = self.children
-        self._flag_broadcasts(list(compress(actives, map(children.__getitem__, actives))))
-        par, deg = self._parent_and_degree(actives)
-        live = np.array(actives, dtype=np.int32)
-        # live ascends and holds every parent, so a search finds its index
-        up = np.searchsorted(live, par)
-        up[par < 0] = 0
-        only = (par >= 0) & (deg[up] == 1)  # its parent's only child
-        order = np.argsort(par[only])  # senders in id order, as a scan sends
-        self._parent_coins(par[only][order], live[only][order])
+        self._flag_broadcasts(actives[count[actives] > 0])
+        # each non-branching supervertex sends its coin to its only child,
+        # in id order as a scan sends; every child has one parent
+        ones = actives[count[actives] == 1]
+        self.sim.send_wave(self.pos_arr[ones], self.pos_arr[self.child_sum[ones]])
         # random mate: a heads child with one child under a tails parent
         # with one child; no vertex is both, so the compresses are disjoint
-        mate = only & (deg == 1) & (coins[live] == 1) & (coins[par] == 0)
-        for u, v in zip(par[mate].tolist(), live[mate].tolist()):
-            self._compress(u, v)
-        live = list(compress(actives, map(self.active.__getitem__, actives)))
-        self._flag_broadcasts(list(compress(live, map(children.__getitem__, live))))
+        par = self.svparent[actives]
+        mate = ((par >= 0) & (count[actives] == 1) & (coins[actives] == 1)
+                & (coins[par] == 0) & (count[par] == 1))
+        us, vs = par[mate], actives[mate]
+        for lo in range(0, len(vs), STEP_SLICE):
+            self._send(self._compress(us[lo:lo + STEP_SLICE], vs[lo:lo + STEP_SLICE]))
+        live = actives[self.active[actives]]
+        self._flag_broadcasts(live[count[live] > 0])
         # eligibility is frozen before any rake: rounds are synchronized
-        par, deg = self._parent_and_degree(live)
-        live = np.array(live, dtype=np.int32)
-        up = np.searchsorted(live, par)
-        leaf = deg == 0
-        rooted = par >= 0
-        leaves = np.bincount(up[leaf & rooted], minlength=len(live))
-        can = (leaves > 0) & (deg - leaves <= 1)
-        kept = np.full(len(live), -1, dtype=np.int32)  # a raker's non-leaf child
-        kept[up[~leaf & rooted]] = live[~leaf & rooted]
-        is_leaf = np.zeros(n, dtype=np.uint8)
-        is_leaf[live[leaf]] = 1
-        is_leaf = is_leaf.tobytes()
-        b = self.vt.blocks
-        bottom = self.bottom
-        for u, w in zip(live[can].tolist(), kept[can].tolist()):
-            lo, hi = b.ptr[bottom[u]], b.ptr[bottom[u] + 1]
-            self._rake(u, [c for c in b.dst[lo:hi] if is_leaf[c]], w)
+        leaf = self.active & (count == 0)
+        par = self.svparent[live]
+        leaves = np.bincount(par[leaf[live] & (par >= 0)], minlength=self.t.n)[live]
+        rakers = live[(leaves > 0) & (count[live] - leaves <= 1)]
+        for lo in range(0, len(rakers), STEP_SLICE):
+            self._send(self._rake(rakers[lo:lo + STEP_SLICE], leaf))
+        self.sim.note_words_many(self.pos, STATE_WORDS)
+        return before - self.active_count
 
     def _flag_broadcasts(self, us):
         """Each of ``us`` broadcasts over the child block of its bottom, in
         order, as one wave: bottoms are distinct and every vertex sits in
         one child block."""
-        self._flush()
-        if not us:
-            return
-        ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in self.vt.blocks)
-        bottoms = np.frombuffer(self.bottom, dtype=np.intc)[us]
-        starts = ptr[bottoms]
-        lens = ptr[bottoms + 1] - starts
-        # entry k of the wave reads CSR slot starts[j] + (k - offset of j);
-        # add.accumulate rather than np.cumsum, see Lcg.next_bits
-        slots = np.repeat(starts - (np.add.accumulate(lens) - lens), lens)
-        slots += np.arange(len(slots), dtype=np.int32)
-        src = np.repeat(self.pos_arr[us], lens)
-        relay = relay[slots]
-        relayed = relay >= 0
-        src[relayed] = self.pos_arr[relay[relayed]]
-        self.sim.send_wave(src, self.pos_arr[child[slots]])
-
-    def _parent_coins(self, us, kids):
-        """Each non-branching supervertex of ``us`` sends its coin to its
-        only child in ``kids``, as one wave: every child has one parent."""
-        self._flush()
-        self.sim.send_wave(self.pos_arr[us], self.pos_arr[kids])
-
-    def _in_mate_set(self, v, coin):
-        u = self.svparent[v]
-        if u < 0 or not self.active[v]:
-            return False
-        return (coin[v] == 1 and coin[u] == 0
-                and len(self.children[u]) == 1 and len(self.children[v]) == 1)
-
-    def _rake_plan(self, u):
-        kids = self.children[u]
-        if not kids:
-            return None
-        leaf_set = {c for c in kids if not self.children[c]}
-        if not leaf_set or len(kids) - len(leaf_set) > 1:
-            return None
-        others = kids - leaf_set
-        w = next(iter(others)) if others else -1
-        ordered = [c for c in block_members(self.vt, self.bottom[u]) if c in leaf_set]
-        return ordered, w
-
-    def _eager_round(self, actives, coin):
-        """No-global-barrier variant: each vertex runs its steps as soon as
-        possible, against current rather than round-start state."""
-        order = list(actives)
-        for i in range(len(order) - 1, 0, -1):
-            j = self.rng.next_below(i + 1)
-            order[i], order[j] = order[j], order[i]
-        self._flag_broadcasts([u for u in order if self.children[u]])
-        for v in order:
-            if not self.active[v]:
-                continue
-            u = self.svparent[v]
-            if u >= 0 and len(self.children[u]) == 1:
-                self._queue_send(u, v)
-            if self._in_mate_set(v, coin):
-                self._compress(u, v)
-        for u in order:
-            if not self.active[u]:
-                continue
-            plan = self._rake_plan(u)
-            if plan is not None:
-                self._queue_broadcast(u, self.bottom[u])
-                self._rake(u, *plan)
+        src, dst = self._broadcasts(us, *self._block_slots(self.bottom[us]))
+        self.sim.send_wave(self.pos_arr[src], self.pos_arr[dst])
 
     def contract(self) -> None:
         limit = 64 * max(1, math.ceil(math.log2(max(2, self.t.n)))) + 64
@@ -376,112 +319,139 @@ class ContractionEngine:
     def undo_at(self, u: int, mode: str) -> list[int]:
         """Pop and revert u's most recent contraction; returns the
         reactivated supervertices."""
-        out = self._undo(u, mode)
-        self._flush()
+        us = np.array([u])
+        op = self.log[OP][u]
+        if op == OP_COMPRESS:
+            out = [int(self.log[MEMBER][u])]
+            self._send(self._undo_compress(us, mode))
+        elif op == OP_RAKE:
+            parts, raked = self._undo_rake(us, mode)
+            out = raked.tolist()
+            self._send(parts)
+        else:
+            raise ContractError(f"nothing to undo at {u}")
         return out
 
-    def _undo(self, u: int, mode: str) -> list[int]:
-        op = self.lc_op[u]
-        if op == OP_COMPRESS:
-            v = self.lc_member[u]
-            self._queue_send(u, v)  # wake + correction term
-            self._queue_send(v, u)  # frozen partial sum back to u
-            if mode == BOTTOM_UP:
-                self.A[v] = self.A[u]
-                self.A[u] += self.P[v]
-            else:
-                self.A[v] = self.A[u] + self.S[u] - self.S[v]
-            self.P[u] -= self.P[v]
-            self.S[u] -= self.S[v]
-            w_set = self.children[u]
-            self.children[v] = w_set
-            for w in w_set:
-                self.svparent[w] = v
-            self.children[u] = {v}
-            self.svparent[v] = u
-            self.bottom[v] = self.bottom[u]
-            self.bottom[u] = self.t.parent[v]
-            self.active[v] = True
-            self.active_count += 1
-            self.op_tag[v] = OP_NONE
-            (self.lc_op[u], self.lc_member[u], self.lc_tag[u]) = self.saved[v]
-            self.saved[v] = None
-            return [v]
-        if op == OP_RAKE:
-            tau = self.lc_tag[u]
-            bot = self.bottom[u]
-            self._queue_broadcast(u, bot)  # wake call
-            raked = [c for c in block_members(self.vt, bot)
-                     if not self.active[c] and self.op_tag[c] == OP_RAKE
-                     and self.iter_tag[c] == tau]
-            self._queue_reduce(bot, u)  # the raked leaves' partial sums
-            total = sum(map(self.P.__getitem__, raked))
-            if mode == BOTTOM_UP:
-                for c in raked:
-                    self.A[c] = 0
-                self.A[u] += total
-            else:
-                base = self.A[u] + self.S[u]  # raked leaves hang off the bottom
-                self._queue_broadcast(u, bot)  # deliver base term
-                for c in raked:
-                    self.A[c] = base
-            self.P[u] -= total
-            for c in raked:
-                self.active[c] = True
-                self.children[u].add(c)
-                self.svparent[c] = u
-                self.op_tag[c] = OP_NONE
-            self.active_count += len(raked)
-            anchor = raked[0]
-            (self.lc_op[u], self.lc_member[u], self.lc_tag[u]) = self.saved[anchor]
-            self.saved[anchor] = None
-            return raked
-        raise ContractError(f"nothing to undo at {u}")
+    def _undo_compress(self, us, mode):
+        """Revert the compress on top of each of us's log; returns the
+        message parts keyed by representative."""
+        v = self.log[MEMBER][us]
+        if mode == BOTTOM_UP:
+            self.A[v] = self.A[us]
+            self.A[us] += self.P[v]
+        else:
+            self.A[v] = self.A[us] + self.S[us] - self.S[v]
+        self.P[us] -= self.P[v]
+        self.S[us] -= self.S[v]
+        # v takes over u's children: the live part of its bottom's block
+        slots, lens = self._block_slots(self.bottom[us])
+        child = self._child[slots]
+        live = self.active[child]
+        self.svparent[child[live]] = np.repeat(v, lens)[live]
+        self.child_count[v] = self.child_count[us]
+        self.child_sum[v] = self.child_sum[us]
+        self.child_count[us] = 1
+        self.child_sum[us] = v
+        self.svparent[v] = us
+        self.bottom[v] = self.bottom[us]
+        self.bottom[us] = self.parent[v]
+        self.active[v] = True
+        self.active_count += len(v)
+        self.op_tag[v] = OP_NONE
+        self._pop(us, v)
+        # wake + correction term, then the frozen partial sum back to u
+        return [(us, us, v), (us, v, us)]
+
+    def _undo_rake(self, us, mode):
+        """Revert the rake on top of each of us's log.  Returns the message
+        parts keyed by representative, and the reactivated leaves in block
+        order."""
+        slots, lens = self._block_slots(self.bottom[us])
+        key = np.repeat(us, lens)
+        wake = (key, *self._broadcasts(us, slots, lens))
+        parts = [wake, (key, *self._reduces(us, slots, lens))]  # + partial sums
+        child = self._child[slots]
+        tau = np.repeat(self.log[TAG][us], lens)
+        hit = ~self.active[child] & (self.op_tag[child] == OP_RAKE) & (self.iter_tag[child] == tau)
+        raked = child[hit]
+        owner = np.repeat(np.arange(len(us)), lens)[hit]
+        counts = np.bincount(owner, minlength=len(us))
+        starts = np.add.accumulate(counts) - counts
+        total = _run_sums(self.P[raked], starts)
+        if mode == BOTTOM_UP:
+            self.A[raked] = 0
+            self.A[us] += total
+        else:
+            # raked leaves hang off the bottom; the wake broadcast again
+            # delivers the base term
+            self.A[raked] = np.repeat(self.A[us] + self.S[us], counts)
+            parts.append(wake)
+        self.P[us] -= total
+        self.active[raked] = True
+        self.active_count += len(raked)
+        self.op_tag[raked] = OP_NONE
+        self.svparent[raked] = us[owner]
+        self.child_count[us] += counts
+        self.child_sum[us] += _run_sums(raked.astype(np.int64), starts)
+        self._pop(us, raked[starts])
+        return parts, raked
 
     def undo_round(self, tau: int, mode: str) -> None:
-        # a log entry tagged tau was set in round tau, so its representative
-        # is in that round's record; ids ascend as in a scan of all vertices
-        work = [u for u in sorted(set(self.round_reps[tau]))
-                if self.active[u] and self.lc_op[u] != OP_NONE and self.lc_tag[u] == tau]
-        while work:
-            nxt = []
-            for u in work:
-                while (self.active[u] and self.lc_op[u] != OP_NONE
-                       and self.lc_tag[u] == tau):
-                    for x in self._undo(u, mode):
-                        if self.lc_op[x] != OP_NONE and self.lc_tag[x] == tau:
-                            nxt.append(x)
-            work = nxt
-        self._flush()
+        """Revert round tau: its rakes as one step, then the compresses left
+        on top.  A representative holds at most a rake on top of a compress
+        from one round, no two read or write the same state, and no
+        reactivated vertex holds an entry of round tau; so merging the
+        steps' messages by representative gives the order of undoing each
+        representative in turn, in id order."""
+        reps = np.unique(np.concatenate([*self.round_reps[tau], np.zeros(0, np.intc)]))
+        reps = reps[self.active[reps] & self._tagged(reps, tau)]
+        for lo in range(0, len(reps), STEP_SLICE):
+            us = reps[lo:lo + STEP_SLICE]
+            parts, _ = self._undo_rake(us[self.log[OP][us] == OP_RAKE], mode)
+            parts += self._undo_compress(us[self._tagged(us, tau)], mode)
+            self._send(parts)
 
     def uncontract(self, mode: str) -> None:
         for tau in range(self.rounds, 0, -1):
             self.undo_round(tau, mode)
 
+    def sums(self) -> list[int]:
+        """P_u + A_u for every u, as Python ints: the subtree sums after a
+        bottom-up uncontraction, the root-path sums after a top-down one
+        (P is back to the values then)."""
+        return (self.P + self.A).tolist()
+
     def structure_signature(self):
         """Snapshot of the live supervertex forest, for reversibility checks."""
-        return tuple(sorted(
-            (v, self.svparent[v], self.bottom[v], self.P[v],
-             tuple(sorted(self.children[v])))
-            for v in range(self.t.n) if self.active[v]))
+        live = np.flatnonzero(self.active)
+        vs = live.tolist()
+        par = self.svparent[live].tolist()
+        kids = {v: [] for v in vs}
+        for v, p in zip(vs, par):
+            if p >= 0:
+                kids[p].append(v)
+        return tuple(zip(vs, par, self.bottom[live].tolist(), self.P[live].tolist(),
+                         map(tuple, kids.values())))
 
 
-def _run(sim, t, layout, values, seed, mode, vt, asynchronous):
+def _run_sums(x, starts):
+    """Sum of each run of x that begins at one of ``starts``, the last run
+    ending at the end of x; every run must be non-empty."""
+    return np.add.reduceat(x, starts) if len(starts) else x[:0]
+
+
+def _run(sim, t, layout, values, seed, mode, vt):
     if len(values) != t.n:
         raise ValueError("one value per vertex required")
-    engine = ContractionEngine(sim, t, layout, values, seed, vt=vt,
-                               asynchronous=asynchronous)
+    engine = ContractionEngine(sim, t, layout, values, seed, vt=vt)
     engine.contract()
     engine.uncontract(mode)
     sim.rounds += engine.rounds
-    if mode == BOTTOM_UP:
-        return [engine.P[v] + engine.A[v] for v in range(t.n)]
-    return list(map(operator.add, map(operator.index, values), engine.A))
+    return engine.sums()
 
 
 def treefix_sum(sim: SimState, t: RootedTree, layout: Layout, values,
-                seed: int, vt: VirtualTree | None = None,
-                asynchronous: bool = False) -> list[int]:
+                seed: int, vt: VirtualTree | None = None) -> list[int]:
     """Per-vertex sum over its subtree: contract to one supervertex, then
     uncontract maintaining sum(u) = P_u + A_u.
 
@@ -491,13 +461,12 @@ def treefix_sum(sim: SimState, t: RootedTree, layout: Layout, values,
     the child block's relay order, and uncontraction subtracts them again;
     both match the fold only for exact integer arithmetic.
     """
-    return _run(sim, t, layout, values, seed, BOTTOM_UP, vt, asynchronous)
+    return _run(sim, t, layout, values, seed, BOTTOM_UP, vt)
 
 
 def treefix_topdown(sim: SimState, t: RootedTree, layout: Layout, values,
-                    seed: int, vt: VirtualTree | None = None,
-                    asynchronous: bool = False) -> list[int]:
+                    seed: int, vt: VirtualTree | None = None) -> list[int]:
     """Per-vertex sum along the path from the root, maintaining
     sum'(u) = val(u) + A_u through the same contraction.  Values must be
     integers, as for :func:`treefix_sum`."""
-    return _run(sim, t, layout, values, seed, TOP_DOWN, vt, asynchronous)
+    return _run(sim, t, layout, values, seed, TOP_DOWN, vt)

@@ -215,23 +215,30 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
 
     Current children are served directly; appended children receive the
     relayed copy after the relaying sibling has itself received, so every
-    vertex ends up with its original parent's value.
+    vertex ends up with its original parent's value.  The direct sends are
+    one round, and the relays one round per level of the appended links:
+    every vertex receives once, before it relays, so the level rounds charge
+    what relaying one message at a time would.
     """
-    pos = layout.pos
+    pos = np.asarray(layout.pos, dtype=np.int64)
+    ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
     n = len(values)
+    parent = np.repeat(np.arange(n), np.diff(ptr))
+    sent = relay < 0  # round one: every vertex fires its own value
+    rounds = [(pos[parent[sent]], pos[child[sent]])]
+    got = np.zeros(n, dtype=bool)
+    got[child[sent]] = True
+    while True:
+        step = ~sent & got[relay]
+        if not step.any():
+            break
+        rounds.append((pos[relay[step]], pos[child[step]]))
+        got[child[step]] = True
+        sent |= step
+    sim.send_rounds(rounds)
     delivered = [None] * n
-    pairs = []
-    for v in range(n):
-        for c in vt.cur[v]:
-            pairs.append((pos[v], pos[c]))
-            delivered[c] = values[v]
-    sim.send_batch(pairs)  # one round: every vertex fires its own value
-    for v in vt.order():
-        if vt.app[v]:
-            got = delivered[v]
-            for a in vt.app[v]:
-                sim.send(pos[v], pos[a])
-                delivered[a] = got
+    for c, v in zip(child.tolist(), parent.tolist()):
+        delivered[c] = values[v]
     return delivered
 
 

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from spatialtree.layout import light_first_layout
-from spatialtree.lca import batched_lca, path_decomposition, subtree_cover
+from spatialtree.lca import (_new_path_indicators, batched_lca, path_decomposition,
+                             subtree_cover)
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum
-from spatialtree.trees import RootedTree, gen_tree, lca_naive, subtree_sizes
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
+                               light_first_children, subtree_sizes)
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -86,12 +89,45 @@ def test_layer_bound_log_and_recurrence():
         d, sizes, _ = decompose(t)
         assert max(d.layer) <= math.ceil(math.log2(n))
         assert d.layer[t.root] == 0
-        from spatialtree.trees import light_first_children
         heavy = {cs[-1] for cs in light_first_children(t, sizes) if cs}
         for v in range(n):
             p = t.parent[v]
             if p >= 0:
                 assert d.layer[v] == d.layer[p] + (0 if v in heavy else 1)
+
+
+def sorted_path_indicators(t, sizes):
+    """The heavy child as the last entry of each light-first child list."""
+    ind = [1] * t.n
+    ind[t.root] = 0
+    for cs in light_first_children(t, sizes):
+        if cs:
+            ind[cs[-1]] = 0
+    return ind
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_heavy_child_matches_light_first_order(kind):
+    # perfect-binary and star are all ties; relabelling mixes child order
+    for seed in (1, 7):
+        t = gen_tree(kind, 127 if kind == "perfect-binary" else 150, seed=seed)
+        perm = np.random.default_rng(seed).permutation(t.n).tolist()
+        parent = [-1] * t.n
+        for v, p in enumerate(t.parent):
+            parent[perm[v]] = perm[p] if p >= 0 else -1
+        for tree in (t, RootedTree(parent)):
+            sizes = subtree_sizes(tree)
+            assert _new_path_indicators(tree, sizes) == sorted_path_indicators(tree, sizes)
+
+
+def test_heavy_child_ties_follow_child_order():
+    single = RootedTree([-1])
+    assert _new_path_indicators(single, [1]) == [0]
+    # children listed out of id order: the last of the largest wins
+    t = RootedTree([-1, 0, 0, 0, 3, 1], children=[[3, 1, 2], [5], [], [4], [], []])
+    sizes = subtree_sizes(t)
+    assert _new_path_indicators(t, sizes) == sorted_path_indicators(t, sizes)
+    assert _new_path_indicators(t, sizes) == [0, 0, 1, 1, 0, 0]
 
 
 def test_cover_membership_counts():

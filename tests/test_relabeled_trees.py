@@ -1,15 +1,18 @@
-"""Exact costs on trees whose vertex ids do not follow parent < child.
+"""The array engine against a per-vertex reference, on plain and relabelled
+trees.
 
 Every generator numbers parents before their children, so within one
 compact round the flag broadcasts and parent-coin sends, which go out in
 vertex-id order, always reach a vertex before it sends.  Relabelling a
-generated tree with a random permutation breaks that order.  The wave
-charging in ``ContractionEngine``, and its queue of compress, rake and undo
-messages, must still match a reference engine that sends every message one
-``sim.send`` at a time, the block ones through ``block_broadcast`` and
-``block_reduce``.
+generated tree with a random permutation breaks that order.
+``ContractionEngine`` runs each step as array passes and charges its
+messages as ordered batches; it must still match ``ReferenceEngine``, which
+keeps a Python set of children per supervertex, runs every operation one
+vertex at a time and sends every message with its own ``sim.send``, the
+block ones through ``block_broadcast`` and ``block_reduce``.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -20,54 +23,206 @@ from spatialtree.cli import _random_queries
 from spatialtree.curves import CurveKind
 from spatialtree.layout import light_first_layout
 from spatialtree.lca import batched_lca
-from spatialtree.sim import SimState
+from spatialtree.rng import Lcg
+from spatialtree.sim import ORDERED_CHUNK, SimState
+from spatialtree.treefix import (BOTTOM_UP, NO_COIN, OP_COMPRESS, OP_NONE, OP_RAKE,
+                                 STATE_WORDS, ContractError)
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
-                               root_path_sums, subtree_sums)
-from spatialtree.virtual_tree import block_broadcast, block_reduce
+                               root_path_sums, subtree_sizes, subtree_sums)
+from spatialtree.virtual_tree import (block_broadcast, block_members, block_reduce,
+                                      transform)
 
 
-def scalar_block_broadcast(sim, vt, pos, src_pos, parent_vertex):
-    """One word to every child of parent_vertex: current children first,
-    then the appended links breadth-first, one send each."""
-    order = []
-    for c in vt.cur[parent_vertex]:
-        sim.send(src_pos, pos[c])
-        order.append(c)
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for a in vt.app[x]:
-            sim.send(pos[x], pos[a])
-            order.append(a)
+class ReferenceEngine:
+    """Per-vertex contraction: a set of children per supervertex, a Python
+    loop over vertices for every step, one ``sim.send`` per message."""
 
+    def __init__(self, sim, t, layout, values, seed, vt=None):
+        n = t.n
+        self.sim = sim
+        self.t = t
+        self.vt = vt if vt is not None else transform(t, subtree_sizes(t))
+        self.pos = layout.pos
+        try:
+            self.P = list(map(operator.index, values))
+        except TypeError:
+            raise ValueError("treefix values must be integers") from None
+        self.A = [0] * n
+        self.S = list(self.P)
+        self.active = [True] * n
+        self.op_tag = [OP_NONE] * n
+        self.iter_tag = [0] * n
+        self.lc = [(OP_NONE, -1, 0)] * n  # (op, member, round)
+        self.saved = [None] * n
+        self.svparent = list(t.parent)
+        self.children = [set(cs) for cs in t.children]
+        self.bottom = list(range(n))
+        self.rng = Lcg(seed)
+        self.rounds = 0
+        self.active_count = n
 
-class ScalarSendEngine(treefix.ContractionEngine):
-    """Sends every message with its own ``sim.send`` the moment the engine
-    would queue it, so the queue stays empty."""
+    def send(self, u, v):
+        self.sim.send(self.pos[u], self.pos[v])
 
-    def _flag_broadcasts(self, us):
-        for u in us:
-            if self.active[u] and self.children[u]:
-                scalar_block_broadcast(self.sim, self.vt, self.pos, self.pos[u],
-                                       self.bottom[u])
-
-    def _parent_coins(self, us, kids):
-        # called at the start of a synchronous round: every live
-        # non-branching supervertex, in id order
-        for u in range(self.t.n):
-            if self.active[u] and len(self.children[u]) == 1:
-                self.sim.send(self.pos[u], self.pos[next(iter(self.children[u]))])
-
-    def _queue_send(self, src, dst):
-        self.sim.send(self.pos[src], self.pos[dst])
-
-    def _queue_broadcast(self, u, parent_vertex):
+    def broadcast(self, u, parent_vertex):
         block_broadcast(self.sim, self.vt, self.pos, self.pos[u], parent_vertex)
 
-    def _queue_reduce(self, parent_vertex, u):
+    def reduce(self, parent_vertex, u):
         block_reduce(self.sim, self.vt, self.pos, parent_vertex, self.pos[u],
                      lambda c: 0, operator.add, 0)
+
+    def compress(self, u, v):
+        w = next(iter(self.children[v]))
+        self.send(v, u)
+        self.send(v, w)
+        self.saved[v] = self.lc[u]
+        self.lc[u] = (OP_COMPRESS, v, self.rounds)
+        self.P[u] += self.P[v]
+        self.S[u] += self.S[v]
+        self.active[v] = False
+        self.op_tag[v] = OP_COMPRESS
+        self.iter_tag[v] = self.rounds
+        self.children[u] = self.children[v]
+        self.children[v] = set()
+        self.svparent[w] = u
+        self.bottom[u] = self.bottom[v]
+        self.active_count -= 1
+
+    def rake(self, u, ordered, w):
+        self.reduce(self.bottom[u], u)
+        self.saved[ordered[0]] = self.lc[u]
+        self.lc[u] = (OP_RAKE, w, self.rounds)
+        self.P[u] += sum(self.P[c] for c in ordered)
+        for c in ordered:
+            self.active[c] = False
+            self.op_tag[c] = OP_RAKE
+            self.iter_tag[c] = self.rounds
+            self.children[u].discard(c)
+        self.active_count -= len(ordered)
+
+    def compact_round(self):
+        self.rounds += 1
+        before = self.active_count
+        n = self.t.n
+        actives = [v for v in range(n) if self.active[v]]
+        coins = [NO_COIN] * n
+        for v, c in zip(actives, self.rng.next_bits(len(actives)).tolist()):
+            coins[v] = c
+        for u in actives:
+            if self.children[u]:
+                self.broadcast(u, self.bottom[u])
+        for u in actives:
+            if len(self.children[u]) == 1:
+                self.send(u, next(iter(self.children[u])))
+        mates = [(self.svparent[v], v) for v in actives
+                 if self.svparent[v] >= 0 and len(self.children[v]) == 1
+                 and len(self.children[self.svparent[v]]) == 1
+                 and coins[v] == 1 and coins[self.svparent[v]] == 0]
+        for u, v in mates:
+            self.compress(u, v)
+        live = [v for v in actives if self.active[v]]
+        for u in live:
+            if self.children[u]:
+                self.broadcast(u, self.bottom[u])
+        plans = []
+        for u in live:
+            kids = self.children[u]
+            leaves = {c for c in kids if not self.children[c]}
+            if leaves and len(kids) - len(leaves) <= 1:
+                others = kids - leaves
+                ordered = [c for c in block_members(self.vt, self.bottom[u]) if c in leaves]
+                plans.append((u, ordered, next(iter(others)) if others else -1))
+        for plan in plans:
+            self.rake(*plan)
+        self.sim.note_words_many(self.pos, STATE_WORDS)
+        return before - self.active_count
+
+    def contract(self):
+        limit = 64 * max(1, math.ceil(math.log2(max(2, self.t.n)))) + 64
+        while self.active_count > 1:
+            self.compact_round()
+            if self.rounds > limit:
+                raise RuntimeError("contraction failed to make progress")
+
+    def undo(self, u, mode):
+        op, member, tau = self.lc[u]
+        if op == OP_COMPRESS:
+            v = member
+            self.send(u, v)
+            self.send(v, u)
+            if mode == BOTTOM_UP:
+                self.A[v] = self.A[u]
+                self.A[u] += self.P[v]
+            else:
+                self.A[v] = self.A[u] + self.S[u] - self.S[v]
+            self.P[u] -= self.P[v]
+            self.S[u] -= self.S[v]
+            self.children[v] = self.children[u]
+            for w in self.children[v]:
+                self.svparent[w] = v
+            self.children[u] = {v}
+            self.svparent[v] = u
+            self.bottom[v] = self.bottom[u]
+            self.bottom[u] = self.t.parent[v]
+            self.active[v] = True
+            self.active_count += 1
+            self.op_tag[v] = OP_NONE
+            self.lc[u] = self.saved[v]
+            self.saved[v] = None
+            return [v]
+        if op == OP_RAKE:
+            bot = self.bottom[u]
+            self.broadcast(u, bot)
+            raked = [c for c in block_members(self.vt, bot)
+                     if not self.active[c] and self.op_tag[c] == OP_RAKE
+                     and self.iter_tag[c] == tau]
+            self.reduce(bot, u)
+            total = sum(self.P[c] for c in raked)
+            if mode == BOTTOM_UP:
+                for c in raked:
+                    self.A[c] = 0
+                self.A[u] += total
+            else:
+                base = self.A[u] + self.S[u]
+                self.broadcast(u, bot)
+                for c in raked:
+                    self.A[c] = base
+            self.P[u] -= total
+            for c in raked:
+                self.active[c] = True
+                self.children[u].add(c)
+                self.svparent[c] = u
+                self.op_tag[c] = OP_NONE
+            self.active_count += len(raked)
+            self.lc[u] = self.saved[raked[0]]
+            self.saved[raked[0]] = None
+            return raked
+        raise ContractError(f"nothing to undo at {u}")
+
+    def tagged(self, u, tau):
+        op, _, tag = self.lc[u]
+        return self.active[u] and op != OP_NONE and tag == tau
+
+    def undo_round(self, tau, mode):
+        work = [u for u in range(self.t.n) if self.tagged(u, tau)]
+        while work:
+            nxt = []
+            for u in work:
+                while self.tagged(u, tau):
+                    nxt.extend(x for x in self.undo(u, mode) if self.tagged(x, tau))
+            work = nxt
+
+    def uncontract(self, mode):
+        for tau in range(self.rounds, 0, -1):
+            self.undo_round(tau, mode)
+
+    def sums(self):
+        return list(map(operator.add, self.P, self.A))
+
+    def structure_signature(self):
+        return tuple((v, self.svparent[v], self.bottom[v], self.P[v],
+                      tuple(sorted(self.children[v])))
+                     for v in range(self.t.n) if self.active[v])
 
 
 def relabelled(kind, n, seed):
@@ -84,15 +239,51 @@ def costs(sim):
 
 
 def run_both(monkeypatch, t, fn):
-    """fn(sim, layout) under the wave engine, then under the reference."""
+    """fn(sim, layout) under the array engine, then under the reference."""
     lay = light_first_layout(t, CurveKind.HILBERT)
     got_sim = SimState(lay.placement(), trace=True)
     got = fn(got_sim, lay)
     with monkeypatch.context() as m:
-        m.setattr(treefix, "ContractionEngine", ScalarSendEngine)
+        m.setattr(treefix, "ContractionEngine", ReferenceEngine)
         want_sim = SimState(lay.placement(), trace=True)
         want = fn(want_sim, lay)
     return got, costs(got_sim), want, costs(want_sim)
+
+
+def check_child_bookkeeping(eng):
+    """Each live supervertex's child count and id sum describe the live
+    vertices naming it as their supervertex parent."""
+    live = np.flatnonzero(eng.active)
+    par = eng.svparent[live]
+    kids = live[par >= 0]
+    count = np.bincount(par[par >= 0], minlength=len(eng.active))
+    total = np.bincount(par[par >= 0], weights=kids, minlength=len(eng.active))
+    assert (eng.child_count[live] == count[live]).all()
+    assert (eng.child_sum[live] == total[live]).all()
+
+
+def stepwise(t, values, seed, mode):
+    """Contract and uncontract under both engines round by round, checking
+    the live forests agree after every round; returns both sims."""
+    lay = light_first_layout(t, CurveKind.HILBERT)
+    got_sim = SimState(lay.placement(), trace=True)
+    want_sim = SimState(lay.placement(), trace=True)
+    got = treefix.ContractionEngine(got_sim, t, lay, values, seed)
+    want = ReferenceEngine(want_sim, t, lay, values, seed)
+    assert got.structure_signature() == want.structure_signature()
+    while want.active_count > 1:
+        assert got.compact_round() == want.compact_round()
+        assert got.structure_signature() == want.structure_signature()
+        check_child_bookkeeping(got)
+    assert got.active_count == 1
+    for tau in range(want.rounds, 0, -1):
+        got.undo_round(tau, mode)
+        want.undo_round(tau, mode)
+        assert got.structure_signature() == want.structure_signature()
+        check_child_bookkeeping(got)
+    assert got.sums() == want.sums()
+    assert list(got_sim.events) == list(want_sim.events)
+    return got_sim, want_sim
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -114,3 +305,28 @@ def test_relabelled_trees_charge_like_scalar_sends(monkeypatch, kind, seed):
         got, got_costs, want, want_costs = run_both(monkeypatch, t, fn)
         assert got == want == oracle
         assert got_costs == want_costs
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("mode", ["bottom-up", "top-down"])
+def test_every_round_matches_reference_engine(kind, relabel, mode):
+    n = 127 if kind == "perfect-binary" else 150
+    t = relabelled(kind, n, 3) if relabel else gen_tree(kind, n, seed=3)
+    values = np.random.default_rng(4).integers(-9, 10, t.n).tolist()
+    got_sim, want_sim = stepwise(t, values, 5, mode)
+    assert costs(got_sim) == costs(want_sim)
+
+
+@pytest.mark.parametrize("kind", ["star", "caterpillar"])
+def test_wide_steps_match_reference_engine(kind):
+    # the star's one child block is wider than ORDERED_CHUNK, so its rake
+    # and undo batches are charged in several chunks; the caterpillar's
+    # first round rakes more than STEP_SLICE spine vertices, so its steps
+    # run in several slices
+    t = relabelled(kind, 5000, 2)
+    assert t.n - 1 > ORDERED_CHUNK and t.n // 2 > treefix.STEP_SLICE
+    values = np.random.default_rng(2).integers(-9, 10, t.n).tolist()
+    for mode in ("bottom-up", "top-down"):
+        got_sim, want_sim = stepwise(t, values, 2, mode)
+        assert costs(got_sim) == costs(want_sim)

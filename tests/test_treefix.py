@@ -28,20 +28,20 @@ def test_compress_path_hand_trace():
     eng = engine_for(t)
     eng.compress(0, 1)
     assert eng.P[0] == 2
-    assert eng.children[0] == {2}
+    assert (eng.child_count[0], eng.child_sum[0]) == (1, 2)  # the child set {2}
     assert not eng.active[1]
 
 
 def test_compress_then_undo_restores_state_exactly():
     t = gen_tree("path", 3)
     eng = engine_for(t, values=[5, 7, 9])
-    before = (list(eng.P), list(eng.A), list(eng.active),
+    before = (eng.P.tolist(), eng.A.tolist(), eng.active.tolist(),
               eng.structure_signature())
     eng.compress(0, 1)
     eng.undo_at(0, "bottom-up")
     # A values move around during undo; P, activity, and structure must match
-    assert eng.P == before[0]
-    assert eng.active == before[2]
+    assert eng.P.tolist() == before[0]
+    assert eng.active.tolist() == before[2]
     assert eng.structure_signature() == before[3]
 
 
@@ -156,9 +156,15 @@ def test_compact_round_conservation_and_validity():
             roots = [v for v in range(n)
                      if eng.active[v] and eng.svparent[v] == -1]
             assert roots == [t.root]
+            # every live child is counted in its parent's child count and
+            # id sum, and nothing else is
+            kids = [[] for _ in range(n)]
             for v in range(n):
                 if eng.active[v] and eng.svparent[v] >= 0:
-                    assert v in eng.children[eng.svparent[v]]
+                    kids[eng.svparent[v]].append(v)
+            for v in range(n):
+                if eng.active[v]:
+                    assert (eng.child_count[v], eng.child_sum[v]) == (len(kids[v]), sum(kids[v]))
 
 
 def test_path_compact_round_bound():
@@ -272,17 +278,25 @@ def test_integer_like_values_are_accepted():
     assert got == root_path_sums(t, [int(f) for f in flags])
 
 
-def test_asynchronous_outputs_identical():
-    rng = Lcg(15)
-    for trial in range(25):
-        n = 2 + rng.next_below(300)
-        t = gen_tree("random-attachment", n, seed=trial)
-        vals = [rng.next_below(100) for _ in range(n)]
+def test_values_beyond_int64_are_exact():
+    # sum(|values|) >= 2**62 switches P, S and A to Python ints
+    for kind in ("random-attachment", "path", "star", "caterpillar"):
+        t = gen_tree(kind, 300, seed=5)
+        rng = np.random.default_rng(5)
+        vals = [int(x) * 2 ** 70 + int(y) for x, y in
+                zip(rng.choice([-1, 1], t.n), rng.integers(-9, 10, t.n))]
         lay = light_first_layout(t)
-        sync = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=trial)
-        eager = treefix_sum(SimState(lay.placement()), t, lay, vals,
-                            seed=trial, asynchronous=True)
-        assert sync == eager == subtree_sums(t, vals)
+        for fn, oracle in ((treefix_sum, subtree_sums), (treefix_topdown, root_path_sums)):
+            got = fn(SimState(lay.placement()), t, lay, vals, seed=5)
+            assert got == oracle(t, vals)
+            assert all(type(x) is int for x in got)
+    # just past the limit, where int64 partial sums could overflow
+    t = gen_tree("path", 4)
+    lay = light_first_layout(t)
+    vals = [2 ** 61, 2 ** 61, -(2 ** 61), 1]
+    got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=1)
+    assert got == subtree_sums(t, vals)
+    assert all(type(x) is int for x in got)
 
 
 def test_memory_audit_within_budget():

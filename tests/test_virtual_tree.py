@@ -1,11 +1,14 @@
 import math
 import operator
 
+import numpy as np
+import pytest
+
 from spatialtree.curves import CurveKind, aligned_square_side, curve_coords
 from spatialtree.layout import build_baseline, light_first_layout
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
-from spatialtree.trees import RootedTree, gen_tree, subtree_sizes
+from spatialtree.trees import GENERATOR_KINDS, RootedTree, gen_tree, subtree_sizes
 from spatialtree.virtual_tree import (build_refs_protocol, local_broadcast,
                                       local_reduce, transform)
 
@@ -107,6 +110,34 @@ def test_local_broadcast_delivers_parent_values_everywhere():
         for v in range(n):
             expect = vals[t.parent[v]] if t.parent[v] >= 0 else None
             assert got[v] == expect
+
+
+def scalar_local_broadcast(sim, vt, pos):
+    """Round one as a pair list, then every relay with its own send in
+    virtual-tree order."""
+    sim.send_batch([(pos[v], pos[c]) for v, cs in enumerate(vt.cur) for c in cs])
+    for v in vt.order():
+        for a in vt.app[v]:
+            sim.send(pos[v], pos[a])
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_local_broadcast_level_rounds_charge_like_relays(kind):
+    n = 255 if kind == "perfect-binary" else 300
+    t = gen_tree(kind, n, seed=5)
+    rng = np.random.default_rng(5)
+    for lay in (light_first_layout(t), build_baseline(t, "bfs", CurveKind.ZORDER)):
+        # start from uneven clocks, as after earlier steps of an algorithm
+        start = rng.integers(0, 30, n).tolist()
+        got = SimState(lay.placement(), trace=True)
+        want = SimState(lay.placement(), trace=True)
+        got.clock[:] = start
+        want.clock[:] = start
+        local_broadcast(got, vt_for(t), lay, list(range(n)))
+        scalar_local_broadcast(want, vt_for(t), lay.pos)
+        assert sorted(got.events) == sorted(want.events)
+        assert got.clock == want.clock
+        assert (got.energy, got.depth, got.messages) == (want.energy, want.depth, want.messages)
 
 
 def test_local_reduce_examples_and_oracle():
