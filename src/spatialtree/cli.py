@@ -4,6 +4,9 @@ Reports are rows of energy/depth/message counts, one per repetition, written
 as CSV or JSON.  All randomness flows from --seed through the fixed LCG, so
 identical invocations produce identical reports.
 
+Trees have at most ``MAX_N`` = 2^22 = 4,194,304 vertices: a larger ``--n``,
+``--n-list`` entry or ``--tree`` count line exits 2 before any tree is built.
+
 Exit codes: 0 success, 1 an output failed its --check oracle, 2 invalid
 input or arguments (including a file that cannot be read), 3 an internal
 invariant of an algorithm failed (a RuntimeError, reported in one line).
@@ -34,6 +37,7 @@ ALGORITHMS = ("broadcast", "reduce", "listrank", "layout",
               "treefix", "treefix-topdown", "lca")
 CSV_FIELDS = ("n", "algorithm", "curve", "order", "seed", "energy", "depth",
               "messages", "rounds", "wall_time_ms", "mean_neighbor_distance")
+MAX_N = 1 << 22  # largest tree the CLI accepts
 
 
 @dataclass
@@ -55,11 +59,27 @@ class CheckFailure(Exception):
     """An algorithm's output disagreed with its oracle under --check."""
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is above the limit of {MAX_N} vertices")
+
+
 def _load_tree(args) -> RootedTree:
     if args.tree:
-        return trees_mod.read_tree(args.tree)
+        with open(args.tree) as fh:
+            # check the count line, the first non-blank one, before the rest
+            first = fh.readline()
+            while first.isspace():
+                first = fh.readline()
+            try:
+                count = int(first)
+            except ValueError:
+                count = 0  # parse_tree reports a malformed count line
+            _check_size(count)
+            return trees_mod.parse_tree(first + fh.read())
     if not args.kind:
         raise ValueError("either --tree or --kind/--n is required")
+    _check_size(args.n)
     return trees_mod.gen_tree(args.kind, args.n, seed=args.seed)
 
 
@@ -240,6 +260,7 @@ def _run_once(args, dump: bool) -> list[ReportRow]:
 
 
 def cmd_gen(args) -> int:
+    _check_size(args.n)
     t = trees_mod.gen_tree(args.kind, args.n, seed=args.seed)
     text = trees_mod.format_tree(t)
     if args.out:
@@ -260,6 +281,7 @@ def cmd_sweep(args) -> int:
     ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not ns or args.tree:
         raise ValueError("sweep needs --kind and --n-list")
+    _check_size(max(ns))
     rows = []
     for n in ns:
         args.n = n

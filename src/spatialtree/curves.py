@@ -53,76 +53,25 @@ def _check_coord(k, row, col):
         raise ValueError(f"coordinate ({row}, {col}) outside {side}x{side} grid")
 
 
-def _hilbert_coord(k, idx):
-    # Iterative construction; x tracks the column, y the row.
-    row = col = 0
-    t = idx
-    s = 1
-    side = 1 << k
-    while s < side:
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                row = s - 1 - row
-                col = s - 1 - col
-            row, col = col, row
-        col += s * rx
-        row += s * ry
-        t >>= 2
-        s <<= 1
-    return row, col
-
-
-def _hilbert_index(k, row, col):
-    side = 1 << k
-    x, y = col, row
-    d = 0
-    s = side >> 1
-    while s > 0:
-        rx = 1 if (x & s) else 0
-        ry = 1 if (y & s) else 0
-        d += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                x = side - 1 - x
-                y = side - 1 - y
-            x, y = y, x
-        s >>= 1
-    return d
-
-
-def _zorder_coord(k, idx):
-    row = col = 0
-    for m in range(k):
-        col |= ((idx >> (2 * m)) & 1) << m
-        row |= ((idx >> (2 * m + 1)) & 1) << m
-    return row, col
-
-
-def _zorder_index(k, row, col):
-    idx = 0
-    for m in range(k):
-        idx |= ((col >> m) & 1) << (2 * m)
-        idx |= ((row >> m) & 1) << (2 * m + 1)
-    return idx
+def _check_order(k):
+    # the codecs are int64, so the 4^k cell indices must fit: k <= 31
+    if not 0 <= k <= 31:
+        raise ValueError(f"curve order k={k} outside 0..31")
 
 
 def index_to_coord(kind: CurveKind, k: int, idx: int) -> GridCoord:
     """Grid cell of the idx-th element of the order-k curve."""
+    _check_order(k)
     _check_index(k, idx)
-    if CurveKind(kind) is CurveKind.HILBERT:
-        return GridCoord(*_hilbert_coord(k, idx))
-    return GridCoord(*_zorder_coord(k, idx))
+    rows, cols = _coords(kind, k, np.array([idx], dtype=np.int64))
+    return GridCoord(int(rows[0]), int(cols[0]))
 
 
 def coord_to_index(kind: CurveKind, k: int, coord) -> int:
     """Inverse of :func:`index_to_coord`."""
     row, col = coord
     _check_coord(k, row, col)
-    if CurveKind(kind) is CurveKind.HILBERT:
-        return _hilbert_index(k, row, col)
-    return _zorder_index(k, row, col)
+    return int(curve_indices(kind, k, [row], [col])[0])
 
 
 def manhattan(a, b) -> int:
@@ -145,39 +94,45 @@ def aligned_square_side(a, b) -> int:
 @lru_cache(maxsize=None)
 def curve_coords(kind: CurveKind, k: int):
     """(rows, cols) int64 arrays for every curve index of the order-k grid."""
-    kind = CurveKind(kind)
-    n = cell_count(k)
-    idx = np.arange(n, dtype=np.int64)
-    rows = np.zeros(n, dtype=np.int64)
-    cols = np.zeros(n, dtype=np.int64)
-    if kind is CurveKind.ZORDER:
-        for m in range(k):
-            cols |= ((idx >> (2 * m)) & 1) << m
-            rows |= ((idx >> (2 * m + 1)) & 1) << m
-    else:
-        t = idx.copy()
-        s = 1
-        side = 1 << k
-        while s < side:
-            rx = (t >> 1) & 1
-            ry = (t ^ rx) & 1
-            refl = (ry == 0) & (rx == 1)
-            rows_r = np.where(refl, s - 1 - rows, rows)
-            cols_r = np.where(refl, s - 1 - cols, cols)
-            swap = ry == 0
-            rows, cols = (
-                np.where(swap, cols_r, rows_r) + s * ry,
-                np.where(swap, rows_r, cols_r) + s * rx,
-            )
-            t >>= 2
-            s <<= 1
+    _check_order(k)
+    rows, cols = _coords(kind, k, np.arange(cell_count(k), dtype=np.int64))
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
 
 
+def _coords(kind: CurveKind, k: int, idx: np.ndarray):
+    """(rows, cols) int64 arrays of the cells at curve indices idx."""
+    rows = np.zeros_like(idx)
+    cols = np.zeros_like(idx)
+    if CurveKind(kind) is CurveKind.ZORDER:
+        for m in range(k):
+            cols |= ((idx >> (2 * m)) & 1) << m
+            rows |= ((idx >> (2 * m + 1)) & 1) << m
+        return rows, cols
+    # iterative construction, one quadrant level per pass
+    t = idx.copy()
+    s = 1
+    side = 1 << k
+    while s < side:
+        rx = (t >> 1) & 1
+        ry = (t ^ rx) & 1
+        refl = (ry == 0) & (rx == 1)
+        rows_r = np.where(refl, s - 1 - rows, rows)
+        cols_r = np.where(refl, s - 1 - cols, cols)
+        swap = ry == 0
+        rows, cols = (
+            np.where(swap, cols_r, rows_r) + s * ry,
+            np.where(swap, rows_r, cols_r) + s * rx,
+        )
+        t >>= 2
+        s <<= 1
+    return rows, cols
+
+
 def curve_indices(kind: CurveKind, k: int, rows, cols):
     """Vectorized inverse: curve indices of (rows, cols) arrays."""
+    _check_order(k)
     kind = CurveKind(kind)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)

@@ -20,7 +20,7 @@ from .curves import CurveKind, curve_coords
 from .listrank import list_rank, subtree_sizes_via_tour, tour_links
 from .rng import Lcg
 from .sim import CostReport, Placement, SimState, compact, permute
-from .trees import RootedTree, bfs_order, dfs_preorder, light_first_children, subtree_sizes
+from .trees import RootedTree, bfs_order, dfs_preorder, light_first_csr, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,18 @@ def light_first_positions(t: RootedTree, sizes=None) -> list[int]:
     """Direct construction: lay out each subtree contiguously, lighter first."""
     if sizes is None:
         sizes = subtree_sizes(t)
-    order = light_first_children(t, sizes)
-    pos = [0] * t.n
-    pos[t.root] = 0
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        cursor = pos[v] + 1
-        for c in order[v]:
-            pos[c] = cursor
-            cursor += sizes[c]
-            stack.append(c)
-    return pos
+    ptr, kids = light_first_csr(t, sizes)
+    # a child sits 1 past its parent plus its lighter siblings' sizes
+    size = np.asarray(sizes, dtype=np.int64)[kids]
+    before = np.add.accumulate(size) - size
+    pos = np.zeros(t.n, dtype=np.int64)
+    pos[kids] = 1 + before - before[np.repeat(ptr[:-1], np.diff(ptr))]
+    # sum those offsets along each root path by pointer doubling
+    up = np.array(t.parent, dtype=np.int64)
+    while (live := np.flatnonzero(up >= 0)).size:
+        pos[live] += pos[up[live]]
+        up[live] = up[up[live]]
+    return pos.tolist()
 
 
 def light_first_layout(t: RootedTree, kind: CurveKind = CurveKind.HILBERT,
@@ -111,8 +111,8 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     sizes = subtree_sizes_via_tour(sim, t, rng.next_u64())
     # id, first/last rank, size, succ link, coin
     sim.note_words_many(range(n), 6)
-    sorted_children = light_first_children(t, sizes)
-    succ, head, _ = tour_links(t, sorted_children)
+    _, kids = light_first_csr(t, sizes)
+    succ, head, _ = tour_links(t, kids)
     rank = list_rank(sim, succ, head, rng.next_u64())
     permute(sim, dict(enumerate(rank)))
     flags = np.zeros(len(rank), dtype=bool)

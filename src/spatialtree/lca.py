@@ -12,7 +12,6 @@ other's position inside r(w) minus r(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
-from .trees import RootedTree, bfs_order, subtree_sizes
+from .trees import RootedTree, bfs_order, light_first_csr, subtree_sizes
 from .virtual_tree import VirtualTree, build_refs_protocol, local_broadcast
 
 
@@ -40,18 +39,11 @@ class CoverEntry:
 
 def _new_path_indicators(t: RootedTree, sizes) -> list[int]:
     """1 where a vertex starts a new path: everywhere except the root and
-    each vertex's heavy child, the last of its largest children in child
-    order, which is the rightmost child in light-first order."""
-    lens = np.fromiter(map(len, t.children), np.int64, t.n)
-    kids = np.fromiter(chain.from_iterable(t.children), np.int64, t.n - 1)
-    size = np.asarray(sizes, dtype=np.int64)[kids]
-    starts = (np.add.accumulate(lens) - lens)[lens > 0]
-    largest = np.repeat(np.maximum.reduceat(size, starts), lens[lens > 0])
-    # the largest children's slots, then the last of them per parent
-    slots = np.where(size == largest, np.arange(t.n - 1), -1)
+    each vertex's heavy child, the last child in light-first order."""
+    ptr, kids = light_first_csr(t, sizes)
     ind = np.ones(t.n, dtype=np.int64)
     ind[t.root] = 0
-    ind[kids[np.maximum.reduceat(slots, starts)]] = 0
+    ind[kids[ptr[1:][np.diff(ptr) > 0] - 1]] = 0
     return ind.tolist()
 
 

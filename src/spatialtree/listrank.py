@@ -155,18 +155,19 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     return rank.tolist()
 
 
-def tour_links(t: RootedTree, child_order: list[list[int]] | None = None):
-    """Successor chain over the 2n-1 tour slots.
+def tour_links(t: RootedTree, kids=None):
+    """Successor chain over the 2n-1 tour slots, visiting children in the
+    order of ``kids``: the flat side of a child CSR, ``t.children`` if None.
 
     Slot v (v < n) is the first visit of vertex v; slot n + j is the j-th
     return visit, enumerated over (vertex, child index) pairs.  Returns
     (succ, head, ret_base) as arrays, where slot ret_base[v] + i visits v
     after its i-th child's subtree.
     """
-    ch = child_order if child_order is not None else t.children
     n = t.n
-    deg = np.fromiter(map(len, ch), np.int64, n)
-    kids = np.fromiter(chain.from_iterable(ch), np.int64, n - 1)
+    deg = np.fromiter(map(len, t.children), np.int64, n)
+    if kids is None:
+        kids = np.fromiter(chain.from_iterable(t.children), np.int64, n - 1)
     ret_base = n + np.cumsum(deg) - deg
     # the return slot after c's subtree is the slot of c's place in kids
     after = np.full(n, -1, dtype=np.int64)

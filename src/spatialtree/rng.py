@@ -49,7 +49,3 @@ class Lcg:
 
     def next_float(self) -> float:
         return self.next_u64() / float(1 << 64)
-
-    def fork(self) -> "Lcg":
-        """Independent child stream, derived deterministically."""
-        return Lcg(self.next_u64() ^ 0x9E3779B97F4A7C15)

@@ -5,6 +5,9 @@ against."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .rng import Lcg
 
@@ -123,14 +126,13 @@ def bfs_order(t: RootedTree) -> list[int]:
     return order
 
 
-def dfs_preorder(t: RootedTree, child_order: list[list[int]] | None = None) -> list[int]:
-    ch = child_order if child_order is not None else t.children
+def dfs_preorder(t: RootedTree) -> list[int]:
     order = []
     stack = [t.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(ch[v]))
+        stack.extend(reversed(t.children[v]))
     return order
 
 
@@ -177,11 +179,19 @@ def lca_naive(t: RootedTree, u: int, v: int) -> int:
     return x
 
 
-def light_first_children(t: RootedTree, sizes) -> list[list[int]]:
-    """Children sorted by ascending subtree size, ties in original order.
+def light_first_csr(t: RootedTree, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex's children in light-first order, as int64 CSR arrays.
 
-    The last entry of each list is the heavy (rightmost) child."""
-    return [sorted(cs, key=lambda c: sizes[c]) for cs in t.children]
+    Block v is ``kids[ptr[v]:ptr[v+1]]``: v's children by ascending subtree
+    size, ties in ``t.children`` order, so the last entry is the heavy
+    (rightmost) child.  This is the one place light-first order is decided.
+    """
+    deg = np.fromiter(map(len, t.children), np.int64, t.n)
+    kids = np.fromiter(chain.from_iterable(t.children), np.int64, t.n - 1)
+    # lexsort is stable: equal sizes keep their place in t.children
+    order = np.lexsort((np.asarray(sizes, dtype=np.int64)[kids],
+                        np.repeat(np.arange(t.n), deg)))
+    return np.concatenate(([0], np.add.accumulate(deg))), kids[order]
 
 
 def write_tree(t: RootedTree, path) -> None:

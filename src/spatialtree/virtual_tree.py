@@ -8,6 +8,12 @@ positions never change.  Messages then flow parent -> current children
 immediately, and are relayed to appended children only after the relaying
 vertex has itself received, giving O(n) energy and O(log n) depth on
 light-first layouts.
+
+Blocks come from the one light-first child CSR (``trees.light_first_csr``).
+The halving is positional, so :func:`transform` computes one relay pattern
+per distinct block length and applies it to every block of that length with
+numpy gathers; the per-vertex ``cur``/``app`` lists are views derived from
+the resulting block CSR.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .layout import Layout
 from .sim import ORDERED_CHUNK, SimState
-from .trees import RootedTree, bfs_order, light_first_children
+from .trees import RootedTree, bfs_order, light_first_csr
 
 
 class BlockOrder(NamedTuple):
@@ -41,30 +47,30 @@ class BlockOrder(NamedTuple):
 
 @dataclass
 class VirtualTree:
-    cur: list[list[int]]     # C(v): at most 2 after transform
-    app: list[list[int]]     # A(v): at most 2
-    vparent: list[int]       # parent in the virtual tree, -1 at the root
+    """Every child block's relay order, each vertex's virtual parent (C ints,
+    -1 at the root) and the root.  ``cur`` (C(v), at most 2 current children),
+    ``app`` (A(v), at most 2 appended children) and :meth:`order` are
+    read-only views derived from ``blocks`` on first use.
+    """
+
+    blocks: BlockOrder
+    vparent: array
     root: int
 
     @cached_property
-    def blocks(self) -> BlockOrder:
-        """Every child block's relay order, built once on first use."""
-        app = self.app
-        ptr = array("i", [0])
-        src = array("i")
-        dst = array("i")
-        for kept in self.cur:
-            head = len(dst)
-            dst.extend(kept)
-            src.extend([-1] * len(kept))
-            while head < len(dst):
-                x = dst[head]
-                head += 1
-                for a in app[x]:
-                    dst.append(a)
-                    src.append(x)
-            ptr.append(len(dst))
-        return BlockOrder(ptr, src, dst)
+    def cur(self) -> list[list[int]]:
+        """C(v): the one or two children that open block v."""
+        ptr, dst = self.blocks.ptr.tolist(), self.blocks.dst.tolist()
+        return [dst[lo:min(lo + 2, hi)] for lo, hi in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def app(self) -> list[list[int]]:
+        """A(v): the children v relays to, in relay order."""
+        app = [[] for _ in self.vparent]
+        for x, c in zip(self.blocks.src, self.blocks.dst):
+            if x >= 0:
+                app[x].append(c)
+        return app
 
     @cached_property
     def reduce_slots(self) -> array:
@@ -74,7 +80,7 @@ class VirtualTree:
         or to the reduce's destination when the relay is -1."""
         ptr, src, dst = (np.frombuffer(a, dtype=np.intc) for a in self.blocks)
         slot = np.arange(len(dst), dtype=np.intc)
-        slot_of = np.zeros(len(self.cur), dtype=np.intc)
+        slot_of = np.zeros(len(self.vparent), dtype=np.intc)
         slot_of[dst] = slot
         group = np.where(src >= 0, -slot_of[src], 1)
         block = np.repeat(np.arange(len(ptr) - 1, dtype=np.intc), np.diff(ptr))
@@ -82,13 +88,11 @@ class VirtualTree:
 
     def order(self) -> list[int]:
         """Top-down order over cur+app links."""
+        cur, app = self.cur, self.app
         out = [self.root]
-        head = 0
-        while head < len(out):
-            v = out[head]
-            head += 1
-            out.extend(self.cur[v])
-            out.extend(self.app[v])
+        for v in out:  # the list grows while it is walked: breadth-first
+            out.extend(cur[v])
+            out.extend(app[v])
         return out
 
 
@@ -101,40 +105,56 @@ def _split_block(block: list[int]):
     return [block[0], block[h]], [(block[0], block[1:h]), (block[h], block[h + 1:])]
 
 
+def _relay_pattern(m: int) -> tuple[list[int], list[int]]:
+    """Relay order of any block of m children, by place in the block: the
+    place each step reaches and the place relaying to it (-1 for the
+    broadcaster); the kept pair first, then appended links breadth-first."""
+    places, subs = _split_block(list(range(m)))
+    relays = [-1] * len(places)
+    owned = dict(subs)  # the sub-block each place relays into
+    for x in places:  # the list grows while it is walked: breadth-first
+        got, more = _split_block(owned.pop(x, []))
+        places.extend(got)
+        relays.extend([x] * len(got))
+        owned.update(more)
+    return places, relays
+
+
+def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
+    """The virtual tree of a light-first child CSR: each block of m
+    children follows the relay pattern of length m."""
+    n = len(ptr) - 1
+    deg = np.diff(ptr)
+    place = np.empty(n - 1, dtype=np.int64)  # CSR slot each relay step reaches
+    relay = np.empty(n - 1, dtype=np.int64)  # CSR slot relaying to it, or -1
+    for m in np.unique(deg[deg > 0]).tolist():
+        places, relays = map(np.array, _relay_pattern(m))
+        base = ptr[:-1][deg == m, None]
+        place[base + np.arange(m)] = base + places
+        relay[base + np.arange(m)] = np.where(relays < 0, -1, base + relays)
+    dst = kids[place]
+    src = np.where(relay < 0, -1, kids[relay])
+    vparent = np.full(n, -1, dtype=np.int64)
+    vparent[dst] = np.where(src < 0, np.repeat(np.arange(n), deg), src)
+    ptr, src, dst, vparent = (array("i", a.astype(np.intc).tobytes())
+                              for a in (ptr, src, dst, vparent))
+    return VirtualTree(BlockOrder(ptr, src, dst), vparent, root)
+
+
 def transform(t: RootedTree, sizes) -> VirtualTree:
     """Direct (global-view) construction of the virtual tree.
 
-    Children must be processed in light-first order so the result stays in
-    light-first order; positions are untouched.
+    Blocks are taken in light-first order so the result stays in light-first
+    order; positions are untouched.
     """
-    n = t.n
-    sc = light_first_children(t, sizes)
-    cur: list[list[int]] = [[] for _ in range(n)]
-    app: list[list[int]] = [[] for _ in range(n)]
-    vparent = [-1] * n
-    for v in range(n):
-        kept, subs = _split_block(sc[v])
-        cur[v] = kept
-        for c in kept:
-            vparent[c] = v
-        stack = list(subs)
-        while stack:
-            owner, block = stack.pop()
-            if not block:
-                continue
-            bkept, bsubs = _split_block(block)
-            app[owner] = bkept
-            for x in bkept:
-                vparent[x] = owner
-            stack.extend(bsubs)
-    return VirtualTree(cur, app, vparent, t.root)
+    return _from_csr(*light_first_csr(t, sizes), t.root)
 
 
 def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
                         layout: Layout) -> VirtualTree:
     """Reconstruct the virtual tree via the bottom-up reference-passing
     protocol, charging its messages, and check it against the direct
-    construction.
+    construction from the same light-first CSR, which it returns.
 
     Each vertex starts knowing only its sibling index, its parent's degree,
     and references to parent and adjacent siblings.  A vertex's first
@@ -143,7 +163,8 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     """
     n = t.n
     pos = layout.pos
-    sc = light_first_children(t, sizes)
+    ptr, kids = light_first_csr(t, sizes)
+    starts, kids_list = ptr.tolist(), kids.tolist()
     cur: list[list[int]] = [[] for _ in range(n)]
     app: list[list[int]] = [[] for _ in range(n)]
     vparent = [-1] * n
@@ -164,9 +185,8 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
             charge()
 
     for v in bfs_order(t):
-        cs = sc[v]
-        d = len(cs)
-        if d == 0:
+        cs = kids_list[starts[v]:starts[v + 1]]
+        if not cs:
             continue
         kept, subs = _split_block(cs)
         cur[v] = kept
@@ -204,10 +224,11 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
                     raise RuntimeError("reference protocol drifted off its block")
 
     charge()
-    direct = transform(t, sizes)
-    if (cur, app, vparent) != (direct.cur, direct.app, direct.vparent):
+    direct = _from_csr(ptr, kids, t.root)
+    if (cur, app, vparent) != (direct.cur, direct.app, direct.vparent.tolist()):
         raise RuntimeError("reference protocol disagrees with direct transform")
-    return VirtualTree(cur, app, vparent, t.root)
+    del direct.cur, direct.app  # drop the views; the blocks hold the same links
+    return direct
 
 
 def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> list:

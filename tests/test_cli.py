@@ -207,3 +207,50 @@ def test_lca_requires_light_first(capsys):
                            "--kind", "path", "--n", "8", "--order", "bfs")
     assert code == 2
     assert "light-first" in err
+
+
+def forbid_tree_building(monkeypatch):
+    import spatialtree.trees as trees_mod
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(trees_mod, "gen_tree", refuse)
+    monkeypatch.setattr(trees_mod, "parse_tree", refuse)
+
+
+def test_oversized_n_is_rejected_before_any_tree_is_built(tmp_path, capsys, monkeypatch):
+    from spatialtree.cli import MAX_N
+    forbid_tree_building(monkeypatch)
+    too_big = str(MAX_N + 1)
+    tree = tmp_path / "big.txt"
+    tree.write_text(f"\n{too_big}\n-1\n")
+    for argv in (("gen", "--kind", "path", "--n", too_big),
+                 ("run", "--algorithm", "treefix", "--kind", "path", "--n", too_big),
+                 ("sweep", "--algorithm", "treefix", "--kind", "path",
+                  "--n-list", f"8,{too_big}"),
+                 ("run", "--algorithm", "treefix", "--tree", str(tree))):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err == f"error: n = {too_big} is above the limit of {MAX_N} vertices\n"
+
+
+def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
+    from spatialtree import virtual_tree
+    real = virtual_tree._from_csr
+
+    def tampered(*args):
+        # the direct side differs from the protocol in one appended child
+        vt = real(*args)
+        app = [list(a) for a in vt.app]
+        x = next(v for v, a in enumerate(app) if a)
+        app[x][-1] = vt.root
+        vt.app = app
+        return vt
+
+    monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
+    code, _, err = run_cli(capsys, "run", "--algorithm", "lca",
+                           "--kind", "star", "--n", "9")
+    assert code == 3
+    assert err == "internal error: reference protocol disagrees with direct transform\n"

@@ -104,10 +104,31 @@ def test_out_of_range_arguments_raise():
         index_to_coord(CurveKind.ZORDER, 2, -1)
     with pytest.raises(ValueError):
         coord_to_index(CurveKind.HILBERT, 2, (4, 0))
+    # the codecs are int64, so orders past 31 are refused, not wrapped
+    for kind in CurveKind:
+        for call in (lambda: index_to_coord(kind, 32, 0),
+                     lambda: coord_to_index(kind, 32, (0, 0)),
+                     lambda: curve_indices(kind, 32, [0], [0]),
+                     lambda: curve_coords(kind, 32)):
+            with pytest.raises(ValueError):
+                call()
     with pytest.raises(ValueError):
         zorder_longest_diagonal(2, 5, 3)
     with pytest.raises(ValueError):
         zorder_longest_diagonal(2, 0, 16)
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_largest_order_corners_roundtrip(kind):
+    k = 31
+    side = 1 << k
+    for idx in (0, 1, cell_count(k) // 3, cell_count(k) - 2, cell_count(k) - 1):
+        row, col = index_to_coord(kind, k, idx)
+        assert 0 <= row < side and 0 <= col < side
+        assert coord_to_index(kind, k, (row, col)) == idx
+    # the last cell: top-right for Hilbert, bottom-right for Z-order
+    want = (0, side - 1) if kind is CurveKind.HILBERT else (side - 1, side - 1)
+    assert tuple(index_to_coord(kind, k, cell_count(k) - 1)) == want
 
 
 def test_manhattan_examples():

@@ -10,7 +10,7 @@ from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
-                               light_first_children, subtree_sizes)
+                               subtree_sizes)
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -89,7 +89,7 @@ def test_layer_bound_log_and_recurrence():
         d, sizes, _ = decompose(t)
         assert max(d.layer) <= math.ceil(math.log2(n))
         assert d.layer[t.root] == 0
-        heavy = {cs[-1] for cs in light_first_children(t, sizes) if cs}
+        heavy = {sorted(cs, key=sizes.__getitem__)[-1] for cs in t.children if cs}
         for v in range(n):
             p = t.parent[v]
             if p >= 0:
@@ -100,9 +100,9 @@ def sorted_path_indicators(t, sizes):
     """The heavy child as the last entry of each light-first child list."""
     ind = [1] * t.n
     ind[t.root] = 0
-    for cs in light_first_children(t, sizes):
+    for cs in t.children:
         if cs:
-            ind[cs[-1]] = 0
+            ind[sorted(cs, key=sizes.__getitem__)[-1]] = 0
     return ind
 
 

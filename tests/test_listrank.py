@@ -7,7 +7,7 @@ from spatialtree.listrank import (ChainError, euler_tour, list_rank,
                                   subtree_sizes_via_tour, tour_links)
 from spatialtree.rng import Lcg
 from spatialtree.sim import Placement, SimState
-from spatialtree.trees import RootedTree, gen_tree, light_first_children, subtree_sizes
+from spatialtree.trees import RootedTree, gen_tree, light_first_csr, subtree_sizes
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -34,7 +34,8 @@ def test_euler_tour_examples():
     tour = euler_tour(gen_tree("path", 3))
     assert tour.order == [0, 1, 2, 1, 0]
     t = RootedTree(list(FIGURE_PARENTS))
-    sized = euler_tour(t, light_first_children(t, subtree_sizes(t)))
+    ptr, kids = light_first_csr(t, subtree_sizes(t))
+    sized = euler_tour(t, [kids[lo:hi].tolist() for lo, hi in zip(ptr, ptr[1:])])
     assert sized.order[:8] == [0, 1, 2, 1, 3, 1, 0, 4]
     assert len(sized.order) == 2 * t.n - 1
 

@@ -2,7 +2,7 @@ import pytest
 
 from spatialtree.rng import Lcg
 from spatialtree.trees import (RootedTree, format_tree, gen_tree, lca_naive,
-                               light_first_children, parse_tree, read_queries,
+                               light_first_csr, parse_tree, read_queries,
                                root_path_sums, subtree_sizes, subtree_sums,
                                write_tree)
 
@@ -91,9 +91,10 @@ def test_lca_naive_on_figure_tree():
 
 def test_light_first_children_stable_ties():
     t = figure_tree()
-    order = light_first_children(t, subtree_sizes(t))
-    assert order[0] == [1, 4]   # sizes 3 < 4
-    assert order[1] == [2, 3]   # tie broken by original order
+    ptr, kids = light_first_csr(t, subtree_sizes(t))
+    assert ptr.tolist() == [0, 2, 4, 4, 4, 6, 6, 7, 7]
+    assert kids[0:2].tolist() == [1, 4]   # sizes 3 < 4
+    assert kids[2:4].tolist() == [2, 3]   # tie broken by original order
 
 
 def test_file_format_roundtrip(tmp_path):

@@ -4,17 +4,142 @@ import operator
 import numpy as np
 import pytest
 
+from spatialtree import virtual_tree
 from spatialtree.curves import CurveKind, aligned_square_side, curve_coords
 from spatialtree.layout import build_baseline, light_first_layout
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
-from spatialtree.trees import GENERATOR_KINDS, RootedTree, gen_tree, subtree_sizes
-from spatialtree.virtual_tree import (build_refs_protocol, local_broadcast,
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, light_first_csr,
+                               subtree_sizes)
+from spatialtree.virtual_tree import (_split_block, build_refs_protocol, local_broadcast,
                                       local_reduce, transform)
 
 
 def vt_for(t):
     return transform(t, subtree_sizes(t))
+
+
+def reference_transform(t, sizes):
+    """The per-vertex construction: halve every light-first child list into
+    current and appended children, then walk each block breadth-first for
+    its relay order.  Returns cur, app, vparent and the (ptr, src, dst)
+    block lists."""
+    n = t.n
+    cur = [[] for _ in range(n)]
+    app = [[] for _ in range(n)]
+    vparent = [-1] * n
+    for v in range(n):
+        kept, subs = _split_block(sorted(t.children[v], key=sizes.__getitem__))
+        cur[v] = kept
+        for c in kept:
+            vparent[c] = v
+        stack = list(subs)
+        while stack:
+            owner, block = stack.pop()
+            if not block:
+                continue
+            bkept, bsubs = _split_block(block)
+            app[owner] = bkept
+            for x in bkept:
+                vparent[x] = owner
+            stack.extend(bsubs)
+    ptr, src, dst = [0], [], []
+    for kept in cur:
+        head = len(dst)
+        dst.extend(kept)
+        src.extend([-1] * len(kept))
+        while head < len(dst):
+            x = dst[head]
+            head += 1
+            for a in app[x]:
+                dst.append(a)
+                src.append(x)
+        ptr.append(len(dst))
+    return cur, app, vparent, (ptr, src, dst)
+
+
+def reference_reduce_slots(cur, app, blocks):
+    """Block slots in block_reduce's send order: every relay's appended
+    links, relays last to first, then the current children."""
+    ptr, _, dst = blocks
+    slot_of = {c: k for k, c in enumerate(dst)}
+    out = []
+    for v in range(len(cur)):
+        for x in reversed(dst[ptr[v]:ptr[v + 1]]):
+            out.extend(slot_of[a] for a in app[x])
+        out.extend(slot_of[c] for c in cur[v])
+    return out
+
+
+def relabelled(t, seed):
+    perm = np.random.default_rng(seed).permutation(t.n).tolist()
+    parent = [-1] * t.n
+    for v, p in enumerate(t.parent):
+        parent[perm[v]] = perm[p] if p >= 0 else -1
+    return RootedTree(parent)
+
+
+def reversed_children(t):
+    """The same tree with every child list reversed: equal-size siblings
+    then sit in non-id order."""
+    return RootedTree(list(t.parent), children=[cs[::-1] for cs in t.children])
+
+
+def reference_cases():
+    # the star of 5,000 has a block wider than ORDERED_CHUNK
+    for kind in GENERATOR_KINDS:
+        sizes = (1, 3, 7, 127, 1023, 4095) if kind == "perfect-binary" \
+            else (1, 2, 3, 9, 100, 1000, 5000)
+        for n in sizes:
+            t = gen_tree(kind, n, seed=n)
+            yield f"{kind}-{n}", t
+            yield f"{kind}-{n}-relabelled", relabelled(t, n)
+            yield f"{kind}-{n}-reversed", reversed_children(t)
+
+
+REFERENCE_CASES = list(reference_cases())
+
+
+@pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_light_first_csr_matches_sorted_children(name, t):
+    sizes = subtree_sizes(t)
+    ptr, kids = light_first_csr(t, sizes)
+    want = [sorted(cs, key=sizes.__getitem__) for cs in t.children]
+    assert ptr.tolist() == [0, *np.cumsum([len(cs) for cs in want]).tolist()]
+    assert [kids[lo:hi].tolist() for lo, hi in zip(ptr, ptr[1:])] == want
+
+
+@pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_transform_matches_per_vertex_reference(name, t):
+    sizes = subtree_sizes(t)
+    cur, app, vparent, blocks = reference_transform(t, sizes)
+    vt = transform(t, sizes)
+    assert vt.cur == cur
+    assert vt.app == app
+    assert vt.vparent.tolist() == vparent
+    assert [b.tolist() for b in vt.blocks] == list(blocks)
+    assert vt.reduce_slots.tolist() == reference_reduce_slots(cur, app, blocks)
+
+
+def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
+    t = gen_tree("star", 9)
+    sizes = subtree_sizes(t)
+    lay = light_first_layout(t, sizes=sizes)
+    real = virtual_tree._from_csr
+
+    def tampered(*args):
+        # the direct side differs from the protocol in one appended child
+        vt = real(*args)
+        app = [list(a) for a in vt.app]
+        x = next(v for v, a in enumerate(app) if a)
+        app[x][-1] = vt.root  # the root is never an appended child
+        vt.app = app
+        return vt
+
+    monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
+    with pytest.raises(RuntimeError,
+                       match="reference protocol disagrees with direct transform"):
+        build_refs_protocol(SimState(lay.placement()), t, sizes, lay)
 
 
 def test_binary_tree_is_a_fixed_point():
