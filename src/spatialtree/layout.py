@@ -39,12 +39,11 @@ class Layout:
     @staticmethod
     def from_positions(kind: CurveKind, pos: list[int]) -> "Layout":
         placement = Placement.for_size(kind, len(pos))
-        vtx = [-1] * len(pos)
-        for v, p in enumerate(pos):
-            vtx[p] = v
-        if any(v < 0 for v in vtx):
+        at = np.asarray(pos, dtype=np.int64)
+        vtx = np.argsort(at)  # the inverse, if pos is a permutation of [0, n)
+        if not np.array_equal(at[vtx], np.arange(len(pos))):
             raise ValueError("positions are not a bijection onto [0, n)")
-        return Layout(CurveKind(kind), placement.k, pos, vtx)
+        return Layout(CurveKind(kind), placement.k, pos, vtx.tolist())
 
     def placement(self) -> Placement:
         return Placement(self.kind, self.k, self.n)

@@ -131,9 +131,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
         if iteration_stats is not None:
             iteration_stats.append((len(live), sim.messages - msg0,
                                     sim.energy - en0))
-        if sim.audit:
-            # succ, pred, weight, rank, tag, src, coin
-            sim.note_words_many(live.tolist(), 7)
+        sim.note_words_many(live, 7)  # succ, pred, weight, rank, tag, src, coin
         live = live[~picked]
         sim.rounds += 1
     rank = np.zeros(m, dtype=np.int64)

@@ -6,19 +6,19 @@ and the message count.  Local computation is free; each message adds one
 level to the receiver's dependency clock.  No routing, congestion, or timing
 is modeled: the simulator prices exactly distance and dependency chains.
 
-Messages are charged one at a time (``send``, ``send_at``), one
-synchronous round at a time (``send_round``, or several rounds in order with
-``send_rounds``), or as an ordered batch (``send_ordered``).  In a round every
-message departs at its source's clock from the start of the round, so a
-position that both sends and receives in the same round sends its old
-clock; each receiver's clock rises to the largest depth it receives.  An
-ordered batch is charged exactly as the same messages sent one ``send`` at a
-time in array order, so a message can depart after an earlier message of
-the same batch raised its source's clock, and a position may receive any
-number of times.  ``send_wave`` is the checked case of an ordered batch in
-which no position receives twice.  Rounds and batches are checked whole
-before any of them is charged, and when tracing is on they append one event
-per message in array order.
+Messages are charged one at a time (``send``), one synchronous round at a
+time (``send_round``, or several rounds in order with ``send_rounds``), as a
+batch departing at given clocks (``send_at``), or as an ordered batch
+(``send_ordered``).  In a round every message departs at its source's clock
+from the start of the round, so a position that both sends and receives in
+the same round sends its old clock; each receiver's clock rises to the
+largest depth it receives.  An ordered batch is charged exactly as the same
+messages sent one ``send`` at a time in array order, so a message can depart
+after an earlier message of the same batch raised its source's clock, and a
+position may receive any number of times.  ``send_wave`` is the checked case
+of an ordered batch in which no position receives twice.  Rounds and batches
+are checked whole before any of them is charged, and when tracing is on they
+append one event per message in array order.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -175,23 +175,15 @@ class SimState:
         return None if self._trace is None else TraceLog(self._trace)
 
     def send(self, src: int, dst: int) -> None:
-        """Record one message departing at the source's current clock."""
-        try:
-            ready = self.clock[src]
-        except IndexError:
-            ready = 0  # send_at rejects the position
-        self.send_at(src, dst, ready)
-
-    def send_at(self, src: int, dst: int, ready: int) -> None:
-        """Record one message departing at clock ``ready``; it arrives at
-        depth ready + 1.  Cost is the Manhattan distance between positions."""
+        """Record one message departing at the source's current clock.  Cost
+        is the Manhattan distance between positions."""
         n = self.placement.n
         if src < 0 or src >= n or dst < 0 or dst >= n:
             raise ValueError(f"position out of range: {src} -> {dst} with n={n}")
         rows = self._rows
         cols = self._cols
         cost = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
-        d = ready + 1
+        d = self.clock[src] + 1
         self.energy += cost
         self.messages += 1
         if d > self.clock[dst]:
@@ -200,6 +192,16 @@ class SimState:
             self.depth = d
         if self._trace is not None:
             self._trace.extend((src, dst, cost, d))
+
+    def send_at(self, src, dst, ready) -> None:
+        """Charge message i from src[i] to dst[i] departing at clock
+        ready[i], whatever its source's clock; it arrives at depth
+        ready[i] + 1.  The whole batch is checked before anything is charged."""
+        src, dst = self._positions(src, dst)
+        ready = np.asarray(ready)
+        if ready.shape != src.shape or (len(src) and ready.dtype.kind not in "iu"):
+            raise ValueError("send_at needs one integer ready clock per message")
+        self._deliver([(src, dst, ready.astype(np.int64))])
 
     def _positions(self, src, dst):
         """Both arrays of a batch, checked: 1-D, equal length, integer
@@ -251,9 +253,14 @@ class SimState:
         """Charge a sequence of (src, dst) rounds in order, exactly as the
         same calls of :meth:`send_round` one after another.  Every round is
         checked before any is charged."""
-        rounds = [self._positions(src, dst) for src, dst in rounds]
-        rounds = [(src, dst) for src, dst in rounds if len(src)]
-        count = sum(len(src) for src, _ in rounds)
+        self._deliver([(*self._positions(src, dst), None) for src, dst in rounds])
+
+    def _deliver(self, rounds) -> None:
+        """Charge checked (src, dst, ready) rounds in order: message i of a
+        round departs at ready[i], or at its source's start-of-round clock
+        when ready is None."""
+        rounds = [r for r in rounds if len(r[0])]
+        count = sum(len(src) for src, _, _ in rounds)
         if count == 0:
             return
         clock = self.clock
@@ -263,18 +270,19 @@ class SimState:
             # indexing; writing it back in slices keeps the old and new int
             # objects from coexisting for the whole grid
             now = np.array(clock, dtype=np.int64)
-            for src, dst in rounds:
-                depth = now[src] + 1
+            for src, dst, ready in rounds:
+                depth = (now[src] if ready is None else ready) + 1
                 np.maximum.at(now, dst, depth)
                 self._charge(src, dst, depth)
             for lo in range(0, n, _SLICE):
                 clock[lo:lo + _SLICE] = now[lo:lo + _SLICE].tolist()
             return
-        for src, dst in rounds:
-            depth = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64,
-                                len(src)) + 1
-            depths = depth.tolist()
-            for j, d in zip(dst.tolist(), depths):
+        for src, dst, ready in rounds:
+            if ready is None:
+                ready = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64,
+                                    len(src))
+            depth = ready + 1
+            for j, d in zip(dst.tolist(), depth.tolist()):
                 if d > clock[j]:
                     clock[j] = d
             self._charge(src, dst, depth)
@@ -329,15 +337,15 @@ class SimState:
         if words > self.memory_budget:
             self.violations.append((pos, words))
 
-    def note_words_many(self, positions: Sequence[int], words: int) -> None:
-        """Audit hook: each of ``positions``, in order, holds this many live
-        words; the same as one :meth:`note_words` call per position."""
-        if not self.audit or not positions:
+    def note_words_many(self, positions, words: int) -> None:
+        """Audit hook: each of ``positions`` (a sequence or an array), in
+        order, holds this many live words; one :meth:`note_words` each."""
+        if not self.audit or len(positions) == 0:
             return
         if words > self.max_words:
             self.max_words = words
         if words > self.memory_budget:
-            self.violations.extend([(pos, words) for pos in positions])
+            self.violations.extend([(pos, words) for pos in np.asarray(positions).tolist()])
 
     def report(self) -> CostReport:
         return CostReport(self.energy, self.depth, self.messages, self.rounds)

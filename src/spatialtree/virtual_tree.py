@@ -9,11 +9,12 @@ immediately, and are relayed to appended children only after the relaying
 vertex has itself received, giving O(n) energy and O(log n) depth on
 light-first layouts.
 
-Blocks come from the one light-first child CSR (``trees.light_first_csr``).
-The halving is positional, so :func:`transform` computes one relay pattern
-per distinct block length and applies it to every block of that length with
-numpy gathers; the per-vertex ``cur``/``app`` lists are views derived from
-the resulting block CSR.
+The virtual tree is one block CSR over the light-first child CSR
+(``trees.light_first_csr``): every child block's relay order plus each
+vertex's virtual parent.  The halving and the reference-passing protocol are
+both positional, so :func:`transform` and :func:`build_refs_protocol` work
+out one pattern per distinct block length and apply it to every block of
+that length with numpy gathers; the local kernels run level by level.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ import numpy as np
 from .layout import Layout
 from .sim import ORDERED_CHUNK, SimState
 from .trees import RootedTree, bfs_order, light_first_csr
+
+# modeled per-vertex words of the local kernels: value, partial, result,
+# virtual parent, two current and two appended children
+RELAY_WORDS = 8
+# ... and of the refs protocol: sibling index, parent degree, parent and two
+# siblings, virtual parent, C(v), A(v) and the ref past a finished subtree
+REFS_WORDS = 11
 
 
 class BlockOrder(NamedTuple):
@@ -47,30 +55,16 @@ class BlockOrder(NamedTuple):
 
 @dataclass
 class VirtualTree:
-    """Every child block's relay order, each vertex's virtual parent (C ints,
-    -1 at the root) and the root.  ``cur`` (C(v), at most 2 current children),
-    ``app`` (A(v), at most 2 appended children) and :meth:`order` are
-    read-only views derived from ``blocks`` on first use.
+    """The virtual tree as one block CSR: ``blocks`` holds every child
+    block's relay order, ``vparent`` each vertex's virtual parent (C ints,
+    -1 at the root) and ``root`` the root.  The current children C(v), at
+    most two, open block v with src -1; the appended children A(x), at most
+    two, are the entries whose src is x, in relay order.
     """
 
     blocks: BlockOrder
     vparent: array
     root: int
-
-    @cached_property
-    def cur(self) -> list[list[int]]:
-        """C(v): the one or two children that open block v."""
-        ptr, dst = self.blocks.ptr.tolist(), self.blocks.dst.tolist()
-        return [dst[lo:min(lo + 2, hi)] for lo, hi in zip(ptr, ptr[1:])]
-
-    @cached_property
-    def app(self) -> list[list[int]]:
-        """A(v): the children v relays to, in relay order."""
-        app = [[] for _ in self.vparent]
-        for x, c in zip(self.blocks.src, self.blocks.dst):
-            if x >= 0:
-                app[x].append(c)
-        return app
 
     @cached_property
     def reduce_slots(self) -> array:
@@ -85,15 +79,6 @@ class VirtualTree:
         group = np.where(src >= 0, -slot_of[src], 1)
         block = np.repeat(np.arange(len(ptr) - 1, dtype=np.intc), np.diff(ptr))
         return array("i", np.lexsort((slot, group, block)).astype(np.intc).tobytes())
-
-    def order(self) -> list[int]:
-        """Top-down order over cur+app links."""
-        cur, app = self.cur, self.app
-        out = [self.root]
-        for v in out:  # the list grows while it is walked: breadth-first
-            out.extend(cur[v])
-            out.extend(app[v])
-        return out
 
 
 def _split_block(block: list[int]):
@@ -120,15 +105,16 @@ def _relay_pattern(m: int) -> tuple[list[int], list[int]]:
     return places, relays
 
 
-def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
-    """The virtual tree of a light-first child CSR: each block of m
-    children follows the relay pattern of length m."""
+def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
+    """Every block's relay order (src, dst) and every vertex's virtual
+    parent, as int64 arrays, applying the (places, relays) that pattern(m)
+    gives to every block of m children with numpy gathers."""
     n = len(ptr) - 1
     deg = np.diff(ptr)
     place = np.empty(n - 1, dtype=np.int64)  # CSR slot each relay step reaches
     relay = np.empty(n - 1, dtype=np.int64)  # CSR slot relaying to it, or -1
     for m in np.unique(deg[deg > 0]).tolist():
-        places, relays = map(np.array, _relay_pattern(m))
+        places, relays = map(np.array, pattern(m))
         base = ptr[:-1][deg == m, None]
         place[base + np.arange(m)] = base + places
         relay[base + np.arange(m)] = np.where(relays < 0, -1, base + relays)
@@ -136,8 +122,14 @@ def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
     src = np.where(relay < 0, -1, kids[relay])
     vparent = np.full(n, -1, dtype=np.int64)
     vparent[dst] = np.where(src < 0, np.repeat(np.arange(n), deg), src)
+    return src, dst, vparent
+
+
+def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
+    """The virtual tree of a light-first child CSR: each block of m
+    children follows the relay pattern of length m."""
     ptr, src, dst, vparent = (array("i", a.astype(np.intc).tobytes())
-                              for a in (ptr, src, dst, vparent))
+                              for a in (ptr, *_block_links(ptr, kids, _relay_pattern)))
     return VirtualTree(BlockOrder(ptr, src, dst), vparent, root)
 
 
@@ -150,85 +142,101 @@ def transform(t: RootedTree, sizes) -> VirtualTree:
     return _from_csr(*light_first_csr(t, sizes), t.root)
 
 
+def _protocol_pattern(m: int):
+    """The reference-passing protocol inside any block of m children, by
+    place: its messages in send order as (src, dst) pairs, -1 for the
+    parent, and the relay order its links give, like :func:`_relay_pattern`.
+
+    A place starts knowing only its sibling index, the block length and
+    references to its parent and adjacent siblings.  Its first appended
+    child is its right sibling; the second is learned from the first child's
+    report of the sibling just past its finished subtree.
+    """
+    kept, subs = _split_block(list(range(m)))
+    msgs = [(c, -1) for c in kept]  # each kept child announces its reference
+    app = [[] for _ in range(m)]
+
+    # finish(x over places lo..hi-1): bottom-up; returns the place just past
+    # x's appended subtree ("the right sibling of the rightmost descendant")
+    def finish(x: int, lo: int, hi: int) -> int:
+        if lo >= hi:
+            return hi  # leaf of the appended structure: right sibling is local
+        y = lo  # y's owner is its left sibling; known locally
+        app[x].append(y)
+        after_y = finish(y, lo + 1, lo + max(1, (hi - lo) // 2))
+        msgs.append((y, x))  # y reports the sibling past its subtree
+        if after_y >= hi:
+            return after_y
+        z = after_y
+        app[x].append(z)
+        msgs.append((x, z))  # request: z also learns its virtual parent
+        after_z = finish(z, z + 1, hi)
+        msgs.append((z, x))  # response with the place past z's subtree
+        return after_z
+
+    for owner, block in subs:
+        if block and finish(owner, block[0], block[-1] + 1) != block[-1] + 1:
+            raise RuntimeError("reference protocol drifted off its block")
+    places, relays = list(kept), [-1] * len(kept)
+    for x in places:  # the list grows while it is walked: breadth-first
+        places.extend(app[x])
+        relays.extend([x] * len(app[x]))
+    return msgs, (places, relays)
+
+
 def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
                         layout: Layout) -> VirtualTree:
     """Reconstruct the virtual tree via the bottom-up reference-passing
     protocol, charging its messages, and check it against the direct
     construction from the same light-first CSR, which it returns.
 
-    Each vertex starts knowing only its sibling index, its parent's degree,
-    and references to parent and adjacent siblings.  A vertex's first
-    appended child is its right sibling; the second is learned from the
-    first child's report of the sibling just past its finished subtree.
+    It runs once per distinct block length (:func:`_protocol_pattern`); its
+    messages are charged block after block, parents in BFS order, as one
+    ``send`` each, and its links are checked entry by entry against the
+    direct tree's ``blocks`` and ``vparent``.
     """
-    n = t.n
-    pos = layout.pos
     ptr, kids = light_first_csr(t, sizes)
-    starts, kids_list = ptr.tolist(), kids.tolist()
-    cur: list[list[int]] = [[] for _ in range(n)]
-    app: list[list[int]] = [[] for _ in range(n)]
-    vparent = [-1] * n
-    # the protocol's messages, queued in the order it sends them and
-    # charged in batches; nothing it decides depends on their cost
-    qsrc = array("i")
-    qdst = array("i")
+    deg = np.diff(ptr)
+    pos = np.asarray(layout.pos, dtype=np.intc)
+    patterns = {m: _protocol_pattern(m) for m in np.unique(deg[deg > 0]).tolist()}
+    count = np.zeros(t.n, dtype=np.int64)  # messages of each block
+    for m, (msgs, _) in patterns.items():
+        count[deg == m] = len(msgs)
+    bfs = np.asarray(bfs_order(t), dtype=np.int64)
+    start = np.empty(t.n, dtype=np.int64)
+    start[bfs] = np.add.accumulate(count[bfs]) - count[bfs]
+    queue = np.empty((int(count.sum()), 2), dtype=np.intc)  # (src, dst) positions
+    for m, (msgs, _) in patterns.items():
+        parents = np.flatnonzero(deg == m)
+        # each block's vertices by place + 1: place -1 is the parent
+        members = np.column_stack((parents, kids[ptr[parents, None] + np.arange(m)]))
+        queue[start[parents, None] + np.arange(len(msgs))] = \
+            pos[members[:, np.array(msgs) + 1]]
+    for lo in range(0, len(queue), ORDERED_CHUNK):
+        chunk = queue[lo:lo + ORDERED_CHUNK]
+        sim.send_ordered(chunk[:, 0], chunk[:, 1])
+    sim.note_words_many(pos, REFS_WORDS)
 
-    def charge() -> None:
-        sim.send_ordered(np.frombuffer(qsrc, dtype=np.intc),
-                         np.frombuffer(qdst, dtype=np.intc))
-        del qsrc[:], qdst[:]
-
-    def send(src_pos: int, dst_pos: int) -> None:
-        qsrc.append(src_pos)
-        qdst.append(dst_pos)
-        if len(qsrc) >= ORDERED_CHUNK:
-            charge()
-
-    for v in bfs_order(t):
-        cs = kids_list[starts[v]:starts[v + 1]]
-        if not cs:
-            continue
-        kept, subs = _split_block(cs)
-        cur[v] = kept
-        for c in kept:
-            vparent[c] = v
-            send(pos[c], pos[v])  # child announces its reference
-
-        # finish(x over cs[lo:hi]): bottom-up; returns the cs-index just past
-        # x's appended subtree ("the right sibling of the rightmost descendant")
-        def finish(x: int, lo: int, hi: int) -> int:
-            if lo >= hi:
-                return hi  # leaf of the appended structure: right sibling is local
-            y = cs[lo]
-            app[x].append(y)
-            vparent[y] = x  # y's owner is its left sibling; known locally
-            m = hi - lo
-            mid = lo + (m // 2 if m >= 2 else 1)
-            after_y = finish(y, lo + 1, mid)
-            send(pos[y], pos[x])  # y reports the sibling past its subtree
-            if after_y >= hi:
-                return after_y
-            z = cs[after_y]
-            app[x].append(z)
-            send(pos[x], pos[z])  # request: z also learns its virtual parent
-            vparent[z] = x
-            after_z = finish(z, after_y + 1, hi)
-            send(pos[z], pos[x])  # response with the ref past z's subtree
-            return after_z
-
-        for owner, block in subs:
-            if block:
-                lo = cs.index(block[0])
-                end = finish(owner, lo, lo + len(block))
-                if end != lo + len(block):
-                    raise RuntimeError("reference protocol drifted off its block")
-
-    charge()
+    got = (ptr, *_block_links(ptr, kids, lambda m: patterns[m][1]))
     direct = _from_csr(ptr, kids, t.root)
-    if (cur, app, vparent) != (direct.cur, direct.app, direct.vparent.tolist()):
+    want = (*direct.blocks, direct.vparent)
+    if not all(np.array_equal(a, np.frombuffer(b, dtype=np.intc)) for a, b in zip(got, want)):
         raise RuntimeError("reference protocol disagrees with direct transform")
-    del direct.cur, direct.app  # drop the views; the blocks hold the same links
     return direct
+
+
+def _relay_levels(relay: np.ndarray, child: np.ndarray, n: int) -> list[np.ndarray]:
+    """The CSR slots of each level of the relay links, top first: level 0
+    holds every block's current children, level j + 1 the appended children
+    of level j's vertices."""
+    step = relay < 0
+    got = np.zeros(n, dtype=bool)
+    levels = []
+    while step.any():
+        levels.append(np.flatnonzero(step))
+        got[child[step]] = True
+        step = (relay >= 0) & got[relay] & ~got[child]
+    return levels
 
 
 def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> list:
@@ -243,54 +251,46 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     """
     pos = np.asarray(layout.pos, dtype=np.int64)
     ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
+    vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)
-    parent = np.repeat(np.arange(n), np.diff(ptr))
-    sent = relay < 0  # round one: every vertex fires its own value
-    rounds = [(pos[parent[sent]], pos[child[sent]])]
-    got = np.zeros(n, dtype=bool)
-    got[child[sent]] = True
-    while True:
-        step = ~sent & got[relay]
-        if not step.any():
-            break
-        rounds.append((pos[relay[step]], pos[child[step]]))
-        got[child[step]] = True
-        sent |= step
-    sim.send_rounds(rounds)
-    delivered = [None] * n
-    for c, v in zip(child.tolist(), parent.tolist()):
-        delivered[c] = values[v]
-    return delivered
+    sim.send_rounds([(pos[vparent[child[k]]], pos[child[k]])
+                     for k in _relay_levels(relay, child, n)])
+    sim.note_words_many(pos, RELAY_WORDS)
+    delivered = np.full(n, None, dtype=object)
+    delivered[child] = np.fromiter(values, object, n)[np.repeat(np.arange(n), np.diff(ptr))]
+    return delivered.tolist()
 
 
 def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
                  op: Callable, identity) -> list:
     """Every vertex receives the op-fold of its original children's values.
 
-    Appended subtrees fold bottom-up into their owning sibling; each current
-    child then delivers its combined block to the parent.  op must be
-    associative and commutative.
+    Appended subtrees fold bottom-up into their owning sibling, one level at
+    a time; each current child then delivers its combined block to the
+    parent.  op must be associative and commutative.  A vertex's partial
+    departs once its appended receipts are in, not waiting for the sibling
+    deliveries folded into its own result, so all n - 1 messages are
+    charged with one ``send_at``.
     """
-    pos = layout.pos
+    pos = np.asarray(layout.pos, dtype=np.int64)
+    _, relay, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
+    vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)
-    up = list(values)
-    result = [identity] * n
-    # a vertex's outgoing partial depends only on its appended receipts, not
-    # on the sibling deliveries folded into its own result
-    ready = [sim.clock[pos[x]] for x in range(n)]
-    for x in reversed(vt.order()):
-        for a in vt.app[x]:
-            d = ready[a] + 1
-            sim.send_at(pos[a], pos[x], ready[a])
-            up[x] = op(up[x], up[a])
-            if d > ready[x]:
-                ready[x] = d
-        acc = identity
-        for c in vt.cur[x]:
-            sim.send_at(pos[c], pos[x], ready[c])
-            acc = op(acc, up[c])
-        result[x] = acc
-    return result
+    fold = np.frompyfunc(op, 2, 1)
+    up = np.fromiter(values, dtype=object, count=n)
+    result = np.empty(n, dtype=object)
+    result.fill(identity)
+    ready = np.array(sim.clock, dtype=np.int64)[pos]
+    levels = _relay_levels(relay, child, n)
+    for j in reversed(range(len(levels))):
+        a = child[levels[j]]
+        x = vparent[a]
+        if j:
+            np.maximum.at(ready, x, ready[a] + 1)
+        fold.at(up if j else result, x, up[a])  # in slot order, like one at a time
+    sim.send_at(pos[child], pos[vparent[child]], ready[child])
+    sim.note_words_many(pos, RELAY_WORDS)
+    return result.tolist()
 
 
 def block_broadcast(sim: SimState, vt: VirtualTree, pos, src_pos: int,
@@ -310,21 +310,14 @@ def block_reduce(sim: SimState, vt: VirtualTree, pos, parent_vertex: int,
                  dst_pos: int, contribution: Callable[[int], object],
                  op: Callable, identity):
     """Fold contribution(c) over all original children of parent_vertex,
-    relaying through the block, delivering the result to dst_pos."""
-    order = block_members(vt, parent_vertex)
-    up = {x: contribution(x) for x in order}
-    for x in reversed(order):
-        for a in vt.app[x]:
-            sim.send(pos[a], pos[x])
-            up[x] = op(up[x], up[a])
-    acc = identity
-    for c in vt.cur[parent_vertex]:
-        sim.send(pos[c], dst_pos)
-        acc = op(acc, up[c])
-    return acc
-
-
-def block_members(vt: VirtualTree, parent_vertex: int) -> list[int]:
-    """Original children of parent_vertex in block relay order."""
+    relaying through the block in ``reduce_slots`` order, delivering the
+    result to dst_pos."""
     b = vt.blocks
-    return b.dst[b.ptr[parent_vertex]:b.ptr[parent_vertex + 1]].tolist()
+    lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
+    up = {c: contribution(c) for c in b.dst[lo:hi]}
+    up[-1] = identity  # relay -1 is dst_pos: it folds the current children
+    for k in vt.reduce_slots[lo:hi]:
+        x, c = b.src[k], b.dst[k]
+        sim.send(pos[c], dst_pos if x < 0 else pos[x])
+        up[x] = op(up[x], up[c])
+    return up[-1]

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 
+import pytest
+
+from spatialtree import cli
 from spatialtree.cli import CSV_FIELDS, main
-from spatialtree.trees import RootedTree, write_tree
+from spatialtree.sim import SimState
+from spatialtree.trees import GENERATOR_KINDS, RootedTree, write_tree
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -202,6 +206,29 @@ def test_audit_memory_flag(capsys):
     assert "violation" not in err
 
 
+AUDITED_RUNS = [(algorithm, order) for algorithm in ("broadcast", "reduce")
+                for order in ("light-first", "bfs", "dfs")] + [("lca", "light-first")]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("algorithm,order", AUDITED_RUNS)
+def test_audit_memory_covers_the_virtual_tree_kernels(capsys, monkeypatch, algorithm,
+                                                      order, kind):
+    sims = []
+
+    class Recorded(SimState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(cli, "SimState", Recorded)
+    code, _, err = run_cli(capsys, "run", "--algorithm", algorithm, "--kind", kind,
+                           "--n", "1023", "--order", order, "--audit-memory")
+    assert code == 0 and "violation" not in err
+    assert len(sims) == 1
+    assert sims[0].violations == [] and sims[0].max_words > 0
+
+
 def test_lca_requires_light_first(capsys):
     code, _, err = run_cli(capsys, "run", "--algorithm", "lca",
                            "--kind", "path", "--n", "8", "--order", "bfs")
@@ -241,12 +268,9 @@ def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
     real = virtual_tree._from_csr
 
     def tampered(*args):
-        # the direct side differs from the protocol in one appended child
+        # the direct side differs from the protocol in one block entry
         vt = real(*args)
-        app = [list(a) for a in vt.app]
-        x = next(v for v, a in enumerate(app) if a)
-        app[x][-1] = vt.root
-        vt.app = app
+        vt.blocks.dst[-1] = vt.root
         return vt
 
     monkeypatch.setattr(virtual_tree, "_from_csr", tampered)

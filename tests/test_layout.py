@@ -56,6 +56,19 @@ def test_verify_light_first_cases():
                                   Layout.from_positions(CurveKind.HILBERT, [0, 2, 1]))
 
 
+@pytest.mark.parametrize("pos", [[-1, 0], [0, 5], [1, 1]])
+def test_from_positions_rejects_anything_but_a_bijection(pos):
+    # -1 would wrap to the last slot, and 5 index past the end
+    with pytest.raises(ValueError, match="not a bijection"):
+        Layout.from_positions(CurveKind.HILBERT, pos)
+
+
+def test_from_positions_inverts_the_positions():
+    lay = Layout.from_positions(CurveKind.HILBERT, [2, 0, 1])
+    assert lay.pos == [2, 0, 1] and lay.vtx == [1, 2, 0]
+    assert all(type(v) is int for v in lay.vtx)
+
+
 def test_baselines():
     path = gen_tree("path", 3)
     assert build_baseline(path, "bfs", CurveKind.HILBERT).pos == [0, 1, 2]

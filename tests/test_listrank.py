@@ -142,7 +142,7 @@ def list_rank_reference(sim, succ, head, seed, iteration_stats):
     def round_(pairs):
         start = list(sim.clock)
         for a, b in pairs:
-            sim.send_at(a, b, start[a])
+            sim.send_at([a], [b], [start[a]])
 
     m = len(succ)
     rng = Lcg(seed)

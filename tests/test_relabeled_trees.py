@@ -29,8 +29,13 @@ from spatialtree.treefix import (BOTTOM_UP, NO_COIN, OP_COMPRESS, OP_NONE, OP_RA
                                  STATE_WORDS, ContractError)
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
                                root_path_sums, subtree_sizes, subtree_sums)
-from spatialtree.virtual_tree import (block_broadcast, block_members, block_reduce,
-                                      transform)
+from spatialtree.virtual_tree import block_broadcast, block_reduce, transform
+
+
+def block_members(vt, parent_vertex):
+    """Original children of parent_vertex in block relay order."""
+    b = vt.blocks
+    return b.dst[b.ptr[parent_vertex]:b.ptr[parent_vertex + 1]].tolist()
 
 
 class ReferenceEngine:

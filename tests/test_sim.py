@@ -53,12 +53,46 @@ def test_send_rejects_out_of_range():
 
 def test_send_at_departs_at_the_given_clock():
     s = fresh(4)
-    s.send_at(0, 3, 5)
+    s.send_at([0], [3], [5])
     assert s.clock[3] == 6 and s.depth == 6 and s.clock[0] == 0
-    s.send_at(1, 3, 2)  # an earlier arrival does not lower the clock
+    s.send_at([1], [3], [2])  # an earlier arrival does not lower the clock
     assert s.clock[3] == 6 and s.messages == 2
     with pytest.raises(ValueError):
-        s.send_at(0, 4, 0)
+        s.send_at([0], [4], [0])
+
+
+@pytest.mark.parametrize("n,count", [(64, 5), (64, 40), (1000, 3000)])
+def test_send_at_batch_matches_one_message_at_a_time(n, count):
+    # narrow and wide batches with repeated receivers and self-sends,
+    # departing below and above their sources' clocks
+    rng = np.random.default_rng(n + count)
+    got = fresh(n, trace=True)
+    want = fresh(n, trace=True)
+    start = rng.integers(0, 20, n).tolist()
+    got.clock[:] = start
+    want.clock[:] = start
+    for _ in range(3):
+        src = rng.integers(0, n, count)
+        dst = rng.integers(0, n, count)
+        dst[:3] = src[:3]
+        ready = rng.integers(0, 40, count)
+        got.send_at(src, dst, ready)
+        for a, b, r in zip(src.tolist(), dst.tolist(), ready.tolist()):
+            want.send_at([a], [b], [r])
+        assert state_of(got) == state_of(want)
+
+
+@pytest.mark.parametrize("src,dst,ready", [([0, 1, 8], [1, 2, 3], [0, 0, 0]),
+                                           ([0, 1], [1, -1], [0, 0]),
+                                           ([0, 1], [1, 2], [0]),
+                                           ([0, 1], [1, 2], [0.5, 1.0])])
+def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
+    s = fresh(8, trace=True)
+    s.clock[:] = range(8)
+    with pytest.raises(ValueError):
+        s.send_at(src, dst, ready)
+    assert (s.energy, s.depth, s.messages, len(s.events)) == (0, 0, 0, 0)
+    assert s.clock == list(range(8))
 
 
 def test_send_rejects_source_past_the_end():
@@ -72,7 +106,7 @@ def reference_round(sim, src, dst):
     """Scalar sends that all depart at the start-of-round clocks."""
     start = list(sim.clock)
     for a, b in zip(src, dst):
-        sim.send_at(a, b, start[a])
+        sim.send_at([a], [b], [start[a]])
 
 
 def state_of(sim):
@@ -546,7 +580,7 @@ def mixed_traced_run():
     """Scalar sends, a narrow round, a wide round and a wave on one grid."""
     s = fresh(64, trace=True)
     s.send(np.int64(3), 40)
-    s.send_at(40, 7, 5)
+    s.send_at([40], [7], [5])
     s.send_round(np.array([7, 40, 3]), np.array([9, 9, 63]))
     rng = np.random.default_rng(5)
     s.send_round(rng.integers(0, 64, 50), rng.integers(0, 64, 50))
@@ -619,7 +653,8 @@ def test_memory_audit_reports_not_fatal():
 
 
 @pytest.mark.parametrize("words", [3, 4, 9])
-@pytest.mark.parametrize("positions", [[], [5], [2, 0, 7, 2]])
+@pytest.mark.parametrize("positions", [[], [5], [2, 0, 7, 2], np.array([], dtype=np.intc),
+                                       np.array([2, 0, 7, 2], dtype=np.intc)])
 def test_note_words_many_equals_one_call_per_position(positions, words):
     got = fresh(8, audit_memory=True, memory_budget=4)
     want = fresh(8, audit_memory=True, memory_budget=4)
@@ -629,3 +664,4 @@ def test_note_words_many_equals_one_call_per_position(positions, words):
     for pos in positions:
         want.note_words(pos, words)
     assert (got.max_words, got.violations) == (want.max_words, want.violations)
+    assert all(type(pos) is int for pos, _ in got.violations)

@@ -11,12 +11,53 @@ from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, light_first_csr,
                                subtree_sizes)
+from spatialtree.trees import bfs_order
 from spatialtree.virtual_tree import (_split_block, build_refs_protocol, local_broadcast,
                                       local_reduce, transform)
 
 
 def vt_for(t):
     return transform(t, subtree_sizes(t))
+
+
+def blocks_of(cur, app):
+    """The (ptr, src, dst) block lists of cur/app lists: each block's
+    current children, then its appended links breadth-first."""
+    ptr, src, dst = [0], [], []
+    for kept in cur:
+        head = len(dst)
+        dst.extend(kept)
+        src.extend([-1] * len(kept))
+        while head < len(dst):
+            x = dst[head]
+            head += 1
+            for a in app[x]:
+                dst.append(a)
+                src.append(x)
+        ptr.append(len(dst))
+    return ptr, src, dst
+
+
+def cur_app(vt):
+    """C(v) and A(v) of every vertex, read off the block CSR."""
+    ptr, src, dst = (b.tolist() for b in vt.blocks)
+    cur = [[c for x, c in zip(src[lo:hi], dst[lo:hi]) if x < 0]
+           for lo, hi in zip(ptr, ptr[1:])]
+    app = [[] for _ in cur]
+    for x, c in zip(src, dst):
+        if x >= 0:
+            app[x].append(c)
+    return cur, app
+
+
+def virtual_order(vt):
+    """Top-down order over the current and appended links."""
+    cur, app = cur_app(vt)
+    out = [vt.root]
+    for v in out:  # the list grows while it is walked: breadth-first
+        out.extend(cur[v])
+        out.extend(app[v])
+    return out
 
 
 def reference_transform(t, sizes):
@@ -43,19 +84,88 @@ def reference_transform(t, sizes):
             for x in bkept:
                 vparent[x] = owner
             stack.extend(bsubs)
-    ptr, src, dst = [0], [], []
-    for kept in cur:
-        head = len(dst)
-        dst.extend(kept)
-        src.extend([-1] * len(kept))
-        while head < len(dst):
-            x = dst[head]
-            head += 1
-            for a in app[x]:
-                dst.append(a)
-                src.append(x)
-        ptr.append(len(dst))
-    return cur, app, vparent, (ptr, src, dst)
+    return cur, app, vparent, blocks_of(cur, app)
+
+
+def reference_refs_protocol(sim, t, sizes, layout):
+    """The per-vertex reference-passing protocol: every vertex's block in
+    BFS order, one ``sim.send`` per message.  Returns cur, app and vparent.
+
+    Each vertex starts knowing only its sibling index, its parent's degree,
+    and references to parent and adjacent siblings.  A vertex's first
+    appended child is its right sibling; the second is learned from the
+    first child's report of the sibling just past its finished subtree.
+    """
+    n = t.n
+    pos = layout.pos
+    ptr, kids = light_first_csr(t, sizes)
+    starts, kids_list = ptr.tolist(), kids.tolist()
+    cur = [[] for _ in range(n)]
+    app = [[] for _ in range(n)]
+    vparent = [-1] * n
+
+    for v in bfs_order(t):
+        cs = kids_list[starts[v]:starts[v + 1]]
+        if not cs:
+            continue
+        kept, subs = _split_block(cs)
+        cur[v] = kept
+        for c in kept:
+            vparent[c] = v
+            sim.send(pos[c], pos[v])  # child announces its reference
+
+        # finish(x over cs[lo:hi]): bottom-up; returns the cs-index just past
+        # x's appended subtree ("the right sibling of the rightmost descendant")
+        def finish(x, lo, hi):
+            if lo >= hi:
+                return hi  # leaf of the appended structure: right sibling is local
+            y = cs[lo]
+            app[x].append(y)
+            vparent[y] = x  # y's owner is its left sibling; known locally
+            m = hi - lo
+            mid = lo + (m // 2 if m >= 2 else 1)
+            after_y = finish(y, lo + 1, mid)
+            sim.send(pos[y], pos[x])  # y reports the sibling past its subtree
+            if after_y >= hi:
+                return after_y
+            z = cs[after_y]
+            app[x].append(z)
+            sim.send(pos[x], pos[z])  # request: z also learns its virtual parent
+            vparent[z] = x
+            after_z = finish(z, after_y + 1, hi)
+            sim.send(pos[z], pos[x])  # response with the ref past z's subtree
+            return after_z
+
+        for owner, block in subs:
+            if block:
+                lo = cs.index(block[0])
+                assert finish(owner, lo, lo + len(block)) == lo + len(block)
+    return cur, app, vparent
+
+
+def reference_local_reduce(sim, vt, layout, values, op, identity):
+    """local_reduce one message at a time: vertices bottom-up over the
+    virtual links, each appended link and current child with its own
+    send_at."""
+    pos = layout.pos
+    cur, app = cur_app(vt)
+    n = len(values)
+    up = list(values)
+    result = [identity] * n
+    # a vertex's outgoing partial depends only on its appended receipts, not
+    # on the sibling deliveries folded into its own result
+    ready = [sim.clock[pos[x]] for x in range(n)]
+    for x in reversed(virtual_order(vt)):
+        for a in app[x]:
+            sim.send_at([pos[a]], [pos[x]], [ready[a]])
+            up[x] = op(up[x], up[a])
+            ready[x] = max(ready[x], ready[a] + 1)
+        acc = identity
+        for c in cur[x]:
+            sim.send_at([pos[c]], [pos[x]], [ready[c]])
+            acc = op(acc, up[c])
+        result[x] = acc
+    return result
 
 
 def reference_reduce_slots(cur, app, blocks):
@@ -114,11 +224,28 @@ def test_transform_matches_per_vertex_reference(name, t):
     sizes = subtree_sizes(t)
     cur, app, vparent, blocks = reference_transform(t, sizes)
     vt = transform(t, sizes)
-    assert vt.cur == cur
-    assert vt.app == app
     assert vt.vparent.tolist() == vparent
     assert [b.tolist() for b in vt.blocks] == list(blocks)
     assert vt.reduce_slots.tolist() == reference_reduce_slots(cur, app, blocks)
+
+
+@pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_refs_protocol_matches_per_vertex_reference(name, t):
+    sizes = subtree_sizes(t)
+    lay = light_first_layout(t, sizes=sizes)
+    # start from uneven clocks, as after earlier steps of an algorithm
+    start = np.random.default_rng(t.n).integers(0, 30, t.n).tolist()
+    got = SimState(lay.placement(), trace=True)
+    want = SimState(lay.placement(), trace=True)
+    got.clock[:] = start
+    want.clock[:] = start
+    vt = build_refs_protocol(got, t, sizes, lay)
+    cur, app, vparent = reference_refs_protocol(want, t, sizes, lay)
+    assert got.events == want.events
+    assert got.clock == want.clock
+    assert got.report() == want.report()
+    assert [b.tolist() for b in vt.blocks] == list(blocks_of(cur, app))
+    assert vt.vparent.tolist() == vparent
 
 
 def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
@@ -128,12 +255,9 @@ def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
     real = virtual_tree._from_csr
 
     def tampered(*args):
-        # the direct side differs from the protocol in one appended child
+        # the direct side differs from the protocol in one block entry
         vt = real(*args)
-        app = [list(a) for a in vt.app]
-        x = next(v for v, a in enumerate(app) if a)
-        app[x][-1] = vt.root  # the root is never an appended child
-        vt.app = app
+        vt.blocks.dst[-1] = vt.root  # the root is never a child
         return vt
 
     monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
@@ -144,25 +268,25 @@ def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
 
 def test_binary_tree_is_a_fixed_point():
     t = gen_tree("perfect-binary", 15)
-    vt = vt_for(t)
-    assert all(not a for a in vt.app)
-    assert sorted(map(tuple, vt.cur)) == sorted(map(tuple,
+    cur, app = cur_app(vt_for(t))
+    assert all(not a for a in app)
+    assert sorted(map(tuple, cur)) == sorted(map(tuple,
         [sorted(cs, key=lambda c: subtree_sizes(t)[c]) for cs in t.children]))
 
 
 def test_star_four_children():
-    vt = vt_for(gen_tree("star", 5))
-    assert vt.cur[0] == [1, 3]
-    assert vt.app[1] == [2]
-    assert vt.app[3] == [4]
+    cur, app = cur_app(vt_for(gen_tree("star", 5)))
+    assert cur[0] == [1, 3]
+    assert app[1] == [2]
+    assert app[3] == [4]
 
 
 def test_star_eight_children_two_halving_levels():
-    vt = vt_for(gen_tree("star", 9))
-    assert vt.cur[0] == [1, 5]
-    assert vt.app[1] == [2, 3] and vt.app[3] == [4]
-    assert vt.app[5] == [6, 7] and vt.app[7] == [8]
-    assert all(len(vt.cur[v]) <= 2 and len(vt.app[v]) <= 2 for v in range(9))
+    cur, app = cur_app(vt_for(gen_tree("star", 9)))
+    assert cur[0] == [1, 5]
+    assert app[1] == [2, 3] and app[3] == [4]
+    assert app[5] == [6, 7] and app[7] == [8]
+    assert all(len(cur[v]) <= 2 and len(app[v]) <= 2 for v in range(9))
 
 
 def test_degree_bound_and_coverage_on_random_trees():
@@ -171,10 +295,11 @@ def test_degree_bound_and_coverage_on_random_trees():
         n = 1 + rng.next_below(400)
         t = gen_tree("random-attachment", n, seed=trial)
         vt = vt_for(t)
+        cur, app = cur_app(vt)
         for v in range(n):
-            assert len(vt.cur[v]) + len(vt.app[v]) <= 4
+            assert len(cur[v]) + len(app[v]) <= 4
         # virtual links reconnect exactly the vertex set
-        assert sorted(vt.order()) == list(range(n))
+        assert sorted(virtual_order(vt)) == list(range(n))
 
 
 def test_order_preservation_sizes_ascend_within_pairs():
@@ -182,10 +307,10 @@ def test_order_preservation_sizes_ascend_within_pairs():
     for trial in range(50):
         t = gen_tree("random-attachment", 2 + rng.next_below(300), seed=trial)
         sizes = subtree_sizes(t)
-        vt = vt_for(t)
+        cur, app = cur_app(vt_for(t))
         lay = light_first_layout(t, sizes=sizes)
         for v in range(t.n):
-            for pair in (vt.cur[v], vt.app[v]):
+            for pair in (cur[v], app[v]):
                 if len(pair) == 2:
                     assert sizes[pair[0]] <= sizes[pair[1]]
         # positions untouched: the original light-first check still holds
@@ -204,7 +329,7 @@ def test_protocol_reconstruction_matches_transform():
         vt = build_refs_protocol(sim, t, sizes, lay)  # asserts equality inside
         assert sim.energy <= 40 * n  # measured constant, with headroom
         direct = transform(t, sizes)
-        assert vt.cur == direct.cur and vt.app == direct.app
+        assert vt.blocks == direct.blocks and vt.vparent == direct.vparent
 
 
 def test_local_broadcast_star_two_levels():
@@ -240,9 +365,10 @@ def test_local_broadcast_delivers_parent_values_everywhere():
 def scalar_local_broadcast(sim, vt, pos):
     """Round one as a pair list, then every relay with its own send in
     virtual-tree order."""
-    sim.send_batch([(pos[v], pos[c]) for v, cs in enumerate(vt.cur) for c in cs])
-    for v in vt.order():
-        for a in vt.app[v]:
+    cur, app = cur_app(vt)
+    sim.send_batch([(pos[v], pos[c]) for v, cs in enumerate(cur) for c in cs])
+    for v in virtual_order(vt):
+        for a in app[v]:
             sim.send(pos[v], pos[a])
 
 
@@ -285,6 +411,28 @@ def test_local_reduce_examples_and_oracle():
                            vals, operator.add, 0)
         for v in range(n):
             assert got[v] == sum(vals[c] for c in t.children[v])
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_local_reduce_matches_per_message_reference(kind):
+    n = 255 if kind == "perfect-binary" else 300
+    t = gen_tree(kind, n, seed=9)
+    rng = np.random.default_rng(9)
+    vt = vt_for(t)
+    # list concatenation also pins the order in which partials are folded
+    values = [[v] for v in rng.integers(0, 1000, n).tolist()]
+    for lay in (light_first_layout(t), build_baseline(t, "bfs", CurveKind.ZORDER)):
+        # start from uneven clocks, as after earlier steps of an algorithm
+        start = rng.integers(0, 30, n).tolist()
+        got = SimState(lay.placement(), trace=True)
+        want = SimState(lay.placement(), trace=True)
+        got.clock[:] = start
+        want.clock[:] = start
+        out = local_reduce(got, vt, lay, values, operator.add, [])
+        assert out == reference_local_reduce(want, vt, lay, values, operator.add, [])
+        assert sorted(got.events) == sorted(want.events)
+        assert got.clock == want.clock
+        assert got.report() == want.report()
 
 
 def test_broadcast_energy_recurrence_bound_general_trees():
