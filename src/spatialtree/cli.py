@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from . import layout as layout_mod
 from . import trees as trees_mod
 from .curves import CurveKind
-from .lca import batched_lca
+from .lca import MAX_MULTIPLICITY, batched_lca
 from .listrank import ChainError, list_rank
 from .rng import Lcg
 from .sim import Placement, SimState
@@ -101,7 +101,7 @@ def _random_chain(n: int, seed: int):
     return succ, order[0], order
 
 
-def _random_queries(t: RootedTree, count: int, seed: int, cap: int = 4):
+def _random_queries(t: RootedTree, count: int, seed: int):
     rng = Lcg(seed)
     mult = [0] * t.n
     out = []
@@ -110,11 +110,8 @@ def _random_queries(t: RootedTree, count: int, seed: int, cap: int = 4):
         tries += 1
         u = rng.next_below(t.n)
         v = rng.next_below(t.n)
-        if u == v:
-            ok = mult[u] + 2 <= cap
-        else:
-            ok = mult[u] + 1 <= cap and mult[v] + 1 <= cap
-        if ok:
+        need = 2 if u == v else 1
+        if max(mult[u], mult[v]) + need <= MAX_MULTIPLICITY:
             out.append((u, v))
             mult[u] += 1
             mult[v] += 1

@@ -7,6 +7,10 @@ subtree cover: one subtree per path root, at most O(log n) covering any
 vertex.  If LCA(u, v) = w is neither endpoint, some cover subtree S rooted
 at a child x of w contains exactly one endpoint, and that endpoint sees the
 other's position inside r(w) minus r(x).
+
+The local work between the simulated steps is numpy array passes: path
+roots by pointer jumping, and the cover as one record array sorted by layer
+that step 4 walks one layer slice at a time.
 """
 
 from __future__ import annotations
@@ -19,22 +23,17 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
-from .trees import RootedTree, bfs_order, light_first_csr, subtree_sizes
+from .trees import RootedTree, light_first_csr, subtree_sizes
 from .virtual_tree import VirtualTree, build_refs_protocol, local_broadcast
+
+# most queries one vertex may appear in; a pair (v, v) counts twice
+MAX_MULTIPLICITY = 4
 
 
 @dataclass
 class PathDecomposition:
     layer: list[int]
     path_root: list[int]
-
-
-@dataclass(frozen=True)
-class CoverEntry:
-    root: int
-    lo: int
-    hi: int
-    layer: int
 
 
 def _new_path_indicators(t: RootedTree, sizes) -> list[int]:
@@ -50,33 +49,38 @@ def _new_path_indicators(t: RootedTree, sizes) -> list[int]:
 def path_decomposition(sim: SimState, t: RootedTree, layout: Layout, sizes,
                        seed: int, vt: VirtualTree | None = None) -> PathDecomposition:
     """Heavy-light decomposition; layers are computed on the simulator with a
-    top-down treefix sum over new-path indicators."""
+    top-down treefix sum over new-path indicators.  Path roots come from
+    pointer jumping: a path's first vertex points at itself, every other
+    vertex at its parent, and the pointers double until none moves."""
     ind = _new_path_indicators(t, sizes)
     layer = treefix_topdown(sim, t, layout, ind, seed, vt=vt)
-    path_root = [0] * t.n
-    for v in bfs_order(t):
-        p = t.parent[v]
-        path_root[v] = v if (p < 0 or ind[v]) else path_root[p]
-    return PathDecomposition(layer, path_root)
+    up = np.where(ind, np.arange(t.n), t.parent)
+    up[t.root] = t.root
+    while not np.array_equal(jump := up[up], up):
+        up = jump
+    return PathDecomposition(layer, up.tolist())
 
 
-def subtree_cover(decomp: PathDecomposition, sizes, layout: Layout) -> list[CoverEntry]:
-    """One entry per path root: its contiguous range and its layer."""
-    pos = layout.pos
-    entries = []
-    for v in range(len(sizes)):
-        if decomp.path_root[v] == v:
-            entries.append(CoverEntry(v, pos[v], pos[v] + sizes[v] - 1,
-                                      decomp.layer[v]))
-    entries.sort(key=lambda e: (e.layer, e.lo))
-    return entries
+def subtree_cover(decomp: PathDecomposition, sizes, layout: Layout) -> np.recarray:
+    """One record per path root, with fields ``root``, ``lo``, ``hi`` (its
+    contiguous position range) and ``layer``, sorted by layer and then by
+    ``lo``.  The root's path is the only record on layer 0."""
+    path_root = np.asarray(decomp.path_root)
+    root = np.flatnonzero(path_root == np.arange(len(path_root)))
+    lo = np.asarray(layout.pos)[root]
+    hi = lo + np.asarray(sizes)[root] - 1
+    layer = np.asarray(decomp.layer)[root]
+    order = np.lexsort((lo, layer))
+    return np.rec.fromarrays((root[order], lo[order], hi[order], layer[order]),
+                             names="root,lo,hi,layer", formats=[np.int32] * 4)
 
 
 def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
-                queries: list[tuple[int, int]], seed: int,
-                max_multiplicity: int = 4) -> list[int]:
-    """Answer LCA queries, each vertex appearing in at most max_multiplicity
-    of them.
+                queries: list[tuple[int, int]], seed: int) -> list[int]:
+    """Answer LCA queries, each vertex appearing in at most MAX_MULTIPLICITY
+    of them.  A query that is not a pair of integers, the first pair with a
+    vertex outside [0, n) and a vertex above the limit raise ValueError
+    before anything is sent.
 
     Steps: subtree ranges via a unit-value treefix sum (settles the
     ancestor-descendant queries), parent ranges broadcast to children, path
@@ -84,42 +88,47 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     cover subtree, with an all-reduce barrier between layers.
     """
     n = t.n
-    pos = layout.pos
-    mult = [0] * n
-    for u, v in queries:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"query ({u}, {v}) out of range")
-        mult[u] += 1
-        mult[v] += 1
-    worst = max(mult, default=0)
-    if worst > max_multiplicity:
+    try:
+        q = np.asarray(queries).reshape(len(queries), 2)
+        if q.size and q.dtype.kind not in "iu":
+            raise ValueError
+    except ValueError:
+        raise ValueError("each query must be a pair of integers") from None
+    bad = np.flatnonzero(((q < 0) | (q >= n)).any(axis=1))
+    if bad.size:
+        u, v = q[bad[0]]
+        raise ValueError(f"query ({u}, {v}) out of range")
+    qu, qv = q.astype(np.int32).T
+    worst = np.bincount(np.concatenate((qu, qv)), minlength=1).max()
+    if worst > MAX_MULTIPLICITY:
         raise ValueError(
             f"a vertex appears in {worst} queries, above the limit of "
-            f"{max_multiplicity}; split hot vertices before querying")
+            f"{MAX_MULTIPLICITY}; split hot vertices before querying")
 
     rng = Lcg(seed)
     sizes_ref = subtree_sizes(t)
     vt = build_refs_protocol(sim, t, sizes_ref, layout)
 
     # step 1: ranges from a unit treefix sum
-    sums = treefix_sum(sim, t, layout, [1] * n, rng.next_u64(), vt=vt)
-    hi = [p + s - 1 for p, s in zip(pos, sums)]
+    sizes = np.array(treefix_sum(sim, t, layout, [1] * n, rng.next_u64(), vt=vt),
+                     dtype=np.int32)
+    lo_arr = np.array(layout.pos, dtype=np.int32)
+    hi_arr = lo_arr + sizes - 1
 
     # step 2: every vertex sends its range to its children
-    local_broadcast(sim, vt, layout, list(zip(pos, hi)))
+    ranges = np.empty(n, dtype=[("lo", np.int32), ("hi", np.int32)])
+    ranges["lo"], ranges["hi"] = lo_arr, hi_arr
+    local_broadcast(sim, vt, layout, ranges)
 
     # step 3: path decomposition
     decomp = path_decomposition(sim, t, layout, sizes_ref, rng.next_u64(), vt=vt)
-    cover = subtree_cover(decomp, sums, layout)
+    cover = subtree_cover(decomp, sizes, layout)
 
     # the ranges settle the ancestor-descendant queries; that is local work,
     # left until here so its arrays are not alive during step 3
-    lo_arr = np.array(pos, dtype=np.int32)
-    hi_arr = np.array(hi, dtype=np.int32)
-    qu, qv = np.array(queries, dtype=np.int32).reshape(-1, 2).T
     pu = lo_arr[qu]
     pv = lo_arr[qv]
-    answers = np.full(len(queries), -1, dtype=np.int64)
+    answers = np.full(len(qu), -1, dtype=np.int64)
     u_in_v = (pv <= pu) & (pu <= hi_arr[qv])
     answers[u_in_v] = qv[u_in_v]
     v_in_u = (pu <= pv) & (pv <= hi_arr[qu])
@@ -127,26 +136,22 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
 
     # step 4: per layer, broadcast r(w) \ r(x) within each cover subtree;
     # each open query is matched from both endpoints, "mine" seeing "other"
-    by_layer: dict[int, list[CoverEntry]] = {}
-    for e in cover:
-        if e.root != t.root:  # the whole-tree subtree has no parent
-            by_layer.setdefault(e.layer, []).append(e)
+    cover = cover[cover.root != t.root]  # the whole-tree subtree has no parent
+    wpar = np.array(t.parent, dtype=np.int32)[cover.root]
     open_q = np.flatnonzero(answers < 0)
     qi = np.concatenate((open_q, open_q))
     mine = np.concatenate((pu[open_q], pv[open_q]))
     other = np.concatenate((pv[open_q], pu[open_q]))
-    parent = np.array(t.parent, dtype=np.int32)
-    for layer in sorted(by_layer):
-        entries = by_layer[layer]  # disjoint ranges, sorted by start
-        elo = np.array([e.lo for e in entries], dtype=np.int32)
-        ehi = np.array([e.hi for e in entries], dtype=np.int32)
+    _, starts = np.unique(cover.layer, return_index=True)
+    for a, b in zip(starts, [*starts[1:], len(cover)]):
+        # one layer: disjoint ranges, sorted by start
+        elo, ehi = cover.lo[a:b], cover.hi[a:b]
         broadcast_ranges(sim, elo, ehi)
-        wpar = parent[[e.root for e in entries]]
         i = np.searchsorted(elo, mine, side="right") - 1
         inside = i >= 0
         i[~inside] = 0
         inside &= mine <= ehi[i]
-        w = wpar[i]
+        w = wpar[a:b][i]
         hit = inside & (((lo_arr[w] <= other) & (other < elo[i]))
                         | ((ehi[i] < other) & (other <= hi_arr[w])))
         q, w = qi[hit], w[hit]
@@ -155,7 +160,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
         if ((prev >= 0) & (prev != w)).any() or (answers[q] != w).any():
             raise RuntimeError("conflicting answers for one query")
         all_reduce_barrier(sim)
-    sim.rounds += len(by_layer)
+    sim.rounds += len(starts)
     if (answers < 0).any():
         raise RuntimeError("a query was left unanswered")
     return answers.tolist()

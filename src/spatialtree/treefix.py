@@ -113,9 +113,6 @@ class ContractionEngine:
         self.saved = tuple(a.copy() for a in self.log)
         self.rng = Lcg(seed)
         self.rounds = 0
-        # representatives whose log entry each round set, one array per
-        # step (index 0 for operations called outside compact_round)
-        self.round_reps = [[]]
         self.active_count = n
         self._ptr, self._relay, self._child = (np.frombuffer(a, dtype=np.intc)
                                                for a in self.vt.blocks)
@@ -162,7 +159,6 @@ class ContractionEngine:
         for saved, log, new in zip(self.saved, self.log, (op, members, self.rounds)):
             saved[anchors] = log[us]
             log[us] = new
-        self.round_reps[self.rounds].append(us)
 
     def _pop(self, us, anchors) -> None:
         for saved, log, empty in zip(self.saved, self.log, (OP_NONE, -1, 0)):
@@ -269,7 +265,6 @@ class ContractionEngine:
         """Branching flags down, random-mate compress, flags again, then rake
         everything eligible.  Returns the number of deactivated supervertices."""
         self.rounds += 1
-        self.round_reps.append([])
         before = self.active_count
         count = self.child_count
         actives = np.flatnonzero(self.active)
@@ -403,8 +398,7 @@ class ContractionEngine:
         reactivated vertex holds an entry of round tau; so merging the
         steps' messages by representative gives the order of undoing each
         representative in turn, in id order."""
-        reps = np.unique(np.concatenate([*self.round_reps[tau], np.zeros(0, np.intc)]))
-        reps = reps[self.active[reps] & self._tagged(reps, tau)]
+        reps = np.flatnonzero(self.active & self._tagged(slice(None), tau))
         for lo in range(0, len(reps), STEP_SLICE):
             us = reps[lo:lo + STEP_SLICE]
             parts, _ = self._undo_rake(us[self.log[OP][us] == OP_RAKE], mode)

@@ -228,13 +228,16 @@ def read_tree(path) -> RootedTree:
 
 
 def read_queries(path) -> list[tuple[int, int]]:
-    """Query file: one 'u v' pair per line."""
+    """Query file: one 'u v' pair of integers per line; blank lines are
+    skipped.  A malformed line raises ValueError naming its number."""
     out = []
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            u, v = ln.split()
-            out.append((int(u), int(v)))
+        for i, ln in enumerate(fh, 1):
+            if ln.strip():
+                try:
+                    u, v = map(int, ln.split())
+                except ValueError:
+                    raise ValueError(f"query file line {i}: expected two integers "
+                                     f"'u v', got {ln.strip()!r}") from None
+                out.append((u, v))
     return out

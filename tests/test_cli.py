@@ -278,3 +278,17 @@ def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
                            "--kind", "star", "--n", "9")
     assert code == 3
     assert err == "internal error: reference protocol disagrees with direct transform\n"
+
+
+@pytest.mark.parametrize("text", ["0 1 2\n", "0 x\n", "2 3\n0 8\n",
+                                  "1 2\n1 3\n1 4\n1 5\n1 6\n"])
+def test_bad_query_file_is_exit_2_with_one_error_line(tmp_path, capsys, text):
+    tree = tmp_path / "fig.txt"
+    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    qfile = tmp_path / "q.txt"
+    qfile.write_text(text)
+    code, stdout, err = run_cli(capsys, "run", "--algorithm", "lca",
+                                "--tree", str(tree), "--queries", str(qfile))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spatialtree.layout import light_first_layout
-from spatialtree.lca import (_new_path_indicators, batched_lca, path_decomposition,
-                             subtree_cover)
+from spatialtree.lca import (MAX_MULTIPLICITY, _new_path_indicators, batched_lca,
+                             path_decomposition, subtree_cover)
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum
-from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
-                               subtree_sizes)
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, bfs_order, gen_tree,
+                               lca_naive, subtree_sizes)
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -286,3 +287,82 @@ def test_step_one_uses_real_treefix_costs():
     probe = SimState(lay.placement())
     treefix_sum(probe, t, lay, [1] * t.n, seed=2)
     assert sim.messages > probe.messages
+
+
+def path_roots_by_walk(t, ind):
+    """Reference: a BFS walk hands every vertex its parent's path root,
+    unless the vertex starts a new path."""
+    path_root = [0] * t.n
+    for v in bfs_order(t):
+        p = t.parent[v]
+        path_root[v] = v if (p < 0 or ind[v]) else path_root[p]
+    return path_root
+
+
+def cover_by_loop(decomp, sizes, layout):
+    """Reference: one (root, lo, hi, layer) entry per path root, sorted by
+    layer and then by lo."""
+    pos = layout.pos
+    entries = []
+    for v in range(len(sizes)):
+        if decomp.path_root[v] == v:
+            entries.append((v, pos[v], pos[v] + sizes[v] - 1, decomp.layer[v]))
+    entries.sort(key=lambda e: (e[3], e[1]))
+    return entries
+
+
+def relabel(t, seed):
+    perm = np.random.default_rng(seed).permutation(t.n).tolist()
+    parent = [-1] * t.n
+    for v, p in enumerate(t.parent):
+        parent[perm[v]] = perm[p] if p >= 0 else -1
+    return RootedTree(parent)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_path_roots_and_cover_match_per_vertex_references(kind):
+    sizes_n = (1, 3, 63, 255) if kind == "perfect-binary" else (1, 2, 64, 256)
+    for n in sizes_n:
+        built = gen_tree(kind, n, seed=n)
+        for t in (built, relabel(built, n)):
+            d, sizes, lay = decompose(t)
+            assert type(d.layer) is list and type(d.path_root) is list
+            assert d.path_root == path_roots_by_walk(t, _new_path_indicators(t, sizes))
+            assert subtree_cover(d, sizes, lay).tolist() == cover_by_loop(d, sizes, lay)
+
+
+def star_and_sim():
+    t = gen_tree("star", 8)
+    lay = light_first_layout(t)
+    return t, lay, SimState(lay.placement())
+
+
+NOT_PAIRS = "each query must be a pair of integers"
+
+
+@pytest.mark.parametrize("queries, message", [
+    ([(0, 1.5)], NOT_PAIRS),
+    ([(0, 1), (2, 3.0)], NOT_PAIRS),
+    ([(0, 1, 2)], NOT_PAIRS),
+    ([(0, 1), (2,)], NOT_PAIRS),
+    ([("0", "1")], NOT_PAIRS),
+    ([(0, None)], NOT_PAIRS),
+    ([(0, 1), (8, 0), (-1, 2)], "query (8, 0) out of range"),
+    ([(0, 1), (2, -3)], "query (2, -3) out of range"),
+    ([(1, 1), (1, 1), (1, 2)],
+     "a vertex appears in 5 queries, above the limit of 4; "
+     "split hot vertices before querying"),
+])
+def test_bad_queries_raise_before_any_message(queries, message):
+    t, lay, sim = star_and_sim()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        batched_lca(sim, t, lay, queries, seed=0)
+    assert sim.messages == 0
+
+
+def test_empty_query_batch_and_the_multiplicity_limit():
+    t, lay, sim = star_and_sim()
+    assert batched_lca(sim, t, lay, [], seed=0) == []
+    assert MAX_MULTIPLICITY == 4
+    full = [(1, 1), (1, 2), (2, 2), (2, 3)]  # vertices 1 and 2 at the limit
+    assert batched_lca(SimState(lay.placement()), t, lay, full, seed=0) == [1, 0, 2, 0]

@@ -120,3 +120,19 @@ def test_read_queries(tmp_path):
     p = tmp_path / "q.txt"
     p.write_text("2 3\n0 5\n\n7 7\n")
     assert read_queries(p) == [(2, 3), (0, 5), (7, 7)]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1\n0 1 2\n", 2),
+    ("\n\n0 x\n", 3),
+    ("5\n", 1),
+    ("0 1.5\n", 1),
+])
+def test_read_queries_names_the_malformed_line(tmp_path, text, line):
+    p = tmp_path / "q.txt"
+    p.write_text(text)
+    bad = text.splitlines()[line - 1]
+    with pytest.raises(ValueError) as err:
+        read_queries(p)
+    assert str(err.value) == (f"query file line {line}: expected two integers "
+                              f"'u v', got {bad!r}")
