@@ -15,6 +15,7 @@ that step 4 walks one layer slice at a time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,12 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     try:
         q = np.asarray(queries).reshape(len(queries), 2)
         if q.size and q.dtype.kind not in "iu":
-            raise ValueError
+            # an int beyond int64 makes the array float or object, so look
+            # at the query entries themselves
+            q = np.array(queries, dtype=object).reshape(len(queries), 2)
+            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                       for x in q.flat):
+                raise ValueError
     except ValueError:
         raise ValueError("each query must be a pair of integers") from None
     bad = np.flatnonzero(((q < 0) | (q >= n)).any(axis=1))

@@ -20,6 +20,13 @@ of an ordered batch in which no position receives twice.  Rounds and batches
 are checked whole before any of them is charged, and when tracing is on they
 append one event per message in array order.
 
+The clocks are one int64 array.  A round is a gather, an ``np.maximum.at``
+scatter and an array charge.  A wave is charged by max-plus pointer
+doubling: each message's only possible predecessor is the one earlier
+message into its source, so ceil(log2 chain) array passes give every depth.
+An ordered batch, whose receivers may repeat, keeps its one-message-at-a-time
+loop over the clock's buffer.
+
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
 ``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
@@ -49,7 +56,6 @@ import numpy as np
 from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
-_SLICE = 4096  # clock entries written back per step of a wide round
 # messages charged per step of an ordered batch; code that queues messages
 # for send_ordered charges them whenever this many wait, since a batch cut
 # anywhere charges the same and a short queue keeps its buffers small
@@ -128,8 +134,10 @@ class Placement:
 class SimState:
     """Mutable cost accumulator for one run; confine to a single execution.
 
-    ``clock`` stays a Python list: the scalar send path indexes it millions
-    of times per run, which numpy scalar indexing would slow down.
+    ``clock`` is one int64 array of each position's dependency clock.
+    Rounds and waves update it with array passes, and ordered batches and
+    scalar sends index it one message at a time; ``energy``, ``depth``,
+    ``messages`` and the trace hold Python ints either way.
     """
 
     __slots__ = (
@@ -154,7 +162,7 @@ class SimState:
                  audit_memory: bool = False, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.placement = placement
         n = placement.n
-        self.clock = [0] * n
+        self.clock = np.zeros(n, dtype=np.int64)
         self.energy = 0
         self.messages = 0
         self.depth = 0
@@ -183,11 +191,12 @@ class SimState:
         rows = self._rows
         cols = self._cols
         cost = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
-        d = self.clock[src] + 1
+        clock = self.clock
+        d = int(clock[src]) + 1
         self.energy += cost
         self.messages += 1
-        if d > self.clock[dst]:
-            self.clock[dst] = d
+        if d > clock[dst]:
+            clock[dst] = d
         if d > self.depth:
             self.depth = d
         if self._trace is not None:
@@ -259,58 +268,26 @@ class SimState:
         """Charge checked (src, dst, ready) rounds in order: message i of a
         round departs at ready[i], or at its source's start-of-round clock
         when ready is None."""
-        rounds = [r for r in rounds if len(r[0])]
-        count = sum(len(src) for src, _, _ in rounds)
-        if count == 0:
-            return
         clock = self.clock
-        n = self.placement.n
-        if 4 * count > n:
-            # wide: one pass over the whole clock beats per-message
-            # indexing; writing it back in slices keeps the old and new int
-            # objects from coexisting for the whole grid
-            now = np.array(clock, dtype=np.int64)
-            for src, dst, ready in rounds:
-                depth = (now[src] if ready is None else ready) + 1
-                np.maximum.at(now, dst, depth)
-                self._charge(src, dst, depth)
-            for lo in range(0, n, _SLICE):
-                clock[lo:lo + _SLICE] = now[lo:lo + _SLICE].tolist()
-            return
         for src, dst, ready in rounds:
-            if ready is None:
-                ready = np.fromiter(map(clock.__getitem__, src.tolist()), np.int64,
-                                    len(src))
-            depth = ready + 1
-            for j, d in zip(dst.tolist(), depth.tolist()):
-                if d > clock[j]:
-                    clock[j] = d
-            self._charge(src, dst, depth)
+            if len(src):
+                depth = (clock[src] if ready is None else ready) + 1
+                np.maximum.at(clock, dst, depth)
+                self._charge(src, dst, depth)
 
     def send_ordered(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
         ``send(src[i], dst[i])`` one at a time.  A position may receive any
         number of times and send after it received; the whole batch is
-        checked before anything is charged."""
-        src, dst = self._positions(src, dst)
-        self._charge_ordered(src, dst)
+        checked before anything is charged.
 
-    def send_wave(self, src, dst) -> None:
-        """:meth:`send_ordered` for a batch in which no position receives
-        twice; a repeated receiver raises ValueError and charges nothing."""
+        The clock loop runs one chunk at a time over the clock's buffer, so
+        it reads and writes Python ints.  Depths go straight into a C array,
+        so a depth that raises no clock is freed at once instead of living to
+        the chunk's end as a Python int.
+        """
         src, dst = self._positions(src, dst)
-        seen = np.sort(dst)
-        twice = seen[1:] == seen[:-1]
-        if twice.any():
-            raise ValueError(f"position {seen[1:][twice][0]} receives twice in one wave")
-        self._charge_ordered(src, dst)
-
-    def _charge_ordered(self, src, dst) -> None:
-        """The clock loop of :meth:`send_ordered` on checked arrays, one
-        chunk at a time.  Depths go straight into a C array, so a depth that
-        raises no clock is freed at once instead of living to the chunk's
-        end as a Python int."""
-        clock = self.clock
+        clock = memoryview(self.clock)
         for lo in range(0, len(src), ORDERED_CHUNK):
             s = src[lo:lo + ORDERED_CHUNK]
             d = dst[lo:lo + ORDERED_CHUNK]
@@ -322,6 +299,43 @@ class SimState:
                     clock[b] = x
                 keep(x)
             self._charge(s, d, np.frombuffer(depths, dtype=np.int64))
+
+    def send_wave(self, src, dst) -> None:
+        """:meth:`send_ordered` for a batch in which no position receives
+        twice; a repeated receiver raises ValueError and charges nothing.
+
+        Message i can wait only for the one earlier message into src[i],
+        its link.  Following the links back from i, message i departs at
+        the largest over the chain of each message's start clock at its
+        source plus the hops from that message to i.  Pointer doubling over
+        the links finds every such maximum in ceil(log2 chain) array passes.
+        """
+        src, dst = self._positions(src, dst)
+        count = len(src)
+        if count == 0:
+            return
+        index = np.arange(count)
+        into = np.full(self.placement.n, count, dtype=np.int64)
+        into[dst] = index
+        twice = into[dst] != index
+        if twice.any():
+            raise ValueError(f"position {dst[twice.argmax()]} receives twice in one wave")
+        link = into[src]  # the message into src[i], if it comes before i
+        link[link >= index] = -1
+        # ready[i] covers the first `hops` messages of i's chain, and link[i]
+        # is the message `hops` steps back, or -1 past the chain's start
+        ready = self.clock[src]
+        hops = 1
+        live = np.flatnonzero(link >= 0)
+        while len(live):
+            ahead = link[live]
+            ready[live] = np.maximum(ready[live], ready[ahead] + hops)
+            link[live] = link[ahead]
+            live = live[link[live] >= 0]
+            hops *= 2
+        depth = ready + 1
+        self.clock[dst] = np.maximum(self.clock[dst], depth)
+        self._charge(src, dst, depth)
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""

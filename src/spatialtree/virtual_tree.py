@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,10 +90,13 @@ def _split_block(block: list[int]):
     return [block[0], block[h]], [(block[0], block[1:h]), (block[h], block[h + 1:])]
 
 
-def _relay_pattern(m: int) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=512)
+def _relay_pattern(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Relay order of any block of m children, by place in the block: the
     place each step reaches and the place relaying to it (-1 for the
-    broadcaster); the kept pair first, then appended links breadth-first."""
+    broadcaster); the kept pair first, then appended links breadth-first.
+    It depends on m alone, so it is worked out once per length and returned
+    as two read-only int arrays."""
     places, subs = _split_block(list(range(m)))
     relays = [-1] * len(places)
     owned = dict(subs)  # the sub-block each place relays into
@@ -102,7 +105,10 @@ def _relay_pattern(m: int) -> tuple[list[int], list[int]]:
         places.extend(got)
         relays.extend([x] * len(got))
         owned.update(more)
-    return places, relays
+    pattern = np.array(places, dtype=np.intc), np.array(relays, dtype=np.intc)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
@@ -114,7 +120,7 @@ def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
     place = np.empty(n - 1, dtype=np.int64)  # CSR slot each relay step reaches
     relay = np.empty(n - 1, dtype=np.int64)  # CSR slot relaying to it, or -1
     for m in np.unique(deg[deg > 0]).tolist():
-        places, relays = map(np.array, pattern(m))
+        places, relays = map(np.asarray, pattern(m))
         base = ptr[:-1][deg == m, None]
         place[base + np.arange(m)] = base + places
         relay[base + np.arange(m)] = np.where(relays < 0, -1, base + relays)
@@ -280,7 +286,7 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     up = np.fromiter(values, dtype=object, count=n)
     result = np.empty(n, dtype=object)
     result.fill(identity)
-    ready = np.array(sim.clock, dtype=np.int64)[pos]
+    ready = sim.clock[pos]
     levels = _relay_levels(relay, child, n)
     for j in reversed(range(len(levels))):
         a = child[levels[j]]

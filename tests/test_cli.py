@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spatialtree import cli
+from spatialtree import cli, layout
 from spatialtree.cli import CSV_FIELDS, main
 from spatialtree.sim import SimState
 from spatialtree.trees import GENERATOR_KINDS, RootedTree, write_tree
@@ -229,6 +229,26 @@ def test_audit_memory_covers_the_virtual_tree_kernels(capsys, monkeypatch, algor
     assert sims[0].violations == [] and sims[0].max_words > 0
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("algorithm", ["layout", "listrank"])
+def test_audit_memory_covers_layout_and_list_ranking(capsys, monkeypatch, algorithm, kind):
+    sims = []
+
+    class Recorded(SimState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    # list ranking's state is built by the CLI, the layout's by build_light_first
+    monkeypatch.setattr(cli, "SimState", Recorded)
+    monkeypatch.setattr(layout, "SimState", Recorded)
+    code, _, err = run_cli(capsys, "run", "--algorithm", algorithm, "--kind", kind,
+                           "--n", "1023", "--audit-memory")
+    assert code == 0 and "violation" not in err
+    assert len(sims) == 1
+    assert sims[0].violations == [] and sims[0].max_words > 0
+
+
 def test_lca_requires_light_first(capsys):
     code, _, err = run_cli(capsys, "run", "--algorithm", "lca",
                            "--kind", "path", "--n", "8", "--order", "bfs")
@@ -292,3 +312,14 @@ def test_bad_query_file_is_exit_2_with_one_error_line(tmp_path, capsys, text):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_query_past_int64_is_out_of_range_exit_2(tmp_path, capsys):
+    tree = tmp_path / "fig.txt"
+    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("0 99999999999999999999\n")
+    code, stdout, err = run_cli(capsys, "run", "--algorithm", "lca",
+                                "--tree", str(tree), "--queries", str(qfile))
+    assert code == 2 and stdout == ""
+    assert err == "error: query (0, 99999999999999999999) out of range\n"

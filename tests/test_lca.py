@@ -352,6 +352,11 @@ NOT_PAIRS = "each query must be a pair of integers"
     ([(1, 1), (1, 1), (1, 2)],
      "a vertex appears in 5 queries, above the limit of 4; "
      "split hot vertices before querying"),
+    # ints past int64, which numpy turns into float or object arrays
+    ([(0, 1), (0, 2 ** 64 - 1)], "query (0, 18446744073709551615) out of range"),
+    ([(2 ** 70, 1)], f"query ({2 ** 70}, 1) out of range"),
+    ([(0, 1), (-2 ** 63 - 1, 2)], f"query ({-2 ** 63 - 1}, 2) out of range"),
+    ([(2 ** 70, 1.5)], NOT_PAIRS),
 ])
 def test_bad_queries_raise_before_any_message(queries, message):
     t, lay, sim = star_and_sim()

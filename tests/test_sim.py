@@ -1,15 +1,17 @@
 import json
 import operator
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
-from spatialtree.sim import (Placement, SimState, TraceEvent, all_reduce_barrier,
-                             broadcast_range, broadcast_ranges, compact, permute,
-                             prefix_sum, reduce_range)
+from spatialtree.sim import (ORDERED_CHUNK, Placement, SimState, TraceEvent,
+                             all_reduce_barrier, broadcast_range, broadcast_ranges,
+                             compact, permute, prefix_sum, reduce_range)
 
 
 def fresh(n, kind=CurveKind.HILBERT, **kw):
@@ -92,7 +94,7 @@ def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
     with pytest.raises(ValueError):
         s.send_at(src, dst, ready)
     assert (s.energy, s.depth, s.messages, len(s.events)) == (0, 0, 0, 0)
-    assert s.clock == list(range(8))
+    assert s.clock.tolist() == list(range(8))
 
 
 def test_send_rejects_source_past_the_end():
@@ -142,7 +144,7 @@ def test_send_round_self_send_and_swap_use_start_clocks():
     s = fresh(4, trace=True)
     s.clock[0] = 2
     s.send_round(np.array([0, 1, 3]), np.array([1, 0, 3]))
-    assert s.clock == [2, 3, 0, 1]
+    assert s.clock.tolist() == [2, 3, 0, 1]
     assert s.energy == 2 and s.messages == 3
     assert s.events == [TraceEvent(0, 1, 1, 3), TraceEvent(1, 0, 1, 1),
                         TraceEvent(3, 3, 0, 1)]
@@ -167,7 +169,7 @@ def test_bad_round_raises_and_charges_nothing(pairs):
     src, dst = zip(*pairs)
     with pytest.raises(ValueError):
         s.send_round(np.array(src), np.array(dst))
-    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+    assert (s.energy, s.depth, s.messages, s.clock.tolist(), s.events) == before
 
 
 def test_send_round_rejects_malformed_arrays():
@@ -234,6 +236,34 @@ def test_send_wave_chain_against_index_order(length):
     assert state_of(got) == state_of(want)
 
 
+def test_send_wave_matches_scalar_sends_from_clocks_above_2_31():
+    # uneven start clocks past int32, one chain longer than an ordered chunk
+    # interleaved with other messages, and sources that send before the
+    # message into them arrives
+    rng = np.random.default_rng(31)
+    n = 3 * ORDERED_CHUNK
+    length = ORDERED_CHUNK + 500
+    dst = rng.permutation(n)[:n - 7]
+    src = np.where(rng.random(len(dst)) < 0.7, rng.permutation(dst),
+                   rng.integers(0, n, len(dst)))
+    src[1:length] = dst[:length - 1]
+    keys = np.concatenate((np.sort(rng.random(length)), rng.random(len(dst) - length)))
+    order = np.argsort(keys)
+    src, dst = src[order], dst[order]
+    when = np.full(n, len(dst))
+    when[dst] = np.arange(len(dst))
+    assert (when[src] > np.arange(len(dst))).sum() > 1000
+    got = fresh(n, trace=True)
+    want = fresh(n, trace=True)
+    start = 2 ** 31 + rng.integers(0, 2 * length, n)
+    got.clock[:] = start
+    want.clock[:] = start
+    got.send_wave(src, dst)
+    scalar_wave(want, src.tolist(), dst.tolist())
+    assert state_of(got) == state_of(want)
+    assert got.depth > 2 ** 31 + length and type(got.depth) is int
+
+
 @pytest.mark.parametrize("src,dst", [([0, 1], [2, 2]), ([0, 1, 2], [3, 0, 3]),
                                      ([0, 1], [1, 4]), ([-1], [0]),
                                      ([0.0], [1.0]), ([0, 1], [1])])
@@ -243,7 +273,7 @@ def test_bad_wave_raises_and_charges_nothing(src, dst):
     before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
     with pytest.raises(ValueError):
         s.send_wave(np.array(src), np.array(dst))
-    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+    assert (s.energy, s.depth, s.messages, s.clock.tolist(), s.events) == before
 
 
 def test_send_wave_empty_is_free():
@@ -289,7 +319,7 @@ def test_send_ordered_repeated_receiver_relays_after_each_arrival():
     s.send_ordered(np.array([0, 1, 2, 1, 5]), np.array([1, 5, 1, 6, 1]))
     # 1 receives three times and sends twice, each time at its clock then
     assert [e.depth for e in s.events] == [1, 2, 4, 5, 3]
-    assert s.clock[:7] == [0, 4, 3, 0, 0, 2, 5]
+    assert s.clock[:7].tolist() == [0, 4, 3, 0, 0, 2, 5]
     assert s.depth == 5 and s.messages == 5
 
 
@@ -302,7 +332,7 @@ def test_bad_ordered_batch_raises_and_charges_nothing(src, dst):
     before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
     with pytest.raises(ValueError):
         s.send_ordered(np.array(src), np.array(dst))
-    assert (s.energy, s.depth, s.messages, s.clock, s.events) == before
+    assert (s.energy, s.depth, s.messages, s.clock.tolist(), s.events) == before
 
 
 def test_send_ordered_empty_is_free():
@@ -328,7 +358,7 @@ def test_send_rounds_checks_every_round_first():
     s = fresh(4)
     with pytest.raises(ValueError):
         s.send_rounds([(np.array([0]), np.array([1])), (np.array([0]), np.array([4]))])
-    assert s.messages == 0 and s.clock == [0] * 4
+    assert s.messages == 0 and s.clock.tolist() == [0] * 4
 
 
 def test_broadcast_ranges_match_scalar_broadcasts():
@@ -342,8 +372,8 @@ def test_broadcast_ranges_match_scalar_broadcasts():
     broadcast_ranges(got, np.array(los), np.array(his))
     for a, b in ranges:
         broadcast_range(want, a, b)
-    assert (got.energy, got.depth, got.messages, got.clock) == \
-        (want.energy, want.depth, want.messages, want.clock)
+    assert (got.energy, got.depth, got.messages, got.clock.tolist()) == \
+        (want.energy, want.depth, want.messages, want.clock.tolist())
     assert sorted(got.events) == sorted(want.events)
     with pytest.raises(ValueError):
         broadcast_ranges(got, np.array([3]), np.array([64]))
@@ -497,8 +527,8 @@ def test_level_sweeps_charge_like_the_recursive_order(m, kernel):
     else:
         all_reduce_barrier(got)
     recursive_sweep(want, m)
-    assert (got.energy, got.depth, got.messages, got.clock) == \
-        (want.energy, want.depth, want.messages, want.clock)
+    assert (got.energy, got.depth, got.messages, got.clock.tolist()) == \
+        (want.energy, want.depth, want.messages, want.clock.tolist())
     assert sorted(got.events) == sorted(want.events)
 
 
@@ -602,6 +632,38 @@ def test_trace_fields_are_python_ints():
     s = mixed_traced_run()
     assert all(type(v) is int for e in s.events for v in e)
     assert type(s.events[0].src) is int
+
+
+CHARGE_PATHS = {
+    "send": lambda s: s.send(np.int64(3), 40),
+    "send_at": lambda s: s.send_at(np.array([40, 3]), np.array([7, 7]),
+                                   np.array([5, 2 ** 40])),
+    "rounds": lambda s: s.send_rounds([(np.array([7, 40]), np.array([9, 9])),
+                                       (np.array([9]), np.array([63]))]),
+    "wave": lambda s: s.send_wave(np.array([9, 1, 2]), np.array([1, 2, 30])),
+    "ordered": lambda s: s.send_ordered(np.array([30, 1, 1]), np.array([1, 30, 1])),
+}
+
+
+@pytest.mark.parametrize("path", CHARGE_PATHS)
+def test_report_and_trace_hold_python_ints_after_each_charge_path(path):
+    s = fresh(64, trace=True)
+    s.clock[:] = 2 ** 33
+    CHARGE_PATHS[path](s)
+    assert s.messages > 0
+    assert all(type(v) is int for v in astuple(s.report()))
+    assert all(type(v) is int for e in s.events for v in e)
+
+
+def test_run_json_parses_for_every_algorithm(tmp_path, capsys):
+    # result lines go to stdout, the report to --out
+    report = tmp_path / "report.json"
+    for algorithm in ALGORITHMS:
+        assert main(["run", "--algorithm", algorithm, "--kind", "random-attachment",
+                     "--n", "40", "--format", "json", "--out", str(report)]) == 0
+        (row,) = json.loads(report.read_text())
+        assert row["algorithm"] == algorithm and row["messages"] > 0
+        assert all(type(row[key]) is int for key in ("energy", "depth", "messages"))
 
 
 def test_dump_trace_without_messages_is_empty(tmp_path):
