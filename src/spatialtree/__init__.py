@@ -14,7 +14,7 @@ from .layout import (Layout, build_baseline, build_light_first,
                      light_first_positions, neighbor_distance_stats,
                      verify_light_first)
 from .lca import PathDecomposition, batched_lca, path_decomposition, subtree_cover
-from .listrank import EulerTour, euler_tour, list_rank, subtree_sizes_via_tour
+from .listrank import list_rank, subtree_sizes_via_tour
 from .rng import Lcg
 from .sim import (CostReport, Placement, SimState, TraceEvent,
                   all_reduce_barrier, broadcast_range, compact, permute,

@@ -158,8 +158,7 @@ def _execute(args, t: RootedTree, curve: CurveKind, dump: bool):
                    audit_memory=args.audit_memory)
 
     if args.algorithm in ("broadcast", "reduce"):
-        sizes = trees_mod.subtree_sizes(t)
-        vt = transform(t, sizes)
+        vt = transform(t, t.sizes)
         if args.algorithm == "broadcast":
             got = local_broadcast(sim, vt, lay, values)
             if args.check:

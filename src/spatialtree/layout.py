@@ -20,7 +20,7 @@ from .curves import CurveKind, curve_coords
 from .listrank import list_rank, subtree_sizes_via_tour, tour_links
 from .rng import Lcg
 from .sim import CostReport, Placement, SimState, compact, permute
-from .trees import RootedTree, bfs_order, dfs_preorder, light_first_csr, subtree_sizes
+from .trees import RootedTree, light_first_csr
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,28 @@ class Layout:
         return Placement(self.kind, self.k, self.n)
 
 
-def light_first_positions(t: RootedTree, sizes=None) -> list[int]:
-    """Direct construction: lay out each subtree contiguously, lighter first."""
-    if sizes is None:
-        sizes = subtree_sizes(t)
-    ptr, kids = light_first_csr(t, sizes)
-    # a child sits 1 past its parent plus its lighter siblings' sizes
+def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> list[int]:
+    """Preorder positions that lay out each subtree contiguously, every
+    vertex's children following it in the order of the child CSR
+    ``(ptr, kids)``."""
+    # a child sits 1 past its parent plus its earlier siblings' sizes
     size = np.asarray(sizes, dtype=np.int64)[kids]
     before = np.add.accumulate(size) - size
     pos = np.zeros(t.n, dtype=np.int64)
     pos[kids] = 1 + before - before[np.repeat(ptr[:-1], np.diff(ptr))]
     # sum those offsets along each root path by pointer doubling
-    up = np.array(t.parent, dtype=np.int64)
+    up = t.parent.astype(np.int64)
     while (live := np.flatnonzero(up >= 0)).size:
         pos[live] += pos[up[live]]
         up[live] = up[up[live]]
     return pos.tolist()
+
+
+def light_first_positions(t: RootedTree, sizes=None) -> list[int]:
+    """Direct construction: lay out each subtree contiguously, lighter first."""
+    if sizes is None:
+        sizes = t.sizes
+    return _preorder_positions(t, *light_first_csr(t, sizes), sizes)
 
 
 def light_first_layout(t: RootedTree, kind: CurveKind = CurveKind.HILBERT,
@@ -73,16 +79,15 @@ def light_first_layout(t: RootedTree, kind: CurveKind = CurveKind.HILBERT,
 
 
 def build_baseline(t: RootedTree, order_kind: str, kind: CurveKind) -> Layout:
-    """BFS level order or DFS preorder with original child order."""
+    """BFS level order or DFS preorder, children in id order."""
     if order_kind == "bfs":
-        seq = bfs_order(t)
+        pos = np.empty(t.n, dtype=np.int64)
+        pos[t.bfs] = np.arange(t.n)
+        pos = pos.tolist()
     elif order_kind == "dfs":
-        seq = dfs_preorder(t)
+        pos = _preorder_positions(t, t.ptr, t.kids, t.sizes)
     else:
         raise ValueError(f"unknown baseline {order_kind!r}")
-    pos = [0] * t.n
-    for i, v in enumerate(seq):
-        pos[v] = i
     return Layout.from_positions(kind, pos)
 
 
@@ -151,11 +156,10 @@ def neighbor_distance_stats(t: RootedTree, layout: Layout) -> NeighborStats:
     """Mean and max curve distance between parent and child over all edges."""
     rows, cols = curve_coords(layout.kind, layout.k)
     pos = np.asarray(layout.pos)
-    parents = np.asarray(t.parent)
-    child = np.arange(t.n)[parents >= 0]
-    par = parents[parents >= 0]
-    if len(child) == 0:
+    if t.n == 1:
         return NeighborStats(0.0, 0)
+    child = t.kids
+    par = t.parent[child]
     d = (np.abs(rows[pos[child]] - rows[pos[par]])
          + np.abs(cols[pos[child]] - cols[pos[par]]))
     return NeighborStats(float(d.mean()), int(d.max()))

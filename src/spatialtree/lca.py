@@ -24,11 +24,15 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
-from .trees import RootedTree, light_first_csr, subtree_sizes
+from .trees import RootedTree, light_first_csr
 from .virtual_tree import VirtualTree, build_refs_protocol, local_broadcast
 
 # most queries one vertex may appear in; a pair (v, v) counts twice
 MAX_MULTIPLICITY = 4
+# modeled per-vertex words of LCA's own steps: its range and its parent's
+# (two ends each), its layer and path root, and one slot per query it is in,
+# which holds the other endpoint's position and then the answer
+LCA_WORDS = 6 + MAX_MULTIPLICITY
 
 
 @dataclass
@@ -112,8 +116,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
             f"{MAX_MULTIPLICITY}; split hot vertices before querying")
 
     rng = Lcg(seed)
-    sizes_ref = subtree_sizes(t)
-    vt = build_refs_protocol(sim, t, sizes_ref, layout)
+    vt = build_refs_protocol(sim, t, t.sizes, layout)
 
     # step 1: ranges from a unit treefix sum
     sizes = np.array(treefix_sum(sim, t, layout, [1] * n, rng.next_u64(), vt=vt),
@@ -127,7 +130,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     local_broadcast(sim, vt, layout, ranges)
 
     # step 3: path decomposition
-    decomp = path_decomposition(sim, t, layout, sizes_ref, rng.next_u64(), vt=vt)
+    decomp = path_decomposition(sim, t, layout, t.sizes, rng.next_u64(), vt=vt)
     cover = subtree_cover(decomp, sizes, layout)
 
     # the ranges settle the ancestor-descendant queries; that is local work,
@@ -142,8 +145,9 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
 
     # step 4: per layer, broadcast r(w) \ r(x) within each cover subtree;
     # each open query is matched from both endpoints, "mine" seeing "other"
+    sim.note_words_many(lo_arr, LCA_WORDS)
     cover = cover[cover.root != t.root]  # the whole-tree subtree has no parent
-    wpar = np.array(t.parent, dtype=np.int32)[cover.root]
+    wpar = t.parent[cover.root]
     open_q = np.flatnonzero(answers < 0)
     qi = np.concatenate((open_q, open_q))
     mine = np.concatenate((pu[open_q], pv[open_q]))

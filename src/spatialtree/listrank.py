@@ -1,4 +1,4 @@
-"""Euler tours and randomized contraction-based list ranking.
+"""Euler-tour chains and randomized contraction-based list ranking.
 
 List ranking repeatedly splices out an independent set of elements chosen by
 random-mate coin flips, solves the small remnant by a sequential walk, and
@@ -10,8 +10,6 @@ indices, from which subtree sizes fall out as half the first/last gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -22,43 +20,6 @@ from .trees import RootedTree
 
 class ChainError(ValueError):
     """The successor array does not describe a single chain."""
-
-
-@dataclass
-class EulerTour:
-    """Vertex-visit sequence of length 2n-1, with first/last occurrence indices."""
-
-    order: list[int]
-    first: list[int]
-    last: list[int]
-
-
-def euler_tour(t: RootedTree, child_order: list[list[int]] | None = None) -> EulerTour:
-    """Edge-duplication tour: from v, visit children in order, returning to v
-    between children.  Starts and ends at the root."""
-    ch = child_order if child_order is not None else t.children
-    n = t.n
-    order: list[int] = []
-    first = [-1] * n
-    last = [-1] * n
-    stack: list[tuple[int, int]] = [(t.root, 0)]
-    first[t.root] = 0
-    last[t.root] = 0
-    order.append(t.root)
-    while stack:
-        v, i = stack.pop()
-        if i < len(ch[v]):
-            stack.append((v, i + 1))
-            c = ch[v][i]
-            first[c] = len(order)
-            last[c] = len(order)
-            order.append(c)
-            stack.append((c, 0))
-        elif t.parent[v] >= 0 and stack:
-            p = stack[-1][0]
-            last[p] = len(order)
-            order.append(p)
-    return EulerTour(order, first, last)
 
 
 def _validate_chain(succ: np.ndarray, head: int) -> None:
@@ -155,7 +116,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
 
 def tour_links(t: RootedTree, kids=None):
     """Successor chain over the 2n-1 tour slots, visiting children in the
-    order of ``kids``: the flat side of a child CSR, ``t.children`` if None.
+    order of ``kids``: the flat side of a child CSR, ``t.kids`` if None.
 
     Slot v (v < n) is the first visit of vertex v; slot n + j is the j-th
     return visit, enumerated over (vertex, child index) pairs.  Returns
@@ -163,10 +124,10 @@ def tour_links(t: RootedTree, kids=None):
     after its i-th child's subtree.
     """
     n = t.n
-    deg = np.fromiter(map(len, t.children), np.int64, n)
+    deg = np.diff(t.ptr)
     if kids is None:
-        kids = np.fromiter(chain.from_iterable(t.children), np.int64, n - 1)
-    ret_base = n + np.cumsum(deg) - deg
+        kids = t.kids
+    ret_base = n + t.ptr[:-1]
     # the return slot after c's subtree is the slot of c's place in kids
     after = np.full(n, -1, dtype=np.int64)
     after[kids] = n + np.arange(n - 1)
@@ -194,7 +155,7 @@ def subtree_sizes_via_tour(sim: SimState, t: RootedTree, seed: int) -> list[int]
         raise ValueError("placement too small for the 2n-1 tour slots")
     succ, head, ret_base = tour_links(t)
     rank = np.array(list_rank(sim, succ, head, seed))
-    deg = np.fromiter(map(len, t.children), np.int64, n)
+    deg = np.diff(t.ptr)
     inner = np.flatnonzero(deg)
     last_slot = ret_base[inner] + deg[inner] - 1
     sim.send_round(last_slot, inner)

@@ -35,7 +35,7 @@ import numpy as np
 from .layout import Layout
 from .rng import Lcg
 from .sim import SimState
-from .trees import RootedTree, subtree_sizes
+from .trees import RootedTree
 from .virtual_tree import VirtualTree, transform
 
 OP_NONE = 0
@@ -80,7 +80,7 @@ class ContractionEngine:
         n = t.n
         self.sim = sim
         self.t = t
-        self.vt = vt if vt is not None else transform(t, subtree_sizes(t))
+        self.vt = vt if vt is not None else transform(t, t.sizes)
         self.pos = layout.pos
         self.pos_arr = np.asarray(layout.pos, dtype=np.int32)
         try:
@@ -94,12 +94,11 @@ class ContractionEngine:
         # corrections stay clean of off-path raked values
         self.S = self.P.copy()
         self.A = np.zeros(n, dtype=dtype)
-        self.parent = np.asarray(t.parent, dtype=np.intc)
-        self.svparent = self.parent.copy()
-        kids = np.flatnonzero(self.parent >= 0)
-        self.child_count = np.bincount(self.parent[kids], minlength=n).astype(np.intc)
+        self.parent = t.parent
+        self.svparent = t.parent.copy()
+        self.child_count = np.diff(t.ptr)
         self.child_sum = np.zeros(n, dtype=np.int64)
-        np.add.at(self.child_sum, self.parent[kids], kids)
+        np.add.at(self.child_sum, t.parent[t.kids], t.kids)
         self.bottom = np.arange(n, dtype=np.intc)
         self.active = np.ones(n, dtype=bool)
         self.op_tag = np.zeros(n, dtype=np.int8)

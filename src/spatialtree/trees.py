@@ -4,8 +4,7 @@ against."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -14,65 +13,81 @@ from .rng import Lcg
 GENERATOR_KINDS = ("path", "perfect-binary", "caterpillar", "star", "random-attachment")
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class RootedTree:
-    """Rooted tree with ordered children; parent[root] == -1."""
+    """Rooted tree over vertices 0..n-1, one parent pointer per vertex.
 
-    parent: list[int]
-    children: list[list[int]] = field(default_factory=list)
-    values: list[int] | None = None
+    ``parent`` is a read-only int32 array with -1 at ``root``.  ``ptr`` and
+    ``kids`` are the child CSR in id order: v's children are
+    ``kids[ptr[v]:ptr[v+1]]``, ascending.  ``bfs`` is the breadth-first
+    order of the walk that checks the input.  ``sizes`` (subtree sizes) and
+    ``children`` (the CSR as Python lists) are worked out on first use; the
+    arrays never change, so neither goes stale.  ``values`` optionally
+    holds one integer per vertex.
 
-    def __post_init__(self):
-        n = len(self.parent)
-        if n == 0:
-            raise ValueError("tree must have at least one vertex")
-        for v, p in enumerate(self.parent):
-            if p != -1 and not 0 <= p < n:
-                raise ValueError(f"vertex {v} has invalid parent {p}")
-        if not self.children:
-            ch: list[list[int]] = [[] for _ in range(n)]
-            for v, p in enumerate(self.parent):
-                if p >= 0:
-                    ch[p].append(v)
-            self.children = ch
-        self.validate()
+    Any input that is not a tree raises ValueError.
+    """
+
+    def __init__(self, parent, values=None):
+        a = np.asarray(parent)
+        if a.ndim != 1 or len(a) == 0:
+            raise ValueError("tree must be a non-empty sequence of parent ids")
+        n = len(a)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"parent ids must be integers in [-1, {n})")
+        # a + 1 < 0 rather than a < -1, which an unsigned dtype cannot compare
+        bad = np.flatnonzero((a + 1 < 0) | (a >= n))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has invalid parent {a[bad[0]]}")
+        roots = np.flatnonzero(a < 0)
+        if len(roots) != 1:
+            raise ValueError(f"expected exactly one root, found {len(roots)}")
+        if values is not None and len(values) != n:
+            raise ValueError("values length must match vertex count")
+        self.parent = _frozen(a.astype(np.int32))
+        self.root = int(roots[0])
+        # a stable sort by parent keeps each block in id order; the root's
+        # -1 sorts first
+        self.kids = _frozen(np.argsort(self.parent, kind="stable")[1:].astype(np.int32))
+        self.ptr = _frozen(np.searchsorted(self.parent[self.kids],
+                                           np.arange(n + 1)).astype(np.int32))
+        # every vertex sits in its parent's block only, so the walk from the
+        # root reaches each vertex at most once, and all n iff no vertex
+        # lies on a cycle
+        ptr, kids = self.ptr.tolist(), self.kids.tolist()
+        order = [self.root]
+        grow = order.extend
+        for v in order:  # the list grows while it is walked
+            lo, hi = ptr[v], ptr[v + 1]
+            if lo != hi:
+                grow(kids[lo:hi])
+        if len(order) != n:
+            raise ValueError("parent links do not form a single tree")
+        self.bfs = _frozen(np.array(order, dtype=np.int32))
+        self.values = values
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> int:
-        return self._root
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Subtree sizes as a read-only int32 array, bottom-up over ``bfs``."""
+        parent = self.parent.tolist()
+        s = [1] * self.n
+        for v in self.bfs[:0:-1].tolist():
+            s[parent[v]] += s[v]
+        return _frozen(np.array(s, dtype=np.int32))
 
-    def validate(self):
-        n = len(self.parent)
-        roots = [v for v, p in enumerate(self.parent) if p == -1]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        self._root = roots[0]
-        for v, p in enumerate(self.parent):
-            if p != -1 and not 0 <= p < n:
-                raise ValueError(f"vertex {v} has invalid parent {p}")
-        if sum(len(c) for c in self.children) != n - 1:
-            raise ValueError("children lists do not cover n-1 edges")
-        # reachability from the root doubles as the acyclicity check
-        seen = 0
-        stack = [self._root]
-        mark = [False] * n
-        mark[self._root] = True
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for c in self.children[v]:
-                if mark[c]:
-                    raise ValueError("cycle or repeated child link detected")
-                mark[c] = True
-                stack.append(c)
-        if seen != n:
-            raise ValueError("parent links do not form a single tree")
-        if self.values is not None and len(self.values) != n:
-            raise ValueError("values length must match vertex count")
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Each vertex's children in CSR order, as Python lists."""
+        ptr, kids = self.ptr.tolist(), self.kids.tolist()
+        return [kids[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
 
 def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) -> RootedTree:
@@ -84,17 +99,16 @@ def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) 
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "path":
-        parent = [-1] + list(range(n - 1))
+        parent = np.arange(-1, n - 1)
     elif kind == "perfect-binary":
         if n & (n + 1):
             raise ValueError("perfect binary tree needs n = 2^h - 1")
-        parent = [-1] + [(i - 1) // 2 for i in range(1, n)]
+        parent = (np.arange(n) - 1) // 2  # floor division gives the root -1
     elif kind == "star":
-        parent = [-1] + [0] * (n - 1)
+        parent = np.concatenate(([-1], np.zeros(n - 1, dtype=np.int64)))
     elif kind == "caterpillar":
         spine = (n + 1) // 2
-        parent = [-1] + list(range(spine - 1))
-        parent += list(range(n - spine))
+        parent = np.concatenate((np.arange(-1, spine - 1), np.arange(n - spine)))
     elif kind == "random-attachment":
         rng = Lcg(seed)
         parent = [-1]
@@ -118,80 +132,80 @@ def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) 
 
 
 def bfs_order(t: RootedTree) -> list[int]:
-    order = [t.root]
-    head = 0
-    while head < len(order):
-        order.extend(t.children[order[head]])
-        head += 1
-    return order
-
-
-def dfs_preorder(t: RootedTree) -> list[int]:
-    order = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(t.children[v]))
-    return order
+    """Breadth-first order, children in id order: the construction's walk."""
+    return t.bfs.tolist()
 
 
 def subtree_sizes(t: RootedTree) -> list[int]:
-    """Exact bottom-up subtree sizes (the oracle for every simulated path)."""
-    s = [1] * t.n
-    for v in reversed(bfs_order(t)):
-        p = t.parent[v]
+    """Exact subtree sizes, worked out once per tree."""
+    return t.sizes.tolist()
+
+
+# The three judges below read nothing but ``parent``: no derived order of
+# the tree, so they stay independent of the code they check.
+
+def _leaves_first(parent: list[int]) -> list[int]:
+    """Every vertex after all of its children: a vertex joins the order
+    once its last child has."""
+    waiting = [0] * len(parent)
+    for p in parent:
         if p >= 0:
-            s[p] += s[v]
-    return s
+            waiting[p] += 1
+    order = [v for v, w in enumerate(waiting) if not w]
+    for v in order:  # the list grows while it is walked
+        p = parent[v]
+        if p >= 0:
+            waiting[p] -= 1
+            if not waiting[p]:
+                order.append(p)
+    return order
 
 
 def subtree_sums(t: RootedTree, values) -> list[int]:
     """Per-vertex sum over its subtree, computed sequentially."""
+    parent = t.parent.tolist()
     s = list(values)
-    for v in reversed(bfs_order(t)):
-        p = t.parent[v]
-        if p >= 0:
-            s[p] += s[v]
+    for v in _leaves_first(parent):
+        if parent[v] >= 0:
+            s[parent[v]] += s[v]
     return s
 
 
 def root_path_sums(t: RootedTree, values) -> list[int]:
     """Per-vertex sum along the path from the root, computed sequentially."""
+    parent = t.parent.tolist()
     s = list(values)
-    for v in bfs_order(t):
-        p = t.parent[v]
-        if p >= 0:
-            s[v] += s[p]
+    for v in reversed(_leaves_first(parent)):
+        if parent[v] >= 0:
+            s[v] += s[parent[v]]
     return s
 
 
 def lca_naive(t: RootedTree, u: int, v: int) -> int:
     """Ancestor-set intersection; exact by definition."""
+    up = t.parent.item
     anc = set()
     x = u
     while x != -1:
         anc.add(x)
-        x = t.parent[x]
+        x = up(x)
     x = v
     while x not in anc:
-        x = t.parent[x]
+        x = up(x)
     return x
 
 
 def light_first_csr(t: RootedTree, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Every vertex's children in light-first order, as int64 CSR arrays.
+    """Every vertex's children in light-first order, as int32 CSR arrays.
 
     Block v is ``kids[ptr[v]:ptr[v+1]]``: v's children by ascending subtree
-    size, ties in ``t.children`` order, so the last entry is the heavy
-    (rightmost) child.  This is the one place light-first order is decided.
+    size, ties in id order, so the last entry is the heavy (rightmost)
+    child.  ``ptr`` is the tree's own.  This is the one place light-first
+    order is decided.
     """
-    deg = np.fromiter(map(len, t.children), np.int64, t.n)
-    kids = np.fromiter(chain.from_iterable(t.children), np.int64, t.n - 1)
-    # lexsort is stable: equal sizes keep their place in t.children
-    order = np.lexsort((np.asarray(sizes, dtype=np.int64)[kids],
-                        np.repeat(np.arange(t.n), deg)))
-    return np.concatenate(([0], np.add.accumulate(deg))), kids[order]
+    # lexsort is stable: equal sizes keep the id order of t.kids
+    order = np.lexsort((np.asarray(sizes, dtype=np.int64)[t.kids], t.parent[t.kids]))
+    return t.ptr, t.kids[order]
 
 
 def write_tree(t: RootedTree, path) -> None:
@@ -200,7 +214,7 @@ def write_tree(t: RootedTree, path) -> None:
 
 
 def format_tree(t: RootedTree) -> str:
-    lines = [str(t.n), " ".join(str(p) for p in t.parent)]
+    lines = [str(t.n), " ".join(map(str, t.parent.tolist()))]
     if t.values is not None:
         lines.append(" ".join(str(v) for v in t.values))
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .layout import Layout
 from .sim import ORDERED_CHUNK, SimState
-from .trees import RootedTree, bfs_order, light_first_csr
+from .trees import RootedTree, light_first_csr
 
 # modeled per-vertex words of the local kernels: value, partial, result,
 # virtual parent, two current and two appended children
@@ -208,9 +208,8 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     count = np.zeros(t.n, dtype=np.int64)  # messages of each block
     for m, (msgs, _) in patterns.items():
         count[deg == m] = len(msgs)
-    bfs = np.asarray(bfs_order(t), dtype=np.int64)
     start = np.empty(t.n, dtype=np.int64)
-    start[bfs] = np.add.accumulate(count[bfs]) - count[bfs]
+    start[t.bfs] = np.add.accumulate(count[t.bfs]) - count[t.bfs]
     queue = np.empty((int(count.sum()), 2), dtype=np.intc)  # (src, dst) positions
     for m, (msgs, _) in patterns.items():
         parents = np.flatnonzero(deg == m)

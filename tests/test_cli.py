@@ -6,6 +6,7 @@ import pytest
 
 from spatialtree import cli, layout
 from spatialtree.cli import CSV_FIELDS, main
+from spatialtree.lca import LCA_WORDS
 from spatialtree.sim import SimState
 from spatialtree.trees import GENERATOR_KINDS, RootedTree, write_tree
 
@@ -219,7 +220,12 @@ def test_audit_memory_covers_the_virtual_tree_kernels(capsys, monkeypatch, algor
     class Recorded(SimState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.noted = set()  # every word count noted
             sims.append(self)
+
+        def note_words_many(self, positions, words):
+            self.noted.add(words)
+            super().note_words_many(positions, words)
 
     monkeypatch.setattr(cli, "SimState", Recorded)
     code, _, err = run_cli(capsys, "run", "--algorithm", algorithm, "--kind", kind,
@@ -227,6 +233,9 @@ def test_audit_memory_covers_the_virtual_tree_kernels(capsys, monkeypatch, algor
     assert code == 0 and "violation" not in err
     assert len(sims) == 1
     assert sims[0].violations == [] and sims[0].max_words > 0
+    if algorithm == "lca":
+        # LCA's own steps note their state, not only the kernels they call
+        assert LCA_WORDS in sims[0].noted and sims[0].max_words >= LCA_WORDS
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)

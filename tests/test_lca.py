@@ -124,11 +124,11 @@ def test_heavy_child_matches_light_first_order(kind):
 def test_heavy_child_ties_follow_child_order():
     single = RootedTree([-1])
     assert _new_path_indicators(single, [1]) == [0]
-    # children listed out of id order: the last of the largest wins
-    t = RootedTree([-1, 0, 0, 0, 3, 1], children=[[3, 1, 2], [5], [], [4], [], []])
+    # the root's children 1 and 2 tie at size 2: the last of the largest wins
+    t = RootedTree([-1, 0, 0, 0, 1, 2])
     sizes = subtree_sizes(t)
     assert _new_path_indicators(t, sizes) == sorted_path_indicators(t, sizes)
-    assert _new_path_indicators(t, sizes) == [0, 0, 1, 1, 0, 0]
+    assert _new_path_indicators(t, sizes) == [0, 1, 0, 1, 0, 0]
 
 
 def test_cover_membership_counts():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from spatialtree.curves import CurveKind
-from spatialtree.listrank import (ChainError, euler_tour, list_rank,
-                                  subtree_sizes_via_tour, tour_links)
+from spatialtree.listrank import (ChainError, list_rank, subtree_sizes_via_tour,
+                                  tour_links)
 from spatialtree.rng import Lcg
 from spatialtree.sim import Placement, SimState
 from spatialtree.trees import RootedTree, gen_tree, light_first_csr, subtree_sizes
@@ -26,6 +27,44 @@ def random_chain(m, seed):
     for i in range(m - 1):
         succ[order[i]] = order[i + 1]
     return succ, order[0], order
+
+
+@dataclass
+class EulerTour:
+    """Vertex-visit sequence of length 2n-1, with first/last occurrence indices."""
+
+    order: list[int]
+    first: list[int]
+    last: list[int]
+
+
+def euler_tour(t: RootedTree, child_order: list[list[int]] | None = None) -> EulerTour:
+    """Edge-duplication tour, the reference for ``tour_links``: from v,
+    visit children in order, returning to v between children.  Starts and
+    ends at the root."""
+    ch = child_order if child_order is not None else t.children
+    n = t.n
+    order: list[int] = []
+    first = [-1] * n
+    last = [-1] * n
+    stack: list[tuple[int, int]] = [(t.root, 0)]
+    first[t.root] = 0
+    last[t.root] = 0
+    order.append(t.root)
+    while stack:
+        v, i = stack.pop()
+        if i < len(ch[v]):
+            stack.append((v, i + 1))
+            c = ch[v][i]
+            first[c] = len(order)
+            last[c] = len(order)
+            order.append(c)
+            stack.append((c, 0))
+        elif t.parent[v] >= 0 and stack:
+            p = stack[-1][0]
+            last[p] = len(order)
+            order.append(p)
+    return EulerTour(order, first, last)
 
 
 def test_euler_tour_examples():

@@ -1,12 +1,174 @@
-import pytest
+from itertools import accumulate
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spatialtree import trees
 from spatialtree.rng import Lcg
-from spatialtree.trees import (RootedTree, format_tree, gen_tree, lca_naive,
-                               light_first_csr, parse_tree, read_queries,
-                               root_path_sums, subtree_sizes, subtree_sums,
-                               write_tree)
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, bfs_order, format_tree,
+                               gen_tree, lca_naive, light_first_csr, parse_tree,
+                               read_queries, root_path_sums, subtree_sizes,
+                               subtree_sums, write_tree)
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
+
+
+# -- per-vertex references for the array-native tree ---------------------------
+
+def reference_tree(parent):
+    """The per-vertex construction the child CSR replaced: child lists
+    appended in id order, then one root, parents in range and every vertex
+    reached by a walk from the root, checked one vertex at a time.
+    Returns (children, root), or None when ``parent`` is not a tree."""
+    n = len(parent)
+    if n == 0 or any(p != -1 and not 0 <= p < n for p in parent):
+        return None
+    roots = [v for v, p in enumerate(parent) if p == -1]
+    if len(roots) != 1:
+        return None
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    seen = 0
+    stack = [roots[0]]
+    mark = [False] * n
+    mark[roots[0]] = True
+    while stack:
+        v = stack.pop()
+        seen += 1
+        for c in children[v]:
+            if mark[c]:
+                return None
+            mark[c] = True
+            stack.append(c)
+    return (children, roots[0]) if seen == n else None
+
+
+def reference_bfs(children, root):
+    order = [root]
+    head = 0
+    while head < len(order):
+        order.extend(children[order[head]])
+        head += 1
+    return order
+
+
+def reference_sizes(parent, order):
+    s = [1] * len(parent)
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            s[p] += s[v]
+    return s
+
+
+def check_against_reference(parent):
+    """RootedTree gives the reference's verdict, and on a tree its CSR, BFS
+    order and subtree sizes."""
+    want = reference_tree(parent)
+    if want is None:
+        with pytest.raises(ValueError):
+            RootedTree(parent)
+        return
+    children, root = want
+    t = RootedTree(parent)
+    assert t.parent.tolist() == parent and t.root == root
+    assert t.ptr.tolist() == [0, *accumulate(map(len, children))]
+    assert t.kids.tolist() == [c for cs in children for c in cs]
+    assert t.children == children
+    order = reference_bfs(children, root)
+    assert t.bfs.tolist() == bfs_order(t) == order
+    assert subtree_sizes(t) == reference_sizes(parent, order)
+
+
+def relabelled(parent, seed):
+    perm = np.random.default_rng(seed).permutation(len(parent)).tolist()
+    out = [-1] * len(parent)
+    for v, p in enumerate(parent):
+        out[perm[v]] = perm[p] if p >= 0 else -1
+    return out
+
+
+def generated_parents():
+    for kind in GENERATOR_KINDS:
+        for n in ((1, 3, 7, 63, 1023) if kind == "perfect-binary" else (1, 2, 5, 64, 1000)):
+            parent = gen_tree(kind, n, seed=n).parent.tolist()
+            yield parent
+            yield relabelled(parent, n)
+
+
+@pytest.mark.parametrize("parent", list(generated_parents()))
+def test_generated_and_relabelled_trees_match_the_reference(parent):
+    check_against_reference(parent)
+
+
+FLAWS = ("none", "two-roots", "self-loop", "cycle", "out-of-range")
+
+
+@st.composite
+def parent_arrays(draw, max_n=24):
+    """A random relabelled tree with at most one flaw put in."""
+    n = draw(st.integers(1, max_n))
+    ids = draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    flaw = draw(st.sampled_from(FLAWS))
+    v = draw(st.integers(0, n - 1))
+    if flaw == "two-roots":
+        parent[v] = -1
+    elif flaw == "self-loop":
+        parent[v] = v
+    elif flaw == "cycle":
+        # v's new parent is one of its descendants (or v): a cycle
+        # beside the root, unless v is the root
+        def above(w):
+            while w >= 0:
+                yield w
+                w = parent[w]
+        parent[v] = draw(st.sampled_from([w for w in range(n) if v in above(w)]))
+    elif flaw == "out-of-range":
+        parent[v] = draw(st.sampled_from([-5, -2, n, n + 3]))
+    return parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_arrays())
+def test_random_parent_arrays_match_the_reference(parent):
+    check_against_reference(parent)
+
+
+def brute_ancestors(parent, v):
+    out = []
+    while v >= 0:
+        out.append(v)
+        v = parent[v]
+    return out
+
+
+def test_judges_read_nothing_but_parent(monkeypatch):
+    def refuse(_t):
+        raise AssertionError("a judge walked bfs_order")
+
+    monkeypatch.setattr(trees, "bfs_order", refuse)
+    for kind in GENERATOR_KINDS:
+        parent = gen_tree(kind, 63, seed=5).parent.tolist()
+        for p in (parent, relabelled(parent, 5)):
+            t = RootedTree(p)
+            values = np.random.default_rng(len(p)).integers(-9, 10, t.n).tolist()
+            up = [brute_ancestors(p, v) for v in range(t.n)]
+            assert subtree_sums(t, values) == [
+                sum(values[w] for w in range(t.n) if v in up[w]) for v in range(t.n)]
+            assert root_path_sums(t, values) == [sum(values[a] for a in up[v])
+                                                 for v in range(t.n)]
+            for u in range(0, t.n, 5):
+                for v in range(0, t.n, 3):
+                    assert lca_naive(t, u, v) == next(a for a in up[u] if a in up[v])
+            # nor did they work out a derived order on first use
+            assert "sizes" not in vars(t) and "children" not in vars(t)
 
 
 def figure_tree():
@@ -14,13 +176,13 @@ def figure_tree():
 
 
 def test_generator_examples():
-    assert gen_tree("path", 3).parent == [-1, 0, 1]
-    assert gen_tree("star", 4).parent == [-1, 0, 0, 0]
+    assert gen_tree("path", 3).parent.tolist() == [-1, 0, 1]
+    assert gen_tree("star", 4).parent.tolist() == [-1, 0, 0, 0]
     cat = gen_tree("caterpillar", 6)
-    assert cat.parent == [-1, 0, 1, 0, 1, 2]  # spine 0-1-2, leaves 3,4,5
+    assert cat.parent.tolist() == [-1, 0, 1, 0, 1, 2]  # spine 0-1-2, leaves 3,4,5
     assert cat.children[0] == [1, 3]
     pb = gen_tree("perfect-binary", 7)
-    assert pb.parent == [-1, 0, 0, 1, 1, 2, 2]
+    assert pb.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
 
 
 def test_generator_errors():
@@ -35,9 +197,9 @@ def test_generator_errors():
 def test_random_attachment_deterministic_and_valid():
     a = gen_tree("random-attachment", 300, seed=7)
     b = gen_tree("random-attachment", 300, seed=7)
-    assert a.parent == b.parent
+    assert a.parent.tolist() == b.parent.tolist()
     c = gen_tree("random-attachment", 300, seed=8)
-    assert a.parent != c.parent
+    assert a.parent.tolist() != c.parent.tolist()
 
 
 def test_random_attachment_degree_cap():
@@ -63,6 +225,10 @@ def test_tree_validation_rejects_bad_structures():
         RootedTree([1, 0])  # cycle, no root
     with pytest.raises(ValueError):
         RootedTree([-1, 5])  # parent out of range
+    with pytest.raises(ValueError):
+        RootedTree([-1, 0.5])  # not an integer
+    with pytest.raises(ValueError):
+        RootedTree([-1, 0, 3, 2])  # one root, and a cycle beside it
 
 
 def test_subtree_sizes_examples():
@@ -103,7 +269,7 @@ def test_file_format_roundtrip(tmp_path):
     p = tmp_path / "t.txt"
     write_tree(t, p)
     back = parse_tree(p.read_text())
-    assert back.parent == t.parent
+    assert back.parent.tolist() == t.parent.tolist()
     t.values = list(range(8))
     write_tree(t, p)
     assert parse_tree(p.read_text()).values == list(range(8))

@@ -190,9 +190,19 @@ def relabelled(t, seed):
 
 
 def reversed_children(t):
-    """The same tree with every child list reversed: equal-size siblings
-    then sit in non-id order."""
-    return RootedTree(list(t.parent), children=[cs[::-1] for cs in t.children])
+    """The same tree with every child list reversed, as an id relabelling:
+    vertices are numbered breadth-first, each one's children last to first,
+    so equal-size siblings swap their order."""
+    order = [t.root]
+    for v in order:  # the list grows while it is walked
+        order.extend(reversed(t.children[v]))
+    new = [0] * t.n
+    for i, v in enumerate(order):
+        new[v] = i
+    parent = [-1] * t.n
+    for v, p in enumerate(t.parent):
+        parent[new[v]] = new[p] if p >= 0 else -1
+    return RootedTree(parent)
 
 
 def reference_cases():
