@@ -181,12 +181,16 @@ def reference_reduce_slots(cur, app, blocks):
     return out
 
 
-def relabelled(t, seed):
-    perm = np.random.default_rng(seed).permutation(t.n).tolist()
+def relabel(t, new):
+    """The same tree with vertex v renamed new[v]."""
     parent = [-1] * t.n
     for v, p in enumerate(t.parent):
-        parent[perm[v]] = perm[p] if p >= 0 else -1
+        parent[new[v]] = new[p] if p >= 0 else -1
     return RootedTree(parent)
+
+
+def relabelled(t, seed):
+    return relabel(t, np.random.default_rng(seed).permutation(t.n).tolist())
 
 
 def reversed_children(t):
@@ -199,10 +203,7 @@ def reversed_children(t):
     new = [0] * t.n
     for i, v in enumerate(order):
         new[v] = i
-    parent = [-1] * t.n
-    for v, p in enumerate(t.parent):
-        parent[new[v]] = new[p] if p >= 0 else -1
-    return RootedTree(parent)
+    return relabel(t, new)
 
 
 def reference_cases():
