@@ -152,6 +152,10 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     qi = np.concatenate((open_q, open_q))
     mine = np.concatenate((pu[open_q], pv[open_q]))
     other = np.concatenate((pv[open_q], pu[open_q]))
+    # searchsorted runs several times faster on sorted needles, so the
+    # endpoints are sorted by position once, before the layer loop
+    order = np.argsort(mine)
+    qi, mine, other = qi[order], mine[order], other[order]
     _, starts = np.unique(cover.layer, return_index=True)
     for a, b in zip(starts, [*starts[1:], len(cover)]):
         # one layer: disjoint ranges, sorted by start

@@ -15,17 +15,13 @@ the same round sends its old clock; each receiver's clock rises to the
 largest depth it receives.  An ordered batch is charged exactly as the same
 messages sent one ``send`` at a time in array order, so a message can depart
 after an earlier message of the same batch raised its source's clock, and a
-position may receive any number of times.  ``send_wave`` is the checked case
-of an ordered batch in which no position receives twice.  Rounds and batches
-are checked whole before any of them is charged, and when tracing is on they
-append one event per message in array order.
+position may receive any number of times.  Rounds and batches are checked
+whole before any of them is charged, and when tracing is on they append one
+event per message in array order.
 
 The clocks are one int64 array.  A round is a gather, an ``np.maximum.at``
-scatter and an array charge.  A wave is charged by max-plus pointer
-doubling: each message's only possible predecessor is the one earlier
-message into its source, so ceil(log2 chain) array passes give every depth.
-An ordered batch, whose receivers may repeat, keeps its one-message-at-a-time
-loop over the clock's buffer.
+scatter and an array charge.  An ordered batch keeps its
+one-message-at-a-time loop over the clock's buffer.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -135,7 +131,7 @@ class SimState:
     """Mutable cost accumulator for one run; confine to a single execution.
 
     ``clock`` is one int64 array of each position's dependency clock.
-    Rounds and waves update it with array passes, and ordered batches and
+    Rounds update it with array passes, and ordered batches and
     scalar sends index it one message at a time; ``energy``, ``depth``,
     ``messages`` and the trace hold Python ints either way.
     """
@@ -299,43 +295,6 @@ class SimState:
                     clock[b] = x
                 keep(x)
             self._charge(s, d, np.frombuffer(depths, dtype=np.int64))
-
-    def send_wave(self, src, dst) -> None:
-        """:meth:`send_ordered` for a batch in which no position receives
-        twice; a repeated receiver raises ValueError and charges nothing.
-
-        Message i can wait only for the one earlier message into src[i],
-        its link.  Following the links back from i, message i departs at
-        the largest over the chain of each message's start clock at its
-        source plus the hops from that message to i.  Pointer doubling over
-        the links finds every such maximum in ceil(log2 chain) array passes.
-        """
-        src, dst = self._positions(src, dst)
-        count = len(src)
-        if count == 0:
-            return
-        index = np.arange(count)
-        into = np.full(self.placement.n, count, dtype=np.int64)
-        into[dst] = index
-        twice = into[dst] != index
-        if twice.any():
-            raise ValueError(f"position {dst[twice.argmax()]} receives twice in one wave")
-        link = into[src]  # the message into src[i], if it comes before i
-        link[link >= index] = -1
-        # ready[i] covers the first `hops` messages of i's chain, and link[i]
-        # is the message `hops` steps back, or -1 past the chain's start
-        ready = self.clock[src]
-        hops = 1
-        live = np.flatnonzero(link >= 0)
-        while len(live):
-            ahead = link[live]
-            ready[live] = np.maximum(ready[live], ready[ahead] + hops)
-            link[live] = link[ahead]
-            live = live[link[live] >= 0]
-            hops *= 2
-        depth = ready + 1
-        self.clock[dst] = np.maximum(self.clock[dst], depth)
-        self._charge(src, dst, depth)
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""

@@ -17,6 +17,12 @@ child block of its bottom vertex, read from ``VirtualTree.blocks``.  All
 per-vertex state lives in numpy arrays, and each round's compresses, rakes
 and undos run as a few array passes over that round's supervertices.
 
+Messages are charged level-synchronously.  A broadcast or reduce over child
+blocks takes one round per relay level of the virtual tree, over all the
+step's blocks at once; parent coins, compresses and compress undos take one
+round each.  So a compact round costs O(1) rounds plus the relay levels,
+O(log degree), whatever the vertex ids.
+
 Uncontraction maintains, per supervertex u, a correction term A_u such that
 subtree sums satisfy sum(u) = P_u + A_u, or root-path sums satisfy
 sum'(u) = val(u) + A_u for the top-down variant.  Every partial sum P, spine
@@ -36,7 +42,7 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState
 from .trees import RootedTree
-from .virtual_tree import VirtualTree, transform
+from .virtual_tree import VirtualTree, _relay_levels, transform
 
 OP_NONE = 0
 OP_COMPRESS = 1
@@ -48,12 +54,6 @@ TOP_DOWN = "top-down"
 NO_COIN = 2  # coin byte of a vertex that flipped none this round
 INT64_LIMIT = 2 ** 62  # sum of |values| below which P, S and A are int64
 OP, MEMBER, TAG = 0, 1, 2  # fields of a log entry: op, member, round
-# vertices per array pass of a step.  A step's vertices are independent and
-# in send order, so passes over consecutive slices charge what one pass
-# would; slicing keeps each pass's temporary arrays near ORDERED_CHUNK
-# messages, where whole-step arrays fragmented the heap that a traced run's
-# growing event array lives in (peak RSS +17 % on shapes-traced)
-STEP_SLICE = 1024
 
 # modeled per-vertex words: val/P/A, activity+op+round tags, log entry (op,
 # two members, round), saved log entry, parent/bottom/child-count
@@ -67,12 +67,12 @@ class ContractError(ValueError):
 class ContractionEngine:
     """Contraction state for one treefix run; confine to a single execution.
 
-    Each step (a round's compresses, its rakes, an undo round) runs as
-    array passes over slices of ``STEP_SLICE`` of its vertices.  Each pass
-    builds its messages as arrays in the order a one-send-at-a-time engine
-    sends them and charges them with one ``SimState.send_ordered``; flag
-    broadcasts and parent coins go out as waves.  Nothing the engine
-    decides depends on what a message costs.
+    Each step (a round's flag broadcasts, coins, compresses and rakes, or
+    an undo round's rake and compress undos) runs as array passes over all
+    of its supervertices and returns its messages as rounds of vertex-id
+    arrays.  A compact round and an undo round each charge all their rounds
+    with one ``SimState.send_rounds``.  Nothing the engine decides depends
+    on what a message costs.
     """
 
     def __init__(self, sim: SimState, t: RootedTree, layout: Layout, values,
@@ -115,7 +115,11 @@ class ContractionEngine:
         self.active_count = n
         self._ptr, self._relay, self._child = (np.frombuffer(a, dtype=np.intc)
                                                for a in self.vt.blocks)
-        self._reduce_slots = np.frombuffer(self.vt.reduce_slots, dtype=np.intc)
+        # relay level of each block-CSR slot: 0 for the current children,
+        # j + 1 for the appended children of level j
+        self._level = np.zeros(len(self._child), dtype=np.int8)
+        for j, slots in enumerate(_relay_levels(self._relay, self._child, n)):
+            self._level[slots] = j
 
     # -- block gathers and charging -------------------------------------------
 
@@ -129,28 +133,33 @@ class ContractionEngine:
         slots += np.arange(len(slots), dtype=slots.dtype)
         return slots, lens
 
-    def _broadcasts(self, us, slots, lens):
-        """``block_broadcast``'s messages from each of us over its gathered
-        block, as vertex ids: to the current children, then down the
-        appended links."""
+    def _relays(self, us, slots, lens):
+        """The relay links of each of us's gathered block as (near, far)
+        vertex-id rounds, one per relay level, top level first; each level
+        keeps block order.  near is the relaying sibling, or u itself for a
+        current child, and far the child it reaches.  A broadcast sends near
+        to far level by level; a reduce sends far to near, deepest first."""
+        level = self._level[slots]
+        # a stable sort of int8 keys is a radix sort
+        order = np.argsort(level, kind="stable")
+        ends = np.add.accumulate(np.bincount(level)).tolist()
+        slots = slots[order]
         relay = self._relay[slots]
-        return np.where(relay >= 0, relay, np.repeat(us, lens)), self._child[slots]
+        near = np.where(relay >= 0, relay, np.repeat(us, lens)[order])
+        far = self._child[slots]
+        return [(near[a:b], far[a:b]) for a, b in zip([0, *ends], ends)]
 
-    def _reduces(self, us, slots, lens):
-        """``block_reduce``'s messages over each gathered block to each of
-        us, as vertex ids: up the appended links, then the current
-        children."""
-        rs = self._reduce_slots[slots]
-        relay = self._relay[rs]
-        return self._child[rs], np.where(relay >= 0, relay, np.repeat(us, lens))
+    def _broadcasts(self, us):
+        """Rounds of each of us broadcasting over the child block of its
+        bottom; bottoms are distinct and every vertex sits in one child
+        block, so no vertex receives twice in a round."""
+        return self._relays(us, *self._block_slots(self.bottom[us]))
 
-    def _send(self, parts) -> None:
-        """Charge (key, src, dst) message parts as one ordered batch, merged
-        by a stable sort on key: each key's messages go out together, in
-        part order."""
-        key, src, dst = (np.concatenate(col) for col in zip(*parts))
-        order = np.argsort(key, kind="stable")
-        self.sim.send_ordered(self.pos_arr[src[order]], self.pos_arr[dst[order]])
+    def _charge(self, rounds) -> None:
+        """Charge (src, dst) vertex-id rounds in order with one
+        ``send_rounds``."""
+        pos = self.pos_arr
+        self.sim.send_rounds([(pos[src], pos[dst]) for src, dst in rounds])
 
     def _push(self, us, anchors, op, members) -> None:
         """Save each of us's log entry on its anchor, then log the new
@@ -186,12 +195,14 @@ class ContractionEngine:
             raise ContractError("parent must be non-branching")
         if self.child_count[v] != 1:
             raise ContractError("compressed vertex must have exactly one child")
-        self._send(self._compress(np.array([u]), np.array([v])))
+        self._charge(self._compress(np.array([u]), np.array([v])))
 
     def _compress(self, u, v):
         """Contract each v[i] into its parent u[i].  The pairs are disjoint
         and none reads what another writes, so they run as one step.
-        Returns the message parts: v sends to u, then to its child w."""
+        Returns its one round: each v sends to u, then to its child w.  No
+        v receives in it (u is tails, and w's parent is v), so the round
+        charges what sending them one at a time would."""
         w = self.child_sum[v]
         self._push(u, v, OP_COMPRESS, v)
         self.P[u] += self.P[v]
@@ -204,7 +215,7 @@ class ContractionEngine:
         self.svparent[w] = u
         self.bottom[u] = self.bottom[v]
         # partial sum and inherited-child handoff, then the reparent notice
-        return [(v, v, u), (v, v, w)]
+        return [(np.column_stack((v, v)).ravel(), np.column_stack((u, w)).ravel())]
 
     def rake(self, u: int, leaves: list[int] | None = None, w: int = -1) -> list[int]:
         """Absorb u's leaf-supervertex children via a local reduce over the
@@ -233,16 +244,18 @@ class ContractionEngine:
             raise ContractError("nothing to rake")
         mark = np.zeros(self.t.n, dtype=bool)
         mark[list(leaf_set)] = True
-        self._send(self._rake(np.array([u]), mark))
+        self._charge(self._rake(np.array([u]), mark))
         return [c for c in kids if c in leaf_set]
 
     def _rake(self, us, leaf):
         """Each of us absorbs its children marked in ``leaf``, at least one
         each.  Rakers, their bottoms and their leaves are disjoint, so they
-        run as one step.  Returns the message parts: each raker's reduce over
-        its child block, which delivers the sum of the raked leaves."""
+        run as one step.  Returns its rounds: each raker's reduce over its
+        child block, which delivers the sum of the raked leaves, deepest
+        relay level first, so every block's sends into its raker come
+        last."""
         slots, lens = self._block_slots(self.bottom[us])
-        part = (np.repeat(us, lens), *self._reduces(us, slots, lens))
+        rounds = [(far, near) for near, far in reversed(self._relays(us, slots, lens))]
         child = self._child[slots]
         hit = leaf[child]
         raked = child[hit]
@@ -256,50 +269,40 @@ class ContractionEngine:
         self._deactivate(raked, OP_RAKE)
         self.child_count[us] -= counts
         self.child_sum[us] -= ids
-        return [part]
+        return rounds
 
     # -- one round of Compact ---------------------------------------------
 
     def compact_round(self) -> int:
         """Branching flags down, random-mate compress, flags again, then rake
-        everything eligible.  Returns the number of deactivated supervertices."""
+        everything eligible, charged as one ``send_rounds``.  Returns the
+        number of deactivated supervertices."""
         self.rounds += 1
         before = self.active_count
         count = self.child_count
         actives = np.flatnonzero(self.active)
         coins = np.full(self.t.n, NO_COIN, dtype=np.uint8)
         coins[actives] = self.rng.next_bits(len(actives))
-        self._flag_broadcasts(actives[count[actives] > 0])
-        # each non-branching supervertex sends its coin to its only child,
-        # in id order as a scan sends; every child has one parent
+        rounds = self._broadcasts(actives[count[actives] > 0])
+        # each non-branching supervertex sends its coin to its only child
         ones = actives[count[actives] == 1]
-        self.sim.send_wave(self.pos_arr[ones], self.pos_arr[self.child_sum[ones]])
+        rounds.append((ones, self.child_sum[ones]))
         # random mate: a heads child with one child under a tails parent
         # with one child; no vertex is both, so the compresses are disjoint
         par = self.svparent[actives]
         mate = ((par >= 0) & (count[actives] == 1) & (coins[actives] == 1)
                 & (coins[par] == 0) & (count[par] == 1))
-        us, vs = par[mate], actives[mate]
-        for lo in range(0, len(vs), STEP_SLICE):
-            self._send(self._compress(us[lo:lo + STEP_SLICE], vs[lo:lo + STEP_SLICE]))
+        rounds += self._compress(par[mate], actives[mate])
         live = actives[self.active[actives]]
-        self._flag_broadcasts(live[count[live] > 0])
+        rounds += self._broadcasts(live[count[live] > 0])
         # eligibility is frozen before any rake: rounds are synchronized
         leaf = self.active & (count == 0)
         par = self.svparent[live]
         leaves = np.bincount(par[leaf[live] & (par >= 0)], minlength=self.t.n)[live]
-        rakers = live[(leaves > 0) & (count[live] - leaves <= 1)]
-        for lo in range(0, len(rakers), STEP_SLICE):
-            self._send(self._rake(rakers[lo:lo + STEP_SLICE], leaf))
+        rounds += self._rake(live[(leaves > 0) & (count[live] - leaves <= 1)], leaf)
+        self._charge(rounds)
         self.sim.note_words_many(self.pos, STATE_WORDS)
         return before - self.active_count
-
-    def _flag_broadcasts(self, us):
-        """Each of ``us`` broadcasts over the child block of its bottom, in
-        order, as one wave: bottoms are distinct and every vertex sits in
-        one child block."""
-        src, dst = self._broadcasts(us, *self._block_slots(self.bottom[us]))
-        self.sim.send_wave(self.pos_arr[src], self.pos_arr[dst])
 
     def contract(self) -> None:
         limit = 64 * max(1, math.ceil(math.log2(max(2, self.t.n)))) + 64
@@ -317,18 +320,18 @@ class ContractionEngine:
         op = self.log[OP][u]
         if op == OP_COMPRESS:
             out = [int(self.log[MEMBER][u])]
-            self._send(self._undo_compress(us, mode))
+            self._charge(self._undo_compress(us, mode))
         elif op == OP_RAKE:
-            parts, raked = self._undo_rake(us, mode)
+            rounds, raked = self._undo_rake(us, mode)
             out = raked.tolist()
-            self._send(parts)
+            self._charge(rounds)
         else:
             raise ContractError(f"nothing to undo at {u}")
         return out
 
     def _undo_compress(self, us, mode):
-        """Revert the compress on top of each of us's log; returns the
-        message parts keyed by representative."""
+        """Revert the compress on top of each of us's log; returns its two
+        rounds, u to v and then v to u."""
         v = self.log[MEMBER][us]
         if mode == BOTTOM_UP:
             self.A[v] = self.A[us]
@@ -354,16 +357,15 @@ class ContractionEngine:
         self.op_tag[v] = OP_NONE
         self._pop(us, v)
         # wake + correction term, then the frozen partial sum back to u
-        return [(us, us, v), (us, v, us)]
+        return [(us, v), (v, us)]
 
     def _undo_rake(self, us, mode):
-        """Revert the rake on top of each of us's log.  Returns the message
-        parts keyed by representative, and the reactivated leaves in block
-        order."""
+        """Revert the rake on top of each of us's log.  Returns its rounds,
+        the wake broadcast's levels then the partial sums' reduce levels,
+        and the reactivated leaves in block order."""
         slots, lens = self._block_slots(self.bottom[us])
-        key = np.repeat(us, lens)
-        wake = (key, *self._broadcasts(us, slots, lens))
-        parts = [wake, (key, *self._reduces(us, slots, lens))]  # + partial sums
+        wake = self._relays(us, slots, lens)
+        rounds = wake + [(far, near) for near, far in reversed(wake)]
         child = self._child[slots]
         tau = np.repeat(self.log[TAG][us], lens)
         hit = ~self.active[child] & (self.op_tag[child] == OP_RAKE) & (self.iter_tag[child] == tau)
@@ -379,7 +381,7 @@ class ContractionEngine:
             # raked leaves hang off the bottom; the wake broadcast again
             # delivers the base term
             self.A[raked] = np.repeat(self.A[us] + self.S[us], counts)
-            parts.append(wake)
+            rounds += wake
         self.P[us] -= total
         self.active[raked] = True
         self.active_count += len(raked)
@@ -388,21 +390,20 @@ class ContractionEngine:
         self.child_count[us] += counts
         self.child_sum[us] += _run_sums(raked.astype(np.int64), starts)
         self._pop(us, raked[starts])
-        return parts, raked
+        return rounds, raked
 
     def undo_round(self, tau: int, mode: str) -> None:
         """Revert round tau: its rakes as one step, then the compresses left
-        on top.  A representative holds at most a rake on top of a compress
-        from one round, no two read or write the same state, and no
-        reactivated vertex holds an entry of round tau; so merging the
-        steps' messages by representative gives the order of undoing each
-        representative in turn, in id order."""
+        on top, charged as one ``send_rounds``.  A representative holds at
+        most a rake on top of a compress from one round, no two read or
+        write the same state, and no reactivated vertex holds an entry of
+        round tau; the compress undo rounds come after every rake undo
+        round, so a representative's rake undo stays before its compress
+        undo."""
         reps = np.flatnonzero(self.active & self._tagged(slice(None), tau))
-        for lo in range(0, len(reps), STEP_SLICE):
-            us = reps[lo:lo + STEP_SLICE]
-            parts, _ = self._undo_rake(us[self.log[OP][us] == OP_RAKE], mode)
-            parts += self._undo_compress(us[self._tagged(us, tau)], mode)
-            self._send(parts)
+        rounds, _ = self._undo_rake(reps[self.log[OP][reps] == OP_RAKE], mode)
+        rounds += self._undo_compress(reps[self._tagged(reps, tau)], mode)
+        self._charge(rounds)
 
     def uncontract(self, mode: str) -> None:
         for tau in range(self.rounds, 0, -1):

@@ -27,7 +27,7 @@ class RootedTree:
     order of the walk that checks the input.  ``sizes`` (subtree sizes) and
     ``children`` (the CSR as Python lists) are worked out on first use; the
     arrays never change, so neither goes stale.  ``values`` optionally
-    holds one integer per vertex.
+    holds one integer per vertex; its length is checked whenever it is set.
 
     Any input that is not a tree raises ValueError.
     """
@@ -46,8 +46,6 @@ class RootedTree:
         roots = np.flatnonzero(a < 0)
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
-        if values is not None and len(values) != n:
-            raise ValueError("values length must match vertex count")
         self.parent = _frozen(a.astype(np.int32))
         self.root = int(roots[0])
         # a stable sort by parent keeps each block in id order; the root's
@@ -73,6 +71,18 @@ class RootedTree:
     @property
     def n(self) -> int:
         return len(self.parent)
+
+    @property
+    def values(self):
+        """One integer per vertex, or None; assigning a sequence of the
+        wrong length raises ValueError."""
+        return self._values
+
+    @values.setter
+    def values(self, values) -> None:
+        if values is not None and len(values) != self.n:
+            raise ValueError("values length must match vertex count")
+        self._values = values
 
     @cached_property
     def sizes(self) -> np.ndarray:

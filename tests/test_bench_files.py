@@ -1,0 +1,91 @@
+"""Committed benchmark summaries and the tool that writes them.
+
+Every ``BENCH_*.json`` at the root of the repository must parse and name
+its parent and change commits, its command and its seeds.  Model costs in
+an older file may differ from today's code after a change that alters cost
+on purpose, so they are not compared with it.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_summary  # noqa: E402
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def check_summary(summary):
+    for side in ("parent", "change"):
+        commit = summary[side]["commit"]
+        assert isinstance(commit, str) and commit
+    assert isinstance(summary["command"], str) and summary["command"]
+    assert summary["seeds"] and all(type(s) is int for s in summary["seeds"])
+    seen = set()
+    for by_seed in summary["workloads"].values():
+        for seed, entry in by_seed.items():
+            seen.add(int(seed))
+            assert entry["pairs"] >= 1
+            for side in ("parent", "change"):
+                assert entry[side]["runs"] >= entry["pairs"]
+                assert set(entry[side]["costs"]) == set(bench_summary.COSTS)
+    assert seen == set(summary["seeds"])
+
+
+def test_some_bench_file_is_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_names_commits_command_and_seeds(path):
+    check_summary(json.loads(path.read_text()))
+
+
+def fake_run(commit, pass_ref, depth=10, seed=1):
+    """The fields of a perfbench results file that the summary reads."""
+    return {"workload": "lca-65k", "trace": 0,
+            "stamp": {"commit": commit, "seed": seed, "python": "3.11.7",
+                      "numpy": "2.4.6", "nproc": 2, "cpu": "test cpu"},
+            "end_to_end": {"pass_ref": pass_ref, "setup_s": 1.0, "peak_rss_mb": 90.0,
+                           "ok_frac": 1.0, "energy": 500, "depth": depth, "messages": 40},
+            "pass_s": 2 * pass_ref, "op_samples": {"a": [0.1, 0.2], "b": [0.3]}}
+
+
+def write_runs(tmp_path, name, runs):
+    paths = []
+    for i, run in enumerate(runs):
+        paths.append(tmp_path / f"{name}{i}.json")
+        paths[-1].write_text(json.dumps(run))
+    return [str(p) for p in paths]
+
+
+def test_summary_pairs_runs_in_the_order_given(tmp_path):
+    parent = write_runs(tmp_path, "p", [fake_run("aaa", x) for x in (3.0, 2.0, 4.0)])
+    change = write_runs(tmp_path, "c", [fake_run("bbb", x, depth=8) for x in (2.5, 2.1, 3.0)])
+    out = tmp_path / "BENCH_0.json"
+    assert bench_summary.main(["--parent", *parent, "--change", *change,
+                               "--command", "python3 perfbench/run.py", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    check_summary(summary)
+    assert (summary["parent"]["commit"], summary["change"]["commit"]) == ("aaa", "bbb")
+    entry = summary["workloads"]["lca-65k"]["1"]
+    assert entry["pairs"] == 3 and entry["pass_ref_wins"] == 2
+    assert entry["parent"]["median"]["pass_ref"] == 3.0
+    assert entry["parent"]["iqr"]["pass_ref"] == 1.0
+    assert entry["parent"]["ops"] == [3, 3, 3]
+    assert entry["change"]["costs"] == {"energy": 500, "depth": 8, "messages": 40}
+
+
+def test_summary_rejects_mixed_costs_and_one_commit_for_both_sides():
+    parent = [fake_run("aaa", 3.0), fake_run("aaa", 3.0, depth=9)]
+    with pytest.raises(ValueError, match="model costs"):
+        bench_summary.summarise(parent, [fake_run("bbb", 2.0)], "cmd")
+    with pytest.raises(ValueError, match="--change-commit"):
+        bench_summary.summarise([fake_run("aaa", 3.0)], [fake_run("aaa", 2.0)], "cmd")
+    summary = bench_summary.summarise([fake_run("aaa", 3.0)], [fake_run("aaa", 2.0)],
+                                      "cmd", change_commit="working tree on aaa")
+    assert summary["change"]["commit"] == "working tree on aaa"

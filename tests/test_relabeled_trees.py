@@ -1,15 +1,16 @@
 """The array engine against a per-vertex reference, on plain and relabelled
 trees.
 
-Every generator numbers parents before their children, so within one
-compact round the flag broadcasts and parent-coin sends, which go out in
-vertex-id order, always reach a vertex before it sends.  Relabelling a
-generated tree with a random permutation breaks that order.
-``ContractionEngine`` runs each step as array passes and charges its
-messages as ordered batches; it must still match ``ReferenceEngine``, which
-keeps a Python set of children per supervertex, runs every operation one
-vertex at a time and sends every message with its own ``sim.send``, the
-block ones through ``block_broadcast`` and ``block_reduce``.
+Every generator numbers parents before their children; relabelling a
+generated tree with a random permutation breaks that order.  Treefix charges
+each step level-synchronously, so its costs must not depend on the order
+either.  ``ContractionEngine`` runs each step as array passes and charges a
+whole compact or undo round with one ``send_rounds``; it must still match
+``ReferenceEngine``, which keeps a Python set of children per supervertex,
+runs every operation one vertex at a time, files each message under its
+round as it goes, and charges every round with its own ``sim.send_round``.
+The reference finds a block's relay levels by walking virtual parents, not
+with ``virtual_tree._relay_levels``.
 """
 
 import math
@@ -24,12 +25,12 @@ from spatialtree.curves import CurveKind
 from spatialtree.layout import light_first_layout
 from spatialtree.lca import batched_lca
 from spatialtree.rng import Lcg
-from spatialtree.sim import ORDERED_CHUNK, SimState
+from spatialtree.sim import SimState
 from spatialtree.treefix import (BOTTOM_UP, NO_COIN, OP_COMPRESS, OP_NONE, OP_RAKE,
                                  STATE_WORDS, ContractError)
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, lca_naive,
                                root_path_sums, subtree_sizes, subtree_sums)
-from spatialtree.virtual_tree import block_broadcast, block_reduce, transform
+from spatialtree.virtual_tree import transform
 
 
 def block_members(vt, parent_vertex):
@@ -38,15 +39,29 @@ def block_members(vt, parent_vertex):
     return b.dst[b.ptr[parent_vertex]:b.ptr[parent_vertex + 1]].tolist()
 
 
+def relay_levels(vt, n):
+    """Each vertex's relay level in its parent's block: 0 when its virtual
+    parent is its parent, else one more than its virtual parent's.  Relay
+    order puts every relay before the children it relays to."""
+    level = [0] * n
+    for p in range(n):
+        for c in block_members(vt, p):
+            x = vt.vparent[c]
+            level[c] = 0 if x == p else level[x] + 1
+    return level
+
+
 class ReferenceEngine:
     """Per-vertex contraction: a set of children per supervertex, a Python
-    loop over vertices for every step, one ``sim.send`` per message."""
+    loop over vertices for every step, and the messages of each step filed
+    one at a time under their relay level, one ``sim.send_round`` each."""
 
     def __init__(self, sim, t, layout, values, seed, vt=None):
         n = t.n
         self.sim = sim
         self.t = t
         self.vt = vt if vt is not None else transform(t, subtree_sizes(t))
+        self.level = relay_levels(self.vt, n)
         self.pos = layout.pos
         try:
             self.P = list(map(operator.index, values))
@@ -66,20 +81,30 @@ class ReferenceEngine:
         self.rounds = 0
         self.active_count = n
 
-    def send(self, u, v):
-        self.sim.send(self.pos[u], self.pos[v])
+    def send_round(self, pairs):
+        if pairs:
+            self.sim.send_round(np.array([self.pos[u] for u, _ in pairs]),
+                                np.array([self.pos[v] for _, v in pairs]))
 
-    def broadcast(self, u, parent_vertex):
-        block_broadcast(self.sim, self.vt, self.pos, self.pos[u], parent_vertex)
+    def send_levels(self, levels, top_first):
+        for j in sorted(levels, reverse=not top_first):
+            self.send_round(levels[j])
 
-    def reduce(self, parent_vertex, u):
-        block_reduce(self.sim, self.vt, self.pos, parent_vertex, self.pos[u],
-                     lambda c: 0, operator.add, 0)
+    def broadcast(self, u, parent_vertex, levels):
+        """File u's broadcast over the block of parent_vertex: level 0 from
+        u, deeper levels from the relaying sibling."""
+        for c in block_members(self.vt, parent_vertex):
+            j = self.level[c]
+            levels.setdefault(j, []).append((self.vt.vparent[c] if j else u, c))
 
-    def compress(self, u, v):
+    def reduce(self, parent_vertex, u, levels):
+        for c in block_members(self.vt, parent_vertex):
+            j = self.level[c]
+            levels.setdefault(j, []).append((c, self.vt.vparent[c] if j else u))
+
+    def compress(self, u, v, sends):
         w = next(iter(self.children[v]))
-        self.send(v, u)
-        self.send(v, w)
+        sends += [(v, u), (v, w)]
         self.saved[v] = self.lc[u]
         self.lc[u] = (OP_COMPRESS, v, self.rounds)
         self.P[u] += self.P[v]
@@ -93,8 +118,8 @@ class ReferenceEngine:
         self.bottom[u] = self.bottom[v]
         self.active_count -= 1
 
-    def rake(self, u, ordered, w):
-        self.reduce(self.bottom[u], u)
+    def rake(self, u, ordered, w, levels):
+        self.reduce(self.bottom[u], u, levels)
         self.saved[ordered[0]] = self.lc[u]
         self.lc[u] = (OP_RAKE, w, self.rounds)
         self.P[u] += sum(self.P[c] for c in ordered)
@@ -113,22 +138,23 @@ class ReferenceEngine:
         coins = [NO_COIN] * n
         for v, c in zip(actives, self.rng.next_bits(len(actives)).tolist()):
             coins[v] = c
+        flags, coin_sends, compress_sends, flags2, rakes = {}, [], [], {}, {}
         for u in actives:
             if self.children[u]:
-                self.broadcast(u, self.bottom[u])
+                self.broadcast(u, self.bottom[u], flags)
         for u in actives:
             if len(self.children[u]) == 1:
-                self.send(u, next(iter(self.children[u])))
+                coin_sends.append((u, next(iter(self.children[u]))))
         mates = [(self.svparent[v], v) for v in actives
                  if self.svparent[v] >= 0 and len(self.children[v]) == 1
                  and len(self.children[self.svparent[v]]) == 1
                  and coins[v] == 1 and coins[self.svparent[v]] == 0]
         for u, v in mates:
-            self.compress(u, v)
+            self.compress(u, v, compress_sends)
         live = [v for v in actives if self.active[v]]
         for u in live:
             if self.children[u]:
-                self.broadcast(u, self.bottom[u])
+                self.broadcast(u, self.bottom[u], flags2)
         plans = []
         for u in live:
             kids = self.children[u]
@@ -138,7 +164,12 @@ class ReferenceEngine:
                 ordered = [c for c in block_members(self.vt, self.bottom[u]) if c in leaves]
                 plans.append((u, ordered, next(iter(others)) if others else -1))
         for plan in plans:
-            self.rake(*plan)
+            self.rake(*plan, rakes)
+        self.send_levels(flags, top_first=True)
+        self.send_round(coin_sends)
+        self.send_round(compress_sends)
+        self.send_levels(flags2, top_first=True)
+        self.send_levels(rakes, top_first=False)
         self.sim.note_words_many(self.pos, STATE_WORDS)
         return before - self.active_count
 
@@ -149,12 +180,14 @@ class ReferenceEngine:
             if self.rounds > limit:
                 raise RuntimeError("contraction failed to make progress")
 
-    def undo(self, u, mode):
+    def undo(self, u, mode, sends):
+        """Undo u's top contraction, filing its messages in ``sends``: wake,
+        reduce and second wake levels, then the u-to-v and v-to-u rounds."""
         op, member, tau = self.lc[u]
         if op == OP_COMPRESS:
             v = member
-            self.send(u, v)
-            self.send(v, u)
+            sends["uv"].append((u, v))
+            sends["vu"].append((v, u))
             if mode == BOTTOM_UP:
                 self.A[v] = self.A[u]
                 self.A[u] += self.P[v]
@@ -177,11 +210,11 @@ class ReferenceEngine:
             return [v]
         if op == OP_RAKE:
             bot = self.bottom[u]
-            self.broadcast(u, bot)
+            self.broadcast(u, bot, sends["wake"])
             raked = [c for c in block_members(self.vt, bot)
                      if not self.active[c] and self.op_tag[c] == OP_RAKE
                      and self.iter_tag[c] == tau]
-            self.reduce(bot, u)
+            self.reduce(bot, u, sends["reduce"])
             total = sum(self.P[c] for c in raked)
             if mode == BOTTOM_UP:
                 for c in raked:
@@ -189,7 +222,7 @@ class ReferenceEngine:
                 self.A[u] += total
             else:
                 base = self.A[u] + self.S[u]
-                self.broadcast(u, bot)
+                self.broadcast(u, bot, sends["wake2"])
                 for c in raked:
                     self.A[c] = base
             self.P[u] -= total
@@ -209,13 +242,19 @@ class ReferenceEngine:
         return self.active[u] and op != OP_NONE and tag == tau
 
     def undo_round(self, tau, mode):
+        sends = {"wake": {}, "reduce": {}, "wake2": {}, "uv": [], "vu": []}
         work = [u for u in range(self.t.n) if self.tagged(u, tau)]
         while work:
             nxt = []
             for u in work:
                 while self.tagged(u, tau):
-                    nxt.extend(x for x in self.undo(u, mode) if self.tagged(x, tau))
+                    nxt.extend(x for x in self.undo(u, mode, sends) if self.tagged(x, tau))
             work = nxt
+        self.send_levels(sends["wake"], top_first=True)
+        self.send_levels(sends["reduce"], top_first=False)
+        self.send_levels(sends["wake2"], top_first=True)
+        self.send_round(sends["uv"])
+        self.send_round(sends["vu"])
 
     def uncontract(self, mode):
         for tau in range(self.rounds, 0, -1):
@@ -325,13 +364,27 @@ def test_every_round_matches_reference_engine(kind, relabel, mode):
 
 @pytest.mark.parametrize("kind", ["star", "caterpillar"])
 def test_wide_steps_match_reference_engine(kind):
-    # the star's one child block is wider than ORDERED_CHUNK, so its rake
-    # and undo batches are charged in several chunks; the caterpillar's
-    # first round rakes more than STEP_SLICE spine vertices, so its steps
-    # run in several slices
+    # the star's one child block relays over a dozen levels; the
+    # caterpillar's first round rakes thousands of spine vertices at once
     t = relabelled(kind, 5000, 2)
-    assert t.n - 1 > ORDERED_CHUNK and t.n // 2 > treefix.STEP_SLICE
     values = np.random.default_rng(2).integers(-9, 10, t.n).tolist()
     for mode in ("bottom-up", "top-down"):
         got_sim, want_sim = stepwise(t, values, 2, mode)
         assert costs(got_sim) == costs(want_sim)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("seed", [1, 7])
+def test_relabelling_keeps_depth_within_half_again(kind, seed):
+    # the rounds follow relay levels, not vertex ids, but coins are drawn in
+    # id order, so a relabelled tree contracts differently: equal depth is
+    # not expected, only depth of the same size
+    n = 1023 if kind == "perfect-binary" else 1000
+    for fn in (treefix.treefix_sum, treefix.treefix_topdown):
+        depths = []
+        for t in (gen_tree(kind, n, seed=seed), relabelled(kind, n, seed)):
+            lay = light_first_layout(t)
+            sim = SimState(lay.placement())
+            fn(sim, t, lay, [1] * n, seed)
+            depths.append(sim.depth)
+        assert max(depths) <= 1.5 * min(depths), (fn.__name__, depths)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
-from spatialtree.sim import (ORDERED_CHUNK, Placement, SimState, TraceEvent,
+from spatialtree.sim import (Placement, SimState, TraceEvent,
                              all_reduce_barrier, broadcast_range, broadcast_ranges,
                              compact, permute, prefix_sum, reduce_range)
 
@@ -181,105 +181,9 @@ def test_send_round_rejects_malformed_arrays():
     assert s.messages == 0
 
 
-def scalar_wave(sim, src, dst):
+def scalar_sends(sim, src, dst):
     for a, b in zip(src, dst):
         sim.send(a, b)
-
-
-def random_wave(rng, n, count):
-    """Distinct receivers in random order, sources drawn partly from the
-    receivers so many messages depart after an earlier one reached them."""
-    dst = rng.permutation(n)[:count]
-    src = np.where(rng.random(count) < 0.7, rng.permutation(dst),
-                   rng.integers(0, n, count))
-    return src, dst
-
-
-@pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("n,count", [(8, 1), (64, 20), (64, 64), (1000, 700),
-                                     (20000, 15000)])
-def test_send_wave_matches_scalar_sends(n, count, trace):
-    # the last case spans several chunks of a wave
-    rng = np.random.default_rng(n * 7 + count)
-    got = fresh(n, trace=trace)
-    want = fresh(n, trace=trace)
-    start = rng.integers(0, 5, n).tolist()
-    got.clock[:] = start
-    want.clock[:] = start
-    for _ in range(3):
-        src, dst = random_wave(rng, n, count)
-        got.send_wave(src, dst)
-        scalar_wave(want, src.tolist(), dst.tolist())
-        assert state_of(got) == state_of(want)
-
-
-def test_send_wave_late_receiver_departs_at_its_old_clock():
-    s = fresh(8, trace=True)
-    s.clock[3] = 2
-    s.send_wave(np.array([3, 0, 5]), np.array([6, 3, 7]))
-    # 3 sends before it receives; 5 never receives in the wave
-    assert [e.depth for e in s.events] == [3, 1, 1]
-    assert s.clock[3] == 2 and s.clock[6] == 3
-
-
-@pytest.mark.parametrize("length", [5, 4096, 9000])
-def test_send_wave_chain_against_index_order(length):
-    # message i relays what message i - 1 delivered, but the chain visits
-    # positions in descending order; the longest chain crosses chunks
-    n = length + 1
-    path = np.arange(n)[::-1]
-    got = fresh(n, trace=True)
-    want = fresh(n, trace=True)
-    got.send_wave(path[:-1], path[1:])
-    scalar_wave(want, path[:-1].tolist(), path[1:].tolist())
-    assert got.depth == length
-    assert state_of(got) == state_of(want)
-
-
-def test_send_wave_matches_scalar_sends_from_clocks_above_2_31():
-    # uneven start clocks past int32, one chain longer than an ordered chunk
-    # interleaved with other messages, and sources that send before the
-    # message into them arrives
-    rng = np.random.default_rng(31)
-    n = 3 * ORDERED_CHUNK
-    length = ORDERED_CHUNK + 500
-    dst = rng.permutation(n)[:n - 7]
-    src = np.where(rng.random(len(dst)) < 0.7, rng.permutation(dst),
-                   rng.integers(0, n, len(dst)))
-    src[1:length] = dst[:length - 1]
-    keys = np.concatenate((np.sort(rng.random(length)), rng.random(len(dst) - length)))
-    order = np.argsort(keys)
-    src, dst = src[order], dst[order]
-    when = np.full(n, len(dst))
-    when[dst] = np.arange(len(dst))
-    assert (when[src] > np.arange(len(dst))).sum() > 1000
-    got = fresh(n, trace=True)
-    want = fresh(n, trace=True)
-    start = 2 ** 31 + rng.integers(0, 2 * length, n)
-    got.clock[:] = start
-    want.clock[:] = start
-    got.send_wave(src, dst)
-    scalar_wave(want, src.tolist(), dst.tolist())
-    assert state_of(got) == state_of(want)
-    assert got.depth > 2 ** 31 + length and type(got.depth) is int
-
-
-@pytest.mark.parametrize("src,dst", [([0, 1], [2, 2]), ([0, 1, 2], [3, 0, 3]),
-                                     ([0, 1], [1, 4]), ([-1], [0]),
-                                     ([0.0], [1.0]), ([0, 1], [1])])
-def test_bad_wave_raises_and_charges_nothing(src, dst):
-    s = fresh(4, trace=True)
-    s.send(2, 3)
-    before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
-    with pytest.raises(ValueError):
-        s.send_wave(np.array(src), np.array(dst))
-    assert (s.energy, s.depth, s.messages, s.clock.tolist(), s.events) == before
-
-
-def test_send_wave_empty_is_free():
-    s = fresh(4, trace=True)
-    s.send_wave(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
 def random_ordered_batch(rng, n, count):
@@ -309,7 +213,7 @@ def test_send_ordered_matches_scalar_sends(n, count, trace):
         src, dst = random_ordered_batch(rng, n, count)
         assert len(np.unique(dst)) < count or count == 1
         got.send_ordered(src, dst)
-        scalar_wave(want, src.tolist(), dst.tolist())
+        scalar_sends(want, src.tolist(), dst.tolist())
         assert state_of(got) == state_of(want)
 
 
@@ -607,14 +511,15 @@ def reference_dump(events, path):
 
 
 def mixed_traced_run():
-    """Scalar sends, a narrow round, a wide round and a wave on one grid."""
+    """Scalar sends, a narrow round, a wide round and an ordered batch on
+    one grid."""
     s = fresh(64, trace=True)
     s.send(np.int64(3), 40)
     s.send_at([40], [7], [5])
     s.send_round(np.array([7, 40, 3]), np.array([9, 9, 63]))
     rng = np.random.default_rng(5)
     s.send_round(rng.integers(0, 64, 50), rng.integers(0, 64, 50))
-    s.send_wave(np.array([9, 1, 2, 30]), np.array([1, 2, 30, 9]))
+    s.send_ordered(np.array([9, 1, 2, 30]), np.array([1, 2, 30, 9]))
     return s
 
 
@@ -640,7 +545,6 @@ CHARGE_PATHS = {
                                    np.array([5, 2 ** 40])),
     "rounds": lambda s: s.send_rounds([(np.array([7, 40]), np.array([9, 9])),
                                        (np.array([9]), np.array([63]))]),
-    "wave": lambda s: s.send_wave(np.array([9, 1, 2]), np.array([1, 2, 30])),
     "ordered": lambda s: s.send_ordered(np.array([30, 1, 1]), np.array([1, 30, 1])),
 }
 

@@ -9,7 +9,7 @@ from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import (STATE_WORDS, ContractError, ContractionEngine,
                                  treefix_sum, treefix_topdown)
-from spatialtree.trees import (RootedTree, gen_tree, root_path_sums,
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, root_path_sums,
                                subtree_sizes, subtree_sums)
 from spatialtree.virtual_tree import block_broadcast, block_reduce
 
@@ -100,12 +100,14 @@ def test_figure_tree_rake_at_vertex_one():
 
 
 def charged(sim):
-    return sim.messages, sim.energy, sim.depth, sim.events
+    return sim.messages, sim.energy, sim.depth, sorted(sim.events)
 
 
 def test_single_operations_charge_like_scalar_sends():
     # the star's child block has appended links, so its reduce and
-    # broadcasts relay through siblings
+    # broadcasts relay through siblings.  Within one block every relay
+    # receives before it sends, so the level rounds charge the scalar
+    # sends' events, listed level by level rather than in send order
     star = gen_tree("star", 7)
     eng = engine_for(star, trace=True)
     want = SimState(eng.sim.placement, trace=True)
@@ -337,3 +339,37 @@ def test_cost_scaling_energy_and_depth():
             assert e_norm / prev[0] <= 1.5
             assert d_norm / prev[1] <= 1.5
         prev = (e_norm, d_norm)
+
+
+@pytest.mark.parametrize("kind", ["path", "caterpillar"])
+@pytest.mark.parametrize("fn", [treefix_sum, treefix_topdown])
+def test_chain_depth_over_log_squared_stays_bounded(kind, fn):
+    # a compact round costs O(1) rounds plus the relay levels, whatever the
+    # vertex ids, and O(log n) compact rounds contract the tree; so
+    # depth / log2(n)^2 may rise by at most 1.5x per 4x in n
+    prev = None
+    for k in (10, 12, 14):
+        n = 2 ** k
+        t = gen_tree(kind, n, seed=1)
+        lay = light_first_layout(t)
+        sim = SimState(lay.placement())
+        fn(sim, t, lay, [1] * n, seed=1)
+        d_norm = sim.depth / k ** 2
+        if prev is not None:
+            assert d_norm / prev <= 1.5, (n, sim.depth)
+        prev = d_norm
+
+
+def test_treefix_never_charges_an_ordered_batch(monkeypatch):
+    def refuse(self, src, dst):
+        raise AssertionError("treefix charged an ordered batch")
+
+    monkeypatch.setattr(SimState, "send_ordered", refuse)
+    for kind in GENERATOR_KINDS:
+        t = gen_tree(kind, 255, seed=3)
+        vals = list(range(t.n))
+        lay = light_first_layout(t)
+        got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=3)
+        assert got == subtree_sums(t, vals)
+        got = treefix_topdown(SimState(lay.placement()), t, lay, vals, seed=3)
+        assert got == root_path_sums(t, vals)

@@ -275,6 +275,17 @@ def test_file_format_roundtrip(tmp_path):
     assert parse_tree(p.read_text()).values == list(range(8))
 
 
+def test_values_of_the_wrong_length_are_rejected():
+    with pytest.raises(ValueError, match="values length"):
+        RootedTree([-1, 0], values=[1, 2, 3])
+    t = RootedTree([-1, 0], values=[4, 5])
+    with pytest.raises(ValueError, match="values length"):
+        t.values = [1, 2, 3]
+    assert t.values == [4, 5]
+    t.values = None
+    assert t.values is None
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_tree("3\n-1 0\n")

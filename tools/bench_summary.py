@@ -1,0 +1,135 @@
+"""Summarise perfbench results files into one compact BENCH_<pr>.json.
+
+    python3 tools/bench_summary.py --out BENCH_12.json \\
+        --command "python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0" \\
+        --parent runs/parent/*.json --change runs/change/*.json
+
+Each input is the results file of one untraced ``perfbench/run.py`` run, as
+written to ``perfbench/out/<workload>-seed<seed>-trace0.json`` (copy it away
+after each run, since the next run of that workload overwrites it).  Runs
+are grouped by workload and seed and paired in the order given, so list
+the parent and change files of alternating runs in the order they ran.
+
+The summary holds the parent and change commits, the command, the host
+stamp, and per workload and seed: the pair count, how many pairs the
+change won on ``pass_ref``, and for each side the median and interquartile
+range of every end-to-end time and memory metric, the op count of each run
+and the model costs.  Model costs are exact for a seed, so a side whose runs
+disagree on them is an error.  All runs must come from one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+TIMED = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb", "ok_frac")
+COSTS = ("energy", "depth", "messages")
+HOST = ("python", "numpy", "nproc", "cpu")
+
+
+def load(path: Path) -> dict:
+    run = json.loads(path.read_text())
+    if run.get("trace") != 0:
+        raise ValueError(f"{path}: not an untraced (--trace 0) run")
+    return run
+
+
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q3
+
+
+def side_summary(runs: list[dict], label: str) -> dict:
+    """Medians, IQRs, op counts and the one set of model costs of a side's
+    runs of one workload and seed."""
+    values = {m: [r["pass_s"] if m == "pass_s" else r["end_to_end"][m] for r in runs]
+              for m in TIMED}
+    costs = {tuple(r["end_to_end"][c] for c in COSTS) for r in runs}
+    if len(costs) != 1:
+        raise ValueError(f"{label}: runs disagree on model costs: {sorted(costs)}")
+    iqr = {}
+    for m, xs in values.items():
+        q1, q3 = quartiles(xs)
+        iqr[m] = q3 - q1
+    return {
+        "runs": len(runs),
+        "median": {m: statistics.median(xs) for m, xs in values.items()},
+        "iqr": iqr,
+        "ops": [sum(map(len, r["op_samples"].values())) for r in runs],
+        "costs": dict(zip(COSTS, costs.pop())),
+    }
+
+
+def one_value(runs: list[dict], key: str, label: str):
+    got = {json.dumps(r["stamp"][key]) for r in runs}
+    if len(got) != 1:
+        raise ValueError(f"{label}: runs differ in stamp {key!r}: {sorted(got)}")
+    return json.loads(got.pop())
+
+
+def summarise(parent: list[dict], change: list[dict], command: str,
+              parent_commit: str | None = None, change_commit: str | None = None) -> dict:
+    if not parent or not change:
+        raise ValueError("need results files for both the parent and the change")
+    host = {k: one_value(parent + change, k, "all runs") for k in HOST}
+    commits = [given or one_value(runs, "commit", side) for given, runs, side in
+               ((parent_commit, parent, "parent"), (change_commit, change, "change"))]
+    if commits[0] == commits[1]:
+        raise ValueError(f"parent and change both name commit {commits[0]}; "
+                         "name the change with --change-commit")
+    groups: dict[tuple[str, int], tuple[list, list]] = {}
+    for side, runs in enumerate((parent, change)):
+        for r in runs:
+            groups.setdefault((r["workload"], r["stamp"]["seed"]), ([], []))[side].append(r)
+    workloads: dict[str, dict] = {}
+    for (workload, seed), (ps, cs) in sorted(groups.items()):
+        label = f"{workload} seed {seed}"
+        if not ps or not cs:
+            raise ValueError(f"{label}: runs on one side only")
+        pairs = list(zip(ps, cs))
+        workloads.setdefault(workload, {})[str(seed)] = {
+            "pairs": len(pairs),
+            "pass_ref_wins": sum(c["end_to_end"]["pass_ref"] < p["end_to_end"]["pass_ref"]
+                                 for p, c in pairs),
+            "parent": side_summary(ps, f"{label} parent"),
+            "change": side_summary(cs, f"{label} change"),
+        }
+    return {
+        "parent": {"commit": commits[0]},
+        "change": {"commit": commits[1]},
+        "command": command,
+        "host": host,
+        "seeds": sorted({int(s) for w in workloads.values() for s in w}),
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", nargs="+", type=Path, required=True,
+                    help="results files of the parent's runs, in run order")
+    ap.add_argument("--change", nargs="+", type=Path, required=True,
+                    help="results files of the change's runs, in run order")
+    ap.add_argument("--command", required=True, help="the command that made each run")
+    ap.add_argument("--parent-commit", help="override the parent runs' stamped commit")
+    ap.add_argument("--change-commit", help="override the change runs' stamped commit")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    try:
+        summary = summarise([load(p) for p in args.parent], [load(p) for p in args.change],
+                            args.command, args.parent_commit, args.change_commit)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
