@@ -240,8 +240,10 @@ def _run_once(args, dump: bool) -> list[ReportRow]:
         sim, lines, mean_dist = _execute(args, t, curve, dump and rep == 0)
         elapsed = (time.perf_counter() - start) * 1000.0
         if rep == 0:
+            # a JSON report on stdout must be all of stdout
+            stream = sys.stderr if args.format == "json" and not args.out else sys.stdout
             for ln in lines:
-                print(ln)
+                print(ln, file=stream)
             if args.trace and sim.events is not None:
                 sim.dump_trace(args.trace)
         if sim.audit and sim.violations:

@@ -26,8 +26,12 @@ one-message-at-a-time loop over the clock's buffer.
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
 ``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
-that yields :class:`TraceEvent` tuples of Python ints, and ``dump_trace``
-writes the JSON-lines file straight from the flat array.
+that yields :class:`TraceEvent` tuples of Python ints.  ``dump_trace``
+writes the JSON-lines file straight from the flat array, 8,192 events at a
+time: each block becomes one byte matrix of the line template with every
+field's digits right-aligned and 0 bytes as padding, and one mask drops the
+padding.  Digits of fields in [0, 10^5) are gathered from a table built on
+the first dump; other int64 values get theirs from divide-by-ten passes.
 
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
@@ -40,6 +44,7 @@ trace lists events level by level.
 
 from __future__ import annotations
 
+import functools
 import operator
 from array import array
 from collections.abc import Sequence
@@ -57,8 +62,10 @@ DEFAULT_MEMORY_BUDGET = 16
 # anywhere charges the same and a short queue keeps its buffers small
 ORDERED_CHUNK = 4096
 _DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
-# what json.dumps gives for a dict of these four Python ints
-_TRACE_LINE = '{"src": %d, "dst": %d, "cost": %d, "depth": %d}\n'
+# a trace line is what json.dumps gives for a dict of four Python ints:
+# these keys, each followed by its field's digits, then b"}\n"
+_TRACE_KEYS = (b'{"src": ', b', "dst": ', b', "cost": ', b', "depth": ')
+_TABLE_WIDTH = 5  # fields in [0, 10**5) gather their digits from a table
 
 
 class TraceEvent(NamedTuple):
@@ -200,13 +207,16 @@ class SimState:
 
     def send_at(self, src, dst, ready) -> None:
         """Charge message i from src[i] to dst[i] departing at clock
-        ready[i], whatever its source's clock; it arrives at depth
+        ready[i] >= 0, whatever its source's clock; it arrives at depth
         ready[i] + 1.  The whole batch is checked before anything is charged."""
         src, dst = self._positions(src, dst)
         ready = np.asarray(ready)
         if ready.shape != src.shape or (len(src) and ready.dtype.kind not in "iu"):
             raise ValueError("send_at needs one integer ready clock per message")
-        self._deliver([(src, dst, ready.astype(np.int64))])
+        ready = ready.astype(np.int64)
+        if len(src) and ready.min() < 0:
+            raise ValueError(f"negative ready clock {ready.min()}")
+        self._deliver([(src, dst, ready)])
 
     def _positions(self, src, dst):
         """Both arrays of a batch, checked: 1-D, equal length, integer
@@ -329,11 +339,58 @@ class SimState:
         if self._trace is None:
             raise ValueError("tracing was not enabled for this run")
         rows = np.frombuffer(self._trace, np.int64).reshape(-1, 4)
-        line = _TRACE_LINE.__mod__
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             for lo in range(0, len(rows), _DUMP_CHUNK):
-                cols = rows[lo:lo + _DUMP_CHUNK].T.tolist()
-                fh.write("".join(map(line, zip(*cols))))
+                fh.write(_trace_lines(rows[lo:lo + _DUMP_CHUNK]))
+
+
+def _trace_lines(block) -> bytes:
+    """The trace lines of an (m, 4) int64 block of (src, dst, cost, depth)
+    events, byte for byte what json.dumps writes for each event's dict.
+
+    The lines are built as one uint8 matrix: the template's constant bytes
+    and, per field, the digits right-aligned to the block's widest value of
+    that field with 0 bytes as padding; one mask then drops the padding.
+    """
+    m = len(block)
+    parts = []
+    for key, col in zip(_TRACE_KEYS, block.T):
+        parts.append(np.broadcast_to(np.frombuffer(key, np.uint8), (m, len(key))))
+        lo, hi = int(col.min(initial=0)), int(col.max(initial=0))
+        width = max(len(str(lo)), len(str(hi)))
+        if lo >= 0 and hi < 10 ** _TABLE_WIDTH:
+            parts.append(_digit_table()[col, _TABLE_WIDTH - width:])
+        else:
+            parts.append(_digits(col, width))
+    parts.append(np.broadcast_to(np.frombuffer(b"}\n", np.uint8), (m, 2)))
+    text = np.hstack(parts)
+    return text[text != 0].tobytes()
+
+
+def _digits(values, width: int):
+    """The decimal text of int64 values as a (len, width) uint8 matrix:
+    right-aligned, "-" before a negative value's digits, 0 bytes as
+    padding.  ``width`` must hold the longest text."""
+    text = np.zeros((len(values), width), np.uint8)
+    neg = values < 0
+    q = values.astype(np.uint64)  # magnitudes; uint64 holds even 2**63
+    np.negative(q, out=q, where=neg)
+    text[:, -1] = q % 10 + ord("0")
+    for j in range(width - 2, -1, -1):
+        q //= 10
+        text[:, j] = np.where(q > 0, q % 10 + ord("0"), 0)
+    rows = np.flatnonzero(neg)
+    text[rows, width - 1 - np.count_nonzero(text[rows], axis=1)] = ord("-")
+    return text
+
+
+@functools.cache
+def _digit_table():
+    """The text of 0 .. 10**_TABLE_WIDTH - 1 as rows of :func:`_digits`,
+    0.5 MB, built on the first dump of a field that fits it."""
+    table = _digits(np.arange(10 ** _TABLE_WIDTH, dtype=np.int64), _TABLE_WIDTH)
+    table.flags.writeable = False
+    return table
 
 
 def _check_range(sim: SimState, a: int, b: int) -> None:

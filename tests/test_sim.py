@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spatialtree import cli
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
-from spatialtree.sim import (Placement, SimState, TraceEvent,
+from spatialtree.layout import light_first_layout
+from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent, _trace_lines,
                              all_reduce_barrier, broadcast_range, broadcast_ranges,
                              compact, permute, prefix_sum, reduce_range)
+from spatialtree.treefix import treefix_topdown
+from spatialtree.trees import gen_tree
 
 
 def fresh(n, kind=CurveKind.HILBERT, **kw):
@@ -87,7 +91,9 @@ def test_send_at_batch_matches_one_message_at_a_time(n, count):
 @pytest.mark.parametrize("src,dst,ready", [([0, 1, 8], [1, 2, 3], [0, 0, 0]),
                                            ([0, 1], [1, -1], [0, 0]),
                                            ([0, 1], [1, 2], [0]),
-                                           ([0, 1], [1, 2], [0.5, 1.0])])
+                                           ([0, 1], [1, 2], [0.5, 1.0]),
+                                           ([0], [1], [-5]),
+                                           ([0, 1], [1, 2], [3, -1])])
 def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
     s = fresh(8, trace=True)
     s.clock[:] = range(8)
@@ -533,6 +539,72 @@ def test_dump_trace_matches_json_dumps_per_event(tmp_path):
     assert want.count(b"\n") == 59
 
 
+# the writer the array formatter replaced: one % format per event
+TRACE_LINE = '{"src": %d, "dst": %d, "cost": %d, "depth": %d}\n'
+INT64_EDGES = [0, 1, 9, 10, 99_999, 100_000, 2 ** 31, 2 ** 33, 2 ** 63 - 1,
+               -1, -9, -10, -99_999, -(2 ** 63) + 1, -(2 ** 63)]
+int64s = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+def event_blocks(values):
+    return st.lists(st.tuples(values, values, values, values), max_size=40)
+
+
+@given(st.one_of(event_blocks(st.integers(0, 10 ** 5 - 1)), event_blocks(int64s)))
+def test_trace_lines_equal_one_percent_format_per_event(rows):
+    block = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    assert _trace_lines(block) == "".join(TRACE_LINE % row for row in rows).encode()
+
+
+@pytest.mark.parametrize("count", [_DUMP_CHUNK - 1, _DUMP_CHUNK, _DUMP_CHUNK + 1])
+def test_dump_trace_across_chunk_edges_matches_json_dumps(tmp_path, count):
+    # the last event departs late, so the last chunk's depths overflow the
+    # digit table
+    rng = np.random.default_rng(count)
+    ready = rng.integers(0, 50, count)
+    ready[-1] = 2 ** 40
+    s = fresh(64, trace=True)
+    s.send_at(rng.integers(0, 64, count), rng.integers(0, 64, count), ready)
+    s.dump_trace(tmp_path / "got.jsonl")
+    reference_dump(s.events, tmp_path / "want.jsonl")
+    want = (tmp_path / "want.jsonl").read_bytes()
+    assert (tmp_path / "got.jsonl").read_bytes() == want
+    assert want.count(b"\n") == count
+
+
+def test_traced_treefix_on_a_caterpillar_dumps_like_json_dumps(tmp_path):
+    t = gen_tree("caterpillar", 4000, seed=1)
+    lay = light_first_layout(t, CurveKind.ZORDER)
+    s = SimState(lay.placement(), trace=True)
+    treefix_topdown(s, t, lay, [v % 7 - 3 for v in range(t.n)], 1)
+    s.dump_trace(tmp_path / "got.jsonl")
+    reference_dump(s.events, tmp_path / "want.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert len(s.events) > _DUMP_CHUNK
+
+
+def test_cli_trace_file_is_json_dumps_of_every_event(tmp_path, capsys, monkeypatch):
+    states = []
+    execute = cli._execute
+
+    def keep_state(*args):
+        sim, lines, mean_dist = execute(*args)
+        states.append(sim)
+        return sim, lines, mean_dist
+
+    monkeypatch.setattr(cli, "_execute", keep_state)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "--algorithm", "treefix", "--kind", "caterpillar",
+                 "--n", "4095", "--trace", str(trace)]) == 0
+    (sim,) = states
+    reference_dump(sim.events, tmp_path / "want.jsonl")
+    got = trace.read_bytes()
+    assert got == (tmp_path / "want.jsonl").read_bytes()
+    lines = got.decode().splitlines()
+    assert len(lines) == sim.messages
+    assert all(set(json.loads(line)) == {"src", "dst", "cost", "depth"} for line in lines)
+
+
 def test_trace_fields_are_python_ints():
     s = mixed_traced_run()
     assert all(type(v) is int for e in s.events for v in e)
@@ -560,14 +632,21 @@ def test_report_and_trace_hold_python_ints_after_each_charge_path(path):
 
 
 def test_run_json_parses_for_every_algorithm(tmp_path, capsys):
-    # result lines go to stdout, the report to --out
+    # with --out, result lines go to stdout and the report to the file;
+    # without it, stdout is the report alone and result lines go to stderr
     report = tmp_path / "report.json"
+    argv = ["--kind", "random-attachment", "--n", "40", "--format", "json"]
     for algorithm in ALGORITHMS:
-        assert main(["run", "--algorithm", algorithm, "--kind", "random-attachment",
-                     "--n", "40", "--format", "json", "--out", str(report)]) == 0
+        assert main(["run", "--algorithm", algorithm, *argv, "--out", str(report)]) == 0
         (row,) = json.loads(report.read_text())
         assert row["algorithm"] == algorithm and row["messages"] > 0
         assert all(type(row[key]) is int for key in ("energy", "depth", "messages"))
+        lines = capsys.readouterr().out
+        assert main(["run", "--algorithm", algorithm, *argv]) == 0
+        out = capsys.readouterr()
+        (same,) = json.loads(out.out)
+        assert {**same, "wall_time_ms": 0} == {**row, "wall_time_ms": 0}
+        assert out.err == lines
 
 
 def test_dump_trace_without_messages_is_empty(tmp_path):
