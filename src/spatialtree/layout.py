@@ -118,7 +118,7 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     _, kids = light_first_csr(t, sizes)
     succ, head, _ = tour_links(t, kids)
     rank = list_rank(sim, succ, head, rng.next_u64())
-    permute(sim, dict(enumerate(rank)))
+    permute(sim, rank)
     flags = np.zeros(len(rank), dtype=bool)
     flags[rank[:n]] = True  # slots below n are first visits
     dest, count = compact(sim, flags)

@@ -10,7 +10,9 @@ other's position inside r(w) minus r(x).
 
 The local work between the simulated steps is numpy array passes: path
 roots by pointer jumping, and the cover as one record array sorted by layer
-that step 4 walks one layer slice at a time.
+that step 4 walks one layer slice at a time.  Step 4 sorts the open query
+endpoints by position once, so each layer finds every endpoint's cover range
+by searching its few range starts into them.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ def subtree_cover(decomp: PathDecomposition, sizes, layout: Layout) -> np.recarr
     order = np.lexsort((lo, layer))
     return np.rec.fromarrays((root[order], lo[order], hi[order], layer[order]),
                              names="root,lo,hi,layer", formats=[np.int32] * 4)
+
+
+def _last_start_at_or_below(starts, needles):
+    """For sorted ``needles``, the index of the last of the sorted
+    ``starts`` at or below each needle, or -1 below the first start; equal
+    to ``np.searchsorted(starts, needles, side="right") - 1``.
+
+    It searches the k starts into the m needles, O(k log m + m), where that
+    expression searches the needles into the starts, O(m log k).
+    """
+    cnt = np.searchsorted(needles, starts)  # needles below each start
+    return np.repeat(np.arange(-1, len(starts)),
+                     np.diff(cnt, prepend=0, append=len(needles)))
 
 
 def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
@@ -152,8 +167,8 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     qi = np.concatenate((open_q, open_q))
     mine = np.concatenate((pu[open_q], pv[open_q]))
     other = np.concatenate((pv[open_q], pu[open_q]))
-    # searchsorted runs several times faster on sorted needles, so the
-    # endpoints are sorted by position once, before the layer loop
+    # the endpoints are sorted by position once, before the layer loop, so
+    # each layer can search its range starts into them
     order = np.argsort(mine)
     qi, mine, other = qi[order], mine[order], other[order]
     _, starts = np.unique(cover.layer, return_index=True)
@@ -161,7 +176,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
         # one layer: disjoint ranges, sorted by start
         elo, ehi = cover.lo[a:b], cover.hi[a:b]
         broadcast_ranges(sim, elo, ehi)
-        i = np.searchsorted(elo, mine, side="right") - 1
+        i = _last_start_at_or_below(elo, mine)
         inside = i >= 0
         i[~inside] = 0
         inside &= mine <= ehi[i]

@@ -97,9 +97,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
         sim.rounds += 1
     rank = np.zeros(m, dtype=np.int64)
     cur = head
-    nxt_list = nxt.tolist()
-    while nxt_list[cur] >= 0:
-        z = nxt_list[cur]
+    while (z := int(nxt[cur])) >= 0:  # the few links contraction left
         sim.send(cur, z)
         rank[z] = rank[cur] + weight[cur]
         cur = z

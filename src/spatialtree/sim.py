@@ -21,7 +21,10 @@ event per message in array order.
 
 The clocks are one int64 array.  A round is a gather, an ``np.maximum.at``
 scatter and an array charge.  An ordered batch keeps its
-one-message-at-a-time loop over the clock's buffer.
+one-message-at-a-time loop over the clock's buffer.  A batch's positions
+are range-checked with four min/max reductions and cast to intp once, so
+every later gather indexes with them as they are.  A ready clock must lie
+in [0, 2^63 - 1), so its arrival depth fits int64.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -39,7 +42,11 @@ barrier, an up/down-sweep prefix sum, direct permutation routing, and
 compaction of flagged records.  The barrier, the prefix sum and
 ``broadcast_ranges`` charge their range trees one level per round, deepest
 level first on the way up and top level first on the way down, so their
-trace lists events level by level.
+trace lists events level by level.  The barrier and the prefix sum sweep
+the same range tree over [0, m) each time, so a ``SimState`` keeps each
+m's levels as checked intp (head, right half) arrays with every message's
+cost, from the second sweep of m on; a repeat sweep is one clock gather,
+one ``np.maximum.at`` and one charge per level.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ _DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
 # these keys, each followed by its field's digits, then b"}\n"
 _TRACE_KEYS = (b'{"src": ', b', "dst": ', b', "cost": ', b', "depth": ')
 _TABLE_WIDTH = 5  # fields in [0, 10**5) gather their digits from a table
+_CLOCK_LIMIT = 2 ** 63 - 1  # ready clocks stay below it, so ready + 1 fits int64
 
 
 class TraceEvent(NamedTuple):
@@ -159,6 +167,7 @@ class SimState:
         "_cols",
         "_row_arr",
         "_col_arr",
+        "_sweeps",
     )
 
     def __init__(self, placement: Placement, trace: bool = False,
@@ -179,6 +188,8 @@ class SimState:
         self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
         self._rows = self._row_arr[:n].tolist()
         self._cols = self._col_arr[:n].tolist()
+        # m -> the levels of the range tree over [0, m), see _sweep
+        self._sweeps: dict[int, list] = {}
 
     @property
     def events(self) -> TraceLog | None:
@@ -207,20 +218,24 @@ class SimState:
 
     def send_at(self, src, dst, ready) -> None:
         """Charge message i from src[i] to dst[i] departing at clock
-        ready[i] >= 0, whatever its source's clock; it arrives at depth
-        ready[i] + 1.  The whole batch is checked before anything is charged."""
+        ready[i], whatever its source's clock; it arrives at depth
+        ready[i] + 1.  Ready clocks must lie in [0, 2^63 - 1).  The whole
+        batch is checked before anything is charged."""
         src, dst = self._positions(src, dst)
         ready = np.asarray(ready)
         if ready.shape != src.shape or (len(src) and ready.dtype.kind not in "iu"):
             raise ValueError("send_at needs one integer ready clock per message")
-        ready = ready.astype(np.int64)
-        if len(src) and ready.min() < 0:
-            raise ValueError(f"negative ready clock {ready.min()}")
-        self._deliver([(src, dst, ready)])
+        if len(src):
+            if ready.min() < 0:
+                raise ValueError(f"negative ready clock {ready.min()}")
+            if ready.max() >= _CLOCK_LIMIT:
+                raise ValueError(f"ready clock {ready.max()} is not below 2**63 - 1")
+        self._deliver([(src, dst, ready.astype(np.int64), None)])
 
     def _positions(self, src, dst):
         """Both arrays of a batch, checked: 1-D, equal length, integer
-        positions on the placement.  Raises ValueError otherwise."""
+        positions on the placement, and returned as intp arrays.  Raises
+        ValueError otherwise."""
         src = np.asarray(src)
         dst = np.asarray(dst)
         if src.ndim != 1 or src.shape != dst.shape:
@@ -230,17 +245,24 @@ class SimState:
         if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
             raise ValueError("positions must be integers")
         n = self.placement.n
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if bad.any():
+        if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
+            bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
             i = int(bad.argmax())
             raise ValueError(f"position out of range: {src[i]} -> {dst[i]} with n={n}")
-        return src, dst
+        # in range, so the cast is exact; it copies nothing for intp input
+        return src.astype(np.intp, copy=False), dst.astype(np.intp, copy=False)
 
-    def _charge(self, src, dst, depth) -> None:
-        """Add energy, messages, depth and trace events of a charged batch."""
+    def _cost(self, src, dst):
+        """The Manhattan distance of each message of a checked batch."""
         rows = self._row_arr
         cols = self._col_arr
-        cost = np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
+        return np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
+
+    def _charge(self, src, dst, depth, cost=None) -> None:
+        """Add energy, messages, depth and trace events of a charged batch,
+        pricing it unless its costs are given."""
+        if cost is None:
+            cost = self._cost(src, dst)
         self.energy += int(cost.sum())
         self.messages += len(src)
         top = int(depth.max())
@@ -268,18 +290,18 @@ class SimState:
         """Charge a sequence of (src, dst) rounds in order, exactly as the
         same calls of :meth:`send_round` one after another.  Every round is
         checked before any is charged."""
-        self._deliver([(*self._positions(src, dst), None) for src, dst in rounds])
+        self._deliver([(*self._positions(src, dst), None, None) for src, dst in rounds])
 
     def _deliver(self, rounds) -> None:
-        """Charge checked (src, dst, ready) rounds in order: message i of a
-        round departs at ready[i], or at its source's start-of-round clock
-        when ready is None."""
+        """Charge checked (src, dst, ready, cost) rounds in order: message i
+        of a round departs at ready[i], or at its source's start-of-round
+        clock when ready is None; cost is None or each message's cost."""
         clock = self.clock
-        for src, dst, ready in rounds:
+        for src, dst, ready, cost in rounds:
             if len(src):
                 depth = (clock[src] if ready is None else ready) + 1
                 np.maximum.at(clock, dst, depth)
-                self._charge(src, dst, depth)
+                self._charge(src, dst, depth, cost)
 
     def send_ordered(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
@@ -476,10 +498,22 @@ def _sweep(sim: SimState, m: int) -> None:
     down, each head passes on to its right half, top level first.  The only
     dependent sends run between ancestor and descendant ranges, so level
     rounds charge the same depths as the recursive order.
+
+    Each level's (head, right half) positions and their costs are cached
+    per ``SimState`` and m from the second sweep of m on, so a state that
+    sweeps m once holds nothing for it; they lie in [0, m) by
+    construction, so a repeat sweep neither builds nor checks them.
     """
-    levels = list(_range_levels([0], [m - 1]))
-    sim.send_rounds([(mids + 1, los) for los, mids in reversed(levels)]
-                    + [(los, mids + 1) for los, mids in levels])
+    levels = sim._sweeps.get(m)
+    if levels is None:
+        levels = []
+        for los, mids in _range_levels([0], [m - 1]):
+            heads, halves = los.astype(np.intp), (mids + 1).astype(np.intp)
+            levels.append((heads, halves, sim._cost(heads, halves)))
+        # None marks an m swept once; its levels are kept on the second sweep
+        sim._sweeps[m] = levels if m in sim._sweeps else None
+    sim._deliver([(halves, heads, None, cost) for heads, halves, cost in reversed(levels)]
+                 + [(heads, halves, None, cost) for heads, halves, cost in levels])
 
 
 def all_reduce_barrier(sim: SimState) -> None:
@@ -506,13 +540,19 @@ def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
     return list(accumulate(values, op, initial=identity))[1:]
 
 
-def permute(sim: SimState, targets: dict[int, int]) -> None:
+def permute(sim: SimState, targets: dict[int, int] | Sequence[int]) -> None:
     """Route each source's record directly to its target, all in one round.
 
-    ``targets`` must be a partial injection on occupied positions.
+    ``targets`` must be a partial injection on occupied positions: a dict
+    from source to target, or a sequence whose entry i is the target of
+    position i, charged as ``dict(enumerate(targets))`` without building it.
     """
-    src = np.fromiter(targets.keys(), np.int64, len(targets))
-    dst = np.fromiter(targets.values(), np.int64, len(targets))
+    if isinstance(targets, dict):
+        src = np.fromiter(targets.keys(), np.int64, len(targets))
+        dst = np.fromiter(targets.values(), np.int64, len(targets))
+    else:
+        dst = np.asarray(targets, dtype=np.int64)
+        src = np.arange(len(dst), dtype=np.int64)
     n = sim.placement.n
     bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
     if bad.any():

@@ -42,7 +42,7 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState
 from .trees import RootedTree
-from .virtual_tree import VirtualTree, _relay_levels, transform
+from .virtual_tree import VirtualTree, transform
 
 OP_NONE = 0
 OP_COMPRESS = 1
@@ -82,7 +82,7 @@ class ContractionEngine:
         self.t = t
         self.vt = vt if vt is not None else transform(t, t.sizes)
         self.pos = layout.pos
-        self.pos_arr = np.asarray(layout.pos, dtype=np.int32)
+        self.pos_arr = np.asarray(layout.pos, dtype=np.intp)
         try:
             vals = list(map(operator.index, values))
         except TypeError:
@@ -98,7 +98,8 @@ class ContractionEngine:
         self.svparent = t.parent.copy()
         self.child_count = np.diff(t.ptr)
         self.child_sum = np.zeros(n, dtype=np.int64)
-        np.add.at(self.child_sum, t.parent[t.kids], t.kids)
+        has = self.child_count > 0
+        self.child_sum[has] = _run_sums(t.kids.astype(np.int64), t.ptr[:-1][has])
         self.bottom = np.arange(n, dtype=np.intc)
         self.active = np.ones(n, dtype=bool)
         self.op_tag = np.zeros(n, dtype=np.int8)
@@ -118,7 +119,7 @@ class ContractionEngine:
         # relay level of each block-CSR slot: 0 for the current children,
         # j + 1 for the appended children of level j
         self._level = np.zeros(len(self._child), dtype=np.int8)
-        for j, slots in enumerate(_relay_levels(self._relay, self._child, n)):
+        for j, slots in enumerate(self.vt.relay_levels):
             self._level[slots] = j
 
     # -- block gathers and charging -------------------------------------------

@@ -67,6 +67,22 @@ class VirtualTree:
     root: int
 
     @cached_property
+    def relay_levels(self) -> list[np.ndarray]:
+        """The CSR slots of each level of the relay links, top first, as
+        read-only arrays: level 0 holds every block's current children,
+        level j + 1 the appended children of level j's vertices."""
+        _, relay, child = (np.frombuffer(a, dtype=np.intc) for a in self.blocks)
+        step = relay < 0
+        got = np.zeros(len(self.vparent), dtype=bool)
+        levels = []
+        while step.any():
+            levels.append(np.flatnonzero(step))
+            levels[-1].flags.writeable = False
+            got[child[step]] = True
+            step = (relay >= 0) & got[relay] & ~got[child]
+        return levels
+
+    @cached_property
     def reduce_slots(self) -> array:
         """The CSR slots of every child block in :func:`block_reduce`'s send
         order: appended links grouped by relay, relays taken last to first,
@@ -230,20 +246,6 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     return direct
 
 
-def _relay_levels(relay: np.ndarray, child: np.ndarray, n: int) -> list[np.ndarray]:
-    """The CSR slots of each level of the relay links, top first: level 0
-    holds every block's current children, level j + 1 the appended children
-    of level j's vertices."""
-    step = relay < 0
-    got = np.zeros(n, dtype=bool)
-    levels = []
-    while step.any():
-        levels.append(np.flatnonzero(step))
-        got[child[step]] = True
-        step = (relay >= 0) & got[relay] & ~got[child]
-    return levels
-
-
 def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> list:
     """Every vertex sends one message to all its original children.
 
@@ -255,11 +257,10 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     what relaying one message at a time would.
     """
     pos = np.asarray(layout.pos, dtype=np.int64)
-    ptr, relay, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
+    ptr, _, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
     vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)
-    sim.send_rounds([(pos[vparent[child[k]]], pos[child[k]])
-                     for k in _relay_levels(relay, child, n)])
+    sim.send_rounds([(pos[vparent[child[k]]], pos[child[k]]) for k in vt.relay_levels])
     sim.note_words_many(pos, RELAY_WORDS)
     delivered = np.full(n, None, dtype=object)
     delivered[child] = np.fromiter(values, object, n)[np.repeat(np.arange(n), np.diff(ptr))]
@@ -278,7 +279,7 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     charged with one ``send_at``.
     """
     pos = np.asarray(layout.pos, dtype=np.int64)
-    _, relay, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
+    child = np.frombuffer(vt.blocks.dst, dtype=np.intc)
     vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)
     fold = np.frompyfunc(op, 2, 1)
@@ -286,7 +287,7 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     result = np.empty(n, dtype=object)
     result.fill(identity)
     ready = sim.clock[pos]
-    levels = _relay_levels(relay, child, n)
+    levels = vt.relay_levels
     for j in reversed(range(len(levels))):
         a = child[levels[j]]
         x = vparent[a]

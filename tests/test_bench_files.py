@@ -80,6 +80,33 @@ def test_summary_pairs_runs_in_the_order_given(tmp_path):
     assert entry["change"]["costs"] == {"energy": 500, "depth": 8, "messages": 40}
 
 
+def fake_traced_run(commit, barrier_s):
+    run = fake_run(commit, 9.0)
+    run["trace"] = 1
+    run["per_layer"] = {name: {"value": value, "unit": "s"} for name, value in (
+        ("sim.all_reduce_barrier.self_s", barrier_s), ("sim.all_reduce_barrier.calls", 46),
+        ("trace.pass_s", 2.0), ("trace.untraced_pass_s", 1.5), ("bench.self_s", 0.1))}
+    return run
+
+
+def test_summary_keeps_traced_runs_apart_from_the_pairs():
+    parent = [fake_run("aaa", 3.0), fake_traced_run("aaa", 0.2), fake_traced_run("aaa", 0.4)]
+    change = [fake_traced_run("bbb", 0.1), fake_run("bbb", 2.0)]
+    summary = bench_summary.summarise(parent, change, "cmd")
+    check_summary(summary)
+    entry = summary["workloads"]["lca-65k"]["1"]
+    assert entry["pairs"] == 1 and entry["pass_ref_wins"] == 1
+    traced = summary["traced"]["lca-65k"]["1"]
+    assert traced["parent"] == pytest.approx({
+        "runs": 2, "sim.all_reduce_barrier.self_s": 0.3, "trace.pass_s": 2.0,
+        "trace.untraced_pass_s": 1.5, "bench.self_s": 0.1})
+    assert traced["change"]["sim.all_reduce_barrier.self_s"] == 0.1
+    with pytest.raises(ValueError, match="one side only"):
+        bench_summary.summarise(parent, change[1:], "cmd")
+    with pytest.raises(ValueError, match="untraced"):
+        bench_summary.summarise(parent, change[:1], "cmd")
+
+
 def test_summary_rejects_mixed_costs_and_one_commit_for_both_sides():
     parent = [fake_run("aaa", 3.0), fake_run("aaa", 3.0, depth=9)]
     with pytest.raises(ValueError, match="model costs"):

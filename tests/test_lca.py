@@ -3,10 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spatialtree.layout import light_first_layout
-from spatialtree.lca import (MAX_MULTIPLICITY, _new_path_indicators, batched_lca,
-                             path_decomposition, subtree_cover)
+from spatialtree.lca import (MAX_MULTIPLICITY, _last_start_at_or_below, _new_path_indicators,
+                             batched_lca, path_decomposition, subtree_cover)
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum
@@ -371,3 +373,15 @@ def test_empty_query_batch_and_the_multiplicity_limit():
     assert MAX_MULTIPLICITY == 4
     full = [(1, 1), (1, 2), (2, 2), (2, 3)]  # vertices 1 and 2 at the limit
     assert batched_lca(SimState(lay.placement()), t, lay, full, seed=0) == [1, 0, 2, 0]
+
+
+@given(st.lists(st.integers(0, 300), max_size=25, unique=True),
+       st.lists(st.integers(-5, 400), max_size=60), st.integers(0, 20))
+def test_range_start_search_equals_searchsorted_right(starts, needles, width):
+    # needles below the first start, on every start and past the last
+    # range's end, besides the drawn ones
+    starts = np.sort(np.array(starts, dtype=np.int32))
+    extra = [starts - 1, starts, starts + width, starts[-1:] + width + 1] if len(starts) else []
+    needles = np.sort(np.concatenate([np.array(needles, dtype=np.int32), *extra]))
+    got = _last_start_at_or_below(starts, needles)
+    assert got.tolist() == (np.searchsorted(starts, needles, side="right") - 1).tolist()

@@ -1,5 +1,6 @@
 import json
 import operator
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -11,9 +12,9 @@ from spatialtree import cli
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
 from spatialtree.layout import light_first_layout
-from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent, _trace_lines,
-                             all_reduce_barrier, broadcast_range, broadcast_ranges,
-                             compact, permute, prefix_sum, reduce_range)
+from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent, _range_levels,
+                             _trace_lines, all_reduce_barrier, broadcast_range,
+                             broadcast_ranges, compact, permute, prefix_sum, reduce_range)
 from spatialtree.treefix import treefix_topdown
 from spatialtree.trees import gen_tree
 
@@ -93,7 +94,9 @@ def test_send_at_batch_matches_one_message_at_a_time(n, count):
                                            ([0, 1], [1, 2], [0]),
                                            ([0, 1], [1, 2], [0.5, 1.0]),
                                            ([0], [1], [-5]),
-                                           ([0, 1], [1, 2], [3, -1])])
+                                           ([0, 1], [1, 2], [3, -1]),
+                                           ([0], [1], [2**63 - 1]),
+                                           ([0], [1], [2**63])])
 def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
     s = fresh(8, trace=True)
     s.clock[:] = range(8)
@@ -101,6 +104,51 @@ def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
         s.send_at(src, dst, ready)
     assert (s.energy, s.depth, s.messages, len(s.events)) == (0, 0, 0, 0)
     assert s.clock.tolist() == list(range(8))
+
+
+def elementwise_position_error(src, dst, n):
+    """The error text of an elementwise range check: the positions of the
+    first message with either end off the placement."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    i = int(bad.argmax())
+    return f"position out of range: {src[i]} -> {dst[i]} with n={n}"
+
+
+BATCH_KERNELS = {
+    "send_round": lambda s, src, dst: s.send_round(src, dst),
+    "send_at": lambda s, src, dst: s.send_at(src, dst, np.zeros(len(src), np.int64)),
+    "send_ordered": lambda s, src, dst: s.send_ordered(src, dst),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("dtype,value", [
+    (np.int32, -1), (np.int32, 8), (np.int32, 2**31 - 1), (np.int32, -2**31),
+    (np.int64, -1), (np.int64, 8), (np.int64, 2**63 - 1), (np.int64, -2**63),
+    (np.uint64, 8), (np.uint64, 2**63), (np.uint64, 2**64 - 1)])
+def test_out_of_range_positions_name_the_first_bad_message(kernel, side, dtype, value):
+    s = fresh(8, trace=True)
+    s.clock[:] = range(8)
+    ends = {"src": np.array([1, 2, 3, 4], dtype), "dst": np.array([2, 3, 4, 5], dtype)}
+    ends[side][1] = value
+    ends["dst" if side == "src" else "src"][3] = 9  # a later bad message
+    with pytest.raises(ValueError) as err:
+        BATCH_KERNELS[kernel](s, ends["src"], ends["dst"])
+    assert str(err.value) == elementwise_position_error(ends["src"], ends["dst"], 8)
+    assert str(err.value).startswith(f"position out of range: {ends['src'][1]} -> ")
+    assert (s.energy, s.depth, s.messages, len(s.events)) == (0, 0, 0, 0)
+    assert s.clock.tolist() == list(range(8))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64, np.uint8])
+def test_positions_of_any_integer_dtype_charge_alike(dtype):
+    src, dst = [0, 5, 7, 3], [7, 0, 7, 3]
+    got, want = fresh(8, trace=True), fresh(8, trace=True)
+    got.send_round(np.array(src, dtype), np.array(dst, dtype))
+    want.send_round(np.array(src), np.array(dst))
+    assert state_of(got) == state_of(want)
 
 
 def test_send_rejects_source_past_the_end():
@@ -442,6 +490,61 @@ def test_level_sweeps_charge_like_the_recursive_order(m, kernel):
     assert sorted(got.events) == sorted(want.events)
 
 
+def uncached_sweep(sim, m):
+    """The sweep built afresh on every call: its range-tree levels, then
+    one checked round per level, up and then down."""
+    levels = list(_range_levels([0], [m - 1]))
+    sim.send_rounds([(mids + 1, los) for los, mids in reversed(levels)]
+                    + [(los, mids + 1) for los, mids in levels])
+
+
+@pytest.mark.parametrize("kind", [CurveKind.HILBERT, CurveKind.ZORDER])
+def test_cached_sweeps_charge_like_levels_built_afresh(kind):
+    # clocks move between the sweeps, so a cache that held any clock, or
+    # the costs of another m, would charge differently from the reference
+    n, m = 300, 137
+    rng = np.random.default_rng(11)
+    got, want = fresh(n, kind, trace=True), fresh(n, kind, trace=True)
+    got.clock[:] = want.clock[:] = rng.integers(0, 50, n)
+
+    all_reduce_barrier(got)
+    uncached_sweep(want, n)
+    assert state_of(got) == state_of(want)
+    for _ in range(3):
+        src, dst = rng.integers(0, n, 40), rng.integers(0, n, 40)
+        ready = rng.integers(0, 2 * got.depth, 40)
+        for s in (got, want):
+            s.send_round(src, dst)
+            s.send_at(dst, src, ready)
+    assert state_of(got) == state_of(want)
+    all_reduce_barrier(got)
+    uncached_sweep(want, n)
+    assert state_of(got) == state_of(want)
+    assert prefix_sum(got, list(range(m))) == [i * (i + 1) // 2 for i in range(m)]
+    uncached_sweep(want, m)
+    assert state_of(got) == state_of(want)
+    assert got._sweeps[m] is None  # swept once: nothing kept
+    all_reduce_barrier(got)
+    uncached_sweep(want, n)
+    assert state_of(got) == state_of(want)
+    prefix_sum(got, list(range(m)))
+    uncached_sweep(want, m)
+    assert state_of(got) == state_of(want)
+    assert sorted(got._sweeps) == [m, n] and got._sweeps[m] and got._sweeps[n]
+
+
+def test_sweep_cache_belongs_to_one_state():
+    # the same n on two curves prices the same messages differently
+    states = [fresh(64, kind, trace=True) for kind in (CurveKind.HILBERT, CurveKind.ZORDER)]
+    refs = [fresh(64, kind, trace=True) for kind in (CurveKind.HILBERT, CurveKind.ZORDER)]
+    for _ in range(2):
+        for got, want in zip(states, refs):
+            all_reduce_barrier(got)
+            uncached_sweep(want, 64)
+            assert state_of(got) == state_of(want)
+    assert states[0].energy != states[1].energy
+
+
 def test_permute_identity_free_and_reverse_pinned():
     s = fresh(4)
     permute(s, {i: i for i in range(4)})
@@ -451,6 +554,19 @@ def test_permute_identity_free_and_reverse_pinned():
     # distances between opposite cells of the k=1 Hilbert square
     assert s.energy == 4
     assert s.depth == 1
+
+
+def test_permute_takes_a_target_sequence_like_the_dict_it_enumerates():
+    targets = np.random.default_rng(3).permutation(50).tolist()
+    got, want = fresh(64, trace=True), fresh(64, trace=True)
+    permute(got, targets)
+    permute(want, dict(enumerate(targets)))
+    assert state_of(got) == state_of(want)
+    with pytest.raises(ValueError, match="duplicate permutation target 2"):
+        permute(got, [2, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        permute(got, np.array([0, 64]))
+    assert state_of(got) == state_of(want)
 
 
 def test_permute_rejects_duplicate_targets():

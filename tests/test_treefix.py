@@ -204,6 +204,14 @@ def test_contraction_structural_reversibility():
         assert eng.structure_signature() == snaps[0]
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_child_id_sums_start_as_each_vertex_s_children(kind):
+    for n in (1, 3, 255):
+        t = gen_tree(kind, n, seed=n)
+        want = [sum(cs) for cs in t.children]
+        assert engine_for(t).child_sum.tolist() == want
+
+
 def test_treefix_unit_values_equal_subtree_sizes():
     for trial in range(10):
         t = gen_tree("random-attachment", 120 + trial, seed=trial)

@@ -241,6 +241,24 @@ def test_transform_matches_per_vertex_reference(name, t):
 
 
 @pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_relay_levels_count_relay_hops(name, t):
+    # a slot's level is the number of relays between it and its block's
+    # broadcaster; relay order is breadth-first, so a relay's own slot
+    # comes before the slots it relays to
+    vt = vt_for(t)
+    _, src, dst = (b.tolist() for b in vt.blocks)
+    hops = {}  # vertex -> relays between it and its block's broadcaster
+    level = []
+    for x, c in zip(src, dst):
+        hops[c] = 0 if x < 0 else hops[x] + 1
+        level.append(hops[c])
+    want = [[k for k, h in enumerate(level) if h == j] for j in range(max(level, default=-1) + 1)]
+    assert [slots.tolist() for slots in vt.relay_levels] == want
+    assert vt.relay_levels is vt.relay_levels
+    assert not any(slots.flags.writeable for slots in vt.relay_levels)
+
+
+@pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
 def test_refs_protocol_matches_per_vertex_reference(name, t):
     sizes = subtree_sizes(t)
     lay = light_first_layout(t, sizes=sizes)

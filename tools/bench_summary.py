@@ -4,11 +4,14 @@
         --command "python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0" \\
         --parent runs/parent/*.json --change runs/change/*.json
 
-Each input is the results file of one untraced ``perfbench/run.py`` run, as
-written to ``perfbench/out/<workload>-seed<seed>-trace0.json`` (copy it away
-after each run, since the next run of that workload overwrites it).  Runs
-are grouped by workload and seed and paired in the order given, so list
-the parent and change files of alternating runs in the order they ran.
+Each input is the results file of one ``perfbench/run.py`` run, as written
+to ``perfbench/out/<workload>-seed<seed>-trace<0|1>.json`` (copy it away
+after each run, since the next run of that workload overwrites it).
+Untraced runs are grouped by workload and seed and paired in the order
+given, so list the parent and change files of alternating runs in the order
+they ran.  Traced (``--trace 1``) runs are not paired: per workload and seed
+the summary gives each side's median of every per-layer self time and trace
+timing, to show in which layer a change of ``pass_s`` appears.
 
 The summary holds the parent and change commits, the command, the host
 stamp, and per workload and seed: the pair count, how many pairs the
@@ -33,8 +36,8 @@ HOST = ("python", "numpy", "nproc", "cpu")
 
 def load(path: Path) -> dict:
     run = json.loads(path.read_text())
-    if run.get("trace") != 0:
-        raise ValueError(f"{path}: not an untraced (--trace 0) run")
+    if run.get("trace") not in (0, 1):
+        raise ValueError(f"{path}: not a perfbench results file")
     return run
 
 
@@ -66,6 +69,27 @@ def side_summary(runs: list[dict], label: str) -> dict:
     }
 
 
+def layer_summary(runs: list[dict]) -> dict:
+    """Median over a side's traced runs of each per-layer self time and of
+    the trace timings (traced and untraced pass, overhead)."""
+    names = [k for k in runs[0]["per_layer"] if k.endswith(".self_s") or k.startswith("trace.")]
+    return {"runs": len(runs),
+            **{k: statistics.median(r["per_layer"][k]["value"] for r in runs) for k in names}}
+
+
+def by_workload_and_seed(parent: list[dict], change: list[dict]):
+    """((workload, seed), (parent runs, change runs)) in sorted order; both
+    sides must have runs of each."""
+    groups: dict[tuple[str, int], tuple[list, list]] = {}
+    for side, runs in enumerate((parent, change)):
+        for r in runs:
+            groups.setdefault((r["workload"], r["stamp"]["seed"]), ([], []))[side].append(r)
+    for (workload, seed), (ps, cs) in sorted(groups.items()):
+        if not ps or not cs:
+            raise ValueError(f"{workload} seed {seed}: runs on one side only")
+        yield (workload, seed), (ps, cs)
+
+
 def one_value(runs: list[dict], key: str, label: str):
     got = {json.dumps(r["stamp"][key]) for r in runs}
     if len(got) != 1:
@@ -75,23 +99,20 @@ def one_value(runs: list[dict], key: str, label: str):
 
 def summarise(parent: list[dict], change: list[dict], command: str,
               parent_commit: str | None = None, change_commit: str | None = None) -> dict:
+    every = parent + change
+    traced = [[r for r in runs if r["trace"]] for runs in (parent, change)]
+    parent, change = ([r for r in runs if not r["trace"]] for runs in (parent, change))
     if not parent or not change:
-        raise ValueError("need results files for both the parent and the change")
-    host = {k: one_value(parent + change, k, "all runs") for k in HOST}
+        raise ValueError("need untraced results files for both the parent and the change")
+    host = {k: one_value(every, k, "all runs") for k in HOST}
     commits = [given or one_value(runs, "commit", side) for given, runs, side in
                ((parent_commit, parent, "parent"), (change_commit, change, "change"))]
     if commits[0] == commits[1]:
         raise ValueError(f"parent and change both name commit {commits[0]}; "
                          "name the change with --change-commit")
-    groups: dict[tuple[str, int], tuple[list, list]] = {}
-    for side, runs in enumerate((parent, change)):
-        for r in runs:
-            groups.setdefault((r["workload"], r["stamp"]["seed"]), ([], []))[side].append(r)
     workloads: dict[str, dict] = {}
-    for (workload, seed), (ps, cs) in sorted(groups.items()):
+    for (workload, seed), (ps, cs) in by_workload_and_seed(parent, change):
         label = f"{workload} seed {seed}"
-        if not ps or not cs:
-            raise ValueError(f"{label}: runs on one side only")
         pairs = list(zip(ps, cs))
         workloads.setdefault(workload, {})[str(seed)] = {
             "pairs": len(pairs),
@@ -100,7 +121,7 @@ def summarise(parent: list[dict], change: list[dict], command: str,
             "parent": side_summary(ps, f"{label} parent"),
             "change": side_summary(cs, f"{label} change"),
         }
-    return {
+    summary = {
         "parent": {"commit": commits[0]},
         "change": {"commit": commits[1]},
         "command": command,
@@ -108,6 +129,12 @@ def summarise(parent: list[dict], change: list[dict], command: str,
         "seeds": sorted({int(s) for w in workloads.values() for s in w}),
         "workloads": workloads,
     }
+    if any(traced):
+        summary["traced"] = {}
+        for (workload, seed), (ps, cs) in by_workload_and_seed(*traced):
+            summary["traced"].setdefault(workload, {})[str(seed)] = {
+                "parent": layer_summary(ps), "change": layer_summary(cs)}
+    return summary
 
 
 def main(argv=None) -> int:
