@@ -15,26 +15,31 @@ the same round sends its old clock; each receiver's clock rises to the
 largest depth it receives.  An ordered batch is charged exactly as the same
 messages sent one ``send`` at a time in array order, so a message can depart
 after an earlier message of the same batch raised its source's clock, and a
-position may receive any number of times.  Rounds and batches are checked
-whole before any of them is charged, and when tracing is on they append one
-event per message in array order.
+position may receive any number of times.  The positions of rounds and
+batches are checked whole before any of them is charged, and when tracing
+is on they append one event per message in array order.
 
 The clocks are one int64 array.  A round is a gather, an ``np.maximum.at``
 scatter and an array charge.  An ordered batch keeps its
 one-message-at-a-time loop over the clock's buffer.  A batch's positions
 are range-checked with four min/max reductions and cast to intp once, so
-every later gather indexes with them as they are.  A ready clock must lie
-in [0, 2^63 - 1), so its arrival depth fits int64.
+every later gather indexes with them as they are.  A message departs at a
+clock in [0, 2^63 - 1), so its arrival depth fits int64: a send, round or
+message of an ordered batch whose departure clock reaches 2^63 - 1 raises
+``ValueError`` before it is charged.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
 ``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
 that yields :class:`TraceEvent` tuples of Python ints.  ``dump_trace``
 writes the JSON-lines file straight from the flat array, 8,192 events at a
-time: each block becomes one byte matrix of the line template with every
-field's digits right-aligned and 0 bytes as padding, and one mask drops the
-padding.  Digits of fields in [0, 10^5) are gathered from a table built on
-the first dump; other int64 values get theirs from divide-by-ten passes.
+time: each block becomes one uint64 matrix with a line per row, laid out in
+8-byte words.  Each key is a constant word, and each field's digits fill a
+word, right-aligned, ahead of the 3-byte text that follows them; 0 bytes
+pad every word, and one ``bytes.translate`` drops them.  A field in
+[0, 10^5) takes its digit word from one shared table, built on the first
+dump; other int64 values get a wider slot whose digits come from
+divide-by-ten passes.
 
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
@@ -69,11 +74,18 @@ DEFAULT_MEMORY_BUDGET = 16
 # anywhere charges the same and a short queue keeps its buffers small
 ORDERED_CHUNK = 4096
 _DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
-# a trace line is what json.dumps gives for a dict of four Python ints:
-# these keys, each followed by its field's digits, then b"}\n"
-_TRACE_KEYS = (b'{"src": ', b', "dst": ', b', "cost": ', b', "depth": ')
-_TABLE_WIDTH = 5  # fields in [0, 10**5) gather their digits from a table
-_CLOCK_LIMIT = 2 ** 63 - 1  # ready clocks stay below it, so ready + 1 fits int64
+# a trace line is what json.dumps gives for a dict of four Python ints: per
+# field a key word, then the field's digits and the 3 bytes that follow
+# them, ", \"" or "}\n"; 0 bytes pad a key word at its end and a suffix
+# word at its front, so the digits can fill bytes 0-4 of the suffix word
+_KEY_WORDS = np.frombuffer(
+    b"".join(key.ljust(8, b"\0") for key in (b'{"src": ', b'dst": ', b'cost": ', b'depth": ')),
+    np.uint64)
+_SUFFIX_WORDS = np.frombuffer(
+    b"".join((b"\0" * 5 + text).ljust(8, b"\0") for text in (b', "', b', "', b', "', b"}\n")),
+    np.uint64)
+_TABLE_WIDTH = 5  # fields in [0, 10**5) take their digit word from a table
+_CLOCK_LIMIT = 2 ** 63 - 1  # departure clocks stay below it, so +1 fits int64
 
 
 class TraceEvent(NamedTuple):
@@ -207,6 +219,8 @@ class SimState:
         cost = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
         clock = self.clock
         d = int(clock[src]) + 1
+        if d > _CLOCK_LIMIT:
+            raise ValueError(f"departure clock {d - 1} is not below 2**63 - 1")
         self.energy += cost
         self.messages += 1
         if d > clock[dst]:
@@ -258,14 +272,13 @@ class SimState:
         cols = self._col_arr
         return np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
 
-    def _charge(self, src, dst, depth, cost=None) -> None:
-        """Add energy, messages, depth and trace events of a charged batch,
-        pricing it unless its costs are given."""
+    def _charge(self, src, dst, depth, top, cost=None) -> None:
+        """Add energy, messages, depth and trace events of a charged batch
+        whose largest depth is top, pricing it unless its costs are given."""
         if cost is None:
             cost = self._cost(src, dst)
         self.energy += int(cost.sum())
         self.messages += len(src)
-        top = int(depth.max())
         if top > self.depth:
             self.depth = top
         if self._trace is not None:
@@ -288,8 +301,10 @@ class SimState:
 
     def send_rounds(self, rounds) -> None:
         """Charge a sequence of (src, dst) rounds in order, exactly as the
-        same calls of :meth:`send_round` one after another.  Every round is
-        checked before any is charged."""
+        same calls of :meth:`send_round` one after another.  Every round's
+        positions are checked before any round is charged; a round whose
+        departure clock reaches 2^63 - 1 raises before it is charged, after
+        the rounds before it."""
         self._deliver([(*self._positions(src, dst), None, None) for src, dst in rounds])
 
     def _deliver(self, rounds) -> None:
@@ -299,9 +314,13 @@ class SimState:
         clock = self.clock
         for src, dst, ready, cost in rounds:
             if len(src):
-                depth = (clock[src] if ready is None else ready) + 1
+                depart = clock[src] if ready is None else ready
+                top = int(depart.max())
+                if top >= _CLOCK_LIMIT:
+                    raise ValueError(f"departure clock {top} is not below 2**63 - 1")
+                depth = depart + 1
                 np.maximum.at(clock, dst, depth)
-                self._charge(src, dst, depth, cost)
+                self._charge(src, dst, depth, top + 1, cost)
 
     def send_ordered(self, src, dst) -> None:
         """Charge message i from src[i] to dst[i] for i in order, exactly as
@@ -312,7 +331,9 @@ class SimState:
         The clock loop runs one chunk at a time over the clock's buffer, so
         it reads and writes Python ints.  Depths go straight into a C array,
         so a depth that raises no clock is freed at once instead of living to
-        the chunk's end as a Python int.
+        the chunk's end as a Python int.  A message whose departure clock
+        reaches 2^63 - 1 fails to fit the clock or that array; the messages
+        before it are charged, as by ``send``, and it raises ValueError.
         """
         src, dst = self._positions(src, dst)
         clock = memoryview(self.clock)
@@ -321,12 +342,18 @@ class SimState:
             d = dst[lo:lo + ORDERED_CHUNK]
             depths = array("q")
             keep = depths.append
-            for a, b in zip(s.tolist(), d.tolist()):
-                x = clock[a] + 1
-                if x > clock[b]:
-                    clock[b] = x
-                keep(x)
-            self._charge(s, d, np.frombuffer(depths, dtype=np.int64))
+            try:
+                for a, b in zip(s.tolist(), d.tolist()):
+                    x = clock[a] + 1
+                    if x > clock[b]:
+                        clock[b] = x
+                    keep(x)
+            except (ValueError, OverflowError):  # x did not fit the clock or depths
+                raise ValueError(f"departure clock {clock[a]} is not below 2**63 - 1") from None
+            finally:  # charge what the loop delivered, also when it stopped early
+                if depths:
+                    done = np.frombuffer(depths, dtype=np.int64)
+                    self._charge(s[:len(done)], d[:len(done)], done, int(done.max()))
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
@@ -370,23 +397,31 @@ def _trace_lines(block) -> bytes:
     """The trace lines of an (m, 4) int64 block of (src, dst, cost, depth)
     events, byte for byte what json.dumps writes for each event's dict.
 
-    The lines are built as one uint8 matrix: the template's constant bytes
-    and, per field, the digits right-aligned to the block's widest value of
-    that field with 0 bytes as padding; one mask then drops the padding.
+    The lines are built as one (m, words) uint64 matrix: per field a key
+    word, then a slot with the field's digits right-aligned ahead of its
+    3-byte suffix.  A field whose values all lie in [0, 10**5) fills a
+    one-word slot with one table lookup; any other field gets a slot of
+    ceil((width + 3) / 8) words for its widest text.  0 bytes pad every
+    word, and one ``translate`` drops them.
     """
-    m = len(block)
-    parts = []
-    for key, col in zip(_TRACE_KEYS, block.T):
-        parts.append(np.broadcast_to(np.frombuffer(key, np.uint8), (m, len(key))))
+    # per field: the width of its widest text, or 0 when the table holds it
+    widths = []
+    for col in block.T:
         lo, hi = int(col.min(initial=0)), int(col.max(initial=0))
-        width = max(len(str(lo)), len(str(hi)))
-        if lo >= 0 and hi < 10 ** _TABLE_WIDTH:
-            parts.append(_digit_table()[col, _TABLE_WIDTH - width:])
+        widths.append(0 if lo >= 0 and hi < 10 ** _TABLE_WIDTH
+                      else max(len(str(lo)), len(str(hi))))
+    slots = [(w + 10) // 8 if w else 1 for w in widths]  # words after each key
+    text = np.zeros((len(block), 4 + sum(slots)), np.uint64)
+    end = 0
+    for col, width, slot, key, suffix in zip(block.T, widths, slots, _KEY_WORDS, _SUFFIX_WORDS):
+        text[:, end] = key
+        end += 1 + slot
+        if width:
+            text[:, end - 1] = suffix
+            text.view(np.uint8)[:, 8 * end - 3 - width:8 * end - 3] = _digits(col, width)
         else:
-            parts.append(_digits(col, width))
-    parts.append(np.broadcast_to(np.frombuffer(b"}\n", np.uint8), (m, 2)))
-    text = np.hstack(parts)
-    return text[text != 0].tobytes()
+            np.bitwise_or(_digit_words().take(col), suffix, out=text[:, end - 1])
+    return text.tobytes().translate(None, b"\0")
 
 
 def _digits(values, width: int):
@@ -407,12 +442,16 @@ def _digits(values, width: int):
 
 
 @functools.cache
-def _digit_table():
-    """The text of 0 .. 10**_TABLE_WIDTH - 1 as rows of :func:`_digits`,
-    0.5 MB, built on the first dump of a field that fits it."""
-    table = _digits(np.arange(10 ** _TABLE_WIDTH, dtype=np.int64), _TABLE_WIDTH)
-    table.flags.writeable = False
-    return table
+def _digit_words():
+    """The digit word of each of 0 .. 10**_TABLE_WIDTH - 1: its
+    :func:`_digits` text of width 5 in bytes 0-4, 0 bytes after; viewed
+    as (10**5, 8) uint8, columns 0-4 are those texts.  0.8 MB, read-only,
+    built on the first dump of a field that fits it."""
+    text = np.zeros((10 ** _TABLE_WIDTH, 8), np.uint8)
+    text[:, :_TABLE_WIDTH] = _digits(np.arange(10 ** _TABLE_WIDTH, dtype=np.int64), _TABLE_WIDTH)
+    words = text.view(np.uint64).reshape(-1)
+    words.flags.writeable = False
+    return words
 
 
 def _check_range(sim: SimState, a: int, b: int) -> None:

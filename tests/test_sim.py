@@ -1,19 +1,24 @@
 import json
 import operator
+import os
 import re
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spatialtree import cli
+import spatialtree
+from spatialtree import cli, sim
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
 from spatialtree.layout import light_first_layout
-from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent, _range_levels,
-                             _trace_lines, all_reduce_barrier, broadcast_range,
+from spatialtree.sim import (_DUMP_CHUNK, ORDERED_CHUNK, Placement, SimState, TraceEvent,
+                             _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
                              broadcast_ranges, compact, permute, prefix_sum, reduce_range)
 from spatialtree.treefix import treefix_topdown
 from spatialtree.trees import gen_tree
@@ -104,6 +109,64 @@ def test_send_at_rejects_a_bad_batch_and_charges_nothing(src, dst, ready):
         s.send_at(src, dst, ready)
     assert (s.energy, s.depth, s.messages, len(s.events)) == (0, 0, 0, 0)
     assert s.clock.tolist() == list(range(8))
+
+
+LIMIT = 2 ** 63 - 1
+AT_THE_LIMIT = {
+    "send_round": lambda s: s.send_round([1], [2]),
+    "send_rounds": lambda s: s.send_rounds([([1], [2]), ([0], [3])]),
+    "send": lambda s: s.send(1, 2),
+    "send_ordered": lambda s: s.send_ordered([1, 0], [2, 3]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(AT_THE_LIMIT))
+def test_a_send_from_a_clock_at_the_limit_raises_and_charges_nothing(path):
+    # send_at raises clock 1 to 2**63 - 1; a message from it would arrive
+    # at 2**63, which int64 cannot hold
+    s = fresh(4, trace=True)
+    s.send_at([0], [1], [LIMIT - 1])
+    assert s.clock[1] == LIMIT
+    before = (s.report(), list(s.events), s.clock.tolist())
+    with pytest.raises(ValueError, match=r"departure clock 9223372036854775807 is not below"):
+        AT_THE_LIMIT[path](s)
+    assert (s.report(), list(s.events), s.clock.tolist()) == before
+
+
+def limit_state(n=8):
+    s = fresh(n, trace=True)
+    s.send_at([0], [1], [LIMIT - 1])
+    return s
+
+
+@pytest.mark.parametrize("bad", [1, 5, ORDERED_CHUNK + 2])
+def test_an_ordered_batch_stops_at_the_limit_like_scalar_sends(bad):
+    # messages before the bad one are charged, exactly as by send one at a
+    # time, also when they fill a whole chunk first
+    count = bad + 4
+    rng = np.random.default_rng(bad)
+    src = rng.integers(2, 8, count)
+    dst = rng.integers(2, 8, count)
+    src[bad] = 1
+    got, want = limit_state(), limit_state()
+    with pytest.raises(ValueError, match="departure clock"):
+        got.send_ordered(src, dst)
+    with pytest.raises(ValueError, match="departure clock"):
+        scalar_sends(want, src.tolist(), dst.tolist())
+    assert state_of(got) == state_of(want)
+    assert got.messages == bad + 1 and min(e.depth for e in got.events) > 0
+
+
+def test_a_later_round_at_the_limit_raises_after_the_rounds_before_it():
+    got, want = limit_state(), limit_state()
+    rounds = [([0, 2], [3, 4]), ([3, 1], [5, 6]), ([5], [7])]
+    with pytest.raises(ValueError, match="departure clock"):
+        got.send_rounds(rounds)
+    want.send_round(*rounds[0])
+    with pytest.raises(ValueError, match="departure clock"):
+        want.send_round(*rounds[1])
+    assert state_of(got) == state_of(want)
+    assert got.depth == LIMIT and min(e.depth for e in got.events) > 0
 
 
 def elementwise_position_error(src, dst, n):
@@ -670,6 +733,64 @@ def event_blocks(values):
 def test_trace_lines_equal_one_percent_format_per_event(rows):
     block = np.array(rows, dtype=np.int64).reshape(-1, 4)
     assert _trace_lines(block) == "".join(TRACE_LINE % row for row in rows).encode()
+
+
+@given(st.data())
+def test_trace_lines_of_blocks_mixing_table_and_wide_fields(data):
+    # each field takes its slot by its own range: one-word table slots and
+    # wider slots for negative or large values side by side in one line
+    wide = data.draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(
+        lambda flags: any(flags) and not all(flags)))
+    fields = [int64s if flag else st.integers(0, 10 ** 5 - 1) for flag in wide]
+    rows = data.draw(st.lists(st.tuples(*fields), min_size=1, max_size=40))
+    block = np.array(rows, dtype=np.int64)
+    assert _trace_lines(block) == "".join(TRACE_LINE % row for row in rows).encode()
+
+
+def test_table_fields_never_take_the_divide_by_ten_path(monkeypatch, tmp_path):
+    sim._digit_words()  # the table itself is built by _digits
+
+    def fail(values, width):
+        raise AssertionError("_digits called for a block in [0, 10**5)")
+
+    monkeypatch.setattr(sim, "_digits", fail)
+    rows = [(0, 99_999, 10, 9), (12, 3, 0, 99_999), (99_998, 100, 7, 1)]
+    block = np.array(rows, dtype=np.int64)
+    assert _trace_lines(block) == "".join(TRACE_LINE % row for row in rows).encode()
+    s = mixed_traced_run()
+    s.dump_trace(tmp_path / "got.jsonl")
+    reference_dump(s.events, tmp_path / "want.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+LAZY_TABLE = """
+import sys
+import numpy as np
+import spatialtree.cli
+from spatialtree import sim
+assert sim._digit_words.cache_info().currsize == 0, "import built the digit table"
+s = sim.SimState(sim.Placement.for_size("hilbert", 8), trace=True)
+s.send(0, 7)
+s.dump_trace(sys.argv[1])
+table = sim._digit_words()
+assert sim._digit_words.cache_info().currsize == 1
+assert table.dtype == np.uint64 and table.shape == (10 ** 5,)
+assert not table.flags.writeable
+text = table.view(np.uint8).reshape(-1, 8)
+assert (text[:, :5] == sim._digits(np.arange(10 ** 5), 5)).all() and not text[:, 5:].any()
+"""
+
+
+def test_the_digit_table_is_built_by_the_first_dump_and_read_only(tmp_path):
+    src = str(Path(spatialtree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", LAZY_TABLE, str(tmp_path / "trace.jsonl")],
+                   env=env, check=True, timeout=60)
+    s = fresh(8, trace=True)
+    s.send(0, 7)
+    reference_dump(s.events, tmp_path / "want.jsonl")
+    assert (tmp_path / "trace.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("count", [_DUMP_CHUNK - 1, _DUMP_CHUNK, _DUMP_CHUNK + 1])
