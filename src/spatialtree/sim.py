@@ -7,25 +7,21 @@ level to the receiver's dependency clock.  No routing, congestion, or timing
 is modeled: the simulator prices exactly distance and dependency chains.
 
 Messages are charged one at a time (``send``), one synchronous round at a
-time (``send_round``, or several rounds in order with ``send_rounds``), as a
-batch departing at given clocks (``send_at``), or as an ordered batch
-(``send_ordered``).  In a round every message departs at its source's clock
-from the start of the round, so a position that both sends and receives in
-the same round sends its old clock; each receiver's clock rises to the
-largest depth it receives.  An ordered batch is charged exactly as the same
-messages sent one ``send`` at a time in array order, so a message can depart
-after an earlier message of the same batch raised its source's clock, and a
-position may receive any number of times.  The positions of rounds and
-batches are checked whole before any of them is charged, and when tracing
-is on they append one event per message in array order.
+time (``send_round``, or several rounds in order with ``send_rounds``), or
+as a batch departing at given clocks (``send_at``).  In a round every
+message departs at its source's clock from the start of the round, so a
+position that both sends and receives in the same round sends its old
+clock; each receiver's clock rises to the largest depth it receives.  The
+positions of rounds and batches are checked whole before any of them is
+charged, and when tracing is on they append one event per message in array
+order.
 
-The clocks are one int64 array.  A round is a gather, an ``np.maximum.at``
-scatter and an array charge.  An ordered batch keeps its
-one-message-at-a-time loop over the clock's buffer.  A batch's positions
-are range-checked with four min/max reductions and cast to intp once, so
-every later gather indexes with them as they are.  A message departs at a
-clock in [0, 2^63 - 1), so its arrival depth fits int64: a send, round or
-message of an ordered batch whose departure clock reaches 2^63 - 1 raises
+The clocks are one int64 array.  A round or a ``send_at`` batch is a
+gather, an ``np.maximum.at`` scatter and an array charge.  A batch's
+positions are range-checked with four min/max reductions and cast to intp
+once, so every later gather indexes with them as they are.  A message
+departs at a clock in [0, 2^63 - 1), so its arrival depth fits int64: a
+send, round or batch whose departure clock reaches 2^63 - 1 raises
 ``ValueError`` before it is charged.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
@@ -69,10 +65,6 @@ import numpy as np
 from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
-# messages charged per step of an ordered batch; code that queues messages
-# for send_ordered charges them whenever this many wait, since a batch cut
-# anywhere charges the same and a short queue keeps its buffers small
-ORDERED_CHUNK = 4096
 _DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
 # a trace line is what json.dumps gives for a dict of four Python ints: per
 # field a key word, then the field's digits and the 3 bytes that follow
@@ -158,9 +150,9 @@ class SimState:
     """Mutable cost accumulator for one run; confine to a single execution.
 
     ``clock`` is one int64 array of each position's dependency clock.
-    Rounds update it with array passes, and ordered batches and
-    scalar sends index it one message at a time; ``energy``, ``depth``,
-    ``messages`` and the trace hold Python ints either way.
+    Rounds and batches update it with array passes, and scalar sends
+    index it one message at a time; ``energy``, ``depth``, ``messages``
+    and the trace hold Python ints either way.
     """
 
     __slots__ = (
@@ -238,7 +230,8 @@ class SimState:
         src, dst = self._positions(src, dst)
         ready = np.asarray(ready)
         if ready.shape != src.shape or (len(src) and ready.dtype.kind not in "iu"):
-            raise ValueError("send_at needs one integer ready clock per message")
+            raise ValueError("send_at needs one integer ready clock in [0, 2**63 - 1) "
+                             "per message")
         if len(src):
             if ready.min() < 0:
                 raise ValueError(f"negative ready clock {ready.min()}")
@@ -321,39 +314,6 @@ class SimState:
                 depth = depart + 1
                 np.maximum.at(clock, dst, depth)
                 self._charge(src, dst, depth, top + 1, cost)
-
-    def send_ordered(self, src, dst) -> None:
-        """Charge message i from src[i] to dst[i] for i in order, exactly as
-        ``send(src[i], dst[i])`` one at a time.  A position may receive any
-        number of times and send after it received; the whole batch is
-        checked before anything is charged.
-
-        The clock loop runs one chunk at a time over the clock's buffer, so
-        it reads and writes Python ints.  Depths go straight into a C array,
-        so a depth that raises no clock is freed at once instead of living to
-        the chunk's end as a Python int.  A message whose departure clock
-        reaches 2^63 - 1 fails to fit the clock or that array; the messages
-        before it are charged, as by ``send``, and it raises ValueError.
-        """
-        src, dst = self._positions(src, dst)
-        clock = memoryview(self.clock)
-        for lo in range(0, len(src), ORDERED_CHUNK):
-            s = src[lo:lo + ORDERED_CHUNK]
-            d = dst[lo:lo + ORDERED_CHUNK]
-            depths = array("q")
-            keep = depths.append
-            try:
-                for a, b in zip(s.tolist(), d.tolist()):
-                    x = clock[a] + 1
-                    if x > clock[b]:
-                        clock[b] = x
-                    keep(x)
-            except (ValueError, OverflowError):  # x did not fit the clock or depths
-                raise ValueError(f"departure clock {clock[a]} is not below 2**63 - 1") from None
-            finally:  # charge what the loop delivered, also when it stopped early
-                if depths:
-                    done = np.frombuffer(depths, dtype=np.int64)
-                    self._charge(s[:len(done)], d[:len(done)], done, int(done.max()))
 
     def send_batch(self, pairs) -> None:
         """One synchronous round of (src, dst) pairs; see :meth:`send_round`."""
@@ -579,29 +539,23 @@ def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
     return list(accumulate(values, op, initial=identity))[1:]
 
 
-def permute(sim: SimState, targets: dict[int, int] | Sequence[int]) -> None:
+def permute(sim: SimState, targets: Sequence[int]) -> None:
     """Route each source's record directly to its target, all in one round.
 
-    ``targets`` must be a partial injection on occupied positions: a dict
-    from source to target, or a sequence whose entry i is the target of
-    position i, charged as ``dict(enumerate(targets))`` without building it.
+    ``targets`` is a sequence or array whose entry i is the target of
+    position i; its entries must be distinct occupied positions.
     """
-    if isinstance(targets, dict):
-        src = np.fromiter(targets.keys(), np.int64, len(targets))
-        dst = np.fromiter(targets.values(), np.int64, len(targets))
-    else:
-        dst = np.asarray(targets, dtype=np.int64)
-        src = np.arange(len(dst), dtype=np.int64)
+    dst = np.asarray(targets, dtype=np.int64)
+    src = np.arange(len(dst), dtype=np.int64)
     n = sim.placement.n
-    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    bad = (src >= n) | (dst < 0) | (dst >= n)
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"permutation entry {src[i]} -> {dst[i]} out of range")
     hits = np.bincount(dst, minlength=n)
     if hits.max(initial=0) > 1:
         raise ValueError(f"duplicate permutation target {int(hits.argmax())}")
-    order = np.argsort(src)
-    sim.send_round(src[order], dst[order])
+    sim.send_round(src, dst)
 
 
 def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:

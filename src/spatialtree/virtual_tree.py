@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .layout import Layout
-from .sim import ORDERED_CHUNK, SimState
+from .sim import SimState
 from .trees import RootedTree, light_first_csr
 
 # modeled per-vertex words of the local kernels: value, partial, result,
@@ -81,20 +81,6 @@ class VirtualTree:
             got[child[step]] = True
             step = (relay >= 0) & got[relay] & ~got[child]
         return levels
-
-    @cached_property
-    def reduce_slots(self) -> array:
-        """The CSR slots of every child block in :func:`block_reduce`'s send
-        order: appended links grouped by relay, relays taken last to first,
-        then the current children.  Slot k sends from its child to its relay,
-        or to the reduce's destination when the relay is -1."""
-        ptr, src, dst = (np.frombuffer(a, dtype=np.intc) for a in self.blocks)
-        slot = np.arange(len(dst), dtype=np.intc)
-        slot_of = np.zeros(len(self.vparent), dtype=np.intc)
-        slot_of[dst] = slot
-        group = np.where(src >= 0, -slot_of[src], 1)
-        block = np.repeat(np.arange(len(ptr) - 1, dtype=np.intc), np.diff(ptr))
-        return array("i", np.lexsort((slot, group, block)).astype(np.intc).tobytes())
 
 
 def _split_block(block: list[int]):
@@ -213,9 +199,11 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     construction from the same light-first CSR, which it returns.
 
     It runs once per distinct block length (:func:`_protocol_pattern`); its
-    messages are charged block after block, parents in BFS order, as one
-    ``send`` each, and its links are checked entry by entry against the
-    direct tree's ``blocks`` and ``vparent``.
+    messages are queued block after block, parents in BFS order, and
+    charged with one ``send_at`` that gives each message the departure
+    clock of one ``send`` per message in queue order, so the batch is
+    checked whole before any of it is charged.  Its links are checked entry
+    by entry against the direct tree's ``blocks`` and ``vparent``.
     """
     ptr, kids = light_first_csr(t, sizes)
     deg = np.diff(ptr)
@@ -233,9 +221,19 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
         members = np.column_stack((parents, kids[ptr[parents, None] + np.arange(m)]))
         queue[start[parents, None] + np.arange(len(msgs))] = \
             pos[members[:, np.array(msgs) + 1]]
-    for lo in range(0, len(queue), ORDERED_CHUNK):
-        chunk = queue[lo:lo + ORDERED_CHUNK]
-        sim.send_ordered(chunk[:, 0], chunk[:, 1])
+    # a message departs at its source's clock once the messages queued
+    # before it have arrived: one walk over a copy of the clocks, held as
+    # Python ints so that a clock past int64 reaches send_at's check
+    src, dst = queue.T
+    clock = sim.clock.tolist()
+    ready = []
+    keep = ready.append
+    for a, b in zip(src.tolist(), dst.tolist()):
+        x = clock[a]
+        keep(x)
+        if x >= clock[b]:
+            clock[b] = x + 1
+    sim.send_at(src, dst, ready)
     sim.note_words_many(pos, REFS_WORDS)
 
     got = (ptr, *_block_links(ptr, kids, lambda m: patterns[m][1]))
@@ -316,13 +314,18 @@ def block_reduce(sim: SimState, vt: VirtualTree, pos, parent_vertex: int,
                  dst_pos: int, contribution: Callable[[int], object],
                  op: Callable, identity):
     """Fold contribution(c) over all original children of parent_vertex,
-    relaying through the block in ``reduce_slots`` order, delivering the
-    result to dst_pos."""
+    relaying through the block, delivering the result to dst_pos.
+
+    The appended links go first, grouped by relay and relays taken last to
+    first in relay order, then the current children."""
     b = vt.blocks
     lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
-    up = {c: contribution(c) for c in b.dst[lo:hi]}
-    up[-1] = identity  # relay -1 is dst_pos: it folds the current children
-    for k in vt.reduce_slots[lo:hi]:
+    slot_of = {c: k for k, c in enumerate(b.dst[lo:hi], lo)}
+    up = {c: contribution(c) for c in slot_of}
+    # relay -1 is dst_pos: it folds the current children, after every relay
+    slot_of[-1] = -1
+    up[-1] = identity
+    for k in sorted(range(lo, hi), key=lambda k: (-slot_of[b.src[k]], k)):
         x, c = b.src[k], b.dst[k]
         sim.send(pos[c], dst_pos if x < 0 else pos[x])
         up[x] = op(up[x], up[c])

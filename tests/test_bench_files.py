@@ -45,14 +45,15 @@ def test_bench_file_names_commits_command_and_seeds(path):
     check_summary(json.loads(path.read_text()))
 
 
-def fake_run(commit, pass_ref, depth=10, seed=1):
+def fake_run(commit, pass_ref, depth=10, seed=1, setups=(0.7, 0.9)):
     """The fields of a perfbench results file that the summary reads."""
     return {"workload": "lca-65k", "trace": 0,
             "stamp": {"commit": commit, "seed": seed, "python": "3.11.7",
                       "numpy": "2.4.6", "nproc": 2, "cpu": "test cpu"},
             "end_to_end": {"pass_ref": pass_ref, "setup_s": 1.0, "peak_rss_mb": 90.0,
                            "ok_frac": 1.0, "energy": 500, "depth": depth, "messages": 40},
-            "pass_s": 2 * pass_ref, "op_samples": {"a": [0.1, 0.2], "b": [0.3]}}
+            "pass_s": 2 * pass_ref, "op_samples": {"a": [0.1, 0.2], "b": [0.3]},
+            "setup_samples": list(setups)}
 
 
 def write_runs(tmp_path, name, runs):
@@ -78,6 +79,17 @@ def test_summary_pairs_runs_in_the_order_given(tmp_path):
     assert entry["parent"]["iqr"]["pass_ref"] == 1.0
     assert entry["parent"]["ops"] == [3, 3, 3]
     assert entry["change"]["costs"] == {"energy": 500, "depth": 8, "messages": 40}
+
+
+def test_summary_gives_each_side_the_range_of_every_set_up_sample():
+    # setup_s is one run's median set-up; the range spans every sample of
+    # every run, so one slow set-up shows even when the medians agree
+    parent = [fake_run("aaa", 3.0, setups=(0.62, 0.8, 0.7)), fake_run("aaa", 3.0, setups=(1.43,))]
+    change = [fake_run("bbb", 3.0), fake_run("bbb", 3.0, setups=(0.8, 0.75))]
+    entry = bench_summary.summarise(parent, change, "cmd")["workloads"]["lca-65k"]["1"]
+    assert entry["parent"]["setup_samples"] == {"count": 4, "min": 0.62, "max": 1.43}
+    assert entry["change"]["setup_samples"] == {"count": 4, "min": 0.7, "max": 0.9}
+    assert entry["parent"]["median"]["setup_s"] == entry["change"]["median"]["setup_s"] == 1.0
 
 
 def fake_traced_run(commit, barrier_s):

@@ -17,7 +17,7 @@ from spatialtree import cli, sim
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_distance
 from spatialtree.layout import light_first_layout
-from spatialtree.sim import (_DUMP_CHUNK, ORDERED_CHUNK, Placement, SimState, TraceEvent,
+from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent,
                              _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
                              broadcast_ranges, compact, permute, prefix_sum, reduce_range)
 from spatialtree.treefix import treefix_topdown
@@ -116,7 +116,6 @@ AT_THE_LIMIT = {
     "send_round": lambda s: s.send_round([1], [2]),
     "send_rounds": lambda s: s.send_rounds([([1], [2]), ([0], [3])]),
     "send": lambda s: s.send(1, 2),
-    "send_ordered": lambda s: s.send_ordered([1, 0], [2, 3]),
 }
 
 
@@ -137,24 +136,6 @@ def limit_state(n=8):
     s = fresh(n, trace=True)
     s.send_at([0], [1], [LIMIT - 1])
     return s
-
-
-@pytest.mark.parametrize("bad", [1, 5, ORDERED_CHUNK + 2])
-def test_an_ordered_batch_stops_at_the_limit_like_scalar_sends(bad):
-    # messages before the bad one are charged, exactly as by send one at a
-    # time, also when they fill a whole chunk first
-    count = bad + 4
-    rng = np.random.default_rng(bad)
-    src = rng.integers(2, 8, count)
-    dst = rng.integers(2, 8, count)
-    src[bad] = 1
-    got, want = limit_state(), limit_state()
-    with pytest.raises(ValueError, match="departure clock"):
-        got.send_ordered(src, dst)
-    with pytest.raises(ValueError, match="departure clock"):
-        scalar_sends(want, src.tolist(), dst.tolist())
-    assert state_of(got) == state_of(want)
-    assert got.messages == bad + 1 and min(e.depth for e in got.events) > 0
 
 
 def test_a_later_round_at_the_limit_raises_after_the_rounds_before_it():
@@ -181,7 +162,6 @@ def elementwise_position_error(src, dst, n):
 BATCH_KERNELS = {
     "send_round": lambda s, src, dst: s.send_round(src, dst),
     "send_at": lambda s, src, dst: s.send_at(src, dst, np.zeros(len(src), np.int64)),
-    "send_ordered": lambda s, src, dst: s.send_ordered(src, dst),
 }
 
 
@@ -296,70 +276,6 @@ def test_send_round_rejects_malformed_arrays():
     with pytest.raises(ValueError):
         s.send_round(np.array([0.0]), np.array([1.0]))
     assert s.messages == 0
-
-
-def scalar_sends(sim, src, dst):
-    for a, b in zip(src, dst):
-        sim.send(a, b)
-
-
-def random_ordered_batch(rng, n, count):
-    """Receivers drawn with repeats, sources drawn mostly from receivers
-    earlier in the batch, so many messages relay what just arrived."""
-    dst = rng.integers(0, n, count)
-    src = rng.integers(0, n, count)
-    back = rng.random(count) < 0.7
-    back[0] = False
-    earlier = (rng.random(count) * np.arange(count)).astype(np.int64)
-    src[back] = dst[earlier[back]]
-    return src, dst
-
-
-@pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("n,count", [(8, 1), (8, 40), (64, 64), (1000, 3000),
-                                     (5000, 13000)])
-def test_send_ordered_matches_scalar_sends(n, count, trace):
-    # the last two cases span several chunks of an ordered batch
-    rng = np.random.default_rng(n * 3 + count)
-    got = fresh(n, trace=trace)
-    want = fresh(n, trace=trace)
-    start = rng.integers(0, 5, n).tolist()
-    got.clock[:] = start
-    want.clock[:] = start
-    for _ in range(3):
-        src, dst = random_ordered_batch(rng, n, count)
-        assert len(np.unique(dst)) < count or count == 1
-        got.send_ordered(src, dst)
-        scalar_sends(want, src.tolist(), dst.tolist())
-        assert state_of(got) == state_of(want)
-
-
-def test_send_ordered_repeated_receiver_relays_after_each_arrival():
-    s = fresh(8, trace=True)
-    s.clock[2] = 3
-    s.send_ordered(np.array([0, 1, 2, 1, 5]), np.array([1, 5, 1, 6, 1]))
-    # 1 receives three times and sends twice, each time at its clock then
-    assert [e.depth for e in s.events] == [1, 2, 4, 5, 3]
-    assert s.clock[:7].tolist() == [0, 4, 3, 0, 0, 2, 5]
-    assert s.depth == 5 and s.messages == 5
-
-
-@pytest.mark.parametrize("src,dst", [([0, 1], [2, 4]), ([-1], [0]), ([0], [-2]),
-                                     ([0.0], [1.0]), ([0, 1], [1]),
-                                     ([[0, 1]], [[1, 2]])])
-def test_bad_ordered_batch_raises_and_charges_nothing(src, dst):
-    s = fresh(4, trace=True)
-    s.send(2, 3)
-    before = (s.energy, s.depth, s.messages, list(s.clock), list(s.events))
-    with pytest.raises(ValueError):
-        s.send_ordered(np.array(src), np.array(dst))
-    assert (s.energy, s.depth, s.messages, s.clock.tolist(), s.events) == before
-
-
-def test_send_ordered_empty_is_free():
-    s = fresh(4, trace=True)
-    s.send_ordered(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
 def test_send_rounds_equal_consecutive_send_rounds():
@@ -610,45 +526,35 @@ def test_sweep_cache_belongs_to_one_state():
 
 def test_permute_identity_free_and_reverse_pinned():
     s = fresh(4)
-    permute(s, {i: i for i in range(4)})
+    permute(s, [0, 1, 2, 3])
     assert s.energy == 0
     s = fresh(4)
-    permute(s, {i: 3 - i for i in range(4)})
+    permute(s, [3, 2, 1, 0])
     # distances between opposite cells of the k=1 Hilbert square
     assert s.energy == 4
     assert s.depth == 1
 
 
-def test_permute_takes_a_target_sequence_like_the_dict_it_enumerates():
-    targets = np.random.default_rng(3).permutation(50).tolist()
-    got, want = fresh(64, trace=True), fresh(64, trace=True)
-    permute(got, targets)
-    permute(want, dict(enumerate(targets)))
-    assert state_of(got) == state_of(want)
-    with pytest.raises(ValueError, match="duplicate permutation target 2"):
-        permute(got, [2, 2])
-    with pytest.raises(ValueError, match="out of range"):
-        permute(got, np.array([0, 64]))
-    assert state_of(got) == state_of(want)
-
-
 def test_permute_rejects_duplicate_targets():
-    s = fresh(4)
-    with pytest.raises(ValueError):
-        permute(s, {0: 2, 1: 2})
+    s = fresh(4, trace=True)
+    with pytest.raises(ValueError, match="duplicate permutation target 2"):
+        permute(s, [2, 2])
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
 def test_permute_rejects_out_of_range_before_charging():
-    s = fresh(4)
-    with pytest.raises(ValueError):
-        permute(s, {0: 1, 1: 4})
-    assert s.messages == 0 and s.energy == 0
+    # targets off the grid, or more targets than positions
+    s = fresh(4, trace=True)
+    for targets in ([1, 4], np.array([0, -1]), [0, 1, 2, 3, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            permute(s, targets)
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
 def test_permute_energy_diameter_bound():
     n = 256
     s = fresh(n)
-    permute(s, {i: (i * 97 + 13) % n for i in range(n)})
+    permute(s, [(i * 97 + 13) % n for i in range(n)])
     assert s.energy <= 2 * n * (n ** 0.5)
 
 
@@ -696,7 +602,7 @@ def reference_dump(events, path):
 
 
 def mixed_traced_run():
-    """Scalar sends, a narrow round, a wide round and an ordered batch on
+    """Scalar sends, a send_at batch, a narrow round and a wide round on
     one grid."""
     s = fresh(64, trace=True)
     s.send(np.int64(3), 40)
@@ -704,7 +610,8 @@ def mixed_traced_run():
     s.send_round(np.array([7, 40, 3]), np.array([9, 9, 63]))
     rng = np.random.default_rng(5)
     s.send_round(rng.integers(0, 64, 50), rng.integers(0, 64, 50))
-    s.send_ordered(np.array([9, 1, 2, 30]), np.array([1, 2, 30, 9]))
+    for a, b in ((9, 1), (1, 2), (2, 30), (30, 9)):
+        s.send(a, b)
     return s
 
 
@@ -854,7 +761,6 @@ CHARGE_PATHS = {
                                    np.array([5, 2 ** 40])),
     "rounds": lambda s: s.send_rounds([(np.array([7, 40]), np.array([9, 9])),
                                        (np.array([9]), np.array([63]))]),
-    "ordered": lambda s: s.send_ordered(np.array([30, 1, 1]), np.array([1, 30, 1])),
 }
 
 

@@ -366,18 +366,3 @@ def test_chain_depth_over_log_squared_stays_bounded(kind, fn):
         if prev is not None:
             assert d_norm / prev <= 1.5, (n, sim.depth)
         prev = d_norm
-
-
-def test_treefix_never_charges_an_ordered_batch(monkeypatch):
-    def refuse(self, src, dst):
-        raise AssertionError("treefix charged an ordered batch")
-
-    monkeypatch.setattr(SimState, "send_ordered", refuse)
-    for kind in GENERATOR_KINDS:
-        t = gen_tree(kind, 255, seed=3)
-        vals = list(range(t.n))
-        lay = light_first_layout(t)
-        got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=3)
-        assert got == subtree_sums(t, vals)
-        got = treefix_topdown(SimState(lay.placement()), t, lay, vals, seed=3)
-        assert got == root_path_sums(t, vals)

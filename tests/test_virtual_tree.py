@@ -8,12 +8,12 @@ from spatialtree import virtual_tree
 from spatialtree.curves import CurveKind, aligned_square_side, curve_coords
 from spatialtree.layout import build_baseline, light_first_layout
 from spatialtree.rng import Lcg
-from spatialtree.sim import SimState
+from spatialtree.sim import Placement, SimState
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, light_first_csr,
                                subtree_sizes)
 from spatialtree.trees import bfs_order
-from spatialtree.virtual_tree import (_split_block, build_refs_protocol, local_broadcast,
-                                      local_reduce, transform)
+from spatialtree.virtual_tree import (_split_block, block_reduce, build_refs_protocol,
+                                      local_broadcast, local_reduce, transform)
 
 
 def vt_for(t):
@@ -207,7 +207,7 @@ def reversed_children(t):
 
 
 def reference_cases():
-    # the star of 5,000 has a block wider than ORDERED_CHUNK
+    # the star of 5,000 is one block of 4,999 children
     for kind in GENERATOR_KINDS:
         sizes = (1, 3, 7, 127, 1023, 4095) if kind == "perfect-binary" \
             else (1, 2, 3, 9, 100, 1000, 5000)
@@ -237,7 +237,15 @@ def test_transform_matches_per_vertex_reference(name, t):
     vt = transform(t, sizes)
     assert vt.vparent.tolist() == vparent
     assert [b.tolist() for b in vt.blocks] == list(blocks)
-    assert vt.reduce_slots.tolist() == reference_reduce_slots(cur, app, blocks)
+    # block_reduce over blocks 0, 1, ... sends every block's slots in the
+    # reference order; with vertex v at position v, an event's source is
+    # the child that sends
+    sim = SimState(Placement.for_size(CurveKind.HILBERT, t.n), trace=True)
+    for v in range(t.n):
+        got = block_reduce(sim, vt, range(t.n), v, v, lambda c: c, operator.add, 0)
+        assert got == sum(t.children[v])
+    slot_of = {c: k for k, c in enumerate(blocks[2])}
+    assert [slot_of[e.src] for e in sim.events] == reference_reduce_slots(cur, app, blocks)
 
 
 @pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
@@ -275,6 +283,23 @@ def test_refs_protocol_matches_per_vertex_reference(name, t):
     assert got.report() == want.report()
     assert [b.tolist() for b in vt.blocks] == list(blocks_of(cur, app))
     assert vt.vparent.tolist() == vparent
+
+
+@pytest.mark.parametrize("kind", ["star", "random-attachment"])
+def test_refs_protocol_at_the_clock_limit_raises_and_charges_nothing(kind):
+    # from clocks at 2**63 - 2, a message that waits for one arrival departs
+    # at 2**63 - 1 and one that waits for two departs past int64; the whole
+    # batch is checked before any of it is charged
+    t = gen_tree(kind, 100, seed=1)
+    sizes = subtree_sizes(t)
+    lay = light_first_layout(t, sizes=sizes)
+    sim = SimState(lay.placement(), trace=True)
+    sim.clock[:] = 2 ** 63 - 2
+    before = (sim.report(), sim.clock.tolist())
+    with pytest.raises(ValueError, match="ready clock"):
+        build_refs_protocol(sim, t, sizes, lay)
+    assert (sim.report(), sim.clock.tolist()) == before
+    assert list(sim.events) == []
 
 
 def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):

@@ -16,9 +16,12 @@ timing, to show in which layer a change of ``pass_s`` appears.
 The summary holds the parent and change commits, the command, the host
 stamp, and per workload and seed: the pair count, how many pairs the
 change won on ``pass_ref``, and for each side the median and interquartile
-range of every end-to-end time and memory metric, the op count of each run
-and the model costs.  Model costs are exact for a seed, so a side whose runs
-disagree on them is an error.  All runs must come from one host.
+range of every end-to-end time and memory metric, the smallest and largest
+single set-up sample over all its runs (a run's ``setup_s`` is the median
+of its ``setup_samples`` plus import time, which hides their spread), the
+op count of each run and the model costs.  Model costs are exact for a
+seed, so a side whose runs disagree on them is an error.  All runs must
+come from one host.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 
 def side_summary(runs: list[dict], label: str) -> dict:
-    """Medians, IQRs, op counts and the one set of model costs of a side's
-    runs of one workload and seed."""
+    """Medians, IQRs, set-up sample range, op counts and the one set of
+    model costs of a side's runs of one workload and seed."""
     values = {m: [r["pass_s"] if m == "pass_s" else r["end_to_end"][m] for r in runs]
               for m in TIMED}
     costs = {tuple(r["end_to_end"][c] for c in COSTS) for r in runs}
@@ -60,10 +63,12 @@ def side_summary(runs: list[dict], label: str) -> dict:
     for m, xs in values.items():
         q1, q3 = quartiles(xs)
         iqr[m] = q3 - q1
+    setups = [x for r in runs for x in r["setup_samples"]]
     return {
         "runs": len(runs),
         "median": {m: statistics.median(xs) for m, xs in values.items()},
         "iqr": iqr,
+        "setup_samples": {"count": len(setups), "min": min(setups), "max": max(setups)},
         "ops": [sum(map(len, r["op_samples"].values())) for r in runs],
         "costs": dict(zip(COSTS, costs.pop())),
     }
