@@ -124,8 +124,7 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     dest, count = compact(sim, flags)
     if count != n:
         raise RuntimeError("first-occurrence compaction lost vertices")
-    pos = [dest[r] for r in rank[:n]]
-    layout = Layout.from_positions(kind, pos)
+    layout = Layout.from_positions(kind, dest[rank[:n]].tolist())
     return layout, sim.report(), sim
 
 

@@ -5,6 +5,11 @@ random-mate coin flips, solves the small remnant by a sequential walk, and
 then replays the splices in reverse to assign every element its distance
 from the head.  Ranking the successor chain of an Euler tour yields tour
 indices, from which subtree sizes fall out as half the first/last gap.
+
+The contraction works on int64 arrays throughout: each iteration draws its
+coins with one :meth:`Lcg.next_bits`, gathers the successors' coins only
+for the heads, and drops the spliced elements from the live list by index.
+Ranks and subtree sizes are returned as int64 arrays.
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ def _validate_chain(succ: np.ndarray, head: int) -> None:
 
 
 def list_rank(sim: SimState, succ, head: int, seed: int,
-              iteration_stats: list | None = None) -> list[int]:
-    """Rank of every element: rank(head) = 0, rank(succ(x)) = rank(x) + 1.
+              iteration_stats: list | None = None) -> np.ndarray:
+    """Rank of every element as an int64 array: rank(head) = 0,
+    rank(succ(x)) = rank(x) + 1.
 
-    ``succ`` is a sequence of ints, -1 marking the tail.  Elements occupy
-    curve positions equal to their ids.  Each contraction iteration charges
-    one announce round (a message per live link) and one splice round (a
-    message per removed element); the remnant of at most
+    ``succ`` is a sequence or array of ints, -1 marking the tail.  Elements
+    occupy curve positions equal to their ids.  Each contraction iteration
+    charges one announce round (a message per live link) and one splice
+    round (a message per removed element); the remnant of at most
     max(4, ceil(log2 m)) elements is walked sequentially, then iterations
     are reverted in descending order, one round each.
 
@@ -54,7 +60,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     m = len(nxt)
     _validate_chain(nxt, head)
     if m == 1:
-        return [0]
+        return np.zeros(1, dtype=np.int64)
     rng = Lcg(seed)
     tails = nxt < 0
     pred = np.full(m, -1, dtype=np.int64)
@@ -68,16 +74,19 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     removed_per_iter: list[np.ndarray] = []
     while len(live) > threshold:
         msg0, en0 = sim.messages, sim.energy
-        coin[live] = rng.next_bits(len(live))
+        bits = rng.next_bits(len(live))
+        coin[live] = bits
         after = nxt[live]
         linked = after >= 0
         # one round of announces: identity and coin to the successor
         sim.send_round(live[linked], after[linked])
-        # heads whose successor flipped tails; selecting before any splice
-        # keeps the set independent in the current chain, so the splices
-        # below touch distinct predecessors and successors
-        picked = linked & (live != head) & (coin[live] == 1)
-        picked[picked] = coin[after[picked]] == 0
+        # heads whose successor flipped tails, the chain's head excepted
+        # (live stays ascending); selecting before any splice keeps the set
+        # independent in the current chain, so the splices below touch
+        # distinct predecessors and successors
+        bits[np.searchsorted(live, head)] = 0
+        picked = np.flatnonzero(linked & (bits == 1))
+        picked = picked[coin[after[picked]] == 0]
         removed = live[picked]
         p = pred[removed]
         z = nxt[removed]
@@ -93,7 +102,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
             iteration_stats.append((len(live), sim.messages - msg0,
                                     sim.energy - en0))
         sim.note_words_many(live, 7)  # succ, pred, weight, rank, tag, src, coin
-        live = live[~picked]
+        live = np.delete(live, picked)
         sim.rounds += 1
     rank = np.zeros(m, dtype=np.int64)
     cur = head
@@ -109,7 +118,7 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     # elements never get a rank of their own
     if (np.bincount(rank, minlength=m) != 1).any():
         raise ChainError("successor links must form one chain covering all elements")
-    return rank.tolist()
+    return rank
 
 
 def tour_links(t: RootedTree, kids=None):
@@ -140,23 +149,24 @@ def tour_links(t: RootedTree, kids=None):
     return succ, t.root, ret_base
 
 
-def subtree_sizes_via_tour(sim: SimState, t: RootedTree, seed: int) -> list[int]:
-    """Subtree sizes from a ranked Euler tour: s(v) = (last - first)/2 + 1.
+def subtree_sizes_via_tour(sim: SimState, t: RootedTree, seed: int) -> np.ndarray:
+    """Subtree sizes from a ranked Euler tour, as an int64 array:
+    s(v) = (last - first)/2 + 1.
 
     The first-visit slot of v sits at v's own position; in one round the
     slot of each internal vertex's last return visit sends its rank home.
     """
     n = t.n
     if n == 1:
-        return [1]
+        return np.ones(1, dtype=np.int64)
     if sim.placement.n < 2 * n - 1:
         raise ValueError("placement too small for the 2n-1 tour slots")
     succ, head, ret_base = tour_links(t)
-    rank = np.array(list_rank(sim, succ, head, seed))
+    rank = list_rank(sim, succ, head, seed)
     deg = np.diff(t.ptr)
     inner = np.flatnonzero(deg)
     last_slot = ret_base[inner] + deg[inner] - 1
     sim.send_round(last_slot, inner)
     sizes = np.ones(n, dtype=np.int64)
     sizes[inner] = (rank[last_slot] - rank[inner]) // 2 + 1
-    return sizes.tolist()
+    return sizes

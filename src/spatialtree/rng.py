@@ -2,6 +2,12 @@
 
 Constants are fixed so that seeded runs replay bit-identically everywhere;
 every coin flip and random draw in the package flows through this class.
+
+:meth:`Lcg.next_bits` jumps ahead with one module-wide table of the pairs
+(a^i, c * (1 + a + ... + a^(i-1))) for i = 1, 2, ...  The table is
+read-only, shared by every generator, and grown to the next power of two
+when a call asks for more flips than it holds: 16 bytes per entry, 2 MiB at
+131,072 entries.
 """
 
 from __future__ import annotations
@@ -11,6 +17,27 @@ import numpy as np
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+
+# the jump-ahead pairs for i = 1 .. len; see _jump_table
+_POWERS = _OFFSETS = np.zeros(0, dtype=np.uint64)
+
+
+def _jump_table(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` pairs (a^i, c * (1 + a + ... + a^(i-1))) as two
+    read-only uint64 arrays, so state_i = a^i * state_0 + offset_i in
+    uint64 arithmetic, which wraps mod 2^64 like the scalar step."""
+    global _POWERS, _OFFSETS
+    if len(_POWERS) < count:
+        size = 1 << (count - 1).bit_length()
+        powers = np.multiply.accumulate(np.full(size, _MULT, dtype=np.uint64))
+        # add.accumulate, not np.cumsum: under numpy 2.4 repeated cumsum
+        # calls left small objects alive and let the heap grow run by run
+        offsets = np.add.accumulate(np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1])))
+        offsets *= np.uint64(_INC)
+        for a in (powers, offsets):
+            a.flags.writeable = False
+        _POWERS, _OFFSETS = powers, offsets
+    return _POWERS[:count], _OFFSETS[:count]
 
 
 class Lcg:
@@ -28,20 +55,16 @@ class Lcg:
 
     def next_bits(self, count: int) -> np.ndarray:
         """``count`` coin flips as a 0/1 uint8 array, identical to ``count``
-        calls of :meth:`next_bit`.
-
-        Jumps ahead in uint64 arithmetic, which wraps mod 2^64 like the
-        scalar step: state_i = a^i * state_0 + c * (1 + a + ... + a^(i-1)).
-        """
+        calls of :meth:`next_bit`: one multiply, one add and one shift over
+        a slice of the shared jump-ahead table."""
         if count <= 0:
             return np.zeros(0, dtype=np.uint8)
-        powers = np.multiply.accumulate(np.full(count, _MULT, dtype=np.uint64))
-        # add.accumulate, not np.cumsum: under numpy 2.4 repeated cumsum
-        # calls left small objects alive and let the heap grow run by run
-        sums = np.add.accumulate(np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1])))
-        states = powers * np.uint64(self.state) + sums * np.uint64(_INC)
+        powers, offsets = _jump_table(count)
+        states = powers * np.uint64(self.state)
+        states += offsets
         self.state = int(states[-1])
-        return (states >> np.uint64(63)).astype(np.uint8)
+        states >>= np.uint64(63)
+        return states.astype(np.uint8)
 
     def next_below(self, n: int) -> int:
         """Uniform-ish draw in [0, n); modulo bias is irrelevant at our sizes."""

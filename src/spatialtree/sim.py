@@ -40,14 +40,17 @@ divide-by-ten passes.
 The module also provides the grid-wide communication primitives: range
 broadcast and reduce over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
-compaction of flagged records.  The barrier, the prefix sum and
-``broadcast_ranges`` charge their range trees one level per round, deepest
-level first on the way up and top level first on the way down, so their
-trace lists events level by level.  The barrier and the prefix sum sweep
-the same range tree over [0, m) each time, so a ``SimState`` keeps each
-m's levels as checked intp (head, right half) arrays with every message's
-cost, from the second sweep of m on; a repeat sweep is one clock gather,
-one ``np.maximum.at`` and one charge per level.
+compaction of flagged records.  ``prefix_sum`` folds any op over a
+sequence; ``compact`` charges the same sweep as a prefix sum of its flags,
+but ranks the flagged records in numpy and returns an int64 destination
+array.  The barrier, the prefix sum, ``compact`` and ``broadcast_ranges``
+charge their range trees one level per round, deepest level first on the
+way up and top level first on the way down, so their trace lists events
+level by level.  The barrier and the prefix sum sweep the same range tree
+over [0, m) each time, so a ``SimState`` keeps each m's levels as checked
+intp (head, right half) arrays with every message's cost, from the second
+sweep of m on; a repeat sweep is one clock gather, one ``np.maximum.at``
+and one charge per level.
 """
 
 from __future__ import annotations
@@ -558,22 +561,26 @@ def permute(sim: SimState, targets: Sequence[int]) -> None:
     sim.send_round(src, dst)
 
 
-def compact(sim: SimState, flags: Sequence[bool]) -> tuple[list, int]:
+def compact(sim: SimState, flags) -> tuple[np.ndarray, int]:
     """Move flagged records to prefix positions, preserving order.
 
-    Returns (destinations, count) where destinations[i] is the new position
-    of the record at i, or None if unflagged.  Costs one prefix sum plus the
-    routing permutation.
+    ``flags`` is a sequence or array of bools, one per position.  Returns
+    (dest, count): dest is an int64 array whose entry i is the new position
+    of the record at i, or -1 if unflagged, and count is the number of
+    flagged records.  Costs what :func:`prefix_sum` over the flags charges,
+    one sweep of [0, m), then the routing round.
     """
-    m = len(flags)
-    if m == 0:
-        return [], 0
     flagged = np.asarray(flags, dtype=bool)
-    counts = np.array(prefix_sum(sim, flagged.astype(np.int64).tolist()))
+    m = len(flagged)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    if m > sim.placement.n:
+        raise ValueError("more values than occupied positions")
+    _sweep(sim, m)
     src = np.flatnonzero(flagged)
-    dst = counts[src] - 1  # distinct and below m <= n
+    # a flagged record's prefix count, less one, is its rank among them
+    dst = np.arange(len(src), dtype=np.int64)
     sim.send_round(src, dst)
-    dest: list[int | None] = [None] * m
-    for i, d in zip(src.tolist(), dst.tolist()):
-        dest[i] = d
-    return dest, int(counts[-1])
+    dest = np.full(m, -1, dtype=np.int64)
+    dest[src] = dst
+    return dest, len(src)

@@ -9,6 +9,9 @@ import sys
 from pathlib import Path
 
 import spatialtree  # noqa: F401  (install wraps the loaded submodules)
+from spatialtree import layout
+from spatialtree.curves import CurveKind
+from spatialtree.trees import gen_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import PACKAGE, TARGETS, Tracer  # noqa: E402
@@ -39,3 +42,22 @@ def test_tracer_wraps_every_target_and_uninstall_restores_them():
     finally:
         tracer.uninstall()
     assert [resolve(mod, attr) for _, mod, attr, _ in TARGETS] == originals
+
+
+def test_traced_layout_build_fires_every_layer_with_messages():
+    # the layout bench reads its per-layer view from these spans, so a
+    # refactor that stops calling a layer by name would blank it silently
+    t = gen_tree("random-attachment", 1000, seed=1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("layout")
+        layout.build_light_first(t, CurveKind.HILBERT, seed=1)
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    for name, calls in (("listrank.list_rank", 2), ("listrank.subtree_sizes_via_tour", 1),
+                        ("sim.compact", 1), ("sim.permute", 1)):
+        mine = spans["name"] == tracer.names.index(name)
+        assert mine.sum() == calls, name
+        assert (spans["msgs"][mine] > 0).all(), name

@@ -108,9 +108,9 @@ def test_tour_links_match_plain_tour():
 
 
 def test_list_rank_trivial_and_small():
-    assert list_rank(sim_for(1), [-1], 0, seed=5) == [0]
+    assert list_rank(sim_for(1), [-1], 0, seed=5).tolist() == [0]
     s = sim_for(5)
-    assert list_rank(s, [1, 2, 3, 4, -1], 0, seed=5) == [0, 1, 2, 3, 4]
+    assert list_rank(s, [1, 2, 3, 4, -1], 0, seed=5).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_list_rank_matches_sequential_oracle():
@@ -237,7 +237,7 @@ def test_list_rank_matches_element_at_a_time_reference(m):
         want.clock[:] = got.clock
         got_stats, want_stats = [], []
         ranks = list_rank(got, succ, head, seed + 50, iteration_stats=got_stats)
-        assert ranks == list_rank_reference(want, succ, head, seed + 50, want_stats)
+        assert ranks.tolist() == list_rank_reference(want, succ, head, seed + 50, want_stats)
         assert got_stats == want_stats
         assert got.report() == want.report() and got.clock.tolist() == want.clock.tolist()
         assert got.events == want.events
@@ -256,9 +256,9 @@ def test_list_rank_cost_regression_anchors():
 def test_subtree_sizes_via_tour_examples():
     t = gen_tree("path", 3)
     s = sim_for(2 * 3 - 1)
-    assert subtree_sizes_via_tour(s, t, seed=2) == [3, 2, 1]
+    assert subtree_sizes_via_tour(s, t, seed=2).tolist() == [3, 2, 1]
     leaf = RootedTree([-1])
-    assert subtree_sizes_via_tour(sim_for(1), leaf, seed=2) == [1]
+    assert subtree_sizes_via_tour(sim_for(1), leaf, seed=2).tolist() == [1]
 
 
 def test_subtree_sizes_via_tour_matches_oracle():
@@ -267,4 +267,4 @@ def test_subtree_sizes_via_tour_matches_oracle():
         n = 1 + rng.next_below(256)
         t = gen_tree("random-attachment", n, seed=trial)
         s = sim_for(max(1, 2 * n - 1))
-        assert subtree_sizes_via_tour(s, t, seed=trial) == subtree_sizes(t)
+        assert subtree_sizes_via_tour(s, t, seed=trial).tolist() == subtree_sizes(t)

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from spatialtree import rng
 from spatialtree.rng import Lcg
 
 
@@ -18,3 +20,35 @@ def test_next_bits_continues_the_stream():
     got = a.next_bits(5).tolist() + [a.next_bit()] + a.next_bits(7).tolist()
     assert got == [b.next_bit() for _ in range(13)]
     assert a.next_u64() == b.next_u64()
+
+
+def test_next_bits_across_table_growth(monkeypatch):
+    # start from an empty jump table, so every power of two is a growth
+    empty = np.zeros(0, dtype=np.uint64)
+    monkeypatch.setattr(rng, "_POWERS", empty)
+    monkeypatch.setattr(rng, "_OFFSETS", empty)
+    counts = [1, 2]
+    for k in range(2, 11):
+        counts += [2 ** k - 1, 2 ** k, 2 ** k + 1]
+    seeds = (7, 2 ** 63 + 5)
+    fast = [Lcg(s) for s in seeds]  # two generators sharing the table
+    slow = [Lcg(s) for s in seeds]
+    for i, count in enumerate(counts):
+        for a, b in zip(fast, slow):
+            assert a.next_bits(count).tolist() == [b.next_bit() for _ in range(count)]
+            assert a.state == b.state
+            # scalar draws in between continue the same stream
+            if i % 2:
+                assert a.next_bit() == b.next_bit()
+            else:
+                assert a.next_u64() == b.next_u64()
+        size = len(rng._POWERS)
+        assert size == len(rng._OFFSETS) and size & (size - 1) == 0
+        assert count <= size < 2 * count
+        assert not rng._POWERS.flags.writeable and not rng._OFFSETS.flags.writeable
+    with pytest.raises(ValueError):
+        rng._POWERS[0] = 0
+    # a later short call slices the grown table
+    a, b = Lcg(3), Lcg(3)
+    assert a.next_bits(3).tolist() == [b.next_bit() for _ in range(3)]
+    assert len(rng._POWERS) == 2 ** 11

@@ -561,14 +561,48 @@ def test_permute_energy_diameter_bound():
 def test_compact_examples():
     s = fresh(16)
     dest, count = compact(s, [False] * 16)
-    assert count == 0 and all(d is None for d in dest)
+    assert count == 0 and dest.tolist() == [-1] * 16
     s = fresh(16)
     dest, count = compact(s, [True] * 16)
-    assert count == 16 and dest == list(range(16))
+    assert count == 16 and dest.tolist() == list(range(16))
     s = fresh(16)
     dest, count = compact(s, [i % 2 == 0 for i in range(16)])
     assert count == 8
-    assert [dest[i] for i in range(0, 16, 2)] == list(range(8))
+    assert dest.tolist() == [i // 2 if i % 2 == 0 else -1 for i in range(16)]
+
+
+@given(st.data())
+def test_compact_charges_like_prefix_sum_then_the_routing_round(data):
+    n = data.draw(st.integers(1, 80))
+    m = data.draw(st.integers(1, n))
+    kind = data.draw(st.sampled_from([CurveKind.HILBERT, CurveKind.ZORDER]))
+    start = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    got, want = fresh(n, kind, trace=True), fresh(n, kind, trace=True)
+    got.clock[:] = want.clock[:] = start
+    for _ in range(2):  # the second sweep of m reads the cached levels
+        flags = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        dest, count = compact(got, flags)
+        counts = prefix_sum(want, [int(f) for f in flags])
+        src = np.flatnonzero(flags)
+        want.send_round(src, np.array(counts, dtype=np.int64)[src] - 1)
+        assert state_of(got) == state_of(want)
+        assert got.report() == want.report()
+        assert dest.dtype == np.int64
+        assert dest.tolist() == [c - 1 if f else -1 for c, f in zip(counts, flags)]
+        assert count == counts[-1]
+
+
+def test_compact_empty_and_oversized_flags_charge_nothing():
+    s = fresh(4, trace=True)
+    s.clock[:] = [3, 1, 4, 1]
+    dest, count = compact(s, [])
+    assert dest.dtype == np.int64 and dest.tolist() == [] and count == 0
+    for flags in ([True] * 5, np.zeros(5, dtype=bool)):
+        with pytest.raises(ValueError, match="^more values than occupied positions$"):
+            compact(s, flags)
+    with pytest.raises(ValueError, match="^more values than occupied positions$"):
+        prefix_sum(s, [1] * 5)
+    assert state_of(s) == (0, 0, 0, [3, 1, 4, 1], [])
 
 
 def test_determinism_identical_logs():
