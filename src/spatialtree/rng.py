@@ -6,8 +6,10 @@ every coin flip and random draw in the package flows through this class.
 :meth:`Lcg.next_bits` jumps ahead with one module-wide table of the pairs
 (a^i, c * (1 + a + ... + a^(i-1))) for i = 1, 2, ...  The table is
 read-only, shared by every generator, and grown to the next power of two
-when a call asks for more flips than it holds: 16 bytes per entry, 2 MiB at
-131,072 entries.
+when a call asks for more flips than it holds, up to ``_TABLE_MAX`` =
+131,072 entries (16 bytes each, so at most 2 MiB is kept for the life of
+the process).  A longer call draws its flips in table-sized chunks, each
+chunk starting from the state the last one ended at.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 
-# the jump-ahead pairs for i = 1 .. len; see _jump_table
+# the jump-ahead pairs for i = 1 .. len, len <= _TABLE_MAX; see _jump_table
+_TABLE_MAX = 1 << 17
 _POWERS = _OFFSETS = np.zeros(0, dtype=np.uint64)
 
 
 def _jump_table(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` pairs (a^i, c * (1 + a + ... + a^(i-1))) as two
-    read-only uint64 arrays, so state_i = a^i * state_0 + offset_i in
-    uint64 arithmetic, which wraps mod 2^64 like the scalar step."""
+    """The first ``count`` (at most ``_TABLE_MAX``) pairs
+    (a^i, c * (1 + a + ... + a^(i-1))) as two read-only uint64 arrays, so
+    state_i = a^i * state_0 + offset_i in uint64 arithmetic, which wraps
+    mod 2^64 like the scalar step."""
     global _POWERS, _OFFSETS
     if len(_POWERS) < count:
-        size = 1 << (count - 1).bit_length()
+        size = min(1 << (count - 1).bit_length(), _TABLE_MAX)
         powers = np.multiply.accumulate(np.full(size, _MULT, dtype=np.uint64))
-        # add.accumulate, not np.cumsum: under numpy 2.4 repeated cumsum
-        # calls left small objects alive and let the heap grow run by run
         offsets = np.add.accumulate(np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1])))
         offsets *= np.uint64(_INC)
         for a in (powers, offsets):
@@ -55,16 +57,21 @@ class Lcg:
 
     def next_bits(self, count: int) -> np.ndarray:
         """``count`` coin flips as a 0/1 uint8 array, identical to ``count``
-        calls of :meth:`next_bit`: one multiply, one add and one shift over
-        a slice of the shared jump-ahead table."""
+        calls of :meth:`next_bit`: per chunk of up to ``_TABLE_MAX`` flips,
+        one multiply, one add and one shift over a slice of the shared
+        jump-ahead table."""
         if count <= 0:
             return np.zeros(0, dtype=np.uint8)
-        powers, offsets = _jump_table(count)
-        states = powers * np.uint64(self.state)
-        states += offsets
-        self.state = int(states[-1])
-        states >>= np.uint64(63)
-        return states.astype(np.uint8)
+        bits = np.empty(count, dtype=np.uint8)
+        powers, offsets = _jump_table(min(count, _TABLE_MAX))
+        for lo in range(0, count, len(powers)):
+            k = min(len(powers), count - lo)
+            states = powers[:k] * np.uint64(self.state)
+            states += offsets[:k]
+            self.state = int(states[-1])
+            states >>= np.uint64(63)
+            bits[lo:lo + k] = states
+        return bits
 
     def next_below(self, n: int) -> int:
         """Uniform-ish draw in [0, n); modulo bias is irrelevant at our sizes."""

@@ -129,7 +129,8 @@ class ContractionEngine:
         relay order, and the length of each block."""
         starts = self._ptr[parents]
         lens = self._ptr[parents + 1] - starts
-        # add.accumulate rather than np.cumsum, see Lcg.next_bits
+        # add.accumulate, not np.cumsum: under numpy 2.4 repeated cumsum
+        # calls left small objects alive and let the heap grow run by run
         slots = np.repeat(starts - (np.add.accumulate(lens) - lens), lens)
         slots += np.arange(len(slots), dtype=slots.dtype)
         return slots, lens

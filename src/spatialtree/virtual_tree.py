@@ -150,13 +150,10 @@ def transform(t: RootedTree, sizes) -> VirtualTree:
     return _from_csr(*light_first_csr(t, sizes), t.root)
 
 
-@lru_cache(maxsize=512)
 def _protocol_pattern(m: int):
     """The reference-passing protocol inside any block of m children, by
-    place: its messages in send order as a (k, 2) array of (src, dst)
-    places, -1 for the parent, and the relay order its links give, like
-    :func:`_relay_pattern`.  It depends on m alone, so it is worked out once
-    per length, as read-only int arrays.
+    place: its messages in send order as (src, dst) pairs, -1 for the
+    parent, and the relay order its links give, like :func:`_relay_pattern`.
 
     A place starts knowing only its sibling index, the block length and
     references to its parent and adjacent siblings.  Its first appended
@@ -192,9 +189,6 @@ def _protocol_pattern(m: int):
     for x in places:  # the list grows while it is walked: breadth-first
         places.extend(app[x])
         relays.extend([x] * len(app[x]))
-    msgs, places, relays = (np.array(a, dtype=np.intc) for a in (msgs, places, relays))
-    for a in (msgs, places, relays):
-        a.flags.writeable = False
     return msgs, (places, relays)
 
 
@@ -204,13 +198,12 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     protocol, charging its messages, and check it against the direct
     construction from the same light-first CSR, which it returns.
 
-    The protocol is worked out once per distinct block length and kept
-    (:func:`_protocol_pattern`); its messages are queued block after block,
-    parents in BFS order, and charged with one ``send_at`` that gives each
-    message the departure clock of one ``send`` per message in queue order,
-    so the batch is checked whole before any of it is charged.  Its links
-    are checked entry by entry against the direct tree's ``blocks`` and
-    ``vparent``.
+    It runs once per distinct block length (:func:`_protocol_pattern`); its
+    messages are queued block after block, parents in BFS order, and
+    charged with one ``send_at`` that gives each message the departure
+    clock of one ``send`` per message in queue order, so the batch is
+    checked whole before any of it is charged.  Its links are checked entry
+    by entry against the direct tree's ``blocks`` and ``vparent``.
     """
     ptr, kids = light_first_csr(t, sizes)
     deg = np.diff(ptr)
@@ -227,7 +220,7 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
         # each block's vertices by place + 1: place -1 is the parent
         members = np.column_stack((parents, kids[ptr[parents, None] + np.arange(m)]))
         queue[start[parents, None] + np.arange(len(msgs))] = \
-            pos[members[:, msgs + 1]]
+            pos[members[:, np.array(msgs) + 1]]
     # a message departs at its source's clock once the messages queued
     # before it have arrived: one walk over a copy of the clocks, held as
     # Python ints so that a clock past int64 reaches send_at's check

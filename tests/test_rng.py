@@ -52,3 +52,19 @@ def test_next_bits_across_table_growth(monkeypatch):
     a, b = Lcg(3), Lcg(3)
     assert a.next_bits(3).tolist() == [b.next_bit() for _ in range(3)]
     assert len(rng._POWERS) == 2 ** 11
+
+
+def test_next_bits_past_the_table_cap_draws_in_chunks(monkeypatch):
+    # a cap of 8 entries: longer calls cross chunk boundaries, and the
+    # table never grows past the cap
+    empty = np.zeros(0, dtype=np.uint64)
+    monkeypatch.setattr(rng, "_POWERS", empty)
+    monkeypatch.setattr(rng, "_OFFSETS", empty)
+    monkeypatch.setattr(rng, "_TABLE_MAX", 8)
+    a, b = Lcg(11), Lcg(11)
+    for count in (3, 7, 8, 9, 16, 17, 40, 1):
+        assert a.next_bits(count).tolist() == [b.next_bit() for _ in range(count)]
+        assert a.state == b.state
+        assert len(rng._POWERS) == len(rng._OFFSETS) <= 8
+    assert len(rng._POWERS) == 8
+    assert a.next_u64() == b.next_u64()

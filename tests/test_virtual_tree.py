@@ -302,34 +302,6 @@ def test_refs_protocol_at_the_clock_limit_raises_and_charges_nothing(kind):
     assert list(sim.events) == []
 
 
-@pytest.mark.parametrize("kind", ["star", "random-attachment"])
-def test_refs_protocol_repeat_call_charges_the_same_from_cached_patterns(kind):
-    t = gen_tree(kind, 300, seed=2)
-    sizes = subtree_sizes(t)
-    lay = light_first_layout(t, sizes=sizes)
-    lengths = np.unique(np.diff(light_first_csr(t, sizes)[0])).tolist()
-    lengths.remove(0)
-    virtual_tree._protocol_pattern.cache_clear()
-    sims = [SimState(lay.placement(), trace=True) for _ in range(2)]
-    for sim in sims:
-        build_refs_protocol(sim, t, sizes, lay)
-    first, second = sims
-    assert first.report() == second.report()
-    assert first.clock.tolist() == second.clock.tolist()
-    assert first.events == second.events
-    # the second call worked out no block length again
-    info = virtual_tree._protocol_pattern.cache_info()
-    assert (info.misses, info.hits) == (len(lengths), len(lengths))
-    for m in lengths:
-        msgs, (places, relays) = virtual_tree._protocol_pattern(m)
-        assert msgs.ndim == 2 and msgs.shape[1] == 2 and msgs.dtype == np.intc
-        assert sorted(places.tolist()) == list(range(m)) and len(relays) == m
-        for a in (msgs, places, relays):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
-
-
 def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
     t = gen_tree("star", 9)
     sizes = subtree_sizes(t)
