@@ -11,7 +11,7 @@ curve); the direct constructor is its sequential oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,34 +25,47 @@ from .trees import RootedTree, light_first_csr
 
 @dataclass(frozen=True)
 class Layout:
-    """Bijection between vertices and the first n positions of a curve."""
+    """Bijection between vertices and the first n positions of a curve.
+
+    ``pos`` and ``vtx`` are lists; ``pos_arr`` holds the same positions as
+    a read-only intp array, which the simulated steps index with.
+    """
 
     kind: CurveKind
     k: int
     pos: list[int]
     vtx: list[int]
+    pos_arr: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.pos)
 
     @staticmethod
-    def from_positions(kind: CurveKind, pos: list[int]) -> "Layout":
+    def from_positions(kind: CurveKind, pos) -> "Layout":
+        """The layout putting vertex v at ``pos[v]``, a list or an integer
+        array; raises ValueError unless pos is a permutation of [0, n)."""
         placement = Placement.for_size(kind, len(pos))
-        at = np.asarray(pos, dtype=np.int64)
+        at = np.asarray(pos)
+        if at.ndim != 1 or at.dtype.kind not in "iu":
+            raise ValueError("positions must be integers")
+        # a value past intp wraps, which the bijection check then rejects
+        at = at.astype(np.intp)
         vtx = np.argsort(at)  # the inverse, if pos is a permutation of [0, n)
         if not np.array_equal(at[vtx], np.arange(len(pos))):
             raise ValueError("positions are not a bijection onto [0, n)")
-        return Layout(CurveKind(kind), placement.k, pos, vtx.tolist())
+        at.flags.writeable = False
+        pos = pos if isinstance(pos, list) else at.tolist()
+        return Layout(CurveKind(kind), placement.k, pos, vtx.tolist(), at)
 
     def placement(self) -> Placement:
         return Placement(self.kind, self.k, self.n)
 
 
-def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> list[int]:
-    """Preorder positions that lay out each subtree contiguously, every
-    vertex's children following it in the order of the child CSR
-    ``(ptr, kids)``."""
+def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> np.ndarray:
+    """Preorder positions, as an int64 array, that lay out each subtree
+    contiguously, every vertex's children following it in the order of the
+    child CSR ``(ptr, kids)``."""
     # a child sits 1 past its parent plus its earlier siblings' sizes
     size = np.asarray(sizes, dtype=np.int64)[kids]
     before = np.add.accumulate(size) - size
@@ -63,19 +76,23 @@ def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> list[int]:
     while (live := np.flatnonzero(up >= 0)).size:
         pos[live] += pos[up[live]]
         up[live] = up[up[live]]
-    return pos.tolist()
+    return pos
 
 
-def light_first_positions(t: RootedTree, sizes=None) -> list[int]:
-    """Direct construction: lay out each subtree contiguously, lighter first."""
+def _light_first_array(t: RootedTree, sizes) -> np.ndarray:
     if sizes is None:
         sizes = t.sizes
     return _preorder_positions(t, *light_first_csr(t, sizes), sizes)
 
 
+def light_first_positions(t: RootedTree, sizes=None) -> list[int]:
+    """Direct construction: lay out each subtree contiguously, lighter first."""
+    return _light_first_array(t, sizes).tolist()
+
+
 def light_first_layout(t: RootedTree, kind: CurveKind = CurveKind.HILBERT,
                        sizes=None) -> Layout:
-    return Layout.from_positions(kind, light_first_positions(t, sizes))
+    return Layout.from_positions(kind, _light_first_array(t, sizes))
 
 
 def build_baseline(t: RootedTree, order_kind: str, kind: CurveKind) -> Layout:
@@ -83,7 +100,6 @@ def build_baseline(t: RootedTree, order_kind: str, kind: CurveKind) -> Layout:
     if order_kind == "bfs":
         pos = np.empty(t.n, dtype=np.int64)
         pos[t.bfs] = np.arange(t.n)
-        pos = pos.tolist()
     elif order_kind == "dfs":
         pos = _preorder_positions(t, t.ptr, t.kids, t.sizes)
     else:
@@ -108,7 +124,7 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     if n == 1:
         sim = SimState(Placement.for_size(kind, 1), trace=trace,
                        audit_memory=audit_memory)
-        return Layout(kind, 0, [0], [0]), CostReport(0, 0, 0, 0), sim
+        return Layout.from_positions(kind, [0]), CostReport(0, 0, 0, 0), sim
     rng = Lcg(seed)
     placement = Placement.for_size(kind, 2 * n - 1)
     sim = SimState(placement, trace=trace, audit_memory=audit_memory)
@@ -124,7 +140,7 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     dest, count = compact(sim, flags)
     if count != n:
         raise RuntimeError("first-occurrence compaction lost vertices")
-    layout = Layout.from_positions(kind, dest[rank[:n]].tolist())
+    layout = Layout.from_positions(kind, dest[rank[:n]])
     return layout, sim.report(), sim
 
 
@@ -154,7 +170,7 @@ class NeighborStats(NamedTuple):
 def neighbor_distance_stats(t: RootedTree, layout: Layout) -> NeighborStats:
     """Mean and max curve distance between parent and child over all edges."""
     rows, cols = curve_coords(layout.kind, layout.k)
-    pos = np.asarray(layout.pos)
+    pos = layout.pos_arr
     if t.n == 1:
         return NeighborStats(0.0, 0)
     child = t.kids

@@ -12,13 +12,17 @@ The local work between the simulated steps is numpy array passes: path
 roots by pointer jumping, and the cover as one record array sorted by layer
 that step 4 walks one layer slice at a time.  Step 4 sorts the open query
 endpoints by position once, so each layer finds every endpoint's cover range
-by searching its few range starts into them.
+by searching its few range starts into them, and drops the endpoints that
+lie in none of them.  Queries, treefix values and results stay arrays from
+intake to answers.
 """
 
 from __future__ import annotations
 
 import numbers
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,22 +39,25 @@ MAX_MULTIPLICITY = 4
 # (two ends each), its layer and path root, and one slot per query it is in,
 # which holds the other endpoint's position and then the answer
 LCA_WORDS = 6 + MAX_MULTIPLICITY
+NOT_PAIRS = "each query must be a pair of integers"
 
 
 @dataclass
 class PathDecomposition:
-    layer: list[int]
-    path_root: list[int]
+    """Each vertex's layer and path root, as int64 arrays."""
+
+    layer: np.ndarray
+    path_root: np.ndarray
 
 
-def _new_path_indicators(t: RootedTree, sizes) -> list[int]:
+def _new_path_indicators(t: RootedTree, sizes) -> np.ndarray:
     """1 where a vertex starts a new path: everywhere except the root and
     each vertex's heavy child, the last child in light-first order."""
     ptr, kids = light_first_csr(t, sizes)
     ind = np.ones(t.n, dtype=np.int64)
     ind[t.root] = 0
     ind[kids[ptr[1:][np.diff(ptr) > 0] - 1]] = 0
-    return ind.tolist()
+    return ind
 
 
 def path_decomposition(sim: SimState, t: RootedTree, layout: Layout, sizes,
@@ -65,18 +72,18 @@ def path_decomposition(sim: SimState, t: RootedTree, layout: Layout, sizes,
     up[t.root] = t.root
     while not np.array_equal(jump := up[up], up):
         up = jump
-    return PathDecomposition(layer, up.tolist())
+    return PathDecomposition(layer, up)
 
 
 def subtree_cover(decomp: PathDecomposition, sizes, layout: Layout) -> np.recarray:
     """One record per path root, with fields ``root``, ``lo``, ``hi`` (its
     contiguous position range) and ``layer``, sorted by layer and then by
     ``lo``.  The root's path is the only record on layer 0."""
-    path_root = np.asarray(decomp.path_root)
+    path_root = decomp.path_root
     root = np.flatnonzero(path_root == np.arange(len(path_root)))
-    lo = np.asarray(layout.pos)[root]
+    lo = layout.pos_arr[root]
     hi = lo + np.asarray(sizes)[root] - 1
-    layer = np.asarray(decomp.layer)[root]
+    layer = decomp.layer[root]
     order = np.lexsort((lo, layer))
     return np.rec.fromarrays((root[order], lo[order], hi[order], layer[order]),
                              names="root,lo,hi,layer", formats=[np.int32] * 4)
@@ -95,12 +102,38 @@ def _last_start_at_or_below(starts, needles):
                      np.diff(cnt, prepend=0, append=len(needles)))
 
 
-def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
-                queries: list[tuple[int, int]], seed: int) -> list[int]:
+def _query_pairs(queries) -> np.ndarray:
+    """The queries as an (m, 2) array.  An integer array of that shape goes
+    through as is; a sequence of pairs is converted in one pass, or, when
+    it holds ints past int64, into an object array of Python ints.
+    Anything else raises ValueError."""
+    if isinstance(queries, np.ndarray):
+        if queries.ndim != 2 or queries.shape[1] != 2 or queries.dtype.kind not in "iu":
+            raise ValueError(NOT_PAIRS)
+        return queries
+    try:
+        # array("q") takes ints only, and fills fastest from a list; the
+        # lengths catch ragged pairs
+        flat = array("q", list(chain.from_iterable(queries)))
+        if len(flat) == 2 * len(queries) and set(map(len, queries)) <= {2}:
+            return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    try:
+        q = np.array(queries, dtype=object).reshape(len(queries), 2)
+    except ValueError:
+        raise ValueError(NOT_PAIRS) from None
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in q.flat):
+        raise ValueError(NOT_PAIRS)
+    return q
+
+
+def batched_lca(sim: SimState, t: RootedTree, layout: Layout, queries, seed: int):
     """Answer LCA queries, each vertex appearing in at most MAX_MULTIPLICITY
     of them.  A query that is not a pair of integers, the first pair with a
     vertex outside [0, n) and a vertex above the limit raise ValueError
-    before anything is sent.
+    before anything is sent.  Queries given as an (m, 2) integer array get
+    an int64 array of answers; a sequence of pairs gets a list.
 
     Steps: subtree ranges via a unit-value treefix sum (settles the
     ancestor-descendant queries), parent ranges broadcast to children, path
@@ -108,17 +141,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     cover subtree, with an all-reduce barrier between layers.
     """
     n = t.n
-    try:
-        q = np.asarray(queries).reshape(len(queries), 2)
-        if q.size and q.dtype.kind not in "iu":
-            # an int beyond int64 makes the array float or object, so look
-            # at the query entries themselves
-            q = np.array(queries, dtype=object).reshape(len(queries), 2)
-            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                       for x in q.flat):
-                raise ValueError
-    except ValueError:
-        raise ValueError("each query must be a pair of integers") from None
+    q = _query_pairs(queries)
     bad = np.flatnonzero(((q < 0) | (q >= n)).any(axis=1))
     if bad.size:
         u, v = q[bad[0]]
@@ -134,9 +157,9 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     vt = build_refs_protocol(sim, t, t.sizes, layout)
 
     # step 1: ranges from a unit treefix sum
-    sizes = np.array(treefix_sum(sim, t, layout, [1] * n, rng.next_u64(), vt=vt),
-                     dtype=np.int32)
-    lo_arr = np.array(layout.pos, dtype=np.int32)
+    sizes = treefix_sum(sim, t, layout, np.ones(n, dtype=np.int64), rng.next_u64(),
+                        vt=vt).astype(np.int32)
+    lo_arr = layout.pos_arr.astype(np.int32)
     hi_arr = lo_arr + sizes - 1
 
     # step 2: every vertex sends its range to its children
@@ -168,7 +191,9 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
     mine = np.concatenate((pu[open_q], pv[open_q]))
     other = np.concatenate((pv[open_q], pu[open_q]))
     # the endpoints are sorted by position once, before the layer loop, so
-    # each layer can search its range starts into them
+    # each layer can search its range starts into them; cover subtrees
+    # nest, so an endpoint outside every range of a layer is outside every
+    # deeper one, and is dropped
     order = np.argsort(mine)
     qi, mine, other = qi[order], mine[order], other[order]
     _, starts = np.unique(cover.layer, return_index=True)
@@ -188,8 +213,9 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout,
         answers[q] = w
         if ((prev >= 0) & (prev != w)).any() or (answers[q] != w).any():
             raise RuntimeError("conflicting answers for one query")
+        qi, mine, other = qi[inside], mine[inside], other[inside]
         all_reduce_barrier(sim)
     sim.rounds += len(starts)
     if (answers < 0).any():
         raise RuntimeError("a query was left unanswered")
-    return answers.tolist()
+    return answers if isinstance(queries, np.ndarray) else answers.tolist()

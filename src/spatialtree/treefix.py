@@ -82,13 +82,10 @@ class ContractionEngine:
         self.t = t
         self.vt = vt if vt is not None else transform(t, t.sizes)
         self.pos = layout.pos
-        self.pos_arr = np.asarray(layout.pos, dtype=np.intp)
-        try:
-            vals = list(map(operator.index, values))
-        except TypeError:
-            raise ValueError("treefix values must be integers") from None
-        dtype = np.int64 if sum(map(abs, vals)) < INT64_LIMIT else object
-        self.P = np.array(vals, dtype=dtype)
+        self.pos_arr = layout.pos_arr
+        self.array_out = _is_int_array(values)
+        self.P = _partial_sums(values)
+        dtype = self.P.dtype
         # spine sum: values along the path from the representative to the
         # supervertex bottom; rakes leave it untouched, so top-down
         # corrections stay clean of off-path raked values
@@ -303,7 +300,7 @@ class ContractionEngine:
         leaves = np.bincount(par[leaf[live] & (par >= 0)], minlength=self.t.n)[live]
         rounds += self._rake(live[(leaves > 0) & (count[live] - leaves <= 1)], leaf)
         self._charge(rounds)
-        self.sim.note_words_many(self.pos, STATE_WORDS)
+        self.sim.note_words_many(self.pos_arr, STATE_WORDS)
         return before - self.active_count
 
     def contract(self) -> None:
@@ -411,11 +408,13 @@ class ContractionEngine:
         for tau in range(self.rounds, 0, -1):
             self.undo_round(tau, mode)
 
-    def sums(self) -> list[int]:
-        """P_u + A_u for every u, as Python ints: the subtree sums after a
-        bottom-up uncontraction, the root-path sums after a top-down one
-        (P is back to the values then)."""
-        return (self.P + self.A).tolist()
+    def sums(self):
+        """P_u + A_u for every u: the subtree sums after a bottom-up
+        uncontraction, the root-path sums after a top-down one (P is back
+        to the values then).  An array if the values were an integer array,
+        else a list of Python ints."""
+        sums = self.P + self.A
+        return sums if self.array_out else sums.tolist()
 
     def structure_signature(self):
         """Snapshot of the live supervertex forest, for reversibility checks."""
@@ -428,6 +427,31 @@ class ContractionEngine:
                 kids[p].append(v)
         return tuple(zip(vs, par, self.bottom[live].tolist(), self.P[live].tolist(),
                          map(tuple, kids.values())))
+
+
+def _is_int_array(values) -> bool:
+    return isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+
+
+def _partial_sums(values) -> np.ndarray:
+    """The values as a fresh array: int64 when the sum of their absolute
+    values is below INT64_LIMIT, else an object array of Python ints.
+
+    An integer array skips the per-value ``operator.index`` pass.  Its
+    bound is taken in Python ints, so neither the sum nor the absolute
+    value of INT64_MIN can wrap; only when n times the largest absolute
+    value reaches the limit is the exact sum taken.
+    """
+    if _is_int_array(values):
+        big = max(int(values.max()), -int(values.min())) if len(values) else 0
+        if big * len(values) < INT64_LIMIT or sum(map(abs, values.tolist())) < INT64_LIMIT:
+            return values.astype(np.int64)
+        return np.array(values.tolist(), dtype=object)
+    try:
+        vals = list(map(operator.index, values))
+    except TypeError:
+        raise ValueError("treefix values must be integers") from None
+    return np.array(vals, dtype=np.int64 if sum(map(abs, vals)) < INT64_LIMIT else object)
 
 
 def _run_sums(x, starts):
@@ -447,12 +471,14 @@ def _run(sim, t, layout, values, seed, mode, vt):
 
 
 def treefix_sum(sim: SimState, t: RootedTree, layout: Layout, values,
-                seed: int, vt: VirtualTree | None = None) -> list[int]:
+                seed: int, vt: VirtualTree | None = None) -> list[int] | np.ndarray:
     """Per-vertex sum over its subtree: contract to one supervertex, then
     uncontract maintaining sum(u) = P_u + A_u.
 
     Values must be integers, meaning anything ``operator.index`` accepts;
-    anything else raises ValueError before a message is charged.  A rake
+    anything else raises ValueError before a message is charged.  A 1-D
+    integer array gives an array back (int64, or object when the sums need
+    Python ints); any other values give a list of Python ints.  A rake
     adds its leaves' partial sums directly rather than folding them along
     the child block's relay order, and uncontraction subtracts them again;
     both match the fold only for exact integer arithmetic.
@@ -461,8 +487,8 @@ def treefix_sum(sim: SimState, t: RootedTree, layout: Layout, values,
 
 
 def treefix_topdown(sim: SimState, t: RootedTree, layout: Layout, values,
-                    seed: int, vt: VirtualTree | None = None) -> list[int]:
+                    seed: int, vt: VirtualTree | None = None) -> list[int] | np.ndarray:
     """Per-vertex sum along the path from the root, maintaining
     sum'(u) = val(u) + A_u through the same contraction.  Values must be
-    integers, as for :func:`treefix_sum`."""
+    integers, and arrays give arrays, as for :func:`treefix_sum`."""
     return _run(sim, t, layout, values, seed, TOP_DOWN, vt)

@@ -15,6 +15,13 @@ vertex's virtual parent.  The halving and the reference-passing protocol are
 both positional, so :func:`transform` and :func:`build_refs_protocol` work
 out one pattern per distinct block length and apply it to every block of
 that length with numpy gathers; the local kernels run level by level.
+
+The protocol's departure clocks are walked per block length too, all blocks
+of a length stepping through the pattern together: a block's messages all
+come from its own children, and a vertex's clock is read only in its
+parent's block, so every block starts from the clocks at the call.  The
+walk runs in uint64, where no start clock below 2^63 plus a block's
+message count can wrap.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +44,9 @@ RELAY_WORDS = 8
 # ... and of the refs protocol: sibling index, parent degree, parent and two
 # siblings, virtual parent, C(v), A(v) and the ref past a finished subtree
 REFS_WORDS = 11
+# the refs protocol walks the blocks of a length that fewer blocks than this
+# share one row at a time in Python ints, and the rest a column per place
+COLUMN_WALK_MIN_BLOCKS = 24
 
 
 class BlockOrder(NamedTuple):
@@ -113,6 +124,17 @@ def _relay_pattern(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pattern
 
 
+def _blocks_by_length(deg: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each child-block length m > 0, ascending, with the vertices whose
+    block has that length, ascending: one stable sort rather than a scan of
+    every vertex per length."""
+    order = np.argsort(deg, kind="stable")
+    ends = np.flatnonzero(np.diff(deg[order])) + 1
+    bounds = [0, *ends.tolist(), len(deg)]
+    return [(m, order[a:b]) for a, b in zip(bounds, bounds[1:])
+            if (m := int(deg[order[a]])) > 0]
+
+
 def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
     """Every block's relay order (src, dst) and every vertex's virtual
     parent, as int64 arrays, applying the (places, relays) that pattern(m)
@@ -121,9 +143,9 @@ def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
     deg = np.diff(ptr)
     place = np.empty(n - 1, dtype=np.int64)  # CSR slot each relay step reaches
     relay = np.empty(n - 1, dtype=np.int64)  # CSR slot relaying to it, or -1
-    for m in np.unique(deg[deg > 0]).tolist():
+    for m, parents in _blocks_by_length(deg):
         places, relays = map(np.asarray, pattern(m))
-        base = ptr[:-1][deg == m, None]
+        base = ptr[parents, None]
         place[base + np.arange(m)] = base + places
         relay[base + np.arange(m)] = np.where(relays < 0, -1, base + relays)
     dst = kids[place]
@@ -192,6 +214,39 @@ def _protocol_pattern(m: int):
     return msgs, (places, relays)
 
 
+def _departures(clock: np.ndarray, msgs) -> np.ndarray:
+    """Departure clocks of the protocol messages ``msgs`` (a block pattern's
+    (src, dst) places, -1 for the parent) in every block of one length.
+
+    ``clock`` holds the children's uint64 start clocks, a row per block and
+    a column per place; the result holds the messages' clocks, a row per
+    block.  A message departs at its source's clock, and its destination's
+    clock becomes at least one past that.  The parent only receives, so its
+    clock is never read.
+    """
+    rows = len(clock)
+    if rows < COLUMN_WALK_MIN_BLOCKS:
+        # Python ints, a row at a time; the dummy last slot takes place -1
+        out = []
+        keep = out.append
+        for c in clock.tolist():
+            c.append(0)
+            for a, b in msgs:
+                x = c[a]
+                keep(x)
+                if x >= c[b]:
+                    c[b] = x + 1
+        return np.frombuffer(array("Q", out), dtype=np.uint64).reshape(rows, len(msgs))
+    # a column per place, each stepping through the pattern for every block
+    col = np.ascontiguousarray(clock.T)
+    out = np.empty((len(msgs), rows), dtype=np.uint64)
+    for j, (a, b) in enumerate(msgs):
+        out[j] = col[a]
+        if b >= 0:
+            np.maximum(col[b], col[a] + 1, out=col[b])
+    return out.T
+
+
 def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
                         layout: Layout) -> VirtualTree:
     """Reconstruct the virtual tree via the bottom-up reference-passing
@@ -204,35 +259,41 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     clock of one ``send`` per message in queue order, so the batch is
     checked whole before any of it is charged.  Its links are checked entry
     by entry against the direct tree's ``blocks`` and ``vparent``.
+
+    Those clocks are worked out for all blocks of one length together
+    (:func:`_departures`).  Blocks are independent: every message of block
+    p has a child of p as its source, and p itself only receives.  So a
+    vertex takes part in two blocks at most, its parent's, where it sends
+    and receives, and its own, where its clock is never read; no block
+    reads a clock that another block sets, and each block's clocks depend
+    only on ``sim.clock`` at the call.  The walk runs in uint64: a start
+    clock is at most 2^63 - 1 and a block adds at most its message count,
+    so no clock wraps, and ``send_at`` sees the true clock of a message
+    past its limit.
     """
     ptr, kids = light_first_csr(t, sizes)
     deg = np.diff(ptr)
-    pos = np.asarray(layout.pos, dtype=np.intc)
-    patterns = {m: _protocol_pattern(m) for m in np.unique(deg[deg > 0]).tolist()}
+    pos = layout.pos_arr
+    groups = _blocks_by_length(deg)
+    patterns = {m: _protocol_pattern(m) for m, _ in groups}
     count = np.zeros(t.n, dtype=np.int64)  # messages of each block
-    for m, (msgs, _) in patterns.items():
-        count[deg == m] = len(msgs)
+    for m, parents in groups:
+        count[parents] = len(patterns[m][0])
     start = np.empty(t.n, dtype=np.int64)
     start[t.bfs] = np.add.accumulate(count[t.bfs]) - count[t.bfs]
-    queue = np.empty((int(count.sum()), 2), dtype=np.intc)  # (src, dst) positions
-    for m, (msgs, _) in patterns.items():
-        parents = np.flatnonzero(deg == m)
-        # each block's vertices by place + 1: place -1 is the parent
-        members = np.column_stack((parents, kids[ptr[parents, None] + np.arange(m)]))
-        queue[start[parents, None] + np.arange(len(msgs))] = \
-            pos[members[:, np.array(msgs) + 1]]
-    # a message departs at its source's clock once the messages queued
-    # before it have arrived: one walk over a copy of the clocks, held as
-    # Python ints so that a clock past int64 reaches send_at's check
-    src, dst = queue.T
-    clock = sim.clock.tolist()
-    ready = []
-    keep = ready.append
-    for a, b in zip(src.tolist(), dst.tolist()):
-        x = clock[a]
-        keep(x)
-        if x >= clock[b]:
-            clock[b] = x + 1
+    total = int(count.sum())
+    src = np.empty(total, dtype=np.intp)  # positions, in queue order
+    dst = np.empty(total, dtype=np.intp)
+    ready = np.empty(total, dtype=np.uint64)
+    for m, parents in groups:
+        msgs = patterns[m][0]
+        # each block's positions by place + 1: place -1 is the parent
+        at = pos[np.column_stack((parents, kids[ptr[parents, None] + np.arange(m)]))]
+        slots = start[parents, None] + np.arange(len(msgs))
+        ends = np.fromiter(chain.from_iterable(msgs), np.intp, 2 * len(msgs)).reshape(-1, 2) + 1
+        src[slots] = at[:, ends[:, 0]]
+        dst[slots] = at[:, ends[:, 1]]
+        ready[slots] = _departures(sim.clock[at[:, 1:]].astype(np.uint64), msgs)
     sim.send_at(src, dst, ready)
     sim.note_words_many(pos, REFS_WORDS)
 
@@ -254,7 +315,7 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     every vertex receives once, before it relays, so the level rounds charge
     what relaying one message at a time would.
     """
-    pos = np.asarray(layout.pos, dtype=np.int64)
+    pos = layout.pos_arr
     ptr, _, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
     vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)
@@ -276,7 +337,7 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     deliveries folded into its own result, so all n - 1 messages are
     charged with one ``send_at``.
     """
-    pos = np.asarray(layout.pos, dtype=np.int64)
+    pos = layout.pos_arr
     child = np.frombuffer(vt.blocks.dst, dtype=np.intc)
     vparent = np.frombuffer(vt.vparent, dtype=np.intc)
     n = len(values)

@@ -337,9 +337,9 @@ def test_criterion_12_figure_tree_end_to_end():
     assert verify_light_first(t, sizes, lay)
     sim = SimState(lay.placement())
     decomp = path_decomposition(sim, t, lay, sizes, seed=1)
-    assert decomp.layer == [0, 1, 2, 1, 0, 1, 0, 0]
+    assert decomp.layer.tolist() == [0, 1, 2, 1, 0, 1, 0, 0]
     groups: dict[int, list[int]] = {}
-    for v, r in enumerate(decomp.path_root):
+    for v, r in enumerate(decomp.path_root.tolist()):
         groups.setdefault(r, []).append(v)
     assert groups == {0: [0, 4, 6, 7], 1: [1, 3], 2: [2], 5: [5]}
     entries = {(e.root, e.lo, e.hi) for e in subtree_cover(decomp, sizes, lay)}

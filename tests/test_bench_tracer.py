@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import spatialtree  # noqa: F401  (install wraps the loaded submodules)
-from spatialtree import layout
+from spatialtree import layout, lca
 from spatialtree.curves import CurveKind
+from spatialtree.sim import SimState
 from spatialtree.trees import gen_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -60,4 +61,25 @@ def test_traced_layout_build_fires_every_layer_with_messages():
                         ("sim.compact", 1), ("sim.permute", 1)):
         mine = spans["name"] == tracer.names.index(name)
         assert mine.sum() == calls, name
+        assert (spans["msgs"][mine] > 0).all(), name
+
+
+def test_traced_lca_fires_each_of_its_layers_once_with_messages():
+    # batched_lca calls these by their public names, so the lca bench's
+    # per-layer view keeps them even though values and results are arrays
+    t = gen_tree("random-attachment", 1000, seed=1)
+    lay = layout.light_first_layout(t, CurveKind.HILBERT)
+    queries = [(v, (v * 7 + 3) % t.n) for v in range(0, t.n, 2)]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("lca")
+        lca.batched_lca(SimState(lay.placement()), t, lay, queries, seed=1)
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    for name in ("virtual_tree.build_refs_protocol", "treefix.treefix_sum",
+                 "treefix.treefix_topdown", "lca.path_decomposition"):
+        mine = spans["name"] == tracer.names.index(name)
+        assert mine.sum() == 1, name
         assert (spans["msgs"][mine] > 0).all(), name

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spatialtree.curves import CurveKind
@@ -67,6 +68,37 @@ def test_from_positions_inverts_the_positions():
     lay = Layout.from_positions(CurveKind.HILBERT, [2, 0, 1])
     assert lay.pos == [2, 0, 1] and lay.vtx == [1, 2, 0]
     assert all(type(v) is int for v in lay.vtx)
+
+
+@pytest.mark.parametrize("pos", [[0.5, 1.7, 2], [0.0, 1.0], np.array([0.0, 1.0]),
+                                 [True, False], [[0, 1]], ["0", "1"]])
+def test_from_positions_rejects_positions_that_are_not_integers(pos):
+    # a cast to int64 would truncate [0.5, 1.7, 2] to a bijection
+    with pytest.raises(ValueError, match="positions must be integers"):
+        Layout.from_positions(CurveKind.HILBERT, pos)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_from_positions_keeps_one_read_only_position_array(dtype):
+    given = np.array([2, 0, 1], dtype=dtype)
+    lay = Layout.from_positions(CurveKind.HILBERT, given)
+    assert lay == Layout.from_positions(CurveKind.HILBERT, [2, 0, 1])
+    assert lay.pos == [2, 0, 1] and all(type(p) is int for p in lay.pos)
+    assert lay.pos_arr.dtype == np.intp and lay.pos_arr.tolist() == lay.pos
+    assert not lay.pos_arr.flags.writeable
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(ValueError, match="not a bijection"):
+        Layout.from_positions(CurveKind.HILBERT, np.array([2 ** 64 - 1, 0], dtype=np.uint64))
+
+
+def test_every_layout_carries_its_position_array():
+    t = gen_tree("random-attachment", 300, seed=3)
+    built, _, _ = build_light_first(t, CurveKind.HILBERT, seed=3)
+    single, _, _ = build_light_first(RootedTree([-1]), CurveKind.HILBERT)
+    for lay in (built, single, light_first_layout(t), build_baseline(t, "bfs", CurveKind.HILBERT),
+                build_baseline(t, "dfs", CurveKind.HILBERT)):
+        assert type(lay.pos) is list
+        assert lay.pos_arr.tolist() == lay.pos and not lay.pos_arr.flags.writeable
 
 
 def test_baselines():

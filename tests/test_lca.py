@@ -46,16 +46,16 @@ def query_batch(t, count, rng, cap=4):
 def test_path_graph_single_path():
     t = gen_tree("path", 9)
     d, _, _ = decompose(t)
-    assert d.layer == [0] * 9
-    assert d.path_root == [0] * 9
+    assert d.layer.tolist() == [0] * 9
+    assert d.path_root.tolist() == [0] * 9
 
 
 def test_figure_tree_decomposition_matches_caption():
     t = RootedTree(list(FIGURE_PARENTS))
     d, sizes, lay = decompose(t)
-    assert d.layer == [0, 1, 2, 1, 0, 1, 0, 0]
+    assert d.layer.tolist() == [0, 1, 2, 1, 0, 1, 0, 0]
     groups = {}
-    for v, r in enumerate(d.path_root):
+    for v, r in enumerate(d.path_root.tolist()):
         groups.setdefault(r, []).append(v)
     assert groups == {0: [0, 4, 6, 7], 1: [1, 3], 2: [2], 5: [5]}
     cover = subtree_cover(d, sizes, lay)
@@ -120,17 +120,18 @@ def test_heavy_child_matches_light_first_order(kind):
             parent[perm[v]] = perm[p] if p >= 0 else -1
         for tree in (t, RootedTree(parent)):
             sizes = subtree_sizes(tree)
-            assert _new_path_indicators(tree, sizes) == sorted_path_indicators(tree, sizes)
+            assert _new_path_indicators(tree, sizes).tolist() == \
+                sorted_path_indicators(tree, sizes)
 
 
 def test_heavy_child_ties_follow_child_order():
     single = RootedTree([-1])
-    assert _new_path_indicators(single, [1]) == [0]
+    assert _new_path_indicators(single, [1]).tolist() == [0]
     # the root's children 1 and 2 tie at size 2: the last of the largest wins
     t = RootedTree([-1, 0, 0, 0, 1, 2])
     sizes = subtree_sizes(t)
-    assert _new_path_indicators(t, sizes) == sorted_path_indicators(t, sizes)
-    assert _new_path_indicators(t, sizes) == [0, 1, 0, 1, 0, 0]
+    assert _new_path_indicators(t, sizes).tolist() == sorted_path_indicators(t, sizes)
+    assert _new_path_indicators(t, sizes).tolist() == [0, 1, 0, 1, 0, 0]
 
 
 def test_cover_membership_counts():
@@ -328,8 +329,8 @@ def test_path_roots_and_cover_match_per_vertex_references(kind):
         built = gen_tree(kind, n, seed=n)
         for t in (built, relabel(built, n)):
             d, sizes, lay = decompose(t)
-            assert type(d.layer) is list and type(d.path_root) is list
-            assert d.path_root == path_roots_by_walk(t, _new_path_indicators(t, sizes))
+            assert d.layer.dtype == d.path_root.dtype == np.int64
+            assert d.path_root.tolist() == path_roots_by_walk(t, _new_path_indicators(t, sizes))
             assert subtree_cover(d, sizes, lay).tolist() == cover_by_loop(d, sizes, lay)
 
 
@@ -385,3 +386,42 @@ def test_range_start_search_equals_searchsorted_right(starts, needles, width):
     needles = np.sort(np.concatenate([np.array(needles, dtype=np.int32), *extra]))
     got = _last_start_at_or_below(starts, needles)
     assert got.tolist() == (np.searchsorted(starts, needles, side="right") - 1).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_query_arrays_answer_like_query_lists(dtype):
+    t = gen_tree("random-attachment", 300, seed=6)
+    lay = light_first_layout(t)
+    queries = query_batch(t, 200, Lcg(6))
+    want_sim = SimState(lay.placement(), trace=True)
+    want = batched_lca(want_sim, t, lay, queries, seed=6)
+    got_sim = SimState(lay.placement(), trace=True)
+    got = batched_lca(got_sim, t, lay, np.array(queries, dtype=dtype), seed=6)
+    assert type(want) is list and all(type(a) is int for a in want)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == want == [lca_naive(t, u, v) for u, v in queries]
+    assert got_sim.report() == want_sim.report()
+    assert got_sim.events == want_sim.events
+
+
+@pytest.mark.parametrize("queries", [
+    np.array([[0, 1.0]]),
+    np.array([[0, 1, 2]]),
+    np.array([0, 1]),
+    np.array([[True, False]]),
+    [(0, 1, 2), (3,)],  # four integers, but not two pairs
+    [(0, 1), (2, 3, 4), (5,)],
+])
+def test_malformed_query_arrays_raise_before_any_message(queries):
+    t, lay, sim = star_and_sim()
+    with pytest.raises(ValueError, match=re.escape(NOT_PAIRS)):
+        batched_lca(sim, t, lay, queries, seed=0)
+    assert sim.messages == 0
+
+
+def test_empty_query_array():
+    t, lay, sim = star_and_sim()
+    got = batched_lca(sim, t, lay, np.empty((0, 2), dtype=np.int64), seed=0)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+    with pytest.raises(ValueError, match=re.escape("query (8, 0) out of range")):
+        batched_lca(sim, t, lay, np.array([[0, 1], [8, 0]], dtype=np.uint64), seed=0)

@@ -69,6 +69,7 @@ class ReferenceEngine:
             raise ValueError("treefix values must be integers") from None
         self.A = [0] * n
         self.S = list(self.P)
+        self.array_out = isinstance(values, np.ndarray)
         self.active = [True] * n
         self.op_tag = [OP_NONE] * n
         self.iter_tag = [0] * n
@@ -261,7 +262,8 @@ class ReferenceEngine:
             self.undo_round(tau, mode)
 
     def sums(self):
-        return list(map(operator.add, self.P, self.A))
+        out = list(map(operator.add, self.P, self.A))
+        return np.array(out) if self.array_out else out
 
     def structure_signature(self):
         return tuple((v, self.svparent[v], self.bottom[v], self.P[v],

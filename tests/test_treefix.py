@@ -281,8 +281,8 @@ def test_integer_like_values_are_accepted():
     lay = light_first_layout(t)
     vals = np.arange(-20, 20, dtype=np.int64)
     got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=4)
-    assert got == subtree_sums(t, vals.tolist())
-    assert all(type(x) is int for x in got)
+    assert got.dtype == np.int64
+    assert got.tolist() == subtree_sums(t, vals.tolist())
     flags = [v % 3 == 0 for v in range(t.n)]
     got = treefix_topdown(SimState(lay.placement()), t, lay, flags, seed=4)
     assert got == root_path_sums(t, [int(f) for f in flags])
@@ -307,6 +307,50 @@ def test_values_beyond_int64_are_exact():
     got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=1)
     assert got == subtree_sums(t, vals)
     assert all(type(x) is int for x in got)
+
+
+INT64_MIN = -2 ** 63
+
+
+@pytest.mark.parametrize("vals, dtype", [
+    ([5, -6, 7, -8], np.int64),
+    ([2 ** 61, 0, 0, 0], np.int64),
+    ([2 ** 62 - 4, 1, 1, 1], np.int64),  # |values| sum to 2**62 - 1
+    ([-(2 ** 61), 2 ** 61 - 1, 0, 0], np.int64),
+    ([2 ** 62 - 3, 1, 1, 1], object),  # ... and to 2**62
+    ([2 ** 62, 0, 0, 0], object),
+    ([-(2 ** 62), 0, 0, 0], object),
+    ([INT64_MIN, 0, 0, 0], object),
+    ([INT64_MIN, 2 ** 63 - 1, 1, -1], object),
+])
+@pytest.mark.parametrize("fn", [treefix_sum, treefix_topdown])
+def test_array_values_give_arrays_like_the_list_results(vals, dtype, fn):
+    t = gen_tree("path", 4)
+    lay = light_first_layout(t)
+    want_sim = SimState(lay.placement(), trace=True)
+    want = fn(want_sim, t, lay, vals, seed=3)
+    got_sim = SimState(lay.placement(), trace=True)
+    got = fn(got_sim, t, lay, np.array(vals, dtype=np.int64), seed=3)
+    assert type(want) is list and isinstance(got, np.ndarray)
+    assert got.dtype == dtype and got.tolist() == want
+    assert charged(got_sim) == charged(want_sim)
+    # the engine picks int64 or Python ints exactly as for the list
+    for given in (vals, np.array(vals, dtype=np.int64)):
+        assert engine_for(t, given).P.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.uint64])
+def test_narrow_and_unsigned_value_arrays(dtype):
+    t = gen_tree("random-attachment", 60, seed=8)
+    lay = light_first_layout(t)
+    vals = np.arange(t.n, dtype=dtype)
+    got = treefix_sum(SimState(lay.placement()), t, lay, vals, seed=8)
+    assert got.dtype == np.int64 and got.tolist() == subtree_sums(t, vals.tolist())
+    big = np.array([2 ** 63, 0, 1, 2], dtype=np.uint64)  # past int64
+    path = gen_tree("path", 4)
+    lay = light_first_layout(path)
+    got = treefix_topdown(SimState(lay.placement()), path, lay, big, seed=8)
+    assert got.dtype == object and got.tolist() == root_path_sums(path, big.tolist())
 
 
 def test_memory_audit_within_budget():

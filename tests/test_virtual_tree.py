@@ -12,8 +12,9 @@ from spatialtree.sim import Placement, SimState
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, light_first_csr,
                                subtree_sizes)
 from spatialtree.trees import bfs_order
-from spatialtree.virtual_tree import (_split_block, block_reduce, build_refs_protocol,
-                                      local_broadcast, local_reduce, transform)
+from spatialtree.virtual_tree import (_protocol_pattern, _split_block, block_reduce,
+                                      build_refs_protocol, local_broadcast, local_reduce,
+                                      transform)
 
 
 def vt_for(t):
@@ -300,6 +301,53 @@ def test_refs_protocol_at_the_clock_limit_raises_and_charges_nothing(kind):
         build_refs_protocol(sim, t, sizes, lay)
     assert (sim.report(), sim.clock.tolist()) == before
     assert list(sim.events) == []
+
+
+def sequential_refs_charge(sim, t, sizes, layout):
+    """The refs protocol's messages queued block after block, parents in BFS
+    order, and their departure clocks from one sequential walk over a list
+    of Python-int clocks, charged with one ``send_at``."""
+    pos = layout.pos
+    ptr, kids = light_first_csr(t, sizes)
+    src, dst = [], []
+    for v in bfs_order(t):
+        block = [v, *kids[ptr[v]:ptr[v + 1]].tolist()]  # by place + 1
+        if len(block) > 1:
+            for a, b in _protocol_pattern(len(block) - 1)[0]:
+                src.append(pos[block[a + 1]])
+                dst.append(pos[block[b + 1]])
+    clock = sim.clock.tolist()
+    ready = []
+    for a, b in zip(src, dst):
+        ready.append(clock[a])
+        clock[b] = max(clock[b], clock[a] + 1)
+    sim.send_at(src, dst, ready)
+
+
+@pytest.mark.parametrize("walk", ["python", "default", "column"])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_refs_protocol_walk_matches_the_sequential_list_walk(monkeypatch, kind, walk):
+    # each block length walks either its rows in Python ints or a numpy
+    # column per place; force each way, and leave the default mix
+    limit = {"python": 10 ** 9, "column": 1}.get(walk)
+    if limit is not None:
+        monkeypatch.setattr(virtual_tree, "COLUMN_WALK_MIN_BLOCKS", limit)
+    for n in (1, 3, 127, 1023) if kind == "perfect-binary" else (1, 2, 100, 1000):
+        t = gen_tree(kind, n, seed=n)
+        sizes = subtree_sizes(t)
+        lay = light_first_layout(t, sizes=sizes)
+        rng = np.random.default_rng(n)
+        # small uneven clocks, and clocks near the top of the uint64 walk
+        for start in (rng.integers(0, 30, n), 2 ** 62 + rng.integers(0, 2 ** 61, n)):
+            got = SimState(lay.placement(), trace=True)
+            want = SimState(lay.placement(), trace=True)
+            got.clock[:] = start
+            want.clock[:] = start
+            build_refs_protocol(got, t, sizes, lay)
+            sequential_refs_charge(want, t, sizes, lay)
+            assert got.events == want.events
+            assert got.clock.tolist() == want.clock.tolist()
+            assert got.report() == want.report()
 
 
 def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
