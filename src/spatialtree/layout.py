@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,40 +24,45 @@ from .sim import CostReport, Placement, SimState, compact, permute
 from .trees import RootedTree, light_first_csr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     """Bijection between vertices and the first n positions of a curve.
 
-    ``pos`` and ``vtx`` are lists; ``pos_arr`` holds the same positions as
-    a read-only intp array, which the simulated steps index with.
+    ``pos_arr`` is a read-only intp array of each vertex's position, which
+    the simulated steps index with; ``pos`` is it as a list, worked out on
+    first read.  Layouts are equal when kind, k and positions are.
     """
 
     kind: CurveKind
     k: int
-    pos: list[int]
-    vtx: list[int]
-    pos_arr: np.ndarray = field(compare=False, repr=False)
+    pos_arr: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, Layout) and (self.kind, self.k) == (other.kind, other.k)
+                and np.array_equal(self.pos_arr, other.pos_arr))
+
+    @cached_property
+    def pos(self) -> list[int]:
+        return self.pos_arr.tolist()
 
     @property
     def n(self) -> int:
-        return len(self.pos)
+        return len(self.pos_arr)
 
     @staticmethod
     def from_positions(kind: CurveKind, pos) -> "Layout":
-        """The layout putting vertex v at ``pos[v]``, a list or an integer
-        array; raises ValueError unless pos is a permutation of [0, n)."""
+        """The layout putting vertex v at ``pos[v]``, from a copy of a list or
+        integer array; raises ValueError unless pos permutes [0, n)."""
         placement = Placement.for_size(kind, len(pos))
         at = np.asarray(pos)
         if at.ndim != 1 or at.dtype.kind not in "iu":
             raise ValueError("positions must be integers")
         # a value past intp wraps, which the bijection check then rejects
         at = at.astype(np.intp)
-        vtx = np.argsort(at)  # the inverse, if pos is a permutation of [0, n)
-        if not np.array_equal(at[vtx], np.arange(len(pos))):
+        if not np.array_equal(np.sort(at), np.arange(len(pos))):
             raise ValueError("positions are not a bijection onto [0, n)")
         at.flags.writeable = False
-        pos = pos if isinstance(pos, list) else at.tolist()
-        return Layout(CurveKind(kind), placement.k, pos, vtx.tolist(), at)
+        return Layout(CurveKind(kind), placement.k, at)
 
     def placement(self) -> Placement:
         return Placement(self.kind, self.k, self.n)

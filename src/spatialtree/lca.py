@@ -31,7 +31,7 @@ from .rng import Lcg
 from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
 from .trees import RootedTree, light_first_csr
-from .virtual_tree import VirtualTree, build_refs_protocol, local_broadcast
+from .virtual_tree import VirtualTree, _charge_local_broadcast, build_refs_protocol
 
 # most queries one vertex may appear in; a pair (v, v) counts twice
 MAX_MULTIPLICITY = 4
@@ -163,9 +163,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout, queries, seed: int
     hi_arr = lo_arr + sizes - 1
 
     # step 2: every vertex sends its range to its children
-    ranges = np.empty(n, dtype=[("lo", np.int32), ("hi", np.int32)])
-    ranges["lo"], ranges["hi"] = lo_arr, hi_arr
-    local_broadcast(sim, vt, layout, ranges)
+    _charge_local_broadcast(sim, vt, layout.pos_arr)
 
     # step 3: path decomposition
     decomp = path_decomposition(sim, t, layout, t.sizes, rng.next_u64(), vt=vt)

@@ -170,8 +170,6 @@ class SimState:
         "memory_budget",
         "max_words",
         "violations",
-        "_rows",
-        "_cols",
         "_row_arr",
         "_col_arr",
         "_sweeps",
@@ -191,10 +189,8 @@ class SimState:
         self.memory_budget = memory_budget
         self.max_words = 0
         self.violations: list[tuple[int, int]] = []
-        # rounds index the cached arrays; scalar sends index plain lists
+        # rounds and scalar sends both price messages from these arrays
         self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
-        self._rows = self._row_arr[:n].tolist()
-        self._cols = self._col_arr[:n].tolist()
         # m -> the levels of the range tree over [0, m), see _sweep
         self._sweeps: dict[int, list] = {}
 
@@ -209,9 +205,9 @@ class SimState:
         n = self.placement.n
         if src < 0 or src >= n or dst < 0 or dst >= n:
             raise ValueError(f"position out of range: {src} -> {dst} with n={n}")
-        rows = self._rows
-        cols = self._cols
-        cost = abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
+        rows = self._row_arr.item
+        cols = self._col_arr.item
+        cost = abs(rows(src) - rows(dst)) + abs(cols(src) - cols(dst))
         clock = self.clock
         d = int(clock[src]) + 1
         if d > _CLOCK_LIMIT:

@@ -81,7 +81,6 @@ class ContractionEngine:
         self.sim = sim
         self.t = t
         self.vt = vt if vt is not None else transform(t, t.sizes)
-        self.pos = layout.pos
         self.pos_arr = layout.pos_arr
         self.array_out = _is_int_array(values)
         self.P = _partial_sums(values)
@@ -111,8 +110,7 @@ class ContractionEngine:
         self.rng = Lcg(seed)
         self.rounds = 0
         self.active_count = n
-        self._ptr, self._relay, self._child = (np.frombuffer(a, dtype=np.intc)
-                                               for a in self.vt.blocks)
+        self._ptr, self._relay, self._child = self.vt.blocks
         # relay level of each block-CSR slot: 0 for the current children,
         # j + 1 for the appended children of level j
         self._level = np.zeros(len(self._child), dtype=np.int8)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .layout import Layout
 from .sim import SimState
-from .trees import RootedTree, light_first_csr
+from .trees import RootedTree, _frozen, light_first_csr
 
 # modeled per-vertex words of the local kernels: value, partial, result,
 # virtual parent, two current and two appended children
@@ -50,31 +50,30 @@ COLUMN_WALK_MIN_BLOCKS = 24
 
 
 class BlockOrder(NamedTuple):
-    """Relay order of every child block, as CSR arrays of C ints.
+    """Relay order of every child block, as read-only CSR arrays of C ints.
 
     Block v (the original children of v) is entries ptr[v]..ptr[v+1]-1:
     dst[k] is the child reached by relay step k and src[k] the vertex that
     relays to it, or -1 for the broadcaster itself.  Current children come
-    first, then the appended links breadth-first.  The arrays slice cheaply
-    from Python, and ``np.frombuffer(a, np.intc)`` views them without a copy.
+    first, then the appended links breadth-first.
     """
 
-    ptr: array
-    src: array
-    dst: array
+    ptr: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
 @dataclass
 class VirtualTree:
     """The virtual tree as one block CSR: ``blocks`` holds every child
-    block's relay order, ``vparent`` each vertex's virtual parent (C ints,
-    -1 at the root) and ``root`` the root.  The current children C(v), at
-    most two, open block v with src -1; the appended children A(x), at most
-    two, are the entries whose src is x, in relay order.
+    block's relay order, ``vparent`` each vertex's virtual parent (read-only
+    C ints, -1 at the root) and ``root`` the root.  The current children
+    C(v), at most two, open block v with src -1; the appended children A(x),
+    at most two, are the entries whose src is x, in relay order.
     """
 
     blocks: BlockOrder
-    vparent: array
+    vparent: np.ndarray
     root: int
 
     @cached_property
@@ -82,13 +81,12 @@ class VirtualTree:
         """The CSR slots of each level of the relay links, top first, as
         read-only arrays: level 0 holds every block's current children,
         level j + 1 the appended children of level j's vertices."""
-        _, relay, child = (np.frombuffer(a, dtype=np.intc) for a in self.blocks)
+        _, relay, child = self.blocks
         step = relay < 0
         got = np.zeros(len(self.vparent), dtype=bool)
         levels = []
         while step.any():
-            levels.append(np.flatnonzero(step))
-            levels[-1].flags.writeable = False
+            levels.append(_frozen(np.flatnonzero(step)))
             got[child[step]] = True
             step = (relay >= 0) & got[relay] & ~got[child]
         return levels
@@ -118,10 +116,7 @@ def _relay_pattern(m: int) -> tuple[np.ndarray, np.ndarray]:
         places.extend(got)
         relays.extend([x] * len(got))
         owned.update(more)
-    pattern = np.array(places, dtype=np.intc), np.array(relays, dtype=np.intc)
-    for a in pattern:
-        a.flags.writeable = False
-    return pattern
+    return _frozen(np.array(places, dtype=np.intc)), _frozen(np.array(relays, dtype=np.intc))
 
 
 def _blocks_by_length(deg: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -158,7 +153,7 @@ def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
 def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
     """The virtual tree of a light-first child CSR: each block of m
     children follows the relay pattern of length m."""
-    ptr, src, dst, vparent = (array("i", a.astype(np.intc).tobytes())
+    ptr, src, dst, vparent = (_frozen(a.astype(np.intc))
                               for a in (ptr, *_block_links(ptr, kids, _relay_pattern)))
     return VirtualTree(BlockOrder(ptr, src, dst), vparent, root)
 
@@ -300,9 +295,16 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     got = (ptr, *_block_links(ptr, kids, lambda m: patterns[m][1]))
     direct = _from_csr(ptr, kids, t.root)
     want = (*direct.blocks, direct.vparent)
-    if not all(np.array_equal(a, np.frombuffer(b, dtype=np.intc)) for a, b in zip(got, want)):
+    if not all(np.array_equal(a, b) for a, b in zip(got, want)):
         raise RuntimeError("reference protocol disagrees with direct transform")
     return direct
+
+
+def _charge_local_broadcast(sim: SimState, vt: VirtualTree, pos: np.ndarray) -> None:
+    """Charge what :func:`local_broadcast` sends, carrying no values."""
+    child = vt.blocks.dst
+    sim.send_rounds([(pos[vt.vparent[child[k]]], pos[child[k]]) for k in vt.relay_levels])
+    sim.note_words_many(pos, RELAY_WORDS)
 
 
 def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> list:
@@ -315,12 +317,9 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     every vertex receives once, before it relays, so the level rounds charge
     what relaying one message at a time would.
     """
-    pos = layout.pos_arr
-    ptr, _, child = (np.frombuffer(a, dtype=np.intc) for a in vt.blocks)
-    vparent = np.frombuffer(vt.vparent, dtype=np.intc)
+    _charge_local_broadcast(sim, vt, layout.pos_arr)
+    ptr, _, child = vt.blocks
     n = len(values)
-    sim.send_rounds([(pos[vparent[child[k]]], pos[child[k]]) for k in vt.relay_levels])
-    sim.note_words_many(pos, RELAY_WORDS)
     delivered = np.full(n, None, dtype=object)
     delivered[child] = np.fromiter(values, object, n)[np.repeat(np.arange(n), np.diff(ptr))]
     return delivered.tolist()
@@ -338,8 +337,7 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     charged with one ``send_at``.
     """
     pos = layout.pos_arr
-    child = np.frombuffer(vt.blocks.dst, dtype=np.intc)
-    vparent = np.frombuffer(vt.vparent, dtype=np.intc)
+    child, vparent = vt.blocks.dst, vt.vparent
     n = len(values)
     fold = np.frompyfunc(op, 2, 1)
     up = np.fromiter(values, dtype=object, count=n)
@@ -381,7 +379,7 @@ def block_reduce(sim: SimState, vt: VirtualTree, pos, parent_vertex: int,
     first in relay order, then the current children."""
     b = vt.blocks
     lo, hi = b.ptr[parent_vertex], b.ptr[parent_vertex + 1]
-    slot_of = {c: k for k, c in enumerate(b.dst[lo:hi], lo)}
+    slot_of = {c: k for k, c in enumerate(b.dst[lo:hi].tolist(), lo)}
     up = {c: contribution(c) for c in slot_of}
     # relay -1 is dst_pos: it folds the current children, after every relay
     slot_of[-1] = -1

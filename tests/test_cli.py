@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -299,8 +300,9 @@ def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
     def tampered(*args):
         # the direct side differs from the protocol in one block entry
         vt = real(*args)
-        vt.blocks.dst[-1] = vt.root
-        return vt
+        dst = vt.blocks.dst.copy()
+        dst[-1] = vt.root
+        return replace(vt, blocks=vt.blocks._replace(dst=dst))
 
     monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
     code, _, err = run_cli(capsys, "run", "--algorithm", "lca",

@@ -66,8 +66,20 @@ def test_from_positions_rejects_anything_but_a_bijection(pos):
 
 def test_from_positions_inverts_the_positions():
     lay = Layout.from_positions(CurveKind.HILBERT, [2, 0, 1])
-    assert lay.pos == [2, 0, 1] and lay.vtx == [1, 2, 0]
-    assert all(type(v) is int for v in lay.vtx)
+    assert lay.pos == [2, 0, 1] and np.argsort(lay.pos_arr).tolist() == [1, 2, 0]
+    assert all(type(p) is int for p in lay.pos)
+
+
+def test_from_positions_copies_the_callers_list():
+    given = [2, 0, 1]
+    lay = Layout.from_positions(CurveKind.HILBERT, given)
+    given[0] = 7
+    assert lay.pos == [2, 0, 1] and lay.pos_arr.tolist() == [2, 0, 1]
+    # a list and the equal array give equal layouts with equal pos
+    from_array = Layout.from_positions(CurveKind.HILBERT, np.array([2, 0, 1]))
+    assert lay == from_array and lay.pos == from_array.pos
+    assert lay != Layout.from_positions(CurveKind.HILBERT, [2, 1, 0])
+    assert lay != Layout.from_positions(CurveKind.ZORDER, [2, 0, 1])
 
 
 @pytest.mark.parametrize("pos", [[0.5, 1.7, 2], [0.0, 1.0], np.array([0.0, 1.0]),

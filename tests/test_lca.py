@@ -142,9 +142,10 @@ def test_cover_membership_counts():
         d, sizes, lay = decompose(t)
         cover = subtree_cover(d, sizes, lay)
         counts = [0] * n
+        vtx = np.argsort(lay.pos_arr)
         for e in cover:
             for p in range(e.lo, e.hi + 1):
-                counts[lay.vtx[p]] += 1
+                counts[vtx[p]] += 1
         assert all(1 <= c <= math.ceil(math.log2(n)) + 1 for c in counts)
         # ranges on one layer are pairwise disjoint and total at most n
         by_layer = {}

@@ -111,7 +111,7 @@ def test_single_operations_charge_like_scalar_sends():
     star = gen_tree("star", 7)
     eng = engine_for(star, trace=True)
     want = SimState(eng.sim.placement, trace=True)
-    vt, pos = eng.vt, eng.pos
+    vt, pos = eng.vt, light_first_layout(star).pos
     eng.rake(0)
     block_reduce(want, vt, pos, 0, pos[0], lambda c: 0, operator.add, 0)
     assert charged(eng.sim) == charged(want)
@@ -124,7 +124,7 @@ def test_single_operations_charge_like_scalar_sends():
     path = gen_tree("path", 3)
     eng = engine_for(path, trace=True)
     want = SimState(eng.sim.placement, trace=True)
-    pos = eng.pos
+    pos = light_first_layout(path).pos
     eng.compress(0, 1)
     want.send(pos[1], pos[0])
     want.send(pos[1], pos[2])

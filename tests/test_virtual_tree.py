@@ -1,5 +1,6 @@
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,8 +360,9 @@ def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
     def tampered(*args):
         # the direct side differs from the protocol in one block entry
         vt = real(*args)
-        vt.blocks.dst[-1] = vt.root  # the root is never a child
-        return vt
+        dst = vt.blocks.dst.copy()
+        dst[-1] = vt.root  # the root is never a child
+        return replace(vt, blocks=vt.blocks._replace(dst=dst))
 
     monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
     with pytest.raises(RuntimeError,
@@ -431,7 +433,12 @@ def test_protocol_reconstruction_matches_transform():
         vt = build_refs_protocol(sim, t, sizes, lay)  # asserts equality inside
         assert sim.energy <= 40 * n  # measured constant, with headroom
         direct = transform(t, sizes)
-        assert vt.blocks == direct.blocks and vt.vparent == direct.vparent
+        got, want = (*vt.blocks, vt.vparent), (*direct.blocks, direct.vparent)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # both sides hold read-only C-int arrays, like RootedTree's
+        for a in got + want:
+            assert isinstance(a, np.ndarray) and a.dtype == np.intc
+            assert not a.flags.writeable
 
 
 def test_local_broadcast_star_two_levels():
