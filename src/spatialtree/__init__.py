@@ -18,8 +18,8 @@ from .listrank import list_rank, subtree_sizes_via_tour
 from .rng import Lcg
 from .sim import (CostReport, Placement, SimState, TraceEvent,
                   all_reduce_barrier, broadcast_range, compact, permute,
-                  prefix_sum, reduce_range)
-from .treefix import ContractError, ContractionEngine, treefix_sum, treefix_topdown
+                  prefix_sum)
+from .treefix import ContractionEngine, treefix_sum, treefix_topdown
 from .trees import (RootedTree, gen_tree, lca_naive, read_tree, root_path_sums,
                     subtree_sizes, subtree_sums, write_tree)
 from .virtual_tree import (VirtualTree, build_refs_protocol, local_broadcast,

@@ -26,7 +26,7 @@ from . import layout as layout_mod
 from . import trees as trees_mod
 from .curves import CurveKind
 from .lca import MAX_MULTIPLICITY, batched_lca
-from .listrank import ChainError, list_rank
+from .listrank import list_rank
 from .rng import Lcg
 from .sim import Placement, SimState
 from .treefix import treefix_sum, treefix_topdown
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ChainError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

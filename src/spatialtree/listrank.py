@@ -46,8 +46,9 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     """Rank of every element as an int64 array: rank(head) = 0,
     rank(succ(x)) = rank(x) + 1.
 
-    ``succ`` is a sequence or array of ints, -1 marking the tail.  Elements
-    occupy curve positions equal to their ids.  Each contraction iteration
+    ``succ`` is a sequence or array of ints, -1 marking the tail; anything
+    else raises ValueError before a message is charged.  Elements occupy
+    curve positions equal to their ids.  Each contraction iteration
     charges one announce round (a message per live link) and one splice
     round (a message per removed element); the remnant of at most
     max(4, ceil(log2 m)) elements is walked sequentially, then iterations
@@ -56,7 +57,10 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     When ``iteration_stats`` is a list, one (live, messages, energy) triple
     is appended per contraction iteration.
     """
-    nxt = np.array(succ, dtype=np.int64)
+    nxt = np.array(succ)
+    if nxt.dtype.kind not in "iu" and nxt.size:
+        raise ValueError("successors must be integers")
+    nxt = nxt.astype(np.int64, copy=False)
     m = len(nxt)
     _validate_chain(nxt, head)
     if m == 1:

@@ -38,7 +38,7 @@ dump; other int64 values get a wider slot whose digits come from
 divide-by-ten passes.
 
 The module also provides the grid-wide communication primitives: range
-broadcast and reduce over a virtual complete binary tree, the all-reduce
+broadcast over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
 compaction of flagged records.  ``prefix_sum`` folds any op over a
 sequence; ``compact`` charges the same sweep as a prefix sum of its flags,
@@ -452,22 +452,6 @@ def broadcast_ranges(sim: SimState, los, his) -> None:
     sim.send_rounds([(lo, mid + 1) for lo, mid in _range_levels(los, his)])
 
 
-def reduce_range(sim: SimState, a: int, b: int, values: Sequence, op: Callable):
-    """Fold values[a..b] with op; the result lands at position a."""
-    _check_range(sim, a, b)
-
-    def go(lo, hi):
-        if lo == hi:
-            return values[lo]
-        mid = (lo + hi) // 2
-        left = go(lo, mid)
-        right = go(mid + 1, hi)
-        sim.send(mid + 1, lo)
-        return op(left, right)
-
-    return go(a, b)
-
-
 def _range_levels(los, his):
     """The halving range trees over the disjoint ranges [los[i], his[i]],
     one recursion depth at a time.
@@ -542,9 +526,13 @@ def permute(sim: SimState, targets: Sequence[int]) -> None:
     """Route each source's record directly to its target, all in one round.
 
     ``targets`` is a sequence or array whose entry i is the target of
-    position i; its entries must be distinct occupied positions.
+    position i; its entries must be distinct occupied positions.  Targets
+    that are not integers raise ValueError before anything is charged.
     """
-    dst = np.asarray(targets, dtype=np.int64)
+    dst = np.asarray(targets)
+    if dst.dtype.kind not in "iu" and dst.size:
+        raise ValueError("permutation targets must be integers")
+    dst = dst.astype(np.int64, copy=False)
     src = np.arange(len(dst), dtype=np.int64)
     n = sim.placement.n
     bad = (src >= n) | (dst < 0) | (dst >= n)

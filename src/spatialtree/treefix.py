@@ -60,10 +60,6 @@ OP, MEMBER, TAG = 0, 1, 2  # fields of a log entry: op, member, round
 STATE_WORDS = 14
 
 
-class ContractError(ValueError):
-    """A contraction operation's precondition does not hold."""
-
-
 class ContractionEngine:
     """Contraction state for one treefix run; confine to a single execution.
 
@@ -181,19 +177,6 @@ class ContractionEngine:
 
     # -- contraction operations -------------------------------------------
 
-    def compress(self, u: int, v: int) -> None:
-        """Contract v into its parent u; v must be u's only child and have
-        exactly one child itself."""
-        if not (self.active[u] and self.active[v]):
-            raise ContractError("compress needs two active supervertices")
-        if self.svparent[v] != u:
-            raise ContractError(f"{v} is not a child of {u}")
-        if self.child_count[u] != 1:
-            raise ContractError("parent must be non-branching")
-        if self.child_count[v] != 1:
-            raise ContractError("compressed vertex must have exactly one child")
-        self._charge(self._compress(np.array([u]), np.array([v])))
-
     def _compress(self, u, v):
         """Contract each v[i] into its parent u[i].  The pairs are disjoint
         and none reads what another writes, so they run as one step.
@@ -213,36 +196,6 @@ class ContractionEngine:
         self.bottom[u] = self.bottom[v]
         # partial sum and inherited-child handoff, then the reparent notice
         return [(np.column_stack((v, v)).ravel(), np.column_stack((u, w)).ravel())]
-
-    def rake(self, u: int, leaves: list[int] | None = None, w: int = -1) -> list[int]:
-        """Absorb u's leaf-supervertex children via a local reduce over the
-        child block; a single non-leaf child w is allowed and contributes 0.
-        Returns the raked children in block order."""
-        if not self.active[u]:
-            raise ContractError("rake needs an active supervertex")
-        slots, _ = self._block_slots(self.bottom[[u]])
-        kids = self._child[slots]
-        kids = kids[self.active[kids]].tolist()
-        if leaves is None:
-            leaf_set = {c for c in kids if not self.child_count[c]}
-            others = set(kids) - leaf_set
-            if len(others) > 1:
-                raise ContractError("more than one non-leaf child")
-        else:
-            leaf_set = set(leaves)
-            if not leaf_set <= set(kids):
-                raise ContractError("rake targets must be children of u")
-            if any(self.child_count[c] for c in leaf_set):
-                raise ContractError("rake targets must be leaf supervertices")
-            others = set(kids) - leaf_set
-            if len(others) > 1 or (others and others != {w}):
-                raise ContractError("at most one non-rake child is allowed")
-        if not leaf_set:
-            raise ContractError("nothing to rake")
-        mark = np.zeros(self.t.n, dtype=bool)
-        mark[list(leaf_set)] = True
-        self._charge(self._rake(np.array([u]), mark))
-        return [c for c in kids if c in leaf_set]
 
     def _rake(self, us, leaf):
         """Each of us absorbs its children marked in ``leaf``, at least one
@@ -310,22 +263,6 @@ class ContractionEngine:
 
     # -- uncontraction ------------------------------------------------------
 
-    def undo_at(self, u: int, mode: str) -> list[int]:
-        """Pop and revert u's most recent contraction; returns the
-        reactivated supervertices."""
-        us = np.array([u])
-        op = self.log[OP][u]
-        if op == OP_COMPRESS:
-            out = [int(self.log[MEMBER][u])]
-            self._charge(self._undo_compress(us, mode))
-        elif op == OP_RAKE:
-            rounds, raked = self._undo_rake(us, mode)
-            out = raked.tolist()
-            self._charge(rounds)
-        else:
-            raise ContractError(f"nothing to undo at {u}")
-        return out
-
     def _undo_compress(self, us, mode):
         """Revert the compress on top of each of us's log; returns its two
         rounds, u to v and then v to u."""
@@ -357,9 +294,8 @@ class ContractionEngine:
         return [(us, v), (v, us)]
 
     def _undo_rake(self, us, mode):
-        """Revert the rake on top of each of us's log.  Returns its rounds,
-        the wake broadcast's levels then the partial sums' reduce levels,
-        and the reactivated leaves in block order."""
+        """Revert the rake on top of each of us's log.  Returns its rounds:
+        the wake broadcast's levels, then the partial sums' reduce levels."""
         slots, lens = self._block_slots(self.bottom[us])
         wake = self._relays(us, slots, lens)
         rounds = wake + [(far, near) for near, far in reversed(wake)]
@@ -387,7 +323,7 @@ class ContractionEngine:
         self.child_count[us] += counts
         self.child_sum[us] += _run_sums(raked.astype(np.int64), starts)
         self._pop(us, raked[starts])
-        return rounds, raked
+        return rounds
 
     def undo_round(self, tau: int, mode: str) -> None:
         """Revert round tau: its rakes as one step, then the compresses left
@@ -398,7 +334,7 @@ class ContractionEngine:
         round, so a representative's rake undo stays before its compress
         undo."""
         reps = np.flatnonzero(self.active & self._tagged(slice(None), tau))
-        rounds, _ = self._undo_rake(reps[self.log[OP][reps] == OP_RAKE], mode)
+        rounds = self._undo_rake(reps[self.log[OP][reps] == OP_RAKE], mode)
         rounds += self._undo_compress(reps[self._tagged(reps, tau)], mode)
         self._charge(rounds)
 
@@ -413,18 +349,6 @@ class ContractionEngine:
         else a list of Python ints."""
         sums = self.P + self.A
         return sums if self.array_out else sums.tolist()
-
-    def structure_signature(self):
-        """Snapshot of the live supervertex forest, for reversibility checks."""
-        live = np.flatnonzero(self.active)
-        vs = live.tolist()
-        par = self.svparent[live].tolist()
-        kids = {v: [] for v in vs}
-        for v, p in zip(vs, par):
-            if p >= 0:
-                kids[p].append(v)
-        return tuple(zip(vs, par, self.bottom[live].tolist(), self.P[live].tolist(),
-                         map(tuple, kids.values())))
 
 
 def _is_int_array(values) -> bool:

@@ -307,6 +307,13 @@ def _charge_local_broadcast(sim: SimState, vt: VirtualTree, pos: np.ndarray) -> 
     sim.note_words_many(pos, RELAY_WORDS)
 
 
+def _vertex_count(vt: VirtualTree, values) -> int:
+    n = len(vt.vparent)
+    if len(values) != n:
+        raise ValueError("one value per vertex required")
+    return n
+
+
 def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> list:
     """Every vertex sends one message to all its original children.
 
@@ -315,11 +322,12 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     vertex ends up with its original parent's value.  The direct sends are
     one round, and the relays one round per level of the appended links:
     every vertex receives once, before it relays, so the level rounds charge
-    what relaying one message at a time would.
+    what relaying one message at a time would.  ``values`` holds one value
+    per vertex; any other length raises ValueError before a message.
     """
+    n = _vertex_count(vt, values)
     _charge_local_broadcast(sim, vt, layout.pos_arr)
     ptr, _, child = vt.blocks
-    n = len(values)
     delivered = np.full(n, None, dtype=object)
     delivered[child] = np.fromiter(values, object, n)[np.repeat(np.arange(n), np.diff(ptr))]
     return delivered.tolist()
@@ -334,11 +342,12 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     parent.  op must be associative and commutative.  A vertex's partial
     departs once its appended receipts are in, not waiting for the sibling
     deliveries folded into its own result, so all n - 1 messages are
-    charged with one ``send_at``.
+    charged with one ``send_at``.  ``values`` holds one value per vertex,
+    as for :func:`local_broadcast`.
     """
+    n = _vertex_count(vt, values)
     pos = layout.pos_arr
     child, vparent = vt.blocks.dst, vt.vparent
-    n = len(values)
     fold = np.frompyfunc(op, 2, 1)
     up = np.fromiter(values, dtype=object, count=n)
     result = np.empty(n, dtype=object)

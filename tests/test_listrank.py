@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from spatialtree.curves import CurveKind
@@ -131,6 +132,15 @@ def test_list_rank_rejects_malformed_chains():
         list_rank(sim_for(4), [1, 2, 3, 9], 0, seed=1)  # successor range
     with pytest.raises(ChainError):
         list_rank(sim_for(4), [1, -1, 3, 2], 0, seed=1)  # chain plus 2-cycle
+
+
+def test_list_rank_rejects_non_integer_successors_before_charging():
+    # a float successor is not truncated to an element
+    for succ in ([1.5, 2.2, 3.9, -1], np.array([1.0, 2.0, 3.0, -1.0])):
+        sim = SimState(Placement.for_size(CurveKind.HILBERT, 4), trace=True)
+        with pytest.raises(ValueError, match="must be integers"):
+            list_rank(sim, succ, 0, seed=1)
+        assert (sim.messages, sim.energy, sim.depth, len(sim.events)) == (0, 0, 0, 0)
 
 
 def test_list_rank_rejects_a_long_cycle_beside_the_chain():

@@ -1,5 +1,4 @@
 import json
-import operator
 import os
 import re
 import subprocess
@@ -19,7 +18,7 @@ from spatialtree.curves import CurveKind, curve_distance
 from spatialtree.layout import light_first_layout
 from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent,
                              _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
-                             broadcast_ranges, compact, permute, prefix_sum, reduce_range)
+                             broadcast_ranges, compact, permute, prefix_sum)
 from spatialtree.treefix import treefix_topdown
 from spatialtree.trees import gen_tree
 
@@ -379,15 +378,6 @@ def test_broadcast_energy_per_element_bounded():
         prev = s.energy
 
 
-def test_reduce_examples():
-    s = fresh(8)
-    assert reduce_range(s, 2, 2, [0, 0, 9, 0, 0, 0, 0, 0], operator.add) == 9
-    assert s.messages == 0
-    assert reduce_range(s, 0, 7, [1] * 8, operator.add) == 8
-    s2 = fresh(16)
-    assert reduce_range(s2, 0, 15, list(range(16)), max) == 15
-
-
 def test_barrier_semantics():
     s = fresh(8)
     s.clock[3] = 7
@@ -549,6 +539,18 @@ def test_permute_rejects_out_of_range_before_charging():
         with pytest.raises(ValueError, match="out of range"):
             permute(s, targets)
     assert state_of(s) == (0, 0, 0, [0] * 4, [])
+
+
+def test_permute_rejects_non_integer_targets_before_charging():
+    # a float target is not truncated to a position
+    s = fresh(4, trace=True)
+    for targets in ([0.5, 1.7, 2.2, 3.9], np.array([0.0, 1.0, 2.0, 3.0]), [True, False]):
+        with pytest.raises(ValueError, match="must be integers"):
+            permute(s, targets)
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+    permute(s, np.array([], dtype=float))
+    permute(s, np.array([3, 2, 1, 0], dtype=np.uint8))
+    assert s.messages == 4
 
 
 def test_permute_energy_diameter_bound():
@@ -857,7 +859,7 @@ def test_trace_events_index_like_a_list():
 def test_energy_additivity():
     s = fresh(64, trace=True)
     broadcast_range(s, 0, 63)
-    reduce_range(s, 0, 63, [1] * 64, operator.add)
+    prefix_sum(s, [1] * 64)
     assert s.energy == sum(e.cost for e in s.events)
     assert s.depth == max(e.depth for e in s.events)
     assert s.messages == len(s.events)

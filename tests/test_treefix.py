@@ -7,8 +7,7 @@ import pytest
 from spatialtree.layout import light_first_layout
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
-from spatialtree.treefix import (STATE_WORDS, ContractError, ContractionEngine,
-                                 treefix_sum, treefix_topdown)
+from spatialtree.treefix import STATE_WORDS, ContractionEngine, treefix_sum, treefix_topdown
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, root_path_sums,
                                subtree_sizes, subtree_sums)
 from spatialtree.virtual_tree import block_broadcast, block_reduce
@@ -23,10 +22,25 @@ def engine_for(t, values=None, seed=0, **kw):
     return ContractionEngine(sim, t, lay, vals, seed=seed)
 
 
+def structure_signature(eng):
+    """The live supervertex forest of a ``ContractionEngine``: per live
+    vertex in id order, its supervertex parent, bottom, partial sum and live
+    children in id order."""
+    live = np.flatnonzero(eng.active)
+    vs = live.tolist()
+    par = eng.svparent[live].tolist()
+    kids = {v: [] for v in vs}
+    for v, p in zip(vs, par):
+        if p >= 0:
+            kids[p].append(v)
+    return tuple(zip(vs, par, eng.bottom[live].tolist(), eng.P[live].tolist(),
+                     map(tuple, kids.values())))
+
+
 def test_compress_path_hand_trace():
     t = gen_tree("path", 3)
     eng = engine_for(t)
-    eng.compress(0, 1)
+    eng._compress(np.array([0]), np.array([1]))
     assert eng.P[0] == 2
     assert (eng.child_count[0], eng.child_sum[0]) == (1, 2)  # the child set {2}
     assert not eng.active[1]
@@ -35,68 +49,46 @@ def test_compress_path_hand_trace():
 def test_compress_then_undo_restores_state_exactly():
     t = gen_tree("path", 3)
     eng = engine_for(t, values=[5, 7, 9])
-    before = (eng.P.tolist(), eng.A.tolist(), eng.active.tolist(),
-              eng.structure_signature())
-    eng.compress(0, 1)
-    eng.undo_at(0, "bottom-up")
+    before = (eng.P.tolist(), eng.active.tolist(), structure_signature(eng))
+    eng._compress(np.array([0]), np.array([1]))
+    eng._undo_compress(np.array([0]), "bottom-up")
     # A values move around during undo; P, activity, and structure must match
-    assert eng.P.tolist() == before[0]
-    assert eng.active.tolist() == before[2]
-    assert eng.structure_signature() == before[3]
-
-
-def test_compress_preconditions():
-    star = gen_tree("star", 4)
-    eng = engine_for(star)
-    with pytest.raises(ContractError):
-        eng.compress(0, 1)  # parent has 3 children
-    path = gen_tree("path", 3)
-    eng = engine_for(path)
-    with pytest.raises(ContractError):
-        eng.compress(0, 2)  # not a child
-    with pytest.raises(ContractError):
-        eng.compress(1, 2)  # 2 has no child
+    assert (eng.P.tolist(), eng.active.tolist(), structure_signature(eng)) == before
 
 
 def test_rake_star_counts():
     star = gen_tree("star", 4)
     eng = engine_for(star)
-    eng.rake(0)
+    eng._rake(np.array([0]), eng.child_count == 0)
     assert eng.P[0] == 4
     assert eng.active_count == 1
 
 
 def test_rake_leaves_w_untouched():
-    # root with a leaf child and a deeper child
+    # root with a leaf child and a deeper child; leaf 3 is not the root's
     t = RootedTree([-1, 0, 0, 2])
     eng = engine_for(t, values=[1, 1, 10, 1])
-    raked = eng.rake(0)
-    assert raked == [1]
+    eng._rake(np.array([0]), eng.child_count == 0)
+    assert eng.active.tolist() == [True, False, True, True]
     assert eng.P[2] == 10  # w keeps its sum, nothing absorbed
     assert eng.P[0] == 2
 
 
-def test_rake_preconditions():
-    t = RootedTree([-1, 0, 0, 1, 2])  # two non-leaf children
-    eng = engine_for(t)
-    with pytest.raises(ContractError):
-        eng.rake(0)
-    path = gen_tree("path", 3)
-    eng = engine_for(path)
-    with pytest.raises(ContractError):
-        eng.rake(0)  # only child is not a leaf supervertex
-    star = gen_tree("star", 4)
-    eng = engine_for(star)
-    with pytest.raises(ContractError):
-        eng.rake(0, leaves=[1], w=2)  # leaves 2 and 3 unaccounted
-
-
 def test_figure_tree_rake_at_vertex_one():
+    # whatever the coins, nothing compresses in round 1, and every vertex
+    # with a leaf child rakes: 1 rakes 2 and 3, 4 rakes 5 and keeps 6, and
+    # 6 rakes 7.  Powers of two show which values each partial sum holds
     t = RootedTree(list(FIGURE_PARENTS))
-    eng = engine_for(t)
-    raked = eng.rake(1)
-    assert raked == [2, 3]
-    assert eng.P[1] == 3
+    for seed in range(4):
+        eng = engine_for(t, values=[2 ** v for v in range(8)], seed=seed)
+        before = structure_signature(eng)
+        assert eng.compact_round() == 4
+        assert np.flatnonzero(eng.active).tolist() == [0, 1, 4, 6]
+        assert eng.P[[0, 1, 4, 6]].tolist() == [1, 2 + 4 + 8, 16 + 32, 64 + 128]
+        assert eng.child_count[[0, 1, 4, 6]].tolist() == [2, 0, 1, 0]
+        assert eng.child_sum[[0, 4]].tolist() == [1 + 4, 6]
+        eng.undo_round(1, "bottom-up")
+        assert structure_signature(eng) == before
 
 
 def charged(sim):
@@ -104,18 +96,19 @@ def charged(sim):
 
 
 def test_single_operations_charge_like_scalar_sends():
-    # the star's child block has appended links, so its reduce and
-    # broadcasts relay through siblings.  Within one block every relay
+    # one-vertex steps, each charged on its own.  The star's child block has
+    # appended links, so its reduce and broadcasts relay through siblings.  Within one block every relay
     # receives before it sends, so the level rounds charge the scalar
     # sends' events, listed level by level rather than in send order
     star = gen_tree("star", 7)
     eng = engine_for(star, trace=True)
     want = SimState(eng.sim.placement, trace=True)
     vt, pos = eng.vt, light_first_layout(star).pos
-    eng.rake(0)
+    root = np.array([0])
+    eng._charge(eng._rake(root, eng.child_count == 0))
     block_reduce(want, vt, pos, 0, pos[0], lambda c: 0, operator.add, 0)
     assert charged(eng.sim) == charged(want)
-    eng.undo_at(0, "top-down")
+    eng._charge(eng._undo_rake(root, "top-down"))
     block_broadcast(want, vt, pos, pos[0], 0)
     block_reduce(want, vt, pos, 0, pos[0], lambda c: 0, operator.add, 0)
     block_broadcast(want, vt, pos, pos[0], 0)
@@ -125,11 +118,11 @@ def test_single_operations_charge_like_scalar_sends():
     eng = engine_for(path, trace=True)
     want = SimState(eng.sim.placement, trace=True)
     pos = light_first_layout(path).pos
-    eng.compress(0, 1)
+    eng._charge(eng._compress(root, np.array([1])))
     want.send(pos[1], pos[0])
     want.send(pos[1], pos[2])
     assert charged(eng.sim) == charged(want)
-    eng.undo_at(0, "bottom-up")
+    eng._charge(eng._undo_compress(root, "bottom-up"))
     want.send(pos[0], pos[1])
     want.send(pos[1], pos[0])
     assert charged(eng.sim) == charged(want)
@@ -194,14 +187,14 @@ def test_contraction_structural_reversibility():
         n = 2 + rng.next_below(63)
         t = gen_tree("random-attachment", n, seed=trial)
         eng = engine_for(t, values=list(range(n)), seed=trial)
-        snaps = {0: eng.structure_signature()}
+        snaps = {0: structure_signature(eng)}
         while eng.active_count > 1:
             eng.compact_round()
-            snaps[eng.rounds] = eng.structure_signature()
+            snaps[eng.rounds] = structure_signature(eng)
         for tau in range(eng.rounds, 0, -1):
-            assert eng.structure_signature() == snaps[tau]
+            assert structure_signature(eng) == snaps[tau]
             eng.undo_round(tau, "bottom-up")
-        assert eng.structure_signature() == snaps[0]
+        assert structure_signature(eng) == snaps[0]
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)

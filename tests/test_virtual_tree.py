@@ -500,6 +500,22 @@ def test_local_broadcast_level_rounds_charge_like_relays(kind):
         assert (got.energy, got.depth, got.messages) == (want.energy, want.depth, want.messages)
 
 
+@pytest.mark.parametrize("count", [30, 49, 51, 80])
+def test_local_kernels_need_one_value_per_vertex(count):
+    t = gen_tree("random-attachment", 50, seed=1)
+    lay = light_first_layout(t)
+    vt = vt_for(t)
+    sim = SimState(lay.placement(), trace=True)
+    sim.clock[:] = np.arange(t.n)
+    for run in (lambda v: local_broadcast(sim, vt, lay, v),
+                lambda v: local_reduce(sim, vt, lay, v, operator.add, 0)):
+        with pytest.raises(ValueError, match="one value per vertex required"):
+            run([1] * count)
+        assert sim.report() == SimState(lay.placement()).report()
+        assert sim.clock.tolist() == list(range(t.n))
+        assert len(sim.events) == 0
+
+
 def test_local_reduce_examples_and_oracle():
     t = gen_tree("star", 7)
     lay = light_first_layout(t)
