@@ -20,8 +20,8 @@ from .sim import (CostReport, Placement, SimState, TraceEvent,
                   all_reduce_barrier, broadcast_range, compact, permute,
                   prefix_sum)
 from .treefix import ContractionEngine, treefix_sum, treefix_topdown
-from .trees import (RootedTree, gen_tree, lca_naive, read_tree, root_path_sums,
-                    subtree_sizes, subtree_sums, write_tree)
+from .trees import (RootedTree, gen_tree, lca_naive, root_path_sums, subtree_sizes,
+                    subtree_sums, write_tree)
 from .virtual_tree import (VirtualTree, build_refs_protocol, local_broadcast,
                            local_reduce, transform)
 

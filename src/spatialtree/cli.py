@@ -90,10 +90,10 @@ def _build_layout(t: RootedTree, curve: CurveKind, order: str):
 
 
 def _random_chain(n: int, seed: int):
-    rng = Lcg(seed)
+    # a Fisher-Yates shuffle
     order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    for i, d in zip(range(n - 1, 0, -1), Lcg(seed).next_u64s(n - 1).tolist()):
+        j = d % (i + 1)
         order[i], order[j] = order[j], order[i]
     succ = [-1] * n
     for i in range(n - 1):

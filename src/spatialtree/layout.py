@@ -154,18 +154,27 @@ def verify_light_first(t: RootedTree, sizes, layout: Layout) -> bool:
     """True iff every vertex's children, taken in position order, are
     size-ascending and sit at 1 + pos(v) + sum of lighter siblings' sizes.
 
-    Ties are free: any arrangement of equal-size siblings qualifies.
+    Ties are free: any arrangement of equal-size siblings qualifies.  Reads
+    the child CSR and ``pos_arr`` only, so it caches nothing on ``t`` or
+    ``layout``.  Raises ValueError unless both hold one entry per vertex.
     """
-    pos = layout.pos
-    for v, cs in enumerate(t.children):
-        base = pos[v] + 1
-        prev_size = 0
-        for c in sorted(cs, key=lambda c: pos[c]):
-            if pos[c] != base or sizes[c] < prev_size:
-                return False
-            base += sizes[c]
-            prev_size = sizes[c]
-    return True
+    size = np.asarray(sizes, dtype=np.int64)
+    if size.shape != (t.n,) or layout.n != t.n:
+        raise ValueError("one position and one size per vertex required")
+    pos = layout.pos_arr
+    # each child block in position order; the blocks keep their CSR slots
+    kids = t.kids[np.lexsort((pos[t.kids], t.parent[t.kids]))]
+    size = size[kids]
+    first = np.repeat(t.ptr[:-1], np.diff(t.ptr))  # each slot's block start
+    # a child sits 1 past its parent plus its earlier siblings' sizes
+    before = np.add.accumulate(size) - size
+    if not np.array_equal(pos[kids], pos[t.parent[kids]] + 1 + before - before[first]):
+        return False
+    # sizes do not decrease within a block, the first not below 0
+    prev = np.zeros_like(size)
+    prev[1:] = size[:-1]
+    prev[first] = 0
+    return bool((size >= prev).all())
 
 
 class NeighborStats(NamedTuple):

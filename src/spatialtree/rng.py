@@ -3,13 +3,14 @@
 Constants are fixed so that seeded runs replay bit-identically everywhere;
 every coin flip and random draw in the package flows through this class.
 
-:meth:`Lcg.next_bits` jumps ahead with one module-wide table of the pairs
-(a^i, c * (1 + a + ... + a^(i-1))) for i = 1, 2, ...  The table is
+:meth:`Lcg.next_u64s` and :meth:`Lcg.next_bits` give the same stream as
+that many scalar draws.  They jump ahead with one module-wide table of the
+pairs (a^i, c * (1 + a + ... + a^(i-1))) for i = 1, 2, ...  The table is
 read-only, shared by every generator, and grown to the next power of two
-when a call asks for more flips than it holds, up to ``_TABLE_MAX`` =
+when a call asks for more draws than it holds, up to ``_TABLE_MAX`` =
 131,072 entries (16 bytes each, so at most 2 MiB is kept for the life of
-the process).  A longer call draws its flips in table-sized chunks, each
-chunk starting from the state the last one ended at.
+the process).  A longer call draws in table-sized chunks, each chunk
+starting from the state the last one ended at.
 """
 
 from __future__ import annotations
@@ -55,27 +56,42 @@ class Lcg:
     def next_bit(self) -> int:
         return self.next_u64() >> 63
 
-    def next_bits(self, count: int) -> np.ndarray:
-        """``count`` coin flips as a 0/1 uint8 array, identical to ``count``
-        calls of :meth:`next_bit`: per chunk of up to ``_TABLE_MAX`` flips,
-        one multiply, one add and one shift over a slice of the shared
-        jump-ahead table."""
-        if count <= 0:
-            return np.zeros(0, dtype=np.uint8)
-        bits = np.empty(count, dtype=np.uint8)
+    def _chunks(self, count: int):
+        """The next ``count`` states as (offset, uint64 array) chunks of up
+        to ``_TABLE_MAX``: one multiply and one add per chunk over a slice
+        of the shared jump-ahead table.  The state advances as each chunk
+        is taken."""
         powers, offsets = _jump_table(min(count, _TABLE_MAX))
-        for lo in range(0, count, len(powers)):
+        for lo in range(0, count, _TABLE_MAX):
             k = min(len(powers), count - lo)
             states = powers[:k] * np.uint64(self.state)
             states += offsets[:k]
             self.state = int(states[-1])
+            yield lo, states
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` states as a uint64 array, identical to
+        ``count`` calls of :meth:`next_u64`."""
+        out = np.empty(max(count, 0), dtype=np.uint64)
+        for lo, states in self._chunks(count):
+            out[lo:lo + len(states)] = states
+        return out
+
+    def next_bits(self, count: int) -> np.ndarray:
+        """``count`` coin flips as a 0/1 uint8 array, identical to ``count``
+        calls of :meth:`next_bit`."""
+        bits = np.empty(max(count, 0), dtype=np.uint8)
+        for lo, states in self._chunks(count):
             states >>= np.uint64(63)
-            bits[lo:lo + k] = states
+            bits[lo:lo + len(states)] = states
         return bits
 
     def next_below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n); modulo bias is irrelevant at our sizes."""
-        return self.next_u64() % n
+        """Uniform-ish draw in [0, n), the same as ``next_u64() % n``; modulo
+        bias is irrelevant at our sizes.  The step is inlined because input
+        generators call this once per vertex or query."""
+        self.state = (self.state * _MULT + _INC) & _MASK
+        return self.state % n
 
     def next_float(self) -> float:
         return self.next_u64() / float(1 << 64)

@@ -21,13 +21,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class RootedTree:
     """Rooted tree over vertices 0..n-1, one parent pointer per vertex.
 
-    ``parent`` is a read-only int32 array with -1 at ``root``.  ``ptr`` and
-    ``kids`` are the child CSR in id order: v's children are
-    ``kids[ptr[v]:ptr[v+1]]``, ascending.  ``bfs`` is the breadth-first
-    order of the walk that checks the input.  ``sizes`` (subtree sizes) and
-    ``children`` (the CSR as Python lists) are worked out on first use; the
-    arrays never change, so neither goes stale.  ``values`` optionally
-    holds one integer per vertex; its length is checked whenever it is set.
+    ``n`` is the vertex count.  ``parent`` is a read-only int32 array with
+    -1 at ``root``.  ``ptr`` and ``kids`` are the child CSR in id order:
+    v's children are ``kids[ptr[v]:ptr[v+1]]``, ascending.  ``bfs`` is the
+    breadth-first order of the walk that checks the input.  ``sizes``
+    (subtree sizes) and ``children`` (the CSR as Python lists) are worked
+    out on first use; the arrays never change, so neither goes stale.
+    ``values`` optionally holds one integer per vertex; its length is
+    checked whenever it is set.
 
     Any input that is not a tree raises ValueError.
     """
@@ -46,6 +47,7 @@ class RootedTree:
         roots = np.flatnonzero(a < 0)
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
+        self.n = n
         self.parent = _frozen(a.astype(np.int32))
         self.root = int(roots[0])
         # a stable sort by parent keeps each block in id order; the root's
@@ -67,10 +69,6 @@ class RootedTree:
             raise ValueError("parent links do not form a single tree")
         self.bfs = _frozen(np.array(order, dtype=np.int32))
         self.values = values
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
 
     @property
     def values(self):
@@ -103,8 +101,11 @@ class RootedTree:
 def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) -> RootedTree:
     """Deterministic tree generators for the benchmark families.
 
-    ``max_children`` optionally caps random attachment so the result has
-    bounded degree; other kinds ignore it.
+    Random attachment gives vertex i the parent ``Lcg(seed).next_below(i)``
+    of the i-th draw, i = 1 .. n-1, drawn as one vector.  ``max_children``
+    optionally caps it so the result has bounded degree: vertex i then
+    takes the i-th draw modulo the number of vertices still open to
+    children.  Other kinds ignore ``max_children``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -120,16 +121,18 @@ def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) 
         spine = (n + 1) // 2
         parent = np.concatenate((np.arange(-1, spine - 1), np.arange(n - spine)))
     elif kind == "random-attachment":
-        rng = Lcg(seed)
-        parent = [-1]
+        draws = Lcg(seed).next_u64s(n - 1)
         if max_children is None:
-            for i in range(1, n):
-                parent.append(rng.next_below(i))
+            draws %= np.arange(1, n, dtype=np.uint64)
+            parent = np.empty(n, dtype=np.int32)
+            parent[0] = -1
+            parent[1:] = draws  # each draw is below its vertex id, so it fits
         else:
+            parent = [-1]
             eligible = [0]
             nkids = [0] * n
-            for i in range(1, n):
-                p = eligible[rng.next_below(len(eligible))]
+            for i, d in enumerate(draws.tolist(), 1):
+                p = eligible[d % len(eligible)]
                 parent.append(p)
                 nkids[p] += 1
                 if nkids[p] >= max_children:
@@ -244,11 +247,6 @@ def parse_tree(text: str) -> RootedTree:
         if len(values) != n:
             raise ValueError(f"expected {n} values, got {len(values)}")
     return RootedTree(parent, values=values)
-
-
-def read_tree(path) -> RootedTree:
-    with open(path) as fh:
-        return parse_tree(fh.read())
 
 
 def read_queries(path) -> list[tuple[int, int]]:

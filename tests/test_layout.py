@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spatialtree.layout import (Layout, build_baseline, build_light_first,
                                 neighbor_distance_stats, verify_light_first)
 from spatialtree.rng import Lcg
 from spatialtree.trees import RootedTree, gen_tree, subtree_sizes
+from test_virtual_tree import REFERENCE_CASES
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -55,6 +57,93 @@ def test_verify_light_first_cases():
     path = gen_tree("path", 3)
     assert not verify_light_first(path, subtree_sizes(path),
                                   Layout.from_positions(CurveKind.HILBERT, [0, 2, 1]))
+
+
+def reference_verify_light_first(t, sizes, layout):
+    """The sequential check the array verifier replaced: each child list
+    sorted by position, walked with a running offset."""
+    pos = layout.pos_arr.tolist()
+    for v, cs in enumerate(t.children):
+        base = pos[v] + 1
+        prev_size = 0
+        for c in sorted(cs, key=lambda c: pos[c]):
+            if pos[c] != base or sizes[c] < prev_size:
+                return False
+            base += sizes[c]
+            prev_size = sizes[c]
+    return True
+
+
+def candidate_layouts(t, sizes):
+    """Light-first, both baselines, a cyclic shift and a random placement of
+    ``t``, and the sizes with one entry raised and one made negative."""
+    n = t.n
+    lf = light_first_layout(t, CurveKind.HILBERT, sizes)
+    shifted = (lf.pos_arr + 1) % n
+    shuffled = np.random.default_rng(n).permutation(n)
+    layouts = [lf, build_baseline(t, "bfs", CurveKind.HILBERT),
+               build_baseline(t, "dfs", CurveKind.HILBERT),
+               Layout.from_positions(CurveKind.HILBERT, shifted),
+               Layout.from_positions(CurveKind.HILBERT, shuffled)]
+    size_lists = [sizes]
+    for v, delta in ((n // 2, 1), (n - 1, -2)):
+        changed = list(sizes)
+        changed[v] += delta
+        size_lists.append(changed)
+    return [(s, lay) for lay in layouts for s in size_lists]
+
+
+@pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_verify_light_first_matches_the_sequential_reference(name, t):
+    sizes = subtree_sizes(t)
+    cases = candidate_layouts(t, sizes)
+    assert verify_light_first(t, *cases[0])
+    for s, lay in cases:
+        assert verify_light_first(t, s, lay) == reference_verify_light_first(t, s, lay)
+
+
+def test_verify_light_first_sibling_swaps_and_shifts():
+    # the figure tree's light-first positions are its labels: 0 has
+    # children 1 (3 vertices) and 4 (4 vertices), 1 has the leaves 2 and 3
+    t = RootedTree(list(FIGURE_PARENTS))
+    sizes = subtree_sizes(t)
+
+    def verify(pos):
+        lay = Layout.from_positions(CurveKind.HILBERT, pos)
+        assert verify_light_first(t, sizes, lay) == reference_verify_light_first(t, sizes, lay)
+        return verify_light_first(t, sizes, lay)
+
+    assert verify(list(range(8)))
+    assert verify([0, 1, 3, 2, 4, 5, 6, 7])  # the equal-size leaves swapped
+    assert not verify([0, 5, 6, 7, 1, 2, 3, 4])  # 4's subtree before 1's
+    assert not verify([0, 1, 2, 3, 4, 5, 7, 6])  # 6 and its child swapped
+    assert not verify([1, 2, 3, 4, 5, 6, 7, 0])  # every position one later
+
+
+def test_verify_light_first_needs_one_position_and_one_size_per_vertex():
+    path = gen_tree("path", 3)
+    sizes = subtree_sizes(path)
+    fits = Layout.from_positions(CurveKind.HILBERT, [0, 1, 2])
+    for s, lay in ((sizes, Layout.from_positions(CurveKind.HILBERT, [0, 1, 2, 3])),
+                   (sizes, Layout.from_positions(CurveKind.HILBERT, [0, 1])),
+                   (sizes[:2], fits), (sizes + [1], fits)):
+        with pytest.raises(ValueError, match="one position and one size per vertex required"):
+            verify_light_first(path, s, lay)
+
+
+def test_verify_light_first_memory_budget():
+    t = gen_tree("random-attachment", 65_535, seed=1)
+    sizes = subtree_sizes(t)
+    lay = light_first_layout(t, CurveKind.HILBERT, sizes)
+    tracemalloc.start()
+    try:
+        assert verify_light_first(t, sizes, lay)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # nothing is cached on the caller's long-lived tree and layout
+    assert "children" not in vars(t) and "pos" not in vars(lay)
 
 
 @pytest.mark.parametrize("pos", [[-1, 0], [0, 5], [1, 1]])

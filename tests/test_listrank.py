@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from spatialtree.cli import _random_chain
 from spatialtree.curves import CurveKind
 from spatialtree.listrank import (ChainError, list_rank, subtree_sizes_via_tour,
                                   tour_links)
@@ -28,6 +29,12 @@ def random_chain(m, seed):
     for i in range(m - 1):
         succ[order[i]] = order[i + 1]
     return succ, order[0], order
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 1000])
+def test_cli_chain_equals_scalar_draws(m, seed):
+    assert _random_chain(m, seed) == random_chain(m, seed)
 
 
 @dataclass

@@ -68,3 +68,24 @@ def test_next_bits_past_the_table_cap_draws_in_chunks(monkeypatch):
         assert len(rng._POWERS) == len(rng._OFFSETS) <= 8
     assert len(rng._POWERS) == 8
     assert a.next_u64() == b.next_u64()
+
+
+def test_next_u64s_equals_scalar_draws_with_calls_interleaved():
+    # the counts straddle the 131,072-entry table cap, so the longer calls
+    # draw in chunks; scalar draws between them continue the same stream
+    fast, slow = Lcg(5), Lcg(5)
+    for count in (0, 1, 131_071, 131_072, 131_073, 300_000):
+        got = fast.next_u64s(count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [slow.next_u64() for _ in range(count)]
+        assert fast.state == slow.state
+        assert fast.next_below(1000) == slow.next_u64() % 1000
+        assert fast.next_bits(3).tolist() == [slow.next_bit() for _ in range(3)]
+    assert Lcg(5).next_u64s(-1).tolist() == []
+
+
+def test_next_below_is_the_next_draw_modulo_n():
+    a, b = Lcg(2 ** 64 - 1), Lcg(2 ** 64 - 1)
+    for n in (1, 2, 3, 1000, 2 ** 63 + 1):
+        assert a.next_below(n) == b.next_u64() % n
+        assert a.state == b.state

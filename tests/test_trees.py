@@ -207,6 +207,44 @@ def test_random_attachment_degree_cap():
     assert max(len(cs) for cs in t.children) <= 2
 
 
+# -- the random-attachment streams against one scalar draw per vertex ----------
+
+def scalar_random_attachment(n, seed, max_children=None):
+    """The per-vertex generator the vector draw replaced."""
+    rng = Lcg(seed)
+    parent = [-1]
+    if max_children is None:
+        for i in range(1, n):
+            parent.append(rng.next_below(i))
+        return parent
+    eligible = [0]
+    nkids = [0] * n
+    for i in range(1, n):
+        p = eligible[rng.next_below(len(eligible))]
+        parent.append(p)
+        nkids[p] += 1
+        if nkids[p] >= max_children:
+            eligible[eligible.index(p)] = eligible[-1]
+            eligible.pop()
+        eligible.append(i)
+    return parent
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 131_074])
+def test_random_attachment_equals_scalar_draws(n, seed):
+    # 131,074 vertices take 131,073 draws: one past the jump table's cap
+    t = gen_tree("random-attachment", n, seed=seed)
+    assert t.parent.tolist() == scalar_random_attachment(n, seed)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+def test_degree_capped_random_attachment_equals_scalar_draws(n, cap):
+    t = gen_tree("random-attachment", n, seed=n + cap, max_children=cap)
+    assert t.parent.tolist() == scalar_random_attachment(n, n + cap, cap)
+
+
 def test_generated_trees_satisfy_invariants():
     rng = Lcg(99)
     kinds = ["path", "star", "caterpillar", "random-attachment"]
