@@ -69,16 +69,18 @@ class Layout:
 
 
 def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> np.ndarray:
-    """Preorder positions, as an int64 array, that lay out each subtree
+    """Preorder positions, as an int32 array, that lay out each subtree
     contiguously, every vertex's children following it in the order of the
     child CSR ``(ptr, kids)``."""
-    # a child sits 1 past its parent plus its earlier siblings' sizes
+    # a child sits 1 past its parent plus its earlier siblings' sizes; the
+    # running sums can pass 2^31, the offsets stay below n
     size = np.asarray(sizes, dtype=np.int64)[kids]
     before = np.add.accumulate(size) - size
-    pos = np.zeros(t.n, dtype=np.int64)
+    pos = np.zeros(t.n, dtype=np.int32)
     pos[kids] = 1 + before - before[np.repeat(ptr[:-1], np.diff(ptr))]
+    del size, before  # freed before the doubling's temporaries
     # sum those offsets along each root path by pointer doubling
-    up = t.parent.astype(np.int64)
+    up = t.parent.copy()
     while (live := np.flatnonzero(up >= 0)).size:
         pos[live] += pos[up[live]]
         up[live] = up[up[live]]

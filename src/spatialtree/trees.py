@@ -10,6 +10,9 @@ import numpy as np
 
 from .rng import Lcg
 
+# vertex ids a Python-level walk holds as one list
+_WALK_BLOCK = 1 << 13
+
 GENERATOR_KINDS = ("path", "perfect-binary", "caterpillar", "star", "random-attachment")
 
 
@@ -84,11 +87,15 @@ class RootedTree:
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        """Subtree sizes as a read-only int32 array, bottom-up over ``bfs``."""
-        parent = self.parent.tolist()
+        """Subtree sizes as a read-only int32 array, bottom-up over ``bfs``.
+        The walk takes the ids in blocks of ``_WALK_BLOCK``, so that only one
+        block of them is a Python list at a time."""
         s = [1] * self.n
-        for v in self.bfs[:0:-1].tolist():
-            s[parent[v]] += s[v]
+        up = self.bfs[:0:-1]
+        for lo in range(0, len(up), _WALK_BLOCK):
+            block = up[lo:lo + _WALK_BLOCK]
+            for v, p in zip(block.tolist(), self.parent[block].tolist()):
+                s[p] += s[v]
         return _frozen(np.array(s, dtype=np.int32))
 
     @cached_property
