@@ -108,8 +108,9 @@ class RootedTree:
 def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) -> RootedTree:
     """Deterministic tree generators for the benchmark families.
 
-    Random attachment gives vertex i the parent ``Lcg(seed).next_below(i)``
-    of the i-th draw, i = 1 .. n-1, drawn as one vector.  ``max_children``
+    Random attachment gives vertex i (0 < i < n) the parent that the i-th
+    ``Lcg(seed)`` draw takes modulo i, the same as one ``next_below(i)`` per
+    vertex; the n - 1 draws are taken as one vector.  ``max_children``
     optionally caps it so the result has bounded degree: vertex i then
     takes the i-th draw modulo the number of vertices still open to
     children.  Other kinds ignore ``max_children``.

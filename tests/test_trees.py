@@ -93,8 +93,10 @@ def relabelled(parent, seed):
 
 
 def generated_parents():
+    # the largest trees take the sizes walk past one block of 8,192 ids
     for kind in GENERATOR_KINDS:
-        for n in ((1, 3, 7, 63, 1023) if kind == "perfect-binary" else (1, 2, 5, 64, 1000)):
+        for n in ((1, 3, 7, 63, 1023, 16_383) if kind == "perfect-binary"
+                  else (1, 2, 5, 64, 1000, 20_000)):
             parent = gen_tree(kind, n, seed=n).parent.tolist()
             yield parent
             yield relabelled(parent, n)
