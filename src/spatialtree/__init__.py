@@ -6,9 +6,7 @@ space-filling curve support parent/child messaging in linear total energy,
 which the treefix-sum and batched-LCA algorithms exploit.
 """
 
-from .curves import (CurveKind, GridCoord, coord_to_index, curve_coords,
-                     curve_distance, index_to_coord, manhattan,
-                     zorder_longest_diagonal)
+from .curves import CurveKind, curve_coords, zorder_longest_diagonal
 from .layout import (Layout, build_baseline, build_light_first,
                      heaviest_last_is_optimal, light_first_layout,
                      light_first_positions, neighbor_distance_stats,
@@ -21,7 +19,7 @@ from .sim import (CostReport, Placement, SimState, TraceEvent,
                   prefix_sum)
 from .treefix import ContractionEngine, treefix_sum, treefix_topdown
 from .trees import (RootedTree, gen_tree, lca_naive, root_path_sums, subtree_sizes,
-                    subtree_sums, write_tree)
+                    subtree_sums)
 from .virtual_tree import (VirtualTree, build_refs_protocol, local_broadcast,
                            local_reduce, transform)
 

@@ -1,4 +1,11 @@
-"""Space-filling curve codecs and the grid-distance quantities built on them.
+"""Space-filling curves as coordinate tables, and the grid-distance
+quantities built on them.
+
+Each curve has one table per order: :func:`curve_coords` gives the cell of
+every curve index as two read-only int64 arrays, built by quadrant
+recursion.  :func:`curve_indices` is its inverse, a bit loop over int64
+coordinates for orders k <= 31.  The simulator reads only the table: a
+message costs the Manhattan distance between two of its cells.
 
 Two curves are supported on square ``2^k x 2^k`` grids:
 
@@ -12,14 +19,13 @@ Two curves are supported on square ``2^k x 2^k`` grids:
 Coordinates are ``(row, col)`` with row 0 at the top and curve index 0 at the
 top-left cell.  The Hilbert base curve (k=1) visits (0,0), (1,0), (1,1),
 (0,1); Z-order visits quadrants upper-left, upper-right, lower-left,
-lower-right at every scale.  All functions are pure.
+lower-right at every scale.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,15 +33,6 @@ import numpy as np
 class CurveKind(str, enum.Enum):
     HILBERT = "hilbert"
     ZORDER = "zorder"
-
-
-class GridCoord(NamedTuple):
-    row: int
-    col: int
-
-
-def grid_side(k: int) -> int:
-    return 1 << k
 
 
 def cell_count(k: int) -> int:
@@ -47,86 +44,46 @@ def _check_index(k, idx):
         raise ValueError(f"curve index {idx} out of range for order k={k}")
 
 
-def _check_coord(k, row, col):
-    side = grid_side(k)
-    if not (0 <= row < side and 0 <= col < side):
-        raise ValueError(f"coordinate ({row}, {col}) outside {side}x{side} grid")
-
-
 def _check_order(k):
     # the codecs are int64, so the 4^k cell indices must fit: k <= 31
     if not 0 <= k <= 31:
         raise ValueError(f"curve order k={k} outside 0..31")
 
 
-def index_to_coord(kind: CurveKind, k: int, idx: int) -> GridCoord:
-    """Grid cell of the idx-th element of the order-k curve."""
-    _check_order(k)
-    _check_index(k, idx)
-    rows, cols = _coords(kind, k, np.array([idx], dtype=np.int64))
-    return GridCoord(int(rows[0]), int(cols[0]))
-
-
-def coord_to_index(kind: CurveKind, k: int, coord) -> int:
-    """Inverse of :func:`index_to_coord`."""
-    row, col = coord
-    _check_coord(k, row, col)
-    return int(curve_indices(kind, k, [row], [col])[0])
-
-
-def manhattan(a, b) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def curve_distance(kind: CurveKind, k: int, i: int, j: int) -> int:
-    """Manhattan distance between curve positions i and j."""
-    return manhattan(index_to_coord(kind, k, i), index_to_coord(kind, k, j))
-
-
 def aligned_square_side(a, b) -> int:
     """Side of the smallest power-of-two-aligned square containing both cells."""
-    s = 1
-    while (a[0] // s, a[1] // s) != (b[0] // s, b[1] // s):
-        s <<= 1
-    return s
+    a0, a1, b0, b1 = int(a[0]), int(a[1]), int(b[0]), int(b[1])
+    if min(a0, a1, b0, b1) < 0:
+        raise ValueError(f"cell coordinates must be non-negative, "
+                         f"got {(a0, a1)} and {(b0, b1)}")
+    # both cells lie in one aligned square of side 2^m iff each coordinate
+    # xor is below 2^m
+    return 1 << max((a0 ^ b0).bit_length(), (a1 ^ b1).bit_length())
 
 
 @lru_cache(maxsize=None)
 def curve_coords(kind: CurveKind, k: int):
-    """(rows, cols) int64 arrays for every curve index of the order-k grid."""
+    """(rows, cols) int64 arrays for every curve index of the order-k grid.
+
+    Built by quadrant recursion from the single cell (0, 0): level j
+    (s = 2^j) lays four copies of the order-j curve into the quadrants of
+    the order-(j+1) grid, in curve order.
+    """
     _check_order(k)
-    rows, cols = _coords(kind, k, np.arange(cell_count(k), dtype=np.int64))
+    hilbert = CurveKind(kind) is CurveKind.HILBERT
+    rows = np.zeros(1, dtype=np.int64)
+    cols = np.zeros(1, dtype=np.int64)
+    for j in range(k):
+        s = 1 << j
+        if hilbert:
+            # transposed, two translated copies, anti-transposed
+            rows, cols = (np.concatenate((cols, rows + s, rows + s, s - 1 - cols)),
+                          np.concatenate((rows, cols, cols + s, 2 * s - 1 - rows)))
+        else:
+            rows, cols = (np.concatenate((rows, rows, rows + s, rows + s)),
+                          np.concatenate((cols, cols + s, cols, cols + s)))
     rows.setflags(write=False)
     cols.setflags(write=False)
-    return rows, cols
-
-
-def _coords(kind: CurveKind, k: int, idx: np.ndarray):
-    """(rows, cols) int64 arrays of the cells at curve indices idx."""
-    rows = np.zeros_like(idx)
-    cols = np.zeros_like(idx)
-    if CurveKind(kind) is CurveKind.ZORDER:
-        for m in range(k):
-            cols |= ((idx >> (2 * m)) & 1) << m
-            rows |= ((idx >> (2 * m + 1)) & 1) << m
-        return rows, cols
-    # iterative construction, one quadrant level per pass
-    t = idx.copy()
-    s = 1
-    side = 1 << k
-    while s < side:
-        rx = (t >> 1) & 1
-        ry = (t ^ rx) & 1
-        refl = (ry == 0) & (rx == 1)
-        rows_r = np.where(refl, s - 1 - rows, rows)
-        cols_r = np.where(refl, s - 1 - cols, cols)
-        swap = ry == 0
-        rows, cols = (
-            np.where(swap, cols_r, rows_r) + s * ry,
-            np.where(swap, rows_r, cols_r) + s * rx,
-        )
-        t >>= 2
-        s <<= 1
     return rows, cols
 
 

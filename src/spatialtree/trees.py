@@ -152,11 +152,6 @@ def gen_tree(kind: str, n: int, seed: int = 0, max_children: int | None = None) 
     return RootedTree(parent)
 
 
-def bfs_order(t: RootedTree) -> list[int]:
-    """Breadth-first order, children in id order: the construction's walk."""
-    return t.bfs.tolist()
-
-
 def subtree_sizes(t: RootedTree) -> list[int]:
     """Exact subtree sizes, worked out once per tree."""
     return t.sizes.tolist()
@@ -227,11 +222,6 @@ def light_first_csr(t: RootedTree, sizes) -> tuple[np.ndarray, np.ndarray]:
     # lexsort is stable: equal sizes keep the id order of t.kids
     order = np.lexsort((np.asarray(sizes, dtype=np.int64)[t.kids], t.parent[t.kids]))
     return t.ptr, t.kids[order]
-
-
-def write_tree(t: RootedTree, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_tree(t))
 
 
 def format_tree(t: RootedTree) -> str:

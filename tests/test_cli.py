@@ -9,7 +9,7 @@ from spatialtree import cli, layout
 from spatialtree.cli import CSV_FIELDS, main
 from spatialtree.lca import LCA_WORDS
 from spatialtree.sim import SimState
-from spatialtree.trees import GENERATOR_KINDS, RootedTree, write_tree
+from spatialtree.trees import GENERATOR_KINDS, RootedTree, format_tree
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -62,7 +62,7 @@ def test_run_treefix_path_check(capsys):
 
 def test_run_lca_figure_tree_answer_line(tmp_path, capsys):
     tree = tmp_path / "fig.txt"
-    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    tree.write_text(format_tree(RootedTree(list(FIGURE_PARENTS))))
     qfile = tmp_path / "q.txt"
     qfile.write_text("2 3\n")
     code, stdout, _ = run_cli(capsys, "run", "--algorithm", "lca",
@@ -178,7 +178,7 @@ def test_trace_export(tmp_path, capsys):
 
 def test_sweep_rejects_tree_file(tmp_path, capsys):
     tree = tmp_path / "t.txt"
-    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    tree.write_text(format_tree(RootedTree(list(FIGURE_PARENTS))))
     code, _, err = run_cli(capsys, "sweep", "--algorithm", "treefix",
                            "--tree", str(tree), "--n-list", "8,16")
     assert code == 2
@@ -315,7 +315,7 @@ def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
                                   "1 2\n1 3\n1 4\n1 5\n1 6\n"])
 def test_bad_query_file_is_exit_2_with_one_error_line(tmp_path, capsys, text):
     tree = tmp_path / "fig.txt"
-    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    tree.write_text(format_tree(RootedTree(list(FIGURE_PARENTS))))
     qfile = tmp_path / "q.txt"
     qfile.write_text(text)
     code, stdout, err = run_cli(capsys, "run", "--algorithm", "lca",
@@ -327,7 +327,7 @@ def test_bad_query_file_is_exit_2_with_one_error_line(tmp_path, capsys, text):
 
 def test_query_past_int64_is_out_of_range_exit_2(tmp_path, capsys):
     tree = tmp_path / "fig.txt"
-    write_tree(RootedTree(list(FIGURE_PARENTS)), tree)
+    tree.write_text(format_tree(RootedTree(list(FIGURE_PARENTS))))
     qfile = tmp_path / "q.txt"
     qfile.write_text("0 99999999999999999999\n")
     code, stdout, err = run_cli(capsys, "run", "--algorithm", "lca",

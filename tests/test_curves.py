@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialtree.curves import (CurveKind, aligned_square_side, cell_count,
-                                coord_to_index, curve_coords, curve_distance,
-                                curve_indices, index_to_coord, manhattan,
+                                curve_coords, curve_indices,
                                 zorder_longest_diagonal, zorder_step_profile)
 
 # Golden tables, pinned from the recursive quadrant constructions below.
@@ -43,6 +44,42 @@ def zorder_recursive(k):
             + [(r + h, c) for r, c in prev] + [(r + h, c + h) for r, c in prev])
 
 
+def reference_coords(kind, k, idx):
+    """(rows, cols) of the cells at curve indices idx, worked out per index
+    by reading its bits: an independent check of the recursive tables."""
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = np.zeros_like(idx)
+    cols = np.zeros_like(idx)
+    if CurveKind(kind) is CurveKind.ZORDER:
+        for m in range(k):
+            cols |= ((idx >> (2 * m)) & 1) << m
+            rows |= ((idx >> (2 * m + 1)) & 1) << m
+        return rows, cols
+    # one quadrant level per pass, from the finest up
+    t = idx.copy()
+    s = 1
+    while s < 1 << k:
+        rx = (t >> 1) & 1
+        ry = (t ^ rx) & 1
+        refl = (ry == 0) & (rx == 1)
+        rows_r = np.where(refl, s - 1 - rows, rows)
+        cols_r = np.where(refl, s - 1 - cols, cols)
+        swap = ry == 0
+        rows, cols = (
+            np.where(swap, cols_r, rows_r) + s * ry,
+            np.where(swap, rows_r, cols_r) + s * rx,
+        )
+        t >>= 2
+        s <<= 1
+    return rows, cols
+
+
+def table_distance(kind, k, i, j):
+    """Manhattan distance between curve positions i and j, read off the table."""
+    rows, cols = curve_coords(kind, k)
+    return int(abs(rows[i] - rows[j]) + abs(cols[i] - cols[j]))
+
+
 def test_golden_tables_match_recursive_construction():
     assert hilbert_recursive(1) == HILBERT_K1
     assert hilbert_recursive(2) == HILBERT_K2
@@ -57,59 +94,76 @@ def test_golden_tables_match_recursive_construction():
     (CurveKind.ZORDER, ZORDER_K2, 2),
 ])
 def test_codec_matches_golden_table(kind, table, k):
-    for idx, cell in enumerate(table):
-        assert tuple(index_to_coord(kind, k, idx)) == cell
-        assert coord_to_index(kind, k, cell) == idx
+    rows, cols = curve_coords(kind, k)
+    assert list(zip(rows.tolist(), cols.tolist())) == table
+    want_rows, want_cols = zip(*table)
+    assert curve_indices(kind, k, want_rows, want_cols).tolist() == list(range(len(table)))
 
 
 def test_curve_start_is_origin():
-    assert tuple(index_to_coord(CurveKind.HILBERT, 1, 0)) == (0, 0)
-    assert coord_to_index(CurveKind.HILBERT, 1, (0, 0)) == 0
+    for kind in CurveKind:
+        for k in range(4):
+            rows, cols = curve_coords(kind, k)
+            assert (rows[0], cols[0]) == (0, 0)
+            assert curve_indices(kind, k, [0], [0]).tolist() == [0]
 
 
 def test_zorder_known_cell_anchors():
     # cells 6 and 10 of the 4x4 figure
-    assert tuple(index_to_coord(CurveKind.ZORDER, 2, 6)) == (1, 2)
-    assert coord_to_index(CurveKind.ZORDER, 2, (1, 2)) == 6
-    assert tuple(index_to_coord(CurveKind.ZORDER, 2, 10)) == (3, 0)
+    rows, cols = curve_coords(CurveKind.ZORDER, 2)
+    assert (rows[6], cols[6]) == (1, 2)
+    assert (rows[10], cols[10]) == (3, 0)
+    assert curve_indices(CurveKind.ZORDER, 2, [1, 3], [2, 0]).tolist() == [6, 10]
 
 
 @pytest.mark.parametrize("kind", list(CurveKind))
-@pytest.mark.parametrize("k", range(0, 6))
+@pytest.mark.parametrize("k", range(0, 11))
 def test_scalar_codec_roundtrip_exhaustive(kind, k):
-    rec = hilbert_recursive(k) if kind is CurveKind.HILBERT else zorder_recursive(k)
-    for idx in range(cell_count(k)):
-        cell = index_to_coord(kind, k, idx)
-        assert tuple(cell) == rec[idx]
-        assert coord_to_index(kind, k, cell) == idx
+    rows, cols = curve_coords(kind, k)
+    idx = np.arange(cell_count(k))
+    want_rows, want_cols = reference_coords(kind, k, idx)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(curve_indices(kind, k, rows, cols), idx)
+    if k <= 5:
+        rec = hilbert_recursive(k) if kind is CurveKind.HILBERT else zorder_recursive(k)
+        assert list(zip(rows.tolist(), cols.tolist())) == rec
 
 
 @pytest.mark.parametrize("kind", list(CurveKind))
 def test_vectorized_matches_scalar(kind):
-    for k in range(0, 7):
+    for k in range(0, 11):
         rows, cols = curve_coords(kind, k)
+        assert rows.dtype == cols.dtype == np.int64
+        assert not rows.flags.writeable and not cols.flags.writeable
         n = cell_count(k)
-        sample = range(n) if n <= 4096 else range(0, n, 97)
-        for idx in sample:
-            r, c = index_to_coord(kind, k, idx)
+        # the reference one index at a time, on a sample of the larger orders
+        for idx in range(0, n, 1 if n <= 4096 else n // 1024 + 1):
+            r, c = reference_coords(kind, k, idx)
             assert (rows[idx], cols[idx]) == (r, c)
-        idx = curve_indices(kind, k, rows, cols)
-        assert np.array_equal(idx, np.arange(n))
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_curve_coords_is_cached_and_built_in_bounded_memory(kind):
+    assert curve_coords(kind, 3) is curve_coords(kind, 3)
+    # the benchmark clears the cache before every set-up repetition
+    curve_coords.cache_clear()
+    tracemalloc.start()
+    try:
+        curve_coords(kind, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the order-9 tables take 4 MiB; building them level by level holds at
+    # most 2 MiB more
+    assert peak <= 6.5 * 2**20
 
 
 def test_out_of_range_arguments_raise():
-    with pytest.raises(ValueError):
-        index_to_coord(CurveKind.HILBERT, 2, 16)
-    with pytest.raises(ValueError):
-        index_to_coord(CurveKind.ZORDER, 2, -1)
-    with pytest.raises(ValueError):
-        coord_to_index(CurveKind.HILBERT, 2, (4, 0))
     # the codecs are int64, so orders past 31 are refused, not wrapped
     for kind in CurveKind:
-        for call in (lambda: index_to_coord(kind, 32, 0),
-                     lambda: coord_to_index(kind, 32, (0, 0)),
-                     lambda: curve_indices(kind, 32, [0], [0]),
-                     lambda: curve_coords(kind, 32)):
+        for call in (lambda: curve_indices(kind, 32, [0], [0]),
+                     lambda: curve_coords(kind, 32),
+                     lambda: curve_coords(kind, -1)):
             with pytest.raises(ValueError):
                 call()
     with pytest.raises(ValueError):
@@ -122,34 +176,49 @@ def test_out_of_range_arguments_raise():
 def test_largest_order_corners_roundtrip(kind):
     k = 31
     side = 1 << k
-    for idx in (0, 1, cell_count(k) // 3, cell_count(k) - 2, cell_count(k) - 1):
-        row, col = index_to_coord(kind, k, idx)
-        assert 0 <= row < side and 0 <= col < side
-        assert coord_to_index(kind, k, (row, col)) == idx
+    idx = np.array([0, 1, cell_count(k) // 3, cell_count(k) - 2, cell_count(k) - 1])
+    rows, cols = reference_coords(kind, k, idx)
+    assert np.all((0 <= rows) & (rows < side) & (0 <= cols) & (cols < side))
+    assert np.array_equal(curve_indices(kind, k, rows, cols), idx)
     # the last cell: top-right for Hilbert, bottom-right for Z-order
     want = (0, side - 1) if kind is CurveKind.HILBERT else (side - 1, side - 1)
-    assert tuple(index_to_coord(kind, k, cell_count(k) - 1)) == want
-
-
-def test_manhattan_examples():
-    assert manhattan((0, 0), (0, 0)) == 0
-    assert manhattan((0, 0), (3, 1)) == 4
-    assert manhattan((2, 5), (7, 1)) == 9
-
-
-@given(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
-       st.tuples(st.integers(0, 1000), st.integers(0, 1000)))
-def test_manhattan_is_a_metric(a, b):
-    assert manhattan(a, b) == manhattan(b, a) >= 0
-    assert (manhattan(a, b) == 0) == (a == b)
+    assert (rows[-1], cols[-1]) == want
 
 
 def test_curve_distance_examples():
-    assert curve_distance(CurveKind.HILBERT, 3, 17, 17) == 0
+    assert table_distance(CurveKind.HILBERT, 3, 17, 17) == 0
     # cells (0,0) and (0,1) of the pinned k=1 table
-    assert curve_distance(CurveKind.HILBERT, 1, 0, 3) == 1
+    assert table_distance(CurveKind.HILBERT, 1, 0, 3) == 1
     # cells (1,2) and (3,0) of the pinned Z-order table
-    assert curve_distance(CurveKind.ZORDER, 2, 6, 10) == 4
+    assert table_distance(CurveKind.ZORDER, 2, 6, 10) == 4
+
+
+def reference_square_side(a, b):
+    s = 1
+    while (a[0] // s, a[1] // s) != (b[0] // s, b[1] // s):
+        s <<= 1
+    return s
+
+
+def test_aligned_square_side_closed_form():
+    assert aligned_square_side((0, 0), (0, 0)) == 1
+    assert aligned_square_side((1, 1), (2, 2)) == 4
+    assert aligned_square_side((0, 5), (0, 4)) == 2
+    # numpy int64 cells, as the acceptance suite passes them
+    rows, cols = curve_coords(CurveKind.ZORDER, 3)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            a, b = (rows[i], cols[i]), (rows[j], cols[j])
+            assert aligned_square_side(a, b) == reference_square_side(a, b)
+    big = 1 << 40
+    assert aligned_square_side((big + 5, 0), (big + 1, 1)) == 8
+
+
+@pytest.mark.parametrize("a,b", [((-1, 0), (0, 0)), ((0, 0), (0, -1)),
+                                 ((np.int64(-3), 2), (1, 1))])
+def test_aligned_square_side_rejects_negative_cells(a, b):
+    with pytest.raises(ValueError, match="non-negative"):
+        aligned_square_side(a, b)
 
 
 def test_zorder_longest_diagonal_anchors():
@@ -169,7 +238,7 @@ def test_zorder_longest_diagonal_brute_force_small():
                 a = (rows[t], cols[t])
                 b = (rows[t + 1], cols[t + 1])
                 if aligned_square_side(a, b) >= 4:  # leaves its 2x2 block
-                    best = max(best, manhattan(a, b))
+                    best = max(best, abs(a[0] - b[0]) + abs(a[1] - b[1]))
             assert zorder_longest_diagonal(2, i, j) == best
 
 
@@ -237,5 +306,6 @@ def test_zorder_distance_decomposition():
 @given(st.integers(0, cell_count(7) - 1), st.integers(0, cell_count(7) - 1),
        st.sampled_from(list(CurveKind)))
 def test_roundtrip_random_order7(i, j, kind):
-    assert coord_to_index(kind, 7, index_to_coord(kind, 7, i)) == i
-    assert curve_distance(kind, 7, i, j) == curve_distance(kind, 7, j, i)
+    rows, cols = curve_coords(kind, 7)
+    assert curve_indices(kind, 7, [rows[i]], [cols[i]]).tolist() == [i]
+    assert table_distance(kind, 7, i, j) == table_distance(kind, 7, j, i)

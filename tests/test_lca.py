@@ -12,7 +12,7 @@ from spatialtree.lca import (MAX_MULTIPLICITY, _last_start_at_or_below, _new_pat
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum
-from spatialtree.trees import (GENERATOR_KINDS, RootedTree, bfs_order, gen_tree,
+from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree,
                                lca_naive, subtree_sizes)
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
@@ -297,7 +297,7 @@ def path_roots_by_walk(t, ind):
     """Reference: a BFS walk hands every vertex its parent's path root,
     unless the vertex starts a new path."""
     path_root = [0] * t.n
-    for v in bfs_order(t):
+    for v in t.bfs.tolist():
         p = t.parent[v]
         path_root[v] = v if (p < 0 or ind[v]) else path_root[p]
     return path_root

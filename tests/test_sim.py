@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import spatialtree
 from spatialtree import cli, sim
 from spatialtree.cli import ALGORITHMS, main
-from spatialtree.curves import CurveKind, curve_distance
+from spatialtree.curves import CurveKind, curve_coords
 from spatialtree.layout import light_first_layout
 from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent,
                              _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
@@ -51,7 +51,8 @@ def test_two_chained_sends_have_depth_two():
 def test_send_cost_is_curve_distance():
     s = fresh(16, CurveKind.ZORDER)
     s.send(6, 10)
-    assert s.energy == curve_distance(CurveKind.ZORDER, 2, 6, 10) == 4
+    rows, cols = curve_coords(CurveKind.ZORDER, 2)
+    assert s.energy == abs(rows[6] - rows[10]) + abs(cols[6] - cols[10]) == 4
 
 
 def test_send_rejects_out_of_range():

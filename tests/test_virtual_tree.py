@@ -12,7 +12,6 @@ from spatialtree.rng import Lcg
 from spatialtree.sim import Placement, SimState
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, light_first_csr,
                                subtree_sizes)
-from spatialtree.trees import bfs_order
 from spatialtree.virtual_tree import (_protocol_pattern, _split_block, block_reduce,
                                       build_refs_protocol, local_broadcast, local_reduce,
                                       transform)
@@ -106,7 +105,7 @@ def reference_refs_protocol(sim, t, sizes, layout):
     app = [[] for _ in range(n)]
     vparent = [-1] * n
 
-    for v in bfs_order(t):
+    for v in t.bfs.tolist():
         cs = kids_list[starts[v]:starts[v + 1]]
         if not cs:
             continue
@@ -311,7 +310,7 @@ def sequential_refs_charge(sim, t, sizes, layout):
     pos = layout.pos
     ptr, kids = light_first_csr(t, sizes)
     src, dst = [], []
-    for v in bfs_order(t):
+    for v in t.bfs.tolist():
         block = [v, *kids[ptr[v]:ptr[v + 1]].tolist()]  # by place + 1
         if len(block) > 1:
             for a, b in _protocol_pattern(len(block) - 1)[0]:
