@@ -9,6 +9,9 @@ indices, from which subtree sizes fall out as half the first/last gap.
 The contraction works on int64 arrays throughout: each iteration draws its
 coins with one :meth:`Lcg.next_bits`, gathers the successors' coins only
 for the heads, and drops the spliced elements from the live list by index.
+As in the paper, where a spliced processor stores the iteration it left
+in, each iteration logs only its own splices: the removed elements, the
+predecessor that jumped over each, and each one's rank offset from it.
 Ranks and subtree sizes are returned as int64 arrays.
 """
 
@@ -28,6 +31,9 @@ class ChainError(ValueError):
 
 
 def _validate_chain(succ: np.ndarray, head: int) -> None:
+    """Raise ChainError unless the integer array succ links its elements
+    into one chain from head.  The range is checked in succ's own dtype,
+    so a uint64 successor past int64 is named as given."""
     m = len(succ)
     if not 0 <= head < m:
         raise ChainError(f"head {head} out of range")
@@ -35,7 +41,7 @@ def _validate_chain(succ: np.ndarray, head: int) -> None:
     if bad.any():
         x = int(bad.argmax())
         raise ChainError(f"successor {succ[x]} of element {x} out of range")
-    linked = succ[succ >= 0]
+    linked = succ[succ >= 0].astype(np.intp, copy=False)
     npred = np.bincount(linked, minlength=m)
     if m - len(linked) != 1 or npred[head] != 0 or npred.max() > 1:
         raise ChainError("successor links must form one chain covering all elements")
@@ -50,9 +56,12 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     else raises ValueError before a message is charged.  Elements occupy
     curve positions equal to their ids.  Each contraction iteration
     charges one announce round (a message per live link) and one splice
-    round (a message per removed element); the remnant of at most
-    max(4, ceil(log2 m)) elements is walked sequentially, then iterations
-    are reverted in descending order, one round each.
+    round (a message per removed element), and logs its splices as
+    (removed, jumper, offset) arrays: each removed element, the
+    predecessor that jumped over it and its rank less the jumper's.  The
+    remnant of at most max(4, ceil(log2 m)) elements is walked
+    sequentially, then the log is replayed in descending order, one round
+    per iteration, each jumper sending its rank to the elements it removed.
 
     When ``iteration_stats`` is a list, one (live, messages, energy) triple
     is appended per contraction iteration.
@@ -60,64 +69,61 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     nxt = np.array(succ)
     if nxt.dtype.kind not in "iu" and nxt.size:
         raise ValueError("successors must be integers")
-    nxt = nxt.astype(np.int64, copy=False)
-    m = len(nxt)
     _validate_chain(nxt, head)
+    nxt = nxt.astype(np.int64, copy=False)  # in range, so exact
+    m = len(nxt)
     if m == 1:
         return np.zeros(1, dtype=np.int64)
     rng = Lcg(seed)
-    tails = nxt < 0
     pred = np.full(m, -1, dtype=np.int64)
-    pred[nxt[~tails]] = np.flatnonzero(~tails)
+    sender = np.flatnonzero(nxt >= 0)
+    pred[nxt[sender]] = sender
     weight = np.ones(m, dtype=np.int64)   # original hops from x to nxt[x]
-    src = np.full(m, -1, dtype=np.int64)  # who jumped over x
-    delta = np.zeros(m, dtype=np.int64)   # rank offset of x from src[x]
     coin = np.zeros(m, dtype=np.uint8)
     live = np.arange(m, dtype=np.int64)
     threshold = max(4, math.ceil(math.log2(m)))
-    removed_per_iter: list[np.ndarray] = []
+    log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while len(live) > threshold:
         msg0, en0 = sim.messages, sim.energy
         bits = rng.next_bits(len(live))
         coin[live] = bits
-        after = nxt[live]
-        linked = after >= 0
+        linked = nxt[live] >= 0
+        sender = live[linked]
         # one round of announces: identity and coin to the successor
-        sim.send_round(live[linked], after[linked])
+        sim.send_round(sender, nxt[sender])
         # heads whose successor flipped tails, the chain's head excepted
         # (live stays ascending); selecting before any splice keeps the set
         # independent in the current chain, so the splices below touch
         # distinct predecessors and successors
         bits[np.searchsorted(live, head)] = 0
         picked = np.flatnonzero(linked & (bits == 1))
-        picked = picked[coin[after[picked]] == 0]
+        picked = picked[coin[nxt[live[picked]]] == 0]
         removed = live[picked]
         p = pred[removed]
         z = nxt[removed]
         # one round of splice messages to the predecessors
         sim.send_round(removed, p)
-        delta[removed] = weight[p]
+        log.append((removed, p, weight[p]))
         weight[p] += weight[removed]
         nxt[p] = z
         pred[z] = p
-        src[removed] = p
-        removed_per_iter.append(removed)
         if iteration_stats is not None:
             iteration_stats.append((len(live), sim.messages - msg0,
                                     sim.energy - en0))
         sim.note_words_many(live, 7)  # succ, pred, weight, rank, tag, src, coin
         live = np.delete(live, picked)
         sim.rounds += 1
+    del pred, coin, live, sender
     rank = np.zeros(m, dtype=np.int64)
     cur = head
     while (z := int(nxt[cur])) >= 0:  # the few links contraction left
         sim.send(cur, z)
         rank[z] = rank[cur] + weight[cur]
         cur = z
-    for removed in reversed(removed_per_iter):
-        p = src[removed]
+    while log:
+        removed, p, offset = log.pop()
         sim.send_round(p, removed)
-        rank[removed] = rank[p] + delta[removed]
+        rank[removed] = rank[p] + offset
     # a cycle disjoint from the chain passes the link counts above, but its
     # elements never get a rank of their own
     if (np.bincount(rank, minlength=m) != 1).any():

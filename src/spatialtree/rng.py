@@ -8,7 +8,7 @@ that many scalar draws.  They jump ahead with one module-wide table of the
 pairs (a^i, c * (1 + a + ... + a^(i-1))) for i = 1, 2, ...  The table is
 read-only, shared by every generator, and grown to the next power of two
 when a call asks for more draws than it holds, up to ``_TABLE_MAX`` =
-131,072 entries (16 bytes each, so at most 2 MiB is kept for the life of
+4,096 entries (16 bytes each, so at most 64 KiB is kept for the life of
 the process).  A longer call draws in table-sized chunks, each chunk
 starting from the state the last one ended at.
 """
@@ -22,7 +22,7 @@ _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 
 # the jump-ahead pairs for i = 1 .. len, len <= _TABLE_MAX; see _jump_table
-_TABLE_MAX = 1 << 17
+_TABLE_MAX = 1 << 12
 _POWERS = _OFFSETS = np.zeros(0, dtype=np.uint64)
 
 

@@ -16,26 +16,29 @@ positions of rounds and batches are checked whole before any of them is
 charged, and when tracing is on they append one event per message in array
 order.
 
-The clocks are one int64 array.  A round or a ``send_at`` batch is a
-gather, an ``np.maximum.at`` scatter and an array charge.  A batch's
-positions are range-checked with four min/max reductions and cast to intp
-once, so every later gather indexes with them as they are.  A message
-departs at a clock in [0, 2^63 - 1), so its arrival depth fits int64: a
-send, round or batch whose departure clock reaches 2^63 - 1 raises
-``ValueError`` before it is charged.
+The clocks are one int64 array.  A round or a ``send_at`` batch is one
+gather of its departure clocks, turned in place into arrival depths, and
+one ``np.maximum.at`` scatter.  It is then priced, summed into the energy
+and appended to the trace one block of ``_BLOCK`` (8,192) messages at a
+time, so a wide round holds its depths and one block's costs, never a cost
+array of its own length.  A batch's positions are range-checked with four
+min/max reductions and cast to intp once, so every later gather indexes
+with them as they are.  A message departs at a clock in [0, 2^63 - 1), so
+its arrival depth fits int64: a send, round or batch whose departure clock
+reaches 2^63 - 1 raises ``ValueError`` before it is charged.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
 ``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
 that yields :class:`TraceEvent` tuples of Python ints.  ``dump_trace``
-writes the JSON-lines file straight from the flat array, 8,192 events at a
-time: each block becomes one uint64 matrix with a line per row, laid out in
-8-byte words.  Each key is a constant word, and each field's digits fill a
-word, right-aligned, ahead of the 3-byte text that follows them; 0 bytes
-pad every word, and one ``bytes.translate`` drops them.  A field in
-[0, 10^5) takes its digit word from one shared table, built on the first
-dump; other int64 values get a wider slot whose digits come from
-divide-by-ten passes.
+writes the JSON-lines file straight from the flat array, one block of
+``_BLOCK`` events at a time: each block becomes one uint64 matrix with a
+line per row, laid out in 8-byte words.  Each key is a constant word, and
+each field's digits fill a word, right-aligned, ahead of the 3-byte text
+that follows them; 0 bytes pad every word, and one ``bytes.translate``
+drops them.  A field in [0, 10^5) takes its digit word from one shared
+table, built on the first dump; other int64 values get a wider slot whose
+digits come from divide-by-ten passes.
 
 The module also provides the grid-wide communication primitives: range
 broadcast over a virtual complete binary tree, the all-reduce
@@ -50,7 +53,8 @@ level by level.  The barrier and the prefix sum sweep the same range tree
 over [0, m) each time, so a ``SimState`` keeps each m's levels as checked
 intp (head, right half) arrays with every message's cost, from the second
 sweep of m on; a repeat sweep is one clock gather, one ``np.maximum.at``
-and one charge per level.
+and one charge per level, and a first sweep prices its levels block by
+block like any round.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ import numpy as np
 from .curves import CurveKind, cell_count, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
-_DUMP_CHUNK = 8192  # trace events formatted per write of dump_trace
+# messages priced and traced per block of a round, and trace events
+# formatted per write of dump_trace
+_BLOCK = 8192
 # a trace line is what json.dumps gives for a dict of four Python ints: per
 # field a key word, then the field's digits and the 3 bytes that follow
 # them, ", \"" or "}\n"; 0 bytes pad a key word at its end and a suffix
@@ -236,7 +242,7 @@ class SimState:
                 raise ValueError(f"negative ready clock {ready.min()}")
             if ready.max() >= _CLOCK_LIMIT:
                 raise ValueError(f"ready clock {ready.max()} is not below 2**63 - 1")
-        self._deliver([(src, dst, ready.astype(np.int64), None)])
+        self._deliver([(src, dst, ready, None)])
 
     def _positions(self, src, dst):
         """Both arrays of a batch, checked: 1-D, equal length, integer
@@ -259,28 +265,44 @@ class SimState:
         return src.astype(np.intp, copy=False), dst.astype(np.intp, copy=False)
 
     def _cost(self, src, dst):
-        """The Manhattan distance of each message of a checked batch."""
+        """The Manhattan distance of each message of a checked batch, as a
+        new int64 array built in place from two coordinate gathers."""
         rows = self._row_arr
         cols = self._col_arr
-        return np.abs(rows[src] - rows[dst]) + np.abs(cols[src] - cols[dst])
+        cost = rows[src]
+        cost -= rows[dst]
+        np.abs(cost, out=cost)
+        gap = cols[src]
+        gap -= cols[dst]
+        cost += np.abs(gap, out=gap)
+        return cost
 
     def _charge(self, src, dst, depth, top, cost=None) -> None:
         """Add energy, messages, depth and trace events of a charged batch
-        whose largest depth is top, pricing it unless its costs are given."""
-        if cost is None:
-            cost = self._cost(src, dst)
-        self.energy += int(cost.sum())
-        self.messages += len(src)
+        whose largest depth is top, one block of ``_BLOCK`` messages at a
+        time, pricing each block unless the batch's costs are given."""
+        m = len(src)
+        trace = self._trace
+        if trace is not None:
+            rows = np.empty((min(m, _BLOCK), 4), dtype=np.int64)
+        energy = 0
+        for lo in range(0, m, _BLOCK):
+            hi = lo + _BLOCK
+            s, d = src[lo:hi], dst[lo:hi]
+            c = self._cost(s, d) if cost is None else cost[lo:hi]
+            energy += int(c.sum())
+            if trace is not None:
+                block = rows[:len(s)]
+                block[:, 0] = s
+                block[:, 1] = d
+                block[:, 2] = c
+                block[:, 3] = depth[lo:hi]
+                # array.frombytes takes only a 1-D byte buffer
+                trace.frombytes(memoryview(block).cast("B"))
+        self.energy += energy
+        self.messages += m
         if top > self.depth:
             self.depth = top
-        if self._trace is not None:
-            block = np.empty((len(src), 4), dtype=np.int64)
-            block[:, 0] = src
-            block[:, 1] = dst
-            block[:, 2] = cost
-            block[:, 3] = depth
-            # array.frombytes takes only a 1-D byte buffer
-            self._trace.frombytes(memoryview(block).cast("B"))
 
     def send_round(self, src, dst) -> None:
         """Charge one synchronous round: message i goes from src[i] to dst[i].
@@ -306,11 +328,12 @@ class SimState:
         clock = self.clock
         for src, dst, ready, cost in rounds:
             if len(src):
-                depart = clock[src] if ready is None else ready
-                top = int(depart.max())
+                # a new array either way, so the depths can take its place
+                depth = clock[src] if ready is None else ready.astype(np.int64)
+                top = int(depth.max())
                 if top >= _CLOCK_LIMIT:
                     raise ValueError(f"departure clock {top} is not below 2**63 - 1")
-                depth = depart + 1
+                depth += 1
                 np.maximum.at(clock, dst, depth)
                 self._charge(src, dst, depth, top + 1, cost)
 
@@ -348,8 +371,8 @@ class SimState:
             raise ValueError("tracing was not enabled for this run")
         rows = np.frombuffer(self._trace, np.int64).reshape(-1, 4)
         with open(path, "wb") as fh:
-            for lo in range(0, len(rows), _DUMP_CHUNK):
-                fh.write(_trace_lines(rows[lo:lo + _DUMP_CHUNK]))
+            for lo in range(0, len(rows), _BLOCK):
+                fh.write(_trace_lines(rows[lo:lo + _BLOCK]))
 
 
 def _trace_lines(block) -> bytes:
@@ -483,17 +506,18 @@ def _sweep(sim: SimState, m: int) -> None:
 
     Each level's (head, right half) positions and their costs are cached
     per ``SimState`` and m from the second sweep of m on, so a state that
-    sweeps m once holds nothing for it; they lie in [0, m) by
-    construction, so a repeat sweep neither builds nor checks them.
+    sweeps m once holds nothing for it and prices its levels as it charges
+    them; they lie in [0, m) by construction, so a repeat sweep neither
+    builds nor checks them.
     """
     levels = sim._sweeps.get(m)
     if levels is None:
+        keep = m in sim._sweeps  # None marks an m swept once
         levels = []
         for los, mids in _range_levels([0], [m - 1]):
             heads, halves = los.astype(np.intp), (mids + 1).astype(np.intp)
-            levels.append((heads, halves, sim._cost(heads, halves)))
-        # None marks an m swept once; its levels are kept on the second sweep
-        sim._sweeps[m] = levels if m in sim._sweeps else None
+            levels.append((heads, halves, sim._cost(heads, halves) if keep else None))
+        sim._sweeps[m] = levels if keep else None
     sim._deliver([(halves, heads, None, cost) for heads, halves, cost in reversed(levels)]
                  + [(heads, halves, None, cost) for heads, halves, cost in levels])
 
@@ -530,19 +554,25 @@ def permute(sim: SimState, targets: Sequence[int]) -> None:
     that are not integers raise ValueError before anything is charged.
     """
     dst = np.asarray(targets)
-    if dst.dtype.kind not in "iu" and dst.size:
+    m = len(dst)
+    if not m:
+        return
+    if dst.dtype.kind not in "iu":
         raise ValueError("permutation targets must be integers")
-    dst = dst.astype(np.int64, copy=False)
-    src = np.arange(len(dst), dtype=np.int64)
     n = sim.placement.n
-    bad = (src >= n) | (dst < 0) | (dst >= n)
-    if bad.any():
+    # checked in the given dtype, so a uint64 target past int64 is named as given
+    if m > n or dst.min() < 0 or dst.max() >= n:
+        bad = (dst < 0) | (dst >= n)
+        bad[n:] = True
         i = int(bad.argmax())
-        raise ValueError(f"permutation entry {src[i]} -> {dst[i]} out of range")
-    hits = np.bincount(dst, minlength=n)
-    if hits.max(initial=0) > 1:
+        raise ValueError(f"permutation entry {i} -> {dst[i]} out of range")
+    dst = dst.astype(np.intp, copy=False)
+    hit = np.zeros(n, dtype=bool)
+    hit[dst] = True
+    if np.count_nonzero(hit) < m:
+        hits = np.bincount(dst, minlength=n)
         raise ValueError(f"duplicate permutation target {int(hits.argmax())}")
-    sim.send_round(src, dst)
+    sim.send_round(np.arange(m), dst)
 
 
 def compact(sim: SimState, flags) -> tuple[np.ndarray, int]:

@@ -74,11 +74,21 @@ def test_summary_pairs_runs_in_the_order_given(tmp_path):
     check_summary(summary)
     assert (summary["parent"]["commit"], summary["change"]["commit"]) == ("aaa", "bbb")
     entry = summary["workloads"]["lca-65k"]["1"]
-    assert entry["pairs"] == 3 and entry["pass_ref_wins"] == 2
+    assert entry["pairs"] == 3 and entry["wins"]["pass_ref"] == 2
     assert entry["parent"]["median"]["pass_ref"] == 3.0
     assert entry["parent"]["iqr"]["pass_ref"] == 1.0
     assert entry["parent"]["ops"] == [3, 3, 3]
     assert entry["change"]["costs"] == {"energy": 500, "depth": 8, "messages": 40}
+
+
+def test_summary_counts_the_pairs_won_on_every_timed_metric():
+    # pass_s here is twice pass_ref; ties count for neither side
+    parent = [fake_run("aaa", x) for x in (3.0, 2.0, 4.0, 1.0)]
+    change = [fake_run("bbb", x) for x in (2.5, 2.0, 3.0, 1.5)]
+    for run, setup, rss in zip(change, (0.9, 1.0, 1.2, 0.8), (89.0, 91.0, 88.5, 90.0)):
+        run["end_to_end"].update(setup_s=setup, peak_rss_mb=rss)
+    entry = bench_summary.summarise(parent, change, "cmd")["workloads"]["lca-65k"]["1"]
+    assert entry["wins"] == {"pass_ref": 2, "pass_s": 2, "setup_s": 2, "peak_rss_mb": 2}
 
 
 def test_summary_gives_each_side_the_range_of_every_set_up_sample():
@@ -107,7 +117,7 @@ def test_summary_keeps_traced_runs_apart_from_the_pairs():
     summary = bench_summary.summarise(parent, change, "cmd")
     check_summary(summary)
     entry = summary["workloads"]["lca-65k"]["1"]
-    assert entry["pairs"] == 1 and entry["pass_ref_wins"] == 1
+    assert entry["pairs"] == 1 and entry["wins"]["pass_ref"] == 1
     traced = summary["traced"]["lca-65k"]["1"]
     assert traced["parent"] == pytest.approx({
         "runs": 2, "sim.all_reduce_barrier.self_s": 0.3, "trace.pass_s": 2.0,

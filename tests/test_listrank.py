@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,33 @@ def test_list_rank_rejects_non_integer_successors_before_charging():
         with pytest.raises(ValueError, match="must be integers"):
             list_rank(sim, succ, 0, seed=1)
         assert (sim.messages, sim.energy, sim.depth, len(sim.events)) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 - 1])
+def test_list_rank_names_a_uint64_successor_as_given(value):
+    # in int64, 2**64 - 1 wraps to -1 and read as a tail
+    sim = SimState(Placement.for_size(CurveKind.HILBERT, 2), trace=True)
+    with pytest.raises(ChainError, match=f"^successor {value} of element 1 out of range$"):
+        list_rank(sim, np.array([1, value], np.uint64), 0, 1)
+    assert (sim.messages, len(sim.events)) == (0, 0)
+
+
+def test_list_rank_memory_budget():
+    # the parent peaked at 14.5 MiB with m-sized jumper and offset arrays
+    m = 131_071
+    order = np.random.default_rng(4).permutation(m)
+    succ = np.full(m, -1, dtype=np.int64)
+    succ[order[:-1]] = order[1:]
+    sim = sim_for(m)
+    Lcg(0).next_bits(m)  # the shared jump table is grown before measuring
+    tracemalloc.start()
+    try:
+        rank = list_rank(sim, succ, int(order[0]), seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+    assert (rank[order] == np.arange(m)).all()
 
 
 def test_list_rank_rejects_a_long_cycle_beside_the_chain():

@@ -71,7 +71,7 @@ def test_next_bits_past_the_table_cap_draws_in_chunks(monkeypatch):
 
 
 def test_next_u64s_equals_scalar_draws_with_calls_interleaved():
-    # the counts straddle the 131,072-entry table cap, so the longer calls
+    # the longer counts pass the 4,096-entry table cap, so they
     # draw in chunks; scalar draws between them continue the same stream
     fast, slow = Lcg(5), Lcg(5)
     for count in (0, 1, 131_071, 131_072, 131_073, 300_000):
@@ -89,3 +89,9 @@ def test_next_below_is_the_next_draw_modulo_n():
     for n in (1, 2, 3, 1000, 2 ** 63 + 1):
         assert a.next_below(n) == b.next_u64() % n
         assert a.state == b.state
+
+
+def test_jump_table_stays_small_after_a_long_draw():
+    # 4,096 entries of 16 bytes; the parent kept 131,072 (2 MiB)
+    Lcg(9).next_bits(300_000)
+    assert rng._POWERS.nbytes + rng._OFFSETS.nbytes <= 64 * 2 ** 10

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from spatialtree import cli, sim
 from spatialtree.cli import ALGORITHMS, main
 from spatialtree.curves import CurveKind, curve_coords
 from spatialtree.layout import light_first_layout
-from spatialtree.sim import (_DUMP_CHUNK, Placement, SimState, TraceEvent,
+from spatialtree.sim import (_BLOCK, Placement, SimState, TraceEvent,
                              _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
                              broadcast_ranges, compact, permute, prefix_sum)
 from spatialtree.treefix import treefix_topdown
@@ -298,6 +299,86 @@ def test_send_rounds_checks_every_round_first():
     assert s.messages == 0 and s.clock.tolist() == [0] * 4
 
 
+BLOCK_EDGES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+def one_way_round(rng, n, count, up):
+    """count messages from the lower half of [0, n) to the upper half, or
+    back: no position both sends and receives, so the round charges like
+    plain sends in array order."""
+    low, high = rng.integers(0, n // 2, count), rng.integers(n // 2, n, count)
+    return (low, high) if up else (high, low)
+
+
+def send_one_at_a_time(sim, src, dst):
+    for a, b in zip(src.tolist(), dst.tolist()):
+        sim.send(a, b)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+@pytest.mark.parametrize("kernel", ["send_round", "send_rounds", "send_at"])
+def test_batches_across_block_edges_charge_like_single_messages(kernel, count, trace):
+    n = 4096
+    rng = np.random.default_rng(count)
+    got, want = fresh(n, trace=trace), fresh(n, trace=trace)
+    got.clock[:] = want.clock[:] = rng.integers(0, 50, n)
+    if kernel == "send_at":
+        src, dst = rng.integers(0, n, count), rng.integers(0, n, count)
+        ready = rng.integers(0, 100, count)
+        got.send_at(src, dst, ready)
+        for a, b, r in zip(src.tolist(), dst.tolist(), ready.tolist()):
+            want.send_at([a], [b], [r])
+    else:
+        rounds = [one_way_round(rng, n, count, up) for up in (True, False, True)]
+        if kernel == "send_round":
+            for src, dst in rounds:
+                got.send_round(src, dst)
+        else:
+            got.send_rounds(rounds)
+        for src, dst in rounds:
+            send_one_at_a_time(want, src, dst)
+    assert state_of(got) == state_of(want)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_repeated_sweeps_across_block_edges_charge_like_single_messages(count, trace):
+    # the range tree over [0, 2^j + count) with count <= 2^j has count
+    # nodes at its deepest level; a level's senders never receive in it
+    m = (1 << (count - 1).bit_length()) + count
+    levels = list(_range_levels([0], [m - 1]))
+    assert len(levels[-1][0]) == count
+    rng = np.random.default_rng(count)
+    got, want = fresh(m, trace=trace), fresh(m, trace=trace)
+    got.clock[:] = want.clock[:] = rng.integers(0, 50, m)
+    for _ in range(2):  # priced as charged, then from the kept costs
+        all_reduce_barrier(got)
+        for los, mids in reversed(levels):
+            send_one_at_a_time(want, mids + 1, los)
+        for los, mids in levels:
+            send_one_at_a_time(want, los, mids + 1)
+        assert state_of(got) == state_of(want)
+    assert got._sweeps[m]
+
+
+def test_wide_untraced_round_memory_budget():
+    # one array of the round's length (its depths) plus a block's costs;
+    # the parent priced the whole round at once and peaked at 5.0 MiB
+    n = 131_071
+    rng = np.random.default_rng(2)
+    s = fresh(n)
+    src, dst = rng.integers(0, n, n), rng.integers(0, n, n)
+    tracemalloc.start()
+    try:
+        s.send_round(src, dst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
+    assert s.messages == n
+
+
 def test_broadcast_ranges_match_scalar_broadcasts():
     ranges = [(0, 0), (1, 9), (10, 11), (15, 47), (50, 63)]
     got = fresh(64, trace=True)
@@ -542,6 +623,30 @@ def test_permute_rejects_out_of_range_before_charging():
     assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
+def test_permute_names_a_uint64_target_as_given():
+    # 2**64 - 1 wraps to -1 in int64
+    s = fresh(4, trace=True)
+    with pytest.raises(ValueError) as err:
+        permute(s, np.array([1, 2 ** 64 - 1], np.uint64))
+    assert str(err.value) == "permutation entry 1 -> 18446744073709551615 out of range"
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+
+
+def test_permute_memory_budget():
+    # marks in a bool array, not an n-sized int64 bincount
+    n = 131_071
+    targets = np.random.default_rng(4).permutation(n)
+    s = fresh(n)
+    tracemalloc.start()
+    try:
+        permute(s, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
+    assert s.messages == n
+
+
 def test_permute_rejects_non_integer_targets_before_charging():
     # a float target is not truncated to a position
     s = fresh(4, trace=True)
@@ -737,7 +842,7 @@ def test_the_digit_table_is_built_by_the_first_dump_and_read_only(tmp_path):
     assert (tmp_path / "trace.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("count", [_DUMP_CHUNK - 1, _DUMP_CHUNK, _DUMP_CHUNK + 1])
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_dump_trace_across_chunk_edges_matches_json_dumps(tmp_path, count):
     # the last event departs late, so the last chunk's depths overflow the
     # digit table
@@ -761,7 +866,7 @@ def test_traced_treefix_on_a_caterpillar_dumps_like_json_dumps(tmp_path):
     s.dump_trace(tmp_path / "got.jsonl")
     reference_dump(s.events, tmp_path / "want.jsonl")
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-    assert len(s.events) > _DUMP_CHUNK
+    assert len(s.events) > _BLOCK
 
 
 def test_cli_trace_file_is_json_dumps_of_every_event(tmp_path, capsys, monkeypatch):

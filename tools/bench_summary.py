@@ -15,7 +15,8 @@ timing, to show in which layer a change of ``pass_s`` appears.
 
 The summary holds the parent and change commits, the command, the host
 stamp, and per workload and seed: the pair count, how many pairs the
-change won on ``pass_ref``, and for each side the median and interquartile
+change won on each of ``WON`` (lower is better for all of them, and a tie
+counts for neither side), and for each side the median and interquartile
 range of every end-to-end time and memory metric, the smallest and largest
 single set-up sample over all its runs (a run's ``setup_s`` is the median
 of its ``setup_samples`` plus import time, which hides their spread), the
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 
 TIMED = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb", "ok_frac")
+WON = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb")  # lower is better
 COSTS = ("energy", "depth", "messages")
 HOST = ("python", "numpy", "nproc", "cpu")
 
@@ -51,11 +53,14 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def timed(run: dict, metric: str) -> float:
+    return run["pass_s"] if metric == "pass_s" else run["end_to_end"][metric]
+
+
 def side_summary(runs: list[dict], label: str) -> dict:
     """Medians, IQRs, set-up sample range, op counts and the one set of
     model costs of a side's runs of one workload and seed."""
-    values = {m: [r["pass_s"] if m == "pass_s" else r["end_to_end"][m] for r in runs]
-              for m in TIMED}
+    values = {m: [timed(r, m) for r in runs] for m in TIMED}
     costs = {tuple(r["end_to_end"][c] for c in COSTS) for r in runs}
     if len(costs) != 1:
         raise ValueError(f"{label}: runs disagree on model costs: {sorted(costs)}")
@@ -121,8 +126,7 @@ def summarise(parent: list[dict], change: list[dict], command: str,
         pairs = list(zip(ps, cs))
         workloads.setdefault(workload, {})[str(seed)] = {
             "pairs": len(pairs),
-            "pass_ref_wins": sum(c["end_to_end"]["pass_ref"] < p["end_to_end"]["pass_ref"]
-                                 for p, c in pairs),
+            "wins": {m: sum(timed(c, m) < timed(p, m) for p, c in pairs) for m in WON},
             "parent": side_summary(ps, f"{label} parent"),
             "change": side_summary(cs, f"{label} change"),
         }
