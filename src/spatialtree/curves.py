@@ -1,11 +1,14 @@
 """Space-filling curves as coordinate tables, and the grid-distance
 quantities built on them.
 
-Each curve has one table per order: :func:`curve_coords` gives the cell of
-every curve index as two read-only int64 arrays, built by quadrant
-recursion.  :func:`curve_indices` is its inverse, a bit loop over int64
-coordinates for orders k <= 31.  The simulator reads only the table: a
-message costs the Manhattan distance between two of its cells.
+Each curve has one table per order, built by quadrant recursion: a
+read-only, C-contiguous (4^k, 2) int32 array holding the (row, col) of
+every curve index, so that a cell is one 8-byte word.  :func:`curve_coords`
+gives it as its (2, 4^k) transpose, so ``rows, cols = curve_coords(kind,
+k)`` unpacks it.  :func:`curve_indices` is its inverse, a bit loop over
+int64 coordinates for orders k <= 31.  The simulator reads only the table:
+a message costs the Manhattan distance between two of its cells, which
+:func:`cell_distances` prices with one word gather per endpoint.
 
 Two curves are supported on square ``2^k x 2^k`` grids:
 
@@ -63,43 +66,76 @@ def aligned_square_side(a, b) -> int:
 
 @lru_cache(maxsize=None)
 def curve_coords(kind: CurveKind, k: int):
-    """(rows, cols) int64 arrays for every curve index of the order-k grid.
+    """The (rows, cols) of every curve index of the order-k grid, as the
+    read-only (2, 4^k) int32 transpose of the curve's cell table.
 
-    Built by quadrant recursion from the single cell (0, 0): level j
-    (s = 2^j) lays four copies of the order-j curve into the quadrants of
-    the order-(j+1) grid, in curve order.
+    The table itself, ``curve_coords(kind, k).T``, is C-contiguous: cell i
+    is its row i.  It is built by quadrant recursion from the single cell
+    (0, 0): level j (s = 2^j) lays four copies of the order-j curve into
+    the quadrants of the order-(j+1) grid, in curve order, each written
+    straight into the new table.
     """
     _check_order(k)
     hilbert = CurveKind(kind) is CurveKind.HILBERT
-    rows = np.zeros(1, dtype=np.int64)
-    cols = np.zeros(1, dtype=np.int64)
+    cells = np.zeros((1, 2), dtype=np.int32)
     for j in range(k):
         s = 1 << j
+        m = len(cells)
+        out = np.empty((4 * m, 2), dtype=np.int32)
         if hilbert:
             # transposed, two translated copies, anti-transposed
-            rows, cols = (np.concatenate((cols, rows + s, rows + s, s - 1 - cols)),
-                          np.concatenate((rows, cols, cols + s, 2 * s - 1 - rows)))
+            out[:m] = cells[:, ::-1]
+            np.add(cells, (s, 0), out=out[m:2 * m])
+            np.add(cells, (s, s), out=out[2 * m:3 * m])
+            np.subtract((s - 1, 2 * s - 1), cells[:, ::-1], out=out[3 * m:])
         else:
-            rows, cols = (np.concatenate((rows, rows, rows + s, rows + s)),
-                          np.concatenate((cols, cols + s, cols, cols + s)))
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+            out[:m] = cells
+            np.add(cells, (0, s), out=out[m:2 * m])
+            np.add(cells, (s, 0), out=out[2 * m:3 * m])
+            np.add(cells, (s, s), out=out[3 * m:])
+        cells = out
+    cells.setflags(write=False)
+    return cells.T
+
+
+def cell_distances(words, src, dst):
+    """The Manhattan distance between cells ``words[src[i]]`` and
+    ``words[dst[i]]`` for each i, as a new uint32 array.
+
+    ``words`` holds one cell per int64 word, its row and column in two
+    int32 lanes, as ``curve_coords(kind, k).T.view(np.int64).reshape(-1)``
+    views a cell table.  One gather per endpoint, then one subtraction and
+    one ``abs`` over both lanes and one add of the lanes: every coordinate
+    lies in [0, 2^31), so each |difference| fits int32 and their sum, at
+    most 2^32 - 2, fits uint32.
+    """
+    gap = words.take(src).view(np.int32)
+    gap -= words.take(dst).view(np.int32)
+    np.abs(gap, out=gap)
+    gap = gap.view(np.uint32)
+    return gap[0::2] + gap[1::2]
 
 
 def curve_indices(kind: CurveKind, k: int, rows, cols):
-    """Vectorized inverse: curve indices of (rows, cols) arrays."""
+    """Vectorized inverse: curve indices of (rows, cols) arrays.  Raises
+    ValueError, naming the first, for a cell outside the 2^k x 2^k grid."""
     _check_order(k)
     kind = CurveKind(kind)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
+                                     np.asarray(cols, dtype=np.int64))
+    side = 1 << k
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or max(rows.max(), cols.max()) >= side):
+        bad = ((rows < 0) | (rows >= side) | (cols < 0) | (cols >= side)).reshape(-1)
+        i = int(bad.argmax())
+        raise ValueError(f"cell ({rows.flat[i]}, {cols.flat[i]}) is outside the "
+                         f"order-{k} grid: coordinates must lie in [0, {side})")
     if kind is CurveKind.ZORDER:
         idx = np.zeros_like(rows)
         for m in range(k):
             idx |= ((cols >> m) & 1) << (2 * m)
             idx |= ((rows >> m) & 1) << (2 * m + 1)
         return idx
-    side = 1 << k
     x = cols.copy()
     y = rows.copy()
     d = np.zeros_like(x)
@@ -127,7 +163,8 @@ def zorder_step_profile(k: int):
     ``effective[t]`` is ``dist[t]`` for diagonals and 1 otherwise.
     """
     rows, cols = curve_coords(CurveKind.ZORDER, k)
-    dist = np.abs(np.diff(rows)) + np.abs(np.diff(cols))
+    # int64, so the sum of two int32 steps cannot wrap
+    dist = np.abs(np.diff(rows), dtype=np.int64) + np.abs(np.diff(cols), dtype=np.int64)
     crossing = (rows[:-1] >> 1 != rows[1:] >> 1) | (cols[:-1] >> 1 != cols[1:] >> 1)
     effective = np.where(crossing, dist, 1)
     for a in (dist, crossing, effective):

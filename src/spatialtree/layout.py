@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveKind, curve_coords
+from .curves import CurveKind, cell_distances, curve_coords
 from .listrank import list_rank, subtree_sizes_via_tour, tour_links
 from .rng import Lcg
 from .sim import CostReport, Placement, SimState, compact, permute
@@ -186,14 +186,12 @@ class NeighborStats(NamedTuple):
 
 def neighbor_distance_stats(t: RootedTree, layout: Layout) -> NeighborStats:
     """Mean and max curve distance between parent and child over all edges."""
-    rows, cols = curve_coords(layout.kind, layout.k)
-    pos = layout.pos_arr
     if t.n == 1:
         return NeighborStats(0.0, 0)
+    words = curve_coords(layout.kind, layout.k).T.view(np.int64).reshape(-1)
+    pos = layout.pos_arr
     child = t.kids
-    par = t.parent[child]
-    d = (np.abs(rows[pos[child]] - rows[pos[par]])
-         + np.abs(cols[pos[child]] - cols[pos[par]]))
+    d = cell_distances(words, pos[child], pos[t.parent[child]])
     return NeighborStats(float(d.mean()), int(d.max()))
 
 

@@ -21,11 +21,17 @@ gather of its departure clocks, turned in place into arrival depths, and
 one ``np.maximum.at`` scatter.  It is then priced, summed into the energy
 and appended to the trace one block of ``_BLOCK`` (8,192) messages at a
 time, so a wide round holds its depths and one block's costs, never a cost
-array of its own length.  A batch's positions are range-checked with four
-min/max reductions and cast to intp once, so every later gather indexes
-with them as they are.  A message departs at a clock in [0, 2^63 - 1), so
-its arrival depth fits int64: a send, round or batch whose departure clock
-reaches 2^63 - 1 raises ``ValueError`` before it is charged.
+array of its own length.  A message's cost is the Manhattan distance
+between its two cells in the curve's one int32 cell table, which a state
+views as one int64 word per cell: a block is priced by one word gather per
+endpoint, one subtraction and one ``abs`` over both 32-bit lanes and one
+uint32 add of the lanes (:func:`~spatialtree.curves.cell_distances`); a
+scalar send reads the same table.  A batch's positions are range-checked
+with four min/max reductions and cast to intp once, so every later gather
+indexes with them as they are.  A message departs at a clock in
+[0, 2^63 - 1), so its arrival depth fits int64: a send, round or batch
+whose departure clock reaches 2^63 - 1 raises ``ValueError`` before it is
+charged.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -51,10 +57,10 @@ charge their range trees one level per round, deepest level first on the
 way up and top level first on the way down, so their trace lists events
 level by level.  The barrier and the prefix sum sweep the same range tree
 over [0, m) each time, so a ``SimState`` keeps each m's levels as checked
-intp (head, right half) arrays with every message's cost, from the second
-sweep of m on; a repeat sweep is one clock gather, one ``np.maximum.at``
-and one charge per level, and a first sweep prices its levels block by
-block like any round.
+intp (head, right half) arrays with every message's uint32 cost, from the
+second sweep of m on; a repeat sweep is one clock gather, one
+``np.maximum.at`` and one charge per level, and a first sweep prices its
+levels block by block like any round.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import CurveKind, cell_count, curve_coords
+from .curves import CurveKind, cell_count, cell_distances, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
 # messages priced and traced per block of a round, and trace events
@@ -176,8 +182,8 @@ class SimState:
         "memory_budget",
         "max_words",
         "violations",
-        "_row_arr",
-        "_col_arr",
+        "_cells",
+        "_words",
         "_sweeps",
     )
 
@@ -195,8 +201,10 @@ class SimState:
         self.memory_budget = memory_budget
         self.max_words = 0
         self.violations: list[tuple[int, int]] = []
-        # rounds and scalar sends both price messages from these arrays
-        self._row_arr, self._col_arr = curve_coords(placement.kind, placement.k)
+        # the curve's (4^k, 2) int32 cell table, which scalar sends read,
+        # and its view as one int64 word per cell, which batches gather
+        self._cells = curve_coords(placement.kind, placement.k).T
+        self._words = self._cells.view(np.int64).reshape(-1)
         # m -> the levels of the range tree over [0, m), see _sweep
         self._sweeps: dict[int, list] = {}
 
@@ -211,9 +219,8 @@ class SimState:
         n = self.placement.n
         if src < 0 or src >= n or dst < 0 or dst >= n:
             raise ValueError(f"position out of range: {src} -> {dst} with n={n}")
-        rows = self._row_arr.item
-        cols = self._col_arr.item
-        cost = abs(rows(src) - rows(dst)) + abs(cols(src) - cols(dst))
+        cell = self._cells.item
+        cost = abs(cell(src, 0) - cell(dst, 0)) + abs(cell(src, 1) - cell(dst, 1))
         clock = self.clock
         d = int(clock[src]) + 1
         if d > _CLOCK_LIMIT:
@@ -264,19 +271,6 @@ class SimState:
         # in range, so the cast is exact; it copies nothing for intp input
         return src.astype(np.intp, copy=False), dst.astype(np.intp, copy=False)
 
-    def _cost(self, src, dst):
-        """The Manhattan distance of each message of a checked batch, as a
-        new int64 array built in place from two coordinate gathers."""
-        rows = self._row_arr
-        cols = self._col_arr
-        cost = rows[src]
-        cost -= rows[dst]
-        np.abs(cost, out=cost)
-        gap = cols[src]
-        gap -= cols[dst]
-        cost += np.abs(gap, out=gap)
-        return cost
-
     def _charge(self, src, dst, depth, top, cost=None) -> None:
         """Add energy, messages, depth and trace events of a charged batch
         whose largest depth is top, one block of ``_BLOCK`` messages at a
@@ -289,7 +283,7 @@ class SimState:
         for lo in range(0, m, _BLOCK):
             hi = lo + _BLOCK
             s, d = src[lo:hi], dst[lo:hi]
-            c = self._cost(s, d) if cost is None else cost[lo:hi]
+            c = cell_distances(self._words, s, d) if cost is None else cost[lo:hi]
             energy += int(c.sum())
             if trace is not None:
                 block = rows[:len(s)]
@@ -329,7 +323,7 @@ class SimState:
         for src, dst, ready, cost in rounds:
             if len(src):
                 # a new array either way, so the depths can take its place
-                depth = clock[src] if ready is None else ready.astype(np.int64)
+                depth = clock.take(src) if ready is None else ready.astype(np.int64)
                 top = int(depth.max())
                 if top >= _CLOCK_LIMIT:
                     raise ValueError(f"departure clock {top} is not below 2**63 - 1")
@@ -516,7 +510,8 @@ def _sweep(sim: SimState, m: int) -> None:
         levels = []
         for los, mids in _range_levels([0], [m - 1]):
             heads, halves = los.astype(np.intp), (mids + 1).astype(np.intp)
-            levels.append((heads, halves, sim._cost(heads, halves) if keep else None))
+            levels.append((heads, halves,
+                           cell_distances(sim._words, heads, halves) if keep else None))
         sim._sweeps[m] = levels if keep else None
     sim._deliver([(halves, heads, None, cost) for heads, halves, cost in reversed(levels)]
                  + [(heads, halves, None, cost) for heads, halves, cost in levels])

@@ -102,6 +102,38 @@ def test_summary_gives_each_side_the_range_of_every_set_up_sample():
     assert entry["parent"]["median"]["setup_s"] == entry["change"]["median"]["setup_s"] == 1.0
 
 
+def test_sign_test_interval_takes_the_exact_order_statistics():
+    # n = 5 cannot reach 95 %: even the extremes cover only 1 - 2/32
+    assert bench_summary.sign_test_interval([1.0, 2.0, 3.0, 4.0, 5.0]) is None
+    # n = 6: the extremes, coverage 1 - 2/64
+    assert bench_summary.sign_test_interval([6, 1, 5, 2, 4, 3]) == (1, 6, 1 - 2 / 64)
+    # n = 10: the 2nd and 9th, coverage 1 - 2 * 11/1024
+    assert bench_summary.sign_test_interval(list(range(10, 0, -1))) == (2, 9, 1 - 22 / 1024)
+
+
+@pytest.mark.parametrize("ratios,verdict,median", [
+    ((0.90, 0.85, 0.95, 0.80, 0.92, 0.88), "faster", 0.89),  # every pair won
+    ((1.0,) * 6, "unresolved", 1.0),                         # no change at all
+    ((0.8, 1.2, 0.9, 1.1, 0.85, 1.15), "unresolved", 1.0),   # half won, half lost
+    ((1.10, 1.20, 1.05, 1.15, 1.30, 1.01), "slower", 1.125),
+    ((0.9,) * 5, "unresolved", 0.9),                         # too few pairs
+])
+def test_paired_verdict_reads_the_interval_of_the_ratios(ratios, verdict, median):
+    parent = [fake_run("aaa", 2.0 + i) for i in range(len(ratios))]
+    change = [fake_run("bbb", (2.0 + i) * r) for i, r in enumerate(ratios)]
+    entry = bench_summary.summarise(parent, change, "cmd")["workloads"]["lca-65k"]["1"]
+    # pass_s is twice pass_ref in both runs of a pair, so the ratios agree
+    for metric in ("pass_s", "pass_ref"):
+        got = entry["paired"][metric]
+        assert got["verdict"] == verdict
+        assert got["median_ratio"] == pytest.approx(median)
+        if len(ratios) < 6:
+            assert got["interval"] is got["coverage"] is None
+        else:
+            assert got["interval"] == pytest.approx([min(ratios), max(ratios)])
+            assert got["coverage"] == 1 - 2 / 64
+
+
 def fake_traced_run(commit, barrier_s):
     run = fake_run(commit, 9.0)
     run["trace"] = 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialtree.curves import (CurveKind, aligned_square_side, cell_count,
-                                curve_coords, curve_indices,
+                                cell_distances, curve_coords, curve_indices,
                                 zorder_longest_diagonal, zorder_step_profile)
 
 # Golden tables, pinned from the recursive quadrant constructions below.
@@ -133,8 +133,10 @@ def test_scalar_codec_roundtrip_exhaustive(kind, k):
 def test_vectorized_matches_scalar(kind):
     for k in range(0, 11):
         rows, cols = curve_coords(kind, k)
-        assert rows.dtype == cols.dtype == np.int64
+        assert rows.dtype == cols.dtype == np.int32
         assert not rows.flags.writeable and not cols.flags.writeable
+        # one table, a cell's row and column side by side
+        assert curve_coords(kind, k).T.flags.c_contiguous
         n = cell_count(k)
         # the reference one index at a time, on a sample of the larger orders
         for idx in range(0, n, 1 if n <= 4096 else n // 1024 + 1):
@@ -153,9 +155,21 @@ def test_curve_coords_is_cached_and_built_in_bounded_memory(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the order-9 tables take 4 MiB; building them level by level holds at
-    # most 2 MiB more
-    assert peak <= 6.5 * 2**20
+    # the order-9 table takes 2 MiB; building it level by level holds at
+    # most the previous level's 0.5 MiB and a little more
+    assert peak <= 4.5 * 2**20
+
+
+@pytest.mark.parametrize("kind,k,cell", [
+    (CurveKind.HILBERT, 1, (2, 0)),   # was read as index 0, cell (0, 0)
+    (CurveKind.ZORDER, 1, (-1, 0)),   # was read as index 2
+    (CurveKind.HILBERT, 3, (0, -1)),
+    (CurveKind.ZORDER, 3, (0, 8)),
+])
+def test_curve_indices_rejects_cells_outside_the_grid(kind, k, cell):
+    rows, cols = [0, 1, cell[0]], [0, 0, cell[1]]
+    with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) is outside"):
+        curve_indices(kind, k, rows, cols)
 
 
 def test_out_of_range_arguments_raise():
@@ -183,6 +197,20 @@ def test_largest_order_corners_roundtrip(kind):
     # the last cell: top-right for Hilbert, bottom-right for Z-order
     want = (0, side - 1) if kind is CurveKind.HILBERT else (side - 1, side - 1)
     assert (rows[-1], cols[-1]) == want
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 2**31 - 1), (2**31 - 1, 0)],
+    [(2**31 - 1, 0), (0, 2**31 - 1)],  # the lanes swapped
+    [(0, 0), (2**31 - 1, 2**31 - 1)],
+])
+def test_cell_distances_is_exact_at_the_largest_coordinates(cells):
+    # a two-cell word table: each |difference| is 2^31 - 1, so their sum
+    # needs all 32 bits of the uint32 result
+    words = np.array(cells, dtype=np.int32).view(np.int64).reshape(-1)
+    got = cell_distances(words, [0, 1, 1], [1, 0, 1])
+    assert got.dtype == np.uint32
+    assert got.tolist() == [2**32 - 2, 2**32 - 2, 0]
 
 
 def test_curve_distance_examples():

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 import spatialtree
 from spatialtree import cli, sim
 from spatialtree.cli import ALGORITHMS, main
-from spatialtree.curves import CurveKind, curve_coords
+from spatialtree.curves import CurveKind, cell_count, curve_coords
 from spatialtree.layout import light_first_layout
 from spatialtree.sim import (_BLOCK, Placement, SimState, TraceEvent,
                              _range_levels, _trace_lines, all_reduce_barrier, broadcast_range,
                              broadcast_ranges, compact, permute, prefix_sum)
 from spatialtree.treefix import treefix_topdown
 from spatialtree.trees import gen_tree
+from test_curves import reference_coords
 
 
 def fresh(n, kind=CurveKind.HILBERT, **kw):
@@ -54,6 +55,28 @@ def test_send_cost_is_curve_distance():
     s.send(6, 10)
     rows, cols = curve_coords(CurveKind.ZORDER, 2)
     assert s.energy == abs(rows[6] - rows[10]) + abs(cols[6] - cols[10]) == 4
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+@pytest.mark.parametrize("k", range(0, 11))
+def test_round_prices_match_cells_worked_out_per_index(kind, k):
+    # the packed table against the per-index bit loop, over a round that
+    # spans a block boundary and a few scalar sends
+    n = cell_count(k)
+    rng = np.random.default_rng(1000 + k)
+    src = rng.integers(0, n, _BLOCK + _BLOCK // 2)
+    dst = rng.integers(0, n, len(src))
+    s = SimState(Placement(kind, k, n), trace=True)
+    s.send_round(src, dst)
+    src_rows, src_cols = reference_coords(kind, k, src)
+    dst_rows, dst_cols = reference_coords(kind, k, dst)
+    want = np.abs(src_rows - dst_rows) + np.abs(src_cols - dst_cols)
+    assert s.energy == int(want.sum())
+    assert [e.cost for e in s.events] == want.tolist()
+    for a, b, cost in zip(src[:20].tolist(), dst[:20].tolist(), want[:20].tolist()):
+        before = s.energy
+        s.send(a, b)
+        assert s.energy - before == cost
 
 
 def test_send_rejects_out_of_range():

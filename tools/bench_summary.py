@@ -23,6 +23,14 @@ of its ``setup_samples`` plus import time, which hides their spread), the
 op count of each run and the model costs.  Model costs are exact for a
 seed, so a side whose runs disagree on them is an error.  All runs must
 come from one host.
+
+Each workload and seed also gets a paired verdict on each of ``PAIRED``:
+the median of the per-pair ratios change / parent, an exact sign-test
+interval for that median at ``CONFIDENCE`` (95 %) taken from the ordered
+ratios, and "faster" when the whole interval lies below 1, "slower" when
+it lies above 1, "unresolved" otherwise.  The interval is distribution
+free: it assumes only that pairs are independent.  Fewer than 6 pairs
+cannot reach 95 %, so they give no interval and stay unresolved.
 """
 
 from __future__ import annotations
@@ -31,12 +39,15 @@ import argparse
 import json
 import statistics
 import sys
+from math import comb
 from pathlib import Path
 
 TIMED = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb", "ok_frac")
 WON = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb")  # lower is better
 COSTS = ("energy", "depth", "messages")
 HOST = ("python", "numpy", "nproc", "cpu")
+PAIRED = ("pass_s", "pass_ref")  # paired verdicts; lower is better
+CONFIDENCE = 0.95
 
 
 def load(path: Path) -> dict:
@@ -77,6 +88,41 @@ def side_summary(runs: list[dict], label: str) -> dict:
         "ops": [sum(map(len, r["op_samples"].values())) for r in runs],
         "costs": dict(zip(COSTS, costs.pop())),
     }
+
+
+def sign_test_interval(xs: list[float], confidence: float = CONFIDENCE):
+    """(low, high, coverage): the exact sign-test interval for the median
+    of xs, ordered statistics j and n + 1 - j for the largest j whose
+    coverage 1 - 2 P(B <= j - 1), B ~ Binomial(n, 1/2), is at least
+    confidence; None when even j = 1 (the smallest and largest) falls
+    short."""
+    n = len(xs)
+    xs = sorted(xs)
+    best = None
+    below = 0  # 2^n P(B <= j - 1)
+    for j in range(1, n // 2 + 1):
+        below += comb(n, j - 1)
+        coverage = 1 - below / 2 ** (n - 1)
+        if coverage < confidence:
+            break
+        best = (xs[j - 1], xs[n - j], coverage)
+    return best
+
+
+def paired_verdict(pairs: list[tuple[dict, dict]], metric: str) -> dict:
+    """The median change / parent ratio of metric over the pairs, its
+    sign-test interval and what the interval says."""
+    ratios = [timed(c, metric) / timed(p, metric) for p, c in pairs]
+    interval = sign_test_interval(ratios)
+    verdict = "unresolved"
+    if interval and interval[1] < 1:
+        verdict = "faster"
+    elif interval and interval[0] > 1:
+        verdict = "slower"
+    return {"median_ratio": statistics.median(ratios),
+            "interval": list(interval[:2]) if interval else None,
+            "coverage": interval[2] if interval else None,
+            "verdict": verdict}
 
 
 def layer_summary(runs: list[dict]) -> dict:
@@ -127,6 +173,7 @@ def summarise(parent: list[dict], change: list[dict], command: str,
         workloads.setdefault(workload, {})[str(seed)] = {
             "pairs": len(pairs),
             "wins": {m: sum(timed(c, m) < timed(p, m) for p, c in pairs) for m in WON},
+            "paired": {m: paired_verdict(pairs, m) for m in PAIRED},
             "parent": side_summary(ps, f"{label} parent"),
             "change": side_summary(cs, f"{label} change"),
         }
