@@ -1,8 +1,8 @@
 """Space-filling curves as coordinate tables, and the grid-distance
 quantities built on them.
 
-Each curve has one table per order, built by quadrant recursion: a
-read-only, C-contiguous (4^k, 2) int32 array holding the (row, col) of
+Each curve has one table per order, built in place by quadrant recursion:
+a read-only, C-contiguous (4^k, 2) int32 array holding the (row, col) of
 every curve index, so that a cell is one 8-byte word.  :func:`curve_coords`
 gives it as its (2, 4^k) transpose, so ``rows, cols = curve_coords(kind,
 k)`` unpacks it.  :func:`curve_indices` is its inverse, a bit loop over
@@ -70,30 +70,32 @@ def curve_coords(kind: CurveKind, k: int):
     read-only (2, 4^k) int32 transpose of the curve's cell table.
 
     The table itself, ``curve_coords(kind, k).T``, is C-contiguous: cell i
-    is its row i.  It is built by quadrant recursion from the single cell
-    (0, 0): level j (s = 2^j) lays four copies of the order-j curve into
-    the quadrants of the order-(j+1) grid, in curve order, each written
-    straight into the new table.
+    is its row i.  It is built in place by quadrant recursion from the
+    single cell (0, 0): level j (s = 2^j) lays copies of the order-j curve,
+    held in the table's first 4^j rows, into the other three quadrants of
+    the order-(j+1) grid, in curve order, then reorients the first copy.
+    Only that reorientation takes a temporary, of at most a quarter of the
+    table.
     """
     _check_order(k)
     hilbert = CurveKind(kind) is CurveKind.HILBERT
-    cells = np.zeros((1, 2), dtype=np.int32)
+    cells = np.empty((cell_count(k), 2), dtype=np.int32)
+    cells[0] = 0
     for j in range(k):
         s = 1 << j
-        m = len(cells)
-        out = np.empty((4 * m, 2), dtype=np.int32)
+        m = 1 << 2 * j
+        prev = cells[:m]
         if hilbert:
-            # transposed, two translated copies, anti-transposed
-            out[:m] = cells[:, ::-1]
-            np.add(cells, (s, 0), out=out[m:2 * m])
-            np.add(cells, (s, s), out=out[2 * m:3 * m])
-            np.subtract((s - 1, 2 * s - 1), cells[:, ::-1], out=out[3 * m:])
+            # two translated copies, anti-transposed, then the source
+            # itself transposed, last as it overwrites the source
+            np.add(prev, (s, 0), out=cells[m:2 * m])
+            np.add(prev, (s, s), out=cells[2 * m:3 * m])
+            np.subtract((s - 1, 2 * s - 1), prev[:, ::-1], out=cells[3 * m:4 * m])
+            prev[:] = prev[:, ::-1]
         else:
-            out[:m] = cells
-            np.add(cells, (0, s), out=out[m:2 * m])
-            np.add(cells, (s, 0), out=out[2 * m:3 * m])
-            np.add(cells, (s, s), out=out[3 * m:])
-        cells = out
+            np.add(prev, (0, s), out=cells[m:2 * m])
+            np.add(prev, (s, 0), out=cells[2 * m:3 * m])
+            np.add(prev, (s, s), out=cells[3 * m:4 * m])
     cells.setflags(write=False)
     return cells.T
 

@@ -155,8 +155,8 @@ def test_curve_coords_is_cached_and_built_in_bounded_memory(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the order-9 table takes 2 MiB; building it level by level holds at
-    # most the previous level's 0.5 MiB and a little more
+    # the order-9 table takes 2 MiB; building it in place holds at most a
+    # quarter of it more
     assert peak <= 4.5 * 2**20
 
 
