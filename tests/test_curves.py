@@ -155,8 +155,9 @@ def test_curve_coords_is_cached_and_built_in_bounded_memory(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the order-9 table takes 2 MiB; building it in place holds at most a
-    # quarter of it more
+    # the order-9 table takes 2 MiB and building it in place holds at most
+    # a quarter of it more; two int64 tables built level by level (6 MiB)
+    # would fail
     assert peak <= 4.5 * 2**20
 
 
@@ -205,10 +206,9 @@ def test_largest_order_corners_roundtrip(kind):
     [(0, 0), (2**31 - 1, 2**31 - 1)],
 ])
 def test_cell_distances_is_exact_at_the_largest_coordinates(cells):
-    # a two-cell word table: each |difference| is 2^31 - 1, so their sum
-    # needs all 32 bits of the uint32 result
-    words = np.array(cells, dtype=np.int32).view(np.int64).reshape(-1)
-    got = cell_distances(words, [0, 1, 1], [1, 0, 1])
+    # a two-cell table: each |difference| is 2^31 - 1, so their sum needs
+    # all 32 bits of the uint32 result
+    got = cell_distances(np.array(cells, dtype=np.int32), [0, 1, 1], [1, 0, 1])
     assert got.dtype == np.uint32
     assert got.tolist() == [2**32 - 2, 2**32 - 2, 0]
 
