@@ -100,18 +100,17 @@ def curve_coords(kind: CurveKind, k: int):
     return cells.T
 
 
-def cell_distances(cells, src, dst):
-    """The Manhattan distance between cells ``cells[src[i]]`` and
-    ``cells[dst[i]]`` for each i, as a new uint32 array.
+def cell_distances(words, src, dst):
+    """The Manhattan distance between cells ``words[src[i]]`` and
+    ``words[dst[i]]`` for each i, as a new uint32 array.
 
-    ``cells`` is a C-contiguous (4^k, 2) int32 cell table, such as
-    ``curve_coords(kind, k).T``, viewed as one int64 word per cell with its
-    row and column in two int32 lanes.  One word gather per endpoint, then
-    one subtraction and one ``abs`` over both lanes and one add of the
-    lanes: every coordinate lies in [0, 2^31), so each |difference| fits
-    int32 and their sum, at most 2^32 - 2, fits uint32.
+    ``words`` holds one cell per int64 word, its row and column in two
+    int32 lanes, as ``curve_coords(kind, k).T.view(np.int64).reshape(-1)``
+    views a cell table.  One gather per endpoint, then one subtraction and
+    one ``abs`` over both lanes and one add of the lanes: every coordinate
+    lies in [0, 2^31), so each |difference| fits int32 and their sum, at
+    most 2^32 - 2, fits uint32.
     """
-    words = cells.view(np.int64)  # (4^k, 1); take reads it flat
     gap = words.take(src).view(np.int32)
     gap -= words.take(dst).view(np.int32)
     np.abs(gap, out=gap)

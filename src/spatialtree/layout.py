@@ -188,9 +188,10 @@ def neighbor_distance_stats(t: RootedTree, layout: Layout) -> NeighborStats:
     """Mean and max curve distance between parent and child over all edges."""
     if t.n == 1:
         return NeighborStats(0.0, 0)
+    words = curve_coords(layout.kind, layout.k).T.view(np.int64).reshape(-1)
     pos = layout.pos_arr
     child = t.kids
-    d = cell_distances(curve_coords(layout.kind, layout.k).T, pos[child], pos[t.parent[child]])
+    d = cell_distances(words, pos[child], pos[t.parent[child]])
     return NeighborStats(float(d.mean()), int(d.max()))
 
 

@@ -22,15 +22,16 @@ one ``np.maximum.at`` scatter.  It is then priced, summed into the energy
 and appended to the trace one block of ``_BLOCK`` (8,192) messages at a
 time, so a wide round holds its depths and one block's costs, never a cost
 array of its own length.  A message's cost is the Manhattan distance
-between its two cells in the curve's one (4^k, 2) int32 cell table.
-:func:`~spatialtree.curves.cell_distances` prices a block with one 8-byte
-word gather per endpoint, one subtraction and one ``abs`` over both 32-bit
-lanes and one uint32 add of the lanes; a scalar send reads the same
-table.  A batch's positions are range-checked with four min/max
-reductions and cast to intp once, so every later gather indexes with them
-as they are.  A message departs at a clock in [0, 2^63 - 1), so its
-arrival depth fits int64: a send, round or batch whose departure clock
-reaches 2^63 - 1 raises ``ValueError`` before it is charged.
+between its two cells in the curve's one int32 cell table, which a state
+views as one int64 word per cell: a block is priced by one word gather per
+endpoint, one subtraction and one ``abs`` over both 32-bit lanes and one
+uint32 add of the lanes (:func:`~spatialtree.curves.cell_distances`); a
+scalar send reads the same table.  A batch's positions are range-checked
+with four min/max reductions and cast to intp once, so every later gather
+indexes with them as they are.  A message departs at a clock in
+[0, 2^63 - 1), so its arrival depth fits int64: a send, round or batch
+whose departure clock reaches 2^63 - 1 raises ``ValueError`` before it is
+charged.
 
 A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
 (src, dst, cost, depth) per message, so an event takes 32 bytes.
@@ -182,6 +183,7 @@ class SimState:
         "max_words",
         "violations",
         "_cells",
+        "_words",
         "_sweeps",
     )
 
@@ -199,9 +201,10 @@ class SimState:
         self.memory_budget = memory_budget
         self.max_words = 0
         self.violations: list[tuple[int, int]] = []
-        # the curve's (4^k, 2) int32 cell table: every message is priced
-        # from it
+        # the curve's (4^k, 2) int32 cell table, which scalar sends read,
+        # and its view as one int64 word per cell, which batches gather
         self._cells = curve_coords(placement.kind, placement.k).T
+        self._words = self._cells.view(np.int64).reshape(-1)
         # m -> the levels of the range tree over [0, m), see _sweep
         self._sweeps: dict[int, list] = {}
 
@@ -280,7 +283,7 @@ class SimState:
         for lo in range(0, m, _BLOCK):
             hi = lo + _BLOCK
             s, d = src[lo:hi], dst[lo:hi]
-            c = cell_distances(self._cells, s, d) if cost is None else cost[lo:hi]
+            c = cell_distances(self._words, s, d) if cost is None else cost[lo:hi]
             energy += int(c.sum())
             if trace is not None:
                 block = rows[:len(s)]
@@ -508,7 +511,7 @@ def _sweep(sim: SimState, m: int) -> None:
         for los, mids in _range_levels([0], [m - 1]):
             heads, halves = los.astype(np.intp), (mids + 1).astype(np.intp)
             levels.append((heads, halves,
-                           cell_distances(sim._cells, heads, halves) if keep else None))
+                           cell_distances(sim._words, heads, halves) if keep else None))
         sim._sweeps[m] = levels if keep else None
     sim._deliver([(halves, heads, None, cost) for heads, halves, cost in reversed(levels)]
                  + [(heads, halves, None, cost) for heads, halves, cost in levels])

@@ -206,9 +206,10 @@ def test_largest_order_corners_roundtrip(kind):
     [(0, 0), (2**31 - 1, 2**31 - 1)],
 ])
 def test_cell_distances_is_exact_at_the_largest_coordinates(cells):
-    # a two-cell table: each |difference| is 2^31 - 1, so their sum needs
-    # all 32 bits of the uint32 result
-    got = cell_distances(np.array(cells, dtype=np.int32), [0, 1, 1], [1, 0, 1])
+    # a two-cell word table: each |difference| is 2^31 - 1, so their sum
+    # needs all 32 bits of the uint32 result
+    words = np.array(cells, dtype=np.int32).view(np.int64).reshape(-1)
+    got = cell_distances(words, [0, 1, 1], [1, 0, 1])
     assert got.dtype == np.uint32
     assert got.tolist() == [2**32 - 2, 2**32 - 2, 0]
 
