@@ -7,6 +7,10 @@ identical invocations produce identical reports.
 Trees have at most ``MAX_N`` = 2^22 = 4,194,304 vertices: a larger ``--n``,
 ``--n-list`` entry or ``--tree`` count line exits 2 before any tree is built.
 
+``--trace FILE`` streams repetition 0's messages to FILE while it runs, so
+its ``wall_time_ms`` includes writing the trace; later repetitions run
+untraced.
+
 Exit codes: 0 success, 1 an output failed its --check oracle, 2 invalid
 input or arguments (including a file that cannot be read), 3 an internal
 invariant of an algorithm failed (a RuntimeError, reported in one line).
@@ -20,6 +24,7 @@ import io
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from . import layout as layout_mod
@@ -118,8 +123,10 @@ def _random_queries(t: RootedTree, count: int, seed: int):
     return out
 
 
-def _execute(args, t: RootedTree, curve: CurveKind, dump: bool):
-    """Run one repetition; returns (SimState, result lines, mean neighbor distance)."""
+def _execute(args, t: RootedTree, curve: CurveKind, dump: bool, trace):
+    """Run one repetition; returns (SimState, result lines, mean neighbor
+    distance).  ``trace`` is the run's ``SimState`` trace argument: False,
+    True or a binary file to stream the trace to."""
     n = t.n
     values = t.values if t.values is not None else [1] * n
     lines: list[str] = []
@@ -127,7 +134,7 @@ def _execute(args, t: RootedTree, curve: CurveKind, dump: bool):
 
     if args.algorithm == "listrank":
         succ, head, order = _random_chain(n, args.seed)
-        sim = SimState(Placement.for_size(curve, n), trace=args.trace is not None,
+        sim = SimState(Placement.for_size(curve, n), trace=trace,
                        audit_memory=args.audit_memory)
         ranks = list_rank(sim, succ, head, args.seed)
         if args.check:
@@ -138,8 +145,7 @@ def _execute(args, t: RootedTree, curve: CurveKind, dump: bool):
 
     if args.algorithm == "layout":
         built, _report, sim = layout_mod.build_light_first(
-            t, curve, seed=args.seed, audit_memory=args.audit_memory,
-            trace=args.trace is not None)
+            t, curve, seed=args.seed, audit_memory=args.audit_memory, trace=trace)
         if args.check:
             sizes = trees_mod.subtree_sizes(t)
             if not layout_mod.verify_light_first(t, sizes, built):
@@ -154,8 +160,7 @@ def _execute(args, t: RootedTree, curve: CurveKind, dump: bool):
     lay = _build_layout(t, curve, args.order)
     stats = layout_mod.neighbor_distance_stats(t, lay)
     mean_dist = stats.mean
-    sim = SimState(lay.placement(), trace=args.trace is not None,
-                   audit_memory=args.audit_memory)
+    sim = SimState(lay.placement(), trace=trace, audit_memory=args.audit_memory)
 
     if args.algorithm in ("broadcast", "reduce"):
         vt = transform(t, t.sizes)
@@ -236,16 +241,19 @@ def _run_once(args, dump: bool) -> list[ReportRow]:
     curve = CurveKind(args.curve)
     rows = []
     for rep in range(args.reps):
-        start = time.perf_counter()
-        sim, lines, mean_dist = _execute(args, t, curve, dump and rep == 0)
-        elapsed = (time.perf_counter() - start) * 1000.0
+        # repetition 0 streams its trace to the file; later ones run untraced
+        traced = args.trace and rep == 0
+        with open(args.trace, "wb") if traced else nullcontext(False) as sink:
+            start = time.perf_counter()
+            sim, lines, mean_dist = _execute(args, t, curve, dump and rep == 0, sink)
+            if traced:
+                sim.flush_trace()
+            elapsed = (time.perf_counter() - start) * 1000.0
         if rep == 0:
             # a JSON report on stdout must be all of stdout
             stream = sys.stderr if args.format == "json" and not args.out else sys.stdout
             for ln in lines:
                 print(ln, file=stream)
-            if args.trace and sim.events is not None:
-                sim.dump_trace(args.trace)
         if sim.audit and sim.violations:
             print(f"warning: {len(sim.violations)} memory-budget violations "
                   f"(max {sim.max_words} words)", file=sys.stderr)
@@ -304,7 +312,7 @@ def _add_run_options(p):
     p.add_argument("--audit-memory", action="store_true")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--trace", help="write a JSON-lines message trace here")
+    p.add_argument("--trace", help="stream repetition 0's JSON-lines message trace here")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -117,7 +117,7 @@ def build_baseline(t: RootedTree, order_kind: str, kind: CurveKind) -> Layout:
 
 def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
                       audit_memory: bool = False,
-                      trace: bool = False) -> tuple[Layout, CostReport, SimState]:
+                      trace=False) -> tuple[Layout, CostReport, SimState]:
     """Simulated four-step pipeline on a working grid of 2n-1 tour slots.
 
     1. subtree sizes via a ranked Euler tour; 2. second tour visiting
@@ -125,7 +125,7 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     positions, first occurrences compacted to the front; 4. the compaction's
     routing is the permutation onto the curve.  The returned layout indexes
     the minimal grid for n vertices; the working-grid sim is returned for
-    trace and audit inspection.
+    trace and audit inspection.  ``trace`` is passed on to its ``SimState``.
     """
     n = t.n
     kind = CurveKind(kind)

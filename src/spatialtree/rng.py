@@ -53,9 +53,6 @@ class Lcg:
         self.state = (self.state * _MULT + _INC) & _MASK
         return self.state
 
-    def next_bit(self) -> int:
-        return self.next_u64() >> 63
-
     def _chunks(self, count: int):
         """The next ``count`` states as (offset, uint64 array) chunks of up
         to ``_TABLE_MAX``: one multiply and one add per chunk over a slice
@@ -78,8 +75,8 @@ class Lcg:
         return out
 
     def next_bits(self, count: int) -> np.ndarray:
-        """``count`` coin flips as a 0/1 uint8 array, identical to ``count``
-        calls of :meth:`next_bit`."""
+        """``count`` coin flips as a 0/1 uint8 array: the top bit of each of
+        the next ``count`` states of :meth:`next_u64`."""
         bits = np.empty(max(count, 0), dtype=np.uint8)
         for lo, states in self._chunks(count):
             states >>= np.uint64(63)

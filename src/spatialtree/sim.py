@@ -13,16 +13,15 @@ message departs at its source's clock from the start of the round, so a
 position that both sends and receives in the same round sends its old
 clock; each receiver's clock rises to the largest depth it receives.  The
 positions of rounds and batches are checked whole before any of them is
-charged, and when tracing is on they append one event per message in array
-order.
+charged, and when tracing is on they record one event per message in
+array order.
 
 The clocks are one int64 array.  A round or a ``send_at`` batch is one
 gather of its departure clocks, turned in place into arrival depths, and
-one ``np.maximum.at`` scatter.  It is then priced, summed into the energy
-and appended to the trace one block of ``_BLOCK`` (8,192) messages at a
-time, so a wide round holds its depths and one block's costs, never a cost
-array of its own length.  A message's cost is the Manhattan distance
-between its two cells in the curve's one int32 cell table, which a state
+one ``np.maximum.at`` scatter.  It is then priced and summed into the
+energy one block of ``_BLOCK`` (8,192) messages at a time, so a wide round
+holds its depths and one block's costs, never a cost array of its own
+length.  A message's cost is the Manhattan distance between its two cells in the curve's one int32 cell table, which a state
 views as one int64 word per cell: a block is priced by one word gather per
 endpoint, one subtraction and one ``abs`` over both 32-bit lanes and one
 uint32 add of the lanes (:func:`~spatialtree.curves.cell_distances`); a
@@ -33,18 +32,28 @@ indexes with them as they are.  A message departs at a clock in
 whose departure clock reaches 2^63 - 1 raises ``ValueError`` before it is
 charged.
 
-A traced run keeps its events in one flat ``array('q')``, four 64-bit ints
-(src, dst, cost, depth) per message, so an event takes 32 bytes.
-``SimState.events`` is a read-only sequence view of it (:class:`TraceLog`)
-that yields :class:`TraceEvent` tuples of Python ints.  ``dump_trace``
-writes the JSON-lines file straight from the flat array, one block of
-``_BLOCK`` events at a time: each block becomes one uint64 matrix with a
-line per row, laid out in 8-byte words.  Each key is a constant word, and
-each field's digits fill a word, right-aligned, ahead of the 3-byte text
-that follows them; 0 bytes pad every word, and one ``bytes.translate``
-drops them.  A field in [0, 10^5) takes its digit word from one shared
-table, built on the first dump; other int64 values get a wider slot whose
-digits come from divide-by-ten passes.
+A traced run keeps one 16-byte record per message, int32 src and dst and
+int64 arrival depth, in fixed chunks of ``_BLOCK`` records: a charged
+batch is copied into the current chunk, moving on to the next whenever
+one fills, and a scalar send writes one record.  The cost is not stored: reading a chunk prices it with the same
+:func:`~spatialtree.curves.cell_distances` gather that charges energy.  A
+state built with ``trace=True`` keeps every chunk, and
+``SimState.events`` is a read-only sequence view of them
+(:class:`TraceLog`) that yields :class:`TraceEvent` tuples of Python
+ints.  A state built with ``trace=<binary file>`` keeps one chunk: each
+time it fills, its lines are written to the file and the chunk is
+reused, and :meth:`SimState.flush_trace` writes the rest, so the trace
+takes one chunk of memory whatever the run's length.  Records hold
+positions as int32, so a traced placement must have n < 2^31.
+
+Both ways a chunk's events are formatted by one function,
+:func:`_trace_lines`: the chunk becomes one uint64 matrix with a line per
+row, laid out in 8-byte words.  Each key is a constant word, and each
+field's digits fill a word, right-aligned, ahead of the 3-byte text that
+follows them; 0 bytes pad every word, and one ``bytes.translate`` drops
+them.  A field in [0, 10^5) takes its digit word from one shared table,
+built on the first dump; other int64 values get a wider slot whose digits
+come from divide-by-ten passes.
 
 The module also provides the grid-wide communication primitives: range
 broadcast over a virtual complete binary tree, the all-reduce
@@ -67,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -78,9 +86,10 @@ import numpy as np
 from .curves import CurveKind, cell_count, cell_distances, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
-# messages priced and traced per block of a round, and trace events
-# formatted per write of dump_trace
+# messages priced per block of a round, and trace records per chunk
 _BLOCK = 8192
+# one trace record; its cost is priced from the cell table when it is read
+_RECORD = np.dtype([("src", np.int32), ("dst", np.int32), ("depth", np.int64)])
 # a trace line is what json.dumps gives for a dict of four Python ints: per
 # field a key word, then the field's digits and the 3 bytes that follow
 # them, ", \"" or "}\n"; 0 bytes pad a key word at its end and a suffix
@@ -103,20 +112,20 @@ class TraceEvent(NamedTuple):
 
 
 class TraceLog(Sequence):
-    """Read-only view of a run's trace events, held four ints per event in
-    one flat ``array('q')``; it sees events charged after it was made."""
+    """Read-only view of an in-memory trace's chunks; it sees events
+    charged after it was made, and prices each chunk as it is read."""
 
-    __slots__ = ("_flat",)
+    __slots__ = ("_sim",)
 
-    def __init__(self, flat: array):
-        self._flat = flat
+    def __init__(self, sim: "SimState"):
+        self._sim = sim
 
     def __len__(self) -> int:
-        return len(self._flat) // 4
+        return (len(self._sim._chunks) - 1) * _BLOCK + self._sim._fill
 
     def __iter__(self):
-        it = iter(self._flat)
-        return map(TraceEvent, it, it, it, it)
+        for rows in self._sim._trace_rows():
+            yield from map(TraceEvent._make, rows.tolist())
 
     def __getitem__(self, i: int) -> TraceEvent:
         count = len(self)
@@ -125,11 +134,15 @@ class TraceLog(Sequence):
             i += count
         if not 0 <= i < count:
             raise IndexError("trace event index out of range")
-        return TraceEvent(*self._flat[4 * i:4 * i + 4])
+        chunk = self._sim._chunks[i // _BLOCK]
+        j = i % _BLOCK
+        return TraceEvent(*self._sim._priced(chunk[j:j + 1])[0].tolist())
 
     def __eq__(self, other):
         if isinstance(other, TraceLog):
-            return self._flat == other._flat
+            return len(self) == len(other) and all(
+                np.array_equal(a, b)
+                for a, b in zip(self._sim._trace_rows(), other._sim._trace_rows()))
         if isinstance(other, Sequence):
             return list(self) == other
         return NotImplemented
@@ -168,6 +181,10 @@ class SimState:
     Rounds and batches update it with array passes, and scalar sends
     index it one message at a time; ``energy``, ``depth``, ``messages``
     and the trace hold Python ints either way.
+
+    ``trace`` is False (no trace), True (every event kept in memory, read
+    through :attr:`events`) or a binary file that the trace streams to;
+    a streamed trace needs :meth:`flush_trace` once the run is done.
     """
 
     __slots__ = (
@@ -177,7 +194,9 @@ class SimState:
         "messages",
         "depth",
         "rounds",
-        "_trace",
+        "_chunks",
+        "_fill",
+        "_sink",
         "audit",
         "memory_budget",
         "max_words",
@@ -187,16 +206,22 @@ class SimState:
         "_sweeps",
     )
 
-    def __init__(self, placement: Placement, trace: bool = False,
+    def __init__(self, placement: Placement, trace=False,
                  audit_memory: bool = False, memory_budget: int = DEFAULT_MEMORY_BUDGET):
-        self.placement = placement
         n = placement.n
+        if trace and n >= 2 ** 31:
+            raise ValueError(f"a traced run needs fewer than 2**31 positions, not n={n}")
+        self.placement = placement
         self.clock = np.zeros(n, dtype=np.int64)
         self.energy = 0
         self.messages = 0
         self.depth = 0
         self.rounds = 0
-        self._trace = array("q") if trace else None
+        # trace records: every chunk, or the one chunk a streamed trace
+        # reuses; _fill records of the last chunk are taken
+        self._chunks = [np.empty(_BLOCK, _RECORD)] if trace else None
+        self._fill = 0
+        self._sink = trace if hasattr(trace, "write") else None
         self.audit = audit_memory
         self.memory_budget = memory_budget
         self.max_words = 0
@@ -210,8 +235,9 @@ class SimState:
 
     @property
     def events(self) -> TraceLog | None:
-        """The trace events in charge order, or None when tracing is off."""
-        return None if self._trace is None else TraceLog(self._trace)
+        """The trace events in charge order, or None when tracing is off or
+        the trace streams to a file."""
+        return None if self._chunks is None or self._sink is not None else TraceLog(self)
 
     def send(self, src: int, dst: int) -> None:
         """Record one message departing at the source's current clock.  Cost
@@ -231,8 +257,11 @@ class SimState:
             clock[dst] = d
         if d > self.depth:
             self.depth = d
-        if self._trace is not None:
-            self._trace.extend((src, dst, cost, d))
+        if self._chunks is not None:
+            self._chunks[-1][self._fill] = (src, dst, d)
+            self._fill += 1
+            if self._fill == _BLOCK:
+                self._spill()
 
     def send_at(self, src, dst, ready) -> None:
         """Charge message i from src[i] to dst[i] departing at clock
@@ -276,27 +305,57 @@ class SimState:
         whose largest depth is top, one block of ``_BLOCK`` messages at a
         time, pricing each block unless the batch's costs are given."""
         m = len(src)
-        trace = self._trace
-        if trace is not None:
-            rows = np.empty((min(m, _BLOCK), 4), dtype=np.int64)
         energy = 0
         for lo in range(0, m, _BLOCK):
             hi = lo + _BLOCK
-            s, d = src[lo:hi], dst[lo:hi]
-            c = cell_distances(self._words, s, d) if cost is None else cost[lo:hi]
+            c = (cell_distances(self._words, src[lo:hi], dst[lo:hi]) if cost is None
+                 else cost[lo:hi])
             energy += int(c.sum())
-            if trace is not None:
-                block = rows[:len(s)]
-                block[:, 0] = s
-                block[:, 1] = d
-                block[:, 2] = c
-                block[:, 3] = depth[lo:hi]
-                # array.frombytes takes only a 1-D byte buffer
-                trace.frombytes(memoryview(block).cast("B"))
         self.energy += energy
         self.messages += m
         if top > self.depth:
             self.depth = top
+        if self._chunks is not None:
+            lo = 0
+            while lo < m:
+                fill = self._fill
+                hi = lo + min(_BLOCK - fill, m - lo)
+                part = self._chunks[-1][fill:fill + hi - lo]
+                part["src"] = src[lo:hi]
+                part["dst"] = dst[lo:hi]
+                part["depth"] = depth[lo:hi]
+                self._fill = fill + hi - lo
+                if self._fill == _BLOCK:
+                    self._spill()
+                lo = hi
+
+    def _spill(self) -> None:
+        """Make room for more records: a streamed trace writes the lines of
+        its one chunk's records and reuses it, an in-memory trace (whose
+        last chunk is full) starts a new chunk."""
+        if self._sink is None:
+            self._chunks.append(np.empty(_BLOCK, _RECORD))
+        else:
+            self._sink.write(_trace_lines(self._priced(self._chunks[0][:self._fill])))
+        self._fill = 0
+
+    def _priced(self, records) -> np.ndarray:
+        """Trace records as an (m, 4) int64 array of (src, dst, cost, depth)
+        rows, each cost priced from the cell table."""
+        rows = np.empty((len(records), 4), dtype=np.int64)
+        rows[:, 0] = records["src"]
+        rows[:, 1] = records["dst"]
+        rows[:, 2] = cell_distances(self._words, records["src"], records["dst"])
+        rows[:, 3] = records["depth"]
+        return rows
+
+    def _trace_rows(self):
+        """The priced rows of each in-memory chunk that holds events."""
+        last = len(self._chunks) - 1
+        for i, chunk in enumerate(self._chunks):
+            count = _BLOCK if i < last else self._fill
+            if count:
+                yield self._priced(chunk[:count])
 
     def send_round(self, src, dst) -> None:
         """Charge one synchronous round: message i goes from src[i] to dst[i].
@@ -336,18 +395,11 @@ class SimState:
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         self.send_round(pairs[:, 0], pairs[:, 1])
 
-    def note_words(self, pos: int, words: int) -> None:
-        """Audit hook: position currently holds this many live words."""
-        if not self.audit:
-            return
-        if words > self.max_words:
-            self.max_words = words
-        if words > self.memory_budget:
-            self.violations.append((pos, words))
-
     def note_words_many(self, positions, words: int) -> None:
         """Audit hook: each of ``positions`` (a sequence or an array), in
-        order, holds this many live words; one :meth:`note_words` each."""
+        order, holds this many live words.  When auditing, ``max_words``
+        rises to ``words``, and a count over the budget appends one
+        (position, words) violation per position."""
         if not self.audit or len(positions) == 0:
             return
         if words > self.max_words:
@@ -359,14 +411,23 @@ class SimState:
         return CostReport(self.energy, self.depth, self.messages, self.rounds)
 
     def dump_trace(self, path) -> None:
-        """Write one JSON line per event, in charge order, with the keys
-        src, dst, cost and depth."""
-        if self._trace is None:
+        """Write one JSON line per event of an in-memory trace, in charge
+        order, with the keys src, dst, cost and depth."""
+        if self._chunks is None:
             raise ValueError("tracing was not enabled for this run")
-        rows = np.frombuffer(self._trace, np.int64).reshape(-1, 4)
+        if self._sink is not None:
+            raise ValueError("this run's trace streams to a file; use flush_trace")
         with open(path, "wb") as fh:
-            for lo in range(0, len(rows), _BLOCK):
-                fh.write(_trace_lines(rows[lo:lo + _BLOCK]))
+            for rows in self._trace_rows():
+                fh.write(_trace_lines(rows))
+
+    def flush_trace(self) -> None:
+        """Write the events a streamed trace still holds to its file; the
+        run may go on charging after it."""
+        if self._sink is None:
+            raise ValueError("this run's trace does not stream to a file")
+        if self._fill:
+            self._spill()
 
 
 def _trace_lines(block) -> bytes:

@@ -121,11 +121,16 @@ def test_sign_test_interval_takes_the_exact_order_statistics():
 def test_paired_verdict_reads_the_interval_of_the_ratios(ratios, verdict, median):
     parent = [fake_run("aaa", 2.0 + i) for i in range(len(ratios))]
     change = [fake_run("bbb", (2.0 + i) * r) for i, r in enumerate(ratios)]
+    for i, (run, r) in enumerate(zip(parent + change, (1.0,) * len(ratios) + ratios)):
+        run["end_to_end"]["peak_rss_mb"] = (70.0 + i % len(ratios)) * r
     entry = bench_summary.summarise(parent, change, "cmd")["workloads"]["lca-65k"]["1"]
-    # pass_s is twice pass_ref in both runs of a pair, so the ratios agree
-    for metric in ("pass_s", "pass_ref"):
+    # pass_s is twice pass_ref in both runs of a pair, and peak memory moves
+    # by the same ratio, so the ratios agree; memory reads lower or higher
+    memory = {"faster": "lower", "slower": "higher"}.get(verdict, verdict)
+    assert set(entry["paired"]) == {"pass_s", "pass_ref", "peak_rss_mb"}
+    for metric in ("pass_s", "pass_ref", "peak_rss_mb"):
         got = entry["paired"][metric]
-        assert got["verdict"] == verdict
+        assert got["verdict"] == (memory if metric == "peak_rss_mb" else verdict)
         assert got["median_ratio"] == pytest.approx(median)
         if len(ratios) < 6:
             assert got["interval"] is got["coverage"] is None

@@ -176,6 +176,32 @@ def test_trace_export(tmp_path, capsys):
     assert set(ev) == {"src", "dst", "cost", "depth"}
 
 
+def test_only_repetition_0_is_traced(tmp_path, capsys, monkeypatch):
+    traces = []
+    execute = cli._execute
+
+    def keep_trace(args, t, curve, dump, trace):
+        traces.append(trace)
+        return execute(args, t, curve, dump, trace)
+
+    monkeypatch.setattr(cli, "_execute", keep_trace)
+    trace = tmp_path / "trace.jsonl"
+    report = tmp_path / "report.json"
+    argv = ["run", "--algorithm", "treefix", "--kind", "random-attachment", "--n", "300",
+            "--reps", "3", "--format", "json", "--out", str(report)]
+    code, _, _ = run_cli(capsys, *argv, "--trace", str(trace))
+    assert code == 0
+    first, *later = traces
+    assert first.name == str(trace) and first.closed  # streamed, then closed
+    assert later == [False, False]
+    rows = json.loads(report.read_text())
+    assert len({(r["energy"], r["depth"], r["messages"]) for r in rows}) == 1
+    assert len(trace.read_text().splitlines()) == rows[0]["messages"]
+    traces.clear()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and traces == [False] * 3
+
+
 def test_sweep_rejects_tree_file(tmp_path, capsys):
     tree = tmp_path / "t.txt"
     tree.write_text(format_tree(RootedTree(list(FIGURE_PARENTS))))

@@ -56,9 +56,8 @@ def trace_digest(events) -> str:
 def measure(algorithm, kind, n, curve, order, seed) -> dict:
     args = make_parser().parse_args(
         ["run", "--algorithm", algorithm, "--kind", kind, "--n", str(n),
-         "--curve", curve, "--order", order, "--seed", str(seed),
-         "--trace", "unused"])
-    sim, _lines, _dist = _execute(args, _load_tree(args), CurveKind(curve), False)
+         "--curve", curve, "--order", order, "--seed", str(seed)])
+    sim, _lines, _dist = _execute(args, _load_tree(args), CurveKind(curve), False, True)
     report = sim.report()
     return {"energy": report.energy, "depth": report.depth,
             "messages": report.messages, "rounds": report.rounds,

@@ -12,6 +12,7 @@ from spatialtree.listrank import (ChainError, list_rank, subtree_sizes_via_tour,
 from spatialtree.rng import Lcg
 from spatialtree.sim import Placement, SimState
 from spatialtree.trees import RootedTree, gen_tree, light_first_csr, subtree_sizes
+from test_rng import next_bit
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -242,7 +243,7 @@ def list_rank_reference(sim, succ, head, seed, iteration_stats):
     removed_per_iter = []
     while len(live) > max(4, math.ceil(math.log2(m))):
         msg0, en0 = sim.messages, sim.energy
-        coin = {x: rng.next_bit() for x in live}
+        coin = {x: next_bit(rng) for x in live}
         round_([(x, nxt[x]) for x in live if nxt[x] >= 0])
         removed = [y for y in live if y != head and coin[y] == 1
                    and nxt[y] >= 0 and coin[nxt[y]] == 0]

@@ -5,20 +5,25 @@ from spatialtree import rng
 from spatialtree.rng import Lcg
 
 
+def next_bit(g: Lcg) -> int:
+    """One scalar coin flip: the top bit of the next state."""
+    return g.next_u64() >> 63
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 2, 1000, 200000])
 def test_next_bits_equals_repeated_next_bit(seed, count):
     fast = Lcg(seed)
     slow = Lcg(seed)
-    assert fast.next_bits(count).tolist() == [slow.next_bit() for _ in range(count)]
+    assert fast.next_bits(count).tolist() == [next_bit(slow) for _ in range(count)]
     assert fast.state == slow.state
 
 
 def test_next_bits_continues_the_stream():
     a = Lcg(42)
     b = Lcg(42)
-    got = a.next_bits(5).tolist() + [a.next_bit()] + a.next_bits(7).tolist()
-    assert got == [b.next_bit() for _ in range(13)]
+    got = a.next_bits(5).tolist() + [next_bit(a)] + a.next_bits(7).tolist()
+    assert got == [next_bit(b) for _ in range(13)]
     assert a.next_u64() == b.next_u64()
 
 
@@ -35,11 +40,11 @@ def test_next_bits_across_table_growth(monkeypatch):
     slow = [Lcg(s) for s in seeds]
     for i, count in enumerate(counts):
         for a, b in zip(fast, slow):
-            assert a.next_bits(count).tolist() == [b.next_bit() for _ in range(count)]
+            assert a.next_bits(count).tolist() == [next_bit(b) for _ in range(count)]
             assert a.state == b.state
             # scalar draws in between continue the same stream
             if i % 2:
-                assert a.next_bit() == b.next_bit()
+                assert next_bit(a) == next_bit(b)
             else:
                 assert a.next_u64() == b.next_u64()
         size = len(rng._POWERS)
@@ -50,7 +55,7 @@ def test_next_bits_across_table_growth(monkeypatch):
         rng._POWERS[0] = 0
     # a later short call slices the grown table
     a, b = Lcg(3), Lcg(3)
-    assert a.next_bits(3).tolist() == [b.next_bit() for _ in range(3)]
+    assert a.next_bits(3).tolist() == [next_bit(b) for _ in range(3)]
     assert len(rng._POWERS) == 2 ** 11
 
 
@@ -63,7 +68,7 @@ def test_next_bits_past_the_table_cap_draws_in_chunks(monkeypatch):
     monkeypatch.setattr(rng, "_TABLE_MAX", 8)
     a, b = Lcg(11), Lcg(11)
     for count in (3, 7, 8, 9, 16, 17, 40, 1):
-        assert a.next_bits(count).tolist() == [b.next_bit() for _ in range(count)]
+        assert a.next_bits(count).tolist() == [next_bit(b) for _ in range(count)]
         assert a.state == b.state
         assert len(rng._POWERS) == len(rng._OFFSETS) <= 8
     assert len(rng._POWERS) == 8
@@ -80,7 +85,7 @@ def test_next_u64s_equals_scalar_draws_with_calls_interleaved():
         assert got.tolist() == [slow.next_u64() for _ in range(count)]
         assert fast.state == slow.state
         assert fast.next_below(1000) == slow.next_u64() % 1000
-        assert fast.next_bits(3).tolist() == [slow.next_bit() for _ in range(3)]
+        assert fast.next_bits(3).tolist() == [next_bit(slow) for _ in range(3)]
     assert Lcg(5).next_u64s(-1).tolist() == []
 
 

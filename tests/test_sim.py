@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -27,6 +28,17 @@ from test_curves import reference_coords
 
 def fresh(n, kind=CurveKind.HILBERT, **kw):
     return SimState(Placement.for_size(kind, n), **kw)
+
+
+def note_words(sim, pos, words):
+    """Reference for the audit hook, one position at a time: pos holds this
+    many live words."""
+    if not sim.audit:
+        return
+    if words > sim.max_words:
+        sim.max_words = words
+    if words > sim.memory_budget:
+        sim.violations.append((pos, words))
 
 
 def test_placement_minimal_padding():
@@ -893,24 +905,26 @@ def test_traced_treefix_on_a_caterpillar_dumps_like_json_dumps(tmp_path):
 
 
 def test_cli_trace_file_is_json_dumps_of_every_event(tmp_path, capsys, monkeypatch):
-    states = []
+    calls = []
     execute = cli._execute
 
-    def keep_state(*args):
-        sim, lines, mean_dist = execute(*args)
-        states.append(sim)
-        return sim, lines, mean_dist
+    def keep_call(args, t, curve, dump, trace):
+        calls.append((args, t, curve, trace))
+        return execute(args, t, curve, dump, trace)
 
-    monkeypatch.setattr(cli, "_execute", keep_state)
+    monkeypatch.setattr(cli, "_execute", keep_call)
     trace = tmp_path / "trace.jsonl"
     assert main(["run", "--algorithm", "treefix", "--kind", "caterpillar",
                  "--n", "4095", "--trace", str(trace)]) == 0
-    (sim,) = states
+    ((args, t, curve, sink),) = calls
+    assert sink.name == str(trace) and sink.closed  # the run streamed to the file
+    # the same run with its trace kept in memory
+    sim, _lines, _dist = execute(args, t, curve, False, True)
     reference_dump(sim.events, tmp_path / "want.jsonl")
     got = trace.read_bytes()
     assert got == (tmp_path / "want.jsonl").read_bytes()
     lines = got.decode().splitlines()
-    assert len(lines) == sim.messages
+    assert len(lines) == sim.messages > _BLOCK
     assert all(set(json.loads(line)) == {"src", "dst", "cost", "depth"} for line in lines)
 
 
@@ -985,6 +999,147 @@ def test_trace_events_index_like_a_list():
     assert s.events != events[:-1] and s.events != tuple(events)
 
 
+def reference_trace(kind, n, batches):
+    """The events of scalar (src, dst) sends and (src array, dst array)
+    rounds, worked out one message at a time from the curve's cells."""
+    k = Placement.for_size(kind, n).k
+    rows, cols = (a.tolist() for a in reference_coords(kind, k, np.arange(n)))
+    clock = [0] * n
+    events = []
+    for src, dst in batches:
+        src, dst = np.atleast_1d(src).tolist(), np.atleast_1d(dst).tolist()
+        sent = [clock[a] + 1 for a in src]  # start-of-round clocks
+        for a, b, d in zip(src, dst, sent):
+            events.append(TraceEvent(a, b, abs(rows[a] - rows[b]) + abs(cols[a] - cols[b]), d))
+            clock[b] = max(clock[b], d)
+    return events
+
+
+def mixed_batches(count, tail, n=200, seed=0):
+    """count messages: 37 scalar sends, a round of 5,000, 20 scalar sends,
+    then the rest as one round (tail "round") or as scalar sends."""
+    rng = np.random.default_rng(seed)
+
+    def scalars(m):
+        return [tuple(pair) for pair in rng.integers(0, n, (m, 2)).tolist()]
+
+    def round_(m):
+        return [(rng.integers(0, n, m), rng.integers(0, n, m))]
+
+    rest = count - 5057
+    return (scalars(37) + round_(5000) + scalars(20)
+            + (round_(rest) if tail == "round" else scalars(rest)))
+
+
+def charge(s, batches):
+    for src, dst in batches:
+        if np.ndim(src) == 0:
+            s.send(src, dst)
+        else:
+            s.send_round(src, dst)
+
+
+@pytest.mark.parametrize("tail", ["round", "scalar"])
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_chunked_trace_indexes_and_iterates_like_a_list(count, tail):
+    # the tail's round or scalar sends end at, or cross, the first chunk's edge
+    batches = mixed_batches(count, tail)
+    s = fresh(200, trace=True)
+    charge(s, batches)
+    want = reference_trace(CurveKind.HILBERT, 200, batches)
+    events = s.events
+    assert len(events) == len(want) == count == s.messages
+    assert list(events) == want and events == want
+    for i in (0, 36, 37, 5056, 5057, _BLOCK - 1, _BLOCK, count - 1):
+        if i < count:
+            assert events[i] == want[i] == events[i - count]
+    for i in (count, -count - 1, 2 * _BLOCK, 10 ** 9):
+        with pytest.raises(IndexError):
+            events[i]
+    assert all(type(v) is int for v in events[count - 1])
+    assert sum(e.cost for e in events) == s.energy
+
+
+def test_traces_with_the_same_records_on_different_curves_differ():
+    # positions 1 and 2 are neighbours on the Hilbert curve, not in Z-order
+    a, b, c = (fresh(16, kind, trace=True)
+               for kind in (CurveKind.HILBERT, CurveKind.ZORDER, CurveKind.HILBERT))
+    for s in (a, b, c):
+        s.send(1, 2)
+        s.send_round(np.array([2, 5]), np.array([1, 9]))
+    assert [(e.src, e.dst, e.depth) for e in a.events] == \
+        [(e.src, e.dst, e.depth) for e in b.events]
+    assert a.events != b.events and not a.events == b.events
+    assert a.events == c.events and list(a.events) != list(b.events)
+
+
+def test_a_streamed_trace_writes_what_an_in_memory_dump_writes(tmp_path):
+    batches = mixed_batches(3 * _BLOCK + 5, "round")
+    kept = fresh(200, trace=True)
+    charge(kept, batches)
+    kept.dump_trace(tmp_path / "want.jsonl")
+    with open(tmp_path / "got.jsonl", "wb") as fh:
+        streamed = fresh(200, trace=fh)
+        assert streamed.events is None
+        charge(streamed, batches[:40])
+        streamed.flush_trace()  # a flush in mid-run; charging goes on after it
+        charge(streamed, batches[40:])
+        streamed.flush_trace()
+        streamed.flush_trace()  # nothing left to write
+        with pytest.raises(ValueError, match="streams"):
+            streamed.dump_trace(tmp_path / "other.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert streamed.report() == kept.report()
+    with pytest.raises(ValueError, match="does not stream"):
+        kept.flush_trace()
+
+
+@pytest.mark.parametrize("trace", [True, "file"])
+def test_a_traced_state_needs_fewer_than_2_31_positions(tmp_path, trace):
+    # raised before the clocks or the cell table are allocated
+    with open(tmp_path / "trace.jsonl", "wb") as fh:
+        for n in (2 ** 31, 2 ** 32):
+            with pytest.raises(ValueError, match="fewer than 2\\*\\*31 positions"):
+                SimState(Placement(CurveKind.HILBERT, 16, n),
+                         trace=fh if trace == "file" else trace)
+
+
+def held_by_a_run(batches, trace):
+    """Bytes a run's SimState still holds once the run is done, and its
+    tracemalloc peak, both over the memory in use before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = fresh(4096, trace=trace)
+        charge(s, batches)
+        if hasattr(trace, "write"):
+            s.flush_trace()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - base, peak - base, s
+
+
+def test_trace_memory_is_one_chunk_streamed_and_16_bytes_an_event_in_memory():
+    rng = np.random.default_rng(4)
+    batches = []
+    for width in rng.integers(1, 3 * _BLOCK, 80).tolist():
+        batches.append((rng.integers(0, 4096, width), rng.integers(0, 4096, width)))
+        batches.append((int(rng.integers(0, 4096)), int(rng.integers(0, 4096))))
+    sim._digit_words()  # the formatter's shared table is built once per process
+    chunk = _BLOCK * 16
+    untraced, untraced_peak, plain = held_by_a_run(batches, False)
+    with open(os.devnull, "wb") as sink:
+        streamed, streamed_peak, s = held_by_a_run(batches, sink)
+    assert s.messages == plain.messages >= 500_000
+    assert streamed - untraced < 2 * chunk
+    # formatting a chunk's lines takes a few short-lived buffers
+    assert streamed_peak - untraced_peak < 4 * 2 ** 20
+    kept, _, s = held_by_a_run(batches, True)
+    assert kept - untraced <= 16 * s.messages + chunk
+
+
 def test_energy_additivity():
     s = fresh(64, trace=True)
     broadcast_range(s, 0, 63)
@@ -996,12 +1151,12 @@ def test_energy_additivity():
 
 def test_memory_audit_reports_not_fatal():
     s = fresh(8, audit_memory=True, memory_budget=4)
-    s.note_words(0, 3)
-    s.note_words(1, 9)
+    note_words(s, 0, 3)
+    note_words(s, 1, 9)
     assert s.max_words == 9
     assert s.violations == [(1, 9)]
     s2 = fresh(8)  # audit off: no tracking
-    s2.note_words(0, 99)
+    note_words(s2, 0, 99)
     assert s2.max_words == 0
 
 
@@ -1012,9 +1167,9 @@ def test_note_words_many_equals_one_call_per_position(positions, words):
     got = fresh(8, audit_memory=True, memory_budget=4)
     want = fresh(8, audit_memory=True, memory_budget=4)
     for s in (got, want):
-        s.note_words(6, 2)
+        note_words(s, 6, 2)
     got.note_words_many(positions, words)
     for pos in positions:
-        want.note_words(pos, words)
+        note_words(want, pos, words)
     assert (got.max_words, got.violations) == (want.max_words, want.violations)
     assert all(type(pos) is int for pos, _ in got.violations)

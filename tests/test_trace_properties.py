@@ -38,8 +38,8 @@ def configurations():
 def traced_run(t, algorithm, curve, order, seed):
     args = make_parser().parse_args(
         ["run", "--algorithm", algorithm, "--curve", curve.value, "--order", order,
-         "--seed", str(seed), "--trace", "unused", "--check"])
-    sim, _lines, _dist = _execute(args, t, curve, False)
+         "--seed", str(seed), "--check"])
+    sim, _lines, _dist = _execute(args, t, curve, False, True)
     return sim
 
 

@@ -11,6 +11,7 @@ from spatialtree.treefix import STATE_WORDS, ContractionEngine, treefix_sum, tre
 from spatialtree.trees import (GENERATOR_KINDS, RootedTree, gen_tree, root_path_sums,
                                subtree_sizes, subtree_sums)
 from spatialtree.virtual_tree import block_broadcast, block_reduce
+from test_sim import note_words
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
 
@@ -364,7 +365,7 @@ def test_memory_audit_over_budget_reports_every_vertex_each_round():
     want = SimState(lay.placement(), audit_memory=True, memory_budget=10)
     for _ in range(sim.rounds):
         for v in range(t.n):
-            want.note_words(lay.pos[v], STATE_WORDS)
+            note_words(want, lay.pos[v], STATE_WORDS)
     assert sim.rounds > 1
     assert sim.max_words == want.max_words == STATE_WORDS
     assert sim.violations == want.violations

@@ -27,8 +27,9 @@ come from one host.
 Each workload and seed also gets a paired verdict on each of ``PAIRED``:
 the median of the per-pair ratios change / parent, an exact sign-test
 interval for that median at ``CONFIDENCE`` (95 %) taken from the ordered
-ratios, and "faster" when the whole interval lies below 1, "slower" when
-it lies above 1, "unresolved" otherwise.  The interval is distribution
+ratios, and "faster" ("lower" for peak memory) when the whole interval
+lies below 1, "slower" ("higher") when it lies above 1, "unresolved"
+otherwise.  The interval is distribution
 free: it assumes only that pairs are independent.  Fewer than 6 pairs
 cannot reach 95 %, so they give no interval and stay unresolved.
 """
@@ -46,7 +47,10 @@ TIMED = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb", "ok_frac")
 WON = ("pass_ref", "pass_s", "setup_s", "peak_rss_mb")  # lower is better
 COSTS = ("energy", "depth", "messages")
 HOST = ("python", "numpy", "nproc", "cpu")
-PAIRED = ("pass_s", "pass_ref")  # paired verdicts; lower is better
+# paired verdicts, lower is better: metric -> the words for a change that
+# lowers or raises it
+PAIRED = {"pass_s": ("faster", "slower"), "pass_ref": ("faster", "slower"),
+          "peak_rss_mb": ("lower", "higher")}
 CONFIDENCE = 0.95
 
 
@@ -114,11 +118,12 @@ def paired_verdict(pairs: list[tuple[dict, dict]], metric: str) -> dict:
     sign-test interval and what the interval says."""
     ratios = [timed(c, metric) / timed(p, metric) for p, c in pairs]
     interval = sign_test_interval(ratios)
+    lowered, raised = PAIRED[metric]
     verdict = "unresolved"
     if interval and interval[1] < 1:
-        verdict = "faster"
+        verdict = lowered
     elif interval and interval[0] > 1:
-        verdict = "slower"
+        verdict = raised
     return {"median_ratio": statistics.median(ratios),
             "interval": list(interval[:2]) if interval else None,
             "coverage": interval[2] if interval else None,
