@@ -67,6 +67,11 @@ class Layout:
     def placement(self) -> Placement:
         return Placement(self.kind, self.k, self.n)
 
+    def check_size(self, n: int) -> None:
+        """Raise ValueError unless the layout places exactly n vertices."""
+        if self.n != n:
+            raise ValueError(f"layout places {self.n} vertices, the tree has {n}")
+
 
 def _preorder_positions(t: RootedTree, ptr, kids, sizes) -> np.ndarray:
     """Preorder positions, as an int32 array, that lay out each subtree

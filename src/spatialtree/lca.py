@@ -112,10 +112,12 @@ def _query_pairs(queries) -> np.ndarray:
             raise ValueError(NOT_PAIRS)
         return queries
     try:
-        # array("q") takes ints only, and fills fastest from a list; the
-        # lengths catch ragged pairs
-        flat = array("q", list(chain.from_iterable(queries)))
-        if len(flat) == 2 * len(queries) and set(map(len, queries)) <= {2}:
+        # array("q") takes ints and bools only, and fills fastest from a
+        # list; the lengths catch ragged pairs, and bools go on to fail below
+        ids = list(chain.from_iterable(queries))
+        flat = array("q", ids)
+        if (len(flat) == 2 * len(queries) and set(map(len, queries)) <= {2}
+                and bool not in set(map(type, ids))):
             return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
     except (TypeError, OverflowError):
         pass
@@ -130,10 +132,11 @@ def _query_pairs(queries) -> np.ndarray:
 
 def batched_lca(sim: SimState, t: RootedTree, layout: Layout, queries, seed: int):
     """Answer LCA queries, each vertex appearing in at most MAX_MULTIPLICITY
-    of them.  A query that is not a pair of integers, the first pair with a
-    vertex outside [0, n) and a vertex above the limit raise ValueError
-    before anything is sent.  Queries given as an (m, 2) integer array get
-    an int64 array of answers; a sequence of pairs gets a list.
+    of them.  A layout of another size, a query that is not a pair of
+    integers, the first pair with a vertex outside [0, n) and a vertex
+    above the limit raise ValueError before anything is sent.  Queries
+    given as an (m, 2) integer array get an int64 array of answers; a
+    sequence of pairs gets a list.
 
     Steps: subtree ranges via a unit-value treefix sum (settles the
     ancestor-descendant queries), parent ranges broadcast to children, path
@@ -141,6 +144,7 @@ def batched_lca(sim: SimState, t: RootedTree, layout: Layout, queries, seed: int
     cover subtree, with an all-reduce barrier between layers.
     """
     n = t.n
+    layout.check_size(n)
     q = _query_pairs(queries)
     bad = np.flatnonzero(((q < 0) | (q >= n)).any(axis=1))
     if bad.size:

@@ -19,9 +19,10 @@ and undos run as a few array passes over that round's supervertices.
 
 Messages are charged level-synchronously.  A broadcast or reduce over child
 blocks takes one round per relay level of the virtual tree, over all the
-step's blocks at once; parent coins, compresses and compress undos take one
-round each.  So a compact round costs O(1) rounds plus the relay levels,
-O(log degree), whatever the vertex ids.
+step's blocks at once (``VirtualTree.relay_rounds``); parent coins,
+compresses and compress undos take one round each.  So a compact round
+costs O(1) rounds plus the relay levels, O(log degree), whatever the vertex
+ids.
 
 Uncontraction maintains, per supervertex u, a correction term A_u such that
 subtree sums satisfy sum(u) = P_u + A_u, or root-path sums satisfy
@@ -74,6 +75,7 @@ class ContractionEngine:
     def __init__(self, sim: SimState, t: RootedTree, layout: Layout, values,
                  seed: int, vt: VirtualTree | None = None):
         n = t.n
+        layout.check_size(n)
         self.sim = sim
         self.t = t
         self.vt = vt if vt is not None else transform(t, t.sizes)
@@ -106,12 +108,7 @@ class ContractionEngine:
         self.rng = Lcg(seed)
         self.rounds = 0
         self.active_count = n
-        self._ptr, self._relay, self._child = self.vt.blocks
-        # relay level of each block-CSR slot: 0 for the current children,
-        # j + 1 for the appended children of level j
-        self._level = np.zeros(len(self._child), dtype=np.int8)
-        for j, slots in enumerate(self.vt.relay_levels):
-            self._level[slots] = j
+        self._ptr, self._child = self.vt.blocks.ptr, self.vt.blocks.dst
 
     # -- block gathers and charging -------------------------------------------
 
@@ -126,27 +123,11 @@ class ContractionEngine:
         slots += np.arange(len(slots), dtype=slots.dtype)
         return slots, lens
 
-    def _relays(self, us, slots, lens):
-        """The relay links of each of us's gathered block as (near, far)
-        vertex-id rounds, one per relay level, top level first; each level
-        keeps block order.  near is the relaying sibling, or u itself for a
-        current child, and far the child it reaches.  A broadcast sends near
-        to far level by level; a reduce sends far to near, deepest first."""
-        level = self._level[slots]
-        # a stable sort of int8 keys is a radix sort
-        order = np.argsort(level, kind="stable")
-        ends = np.add.accumulate(np.bincount(level)).tolist()
-        slots = slots[order]
-        relay = self._relay[slots]
-        near = np.where(relay >= 0, relay, np.repeat(us, lens)[order])
-        far = self._child[slots]
-        return [(near[a:b], far[a:b]) for a, b in zip([0, *ends], ends)]
-
     def _broadcasts(self, us):
         """Rounds of each of us broadcasting over the child block of its
         bottom; bottoms are distinct and every vertex sits in one child
         block, so no vertex receives twice in a round."""
-        return self._relays(us, *self._block_slots(self.bottom[us]))
+        return self.vt.relay_rounds(us, *self._block_slots(self.bottom[us]))
 
     def _charge(self, rounds) -> None:
         """Charge (src, dst) vertex-id rounds in order with one
@@ -205,7 +186,7 @@ class ContractionEngine:
         relay level first, so every block's sends into its raker come
         last."""
         slots, lens = self._block_slots(self.bottom[us])
-        rounds = [(far, near) for near, far in reversed(self._relays(us, slots, lens))]
+        rounds = [(far, near) for near, far in reversed(self.vt.relay_rounds(us, slots, lens))]
         child = self._child[slots]
         hit = leaf[child]
         raked = child[hit]
@@ -297,7 +278,7 @@ class ContractionEngine:
         """Revert the rake on top of each of us's log.  Returns its rounds:
         the wake broadcast's levels, then the partial sums' reduce levels."""
         slots, lens = self._block_slots(self.bottom[us])
-        wake = self._relays(us, slots, lens)
+        wake = self.vt.relay_rounds(us, slots, lens)
         rounds = wake + [(far, near) for near, far in reversed(wake)]
         child = self._child[slots]
         tau = np.repeat(self.log[TAG][us], lens)

@@ -10,11 +10,11 @@ vertex has itself received, giving O(n) energy and O(log n) depth on
 light-first layouts.
 
 The virtual tree is one block CSR over the light-first child CSR
-(``trees.light_first_csr``): every child block's relay order plus each
-vertex's virtual parent.  The halving and the reference-passing protocol are
-both positional, so :func:`transform` and :func:`build_refs_protocol` work
-out one pattern per distinct block length and apply it to every block of
-that length with numpy gathers; the local kernels run level by level.
+(``trees.light_first_csr``): every child block's relay order and levels
+plus each vertex's virtual parent.  The halving is positional, so
+:func:`_relay_pattern` works it out once per distinct block length, and
+both :func:`transform` and the check of :func:`build_refs_protocol` apply it
+to every block of that length; the kernels run level by level.
 
 The protocol's departure clocks are walked per block length too, all blocks
 of a length stepping through the pattern together: a block's messages all
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -67,29 +67,32 @@ class BlockOrder(NamedTuple):
 class VirtualTree:
     """The virtual tree as one block CSR: ``blocks`` holds every child
     block's relay order, ``vparent`` each vertex's virtual parent (read-only
-    C ints, -1 at the root) and ``root`` the root.  The current children
-    C(v), at most two, open block v with src -1; the appended children A(x),
-    at most two, are the entries whose src is x, in relay order.
+    C ints, -1 at the root), ``root`` the root and ``level`` each slot's
+    relay level (read-only int8).  The current children C(v), at most two,
+    open block v with src -1 at level 0; the appended children A(x), at most
+    two, are the entries whose src is x, in relay order, one level below x.
     """
 
     blocks: BlockOrder
     vparent: np.ndarray
     root: int
+    level: np.ndarray
 
-    @cached_property
-    def relay_levels(self) -> list[np.ndarray]:
-        """The CSR slots of each level of the relay links, top first, as
-        read-only arrays: level 0 holds every block's current children,
-        level j + 1 the appended children of level j's vertices."""
-        _, relay, child = self.blocks
-        step = relay < 0
-        got = np.zeros(len(self.vparent), dtype=bool)
-        levels = []
-        while step.any():
-            levels.append(_frozen(np.flatnonzero(step)))
-            got[child[step]] = True
-            step = (relay >= 0) & got[relay] & ~got[child]
-        return levels
+    def relay_rounds(self, us, slots, lens) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The links of ``slots``, blocks of ``lens`` slots each, as (near,
+        far) vertex-id rounds, one per relay level, top first, in slot order:
+        far is the child reached and near its relay, or the block's entry of
+        ``us`` for a current child.  A broadcast sends near to far round by
+        round; a reduce sends far to near, deepest first."""
+        level = self.level[slots]
+        # a stable sort of int8 keys is a radix sort
+        order = np.argsort(level, kind="stable")
+        ends = np.add.accumulate(np.bincount(level)).tolist()
+        slots = slots[order]
+        relay = self.blocks.src[slots]
+        near = np.where(relay >= 0, relay, np.repeat(us, lens)[order])
+        far = self.blocks.dst[slots]
+        return [(near[a:b], far[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _split_block(block: list[int]):
@@ -102,21 +105,24 @@ def _split_block(block: list[int]):
 
 
 @lru_cache(maxsize=512)
-def _relay_pattern(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _relay_pattern(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relay order of any block of m children, by place in the block: the
-    place each step reaches and the place relaying to it (-1 for the
-    broadcaster); the kept pair first, then appended links breadth-first.
-    It depends on m alone, so it is worked out once per length and returned
-    as two read-only int arrays."""
+    place each step reaches, the place relaying to it (-1 for the
+    broadcaster) and the step's relay level; the kept pair first, at level
+    0, then appended links breadth-first.  It depends on m alone, so it is
+    worked out once per length, as read-only C-int and int8 arrays."""
     places, subs = _split_block(list(range(m)))
     relays = [-1] * len(places)
+    levels = [0] * len(places)
     owned = dict(subs)  # the sub-block each place relays into
-    for x in places:  # the list grows while it is walked: breadth-first
+    for i, x in enumerate(places):  # the lists grow while walked: breadth-first
         got, more = _split_block(owned.pop(x, []))
         places.extend(got)
         relays.extend([x] * len(got))
+        levels.extend([levels[i] + 1] * len(got))
         owned.update(more)
-    return _frozen(np.array(places, dtype=np.intc)), _frozen(np.array(relays, dtype=np.intc))
+    return (_frozen(np.array(places, dtype=np.intc)), _frozen(np.array(relays, dtype=np.intc)),
+            _frozen(np.array(levels, dtype=np.int8)))
 
 
 def _blocks_by_length(deg: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -130,32 +136,28 @@ def _blocks_by_length(deg: np.ndarray) -> list[tuple[int, np.ndarray]]:
             if (m := int(deg[order[a]])) > 0]
 
 
-def _block_links(ptr: np.ndarray, kids: np.ndarray, pattern: Callable):
-    """Every block's relay order (src, dst) and every vertex's virtual
-    parent, as int64 arrays, applying the (places, relays) that pattern(m)
-    gives to every block of m children with numpy gathers."""
+def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
+    """The virtual tree of a light-first child CSR: each block of m
+    children follows the relay pattern of length m, laid over every block
+    of that length with numpy gathers."""
     n = len(ptr) - 1
     deg = np.diff(ptr)
     place = np.empty(n - 1, dtype=np.int64)  # CSR slot each relay step reaches
     relay = np.empty(n - 1, dtype=np.int64)  # CSR slot relaying to it, or -1
+    level = np.empty(n - 1, dtype=np.int8)
     for m, parents in _blocks_by_length(deg):
-        places, relays = map(np.asarray, pattern(m))
+        places, relays, levels = _relay_pattern(m)
         base = ptr[parents, None]
-        place[base + np.arange(m)] = base + places
-        relay[base + np.arange(m)] = np.where(relays < 0, -1, base + relays)
+        slots = base + np.arange(m)
+        place[slots] = base + places
+        relay[slots] = np.where(relays < 0, -1, base + relays)
+        level[slots] = levels
     dst = kids[place]
     src = np.where(relay < 0, -1, kids[relay])
     vparent = np.full(n, -1, dtype=np.int64)
     vparent[dst] = np.where(src < 0, np.repeat(np.arange(n), deg), src)
-    return src, dst, vparent
-
-
-def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
-    """The virtual tree of a light-first child CSR: each block of m
-    children follows the relay pattern of length m."""
-    ptr, src, dst, vparent = (_frozen(a.astype(np.intc))
-                              for a in (ptr, *_block_links(ptr, kids, _relay_pattern)))
-    return VirtualTree(BlockOrder(ptr, src, dst), vparent, root)
+    ptr, src, dst, vparent = (_frozen(a.astype(np.intc)) for a in (ptr, src, dst, vparent))
+    return VirtualTree(BlockOrder(ptr, src, dst), vparent, root, _frozen(level))
 
 
 def transform(t: RootedTree, sizes) -> VirtualTree:
@@ -252,8 +254,10 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     messages are queued block after block, parents in BFS order, and
     charged with one ``send_at`` that gives each message the departure
     clock of one ``send`` per message in queue order, so the batch is
-    checked whole before any of it is charged.  Its links are checked entry
-    by entry against the direct tree's ``blocks`` and ``vparent``.
+    checked whole before any of it is charged.  Its relay order is checked
+    per block length against :func:`_relay_pattern`, which the direct tree
+    applies to every block of that length: child ids are distinct, so the
+    two trees agree exactly when the patterns do.
 
     Those clocks are worked out for all blocks of one length together
     (:func:`_departures`).  Blocks are independent: every message of block
@@ -266,6 +270,7 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     so no clock wraps, and ``send_at`` sees the true clock of a message
     past its limit.
     """
+    layout.check_size(t.n)
     ptr, kids = light_first_csr(t, sizes)
     deg = np.diff(ptr)
     pos = layout.pos_arr
@@ -292,23 +297,27 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     sim.send_at(src, dst, ready)
     sim.note_words_many(pos, REFS_WORDS)
 
-    got = (ptr, *_block_links(ptr, kids, lambda m: patterns[m][1]))
-    direct = _from_csr(ptr, kids, t.root)
-    want = (*direct.blocks, direct.vparent)
-    if not all(np.array_equal(a, b) for a, b in zip(got, want)):
-        raise RuntimeError("reference protocol disagrees with direct transform")
-    return direct
+    for m, (_, order) in patterns.items():
+        if not all(map(np.array_equal, order, _relay_pattern(m)[:2])):
+            raise RuntimeError("reference protocol disagrees with direct transform")
+    return _from_csr(ptr, kids, t.root)
+
+
+def _tree_rounds(vt: VirtualTree):
+    """Every block's relay rounds: near is each child's virtual parent."""
+    n = len(vt.vparent)
+    return vt.relay_rounds(np.arange(n), np.arange(n - 1), np.diff(vt.blocks.ptr))
 
 
 def _charge_local_broadcast(sim: SimState, vt: VirtualTree, pos: np.ndarray) -> None:
     """Charge what :func:`local_broadcast` sends, carrying no values."""
-    child = vt.blocks.dst
-    sim.send_rounds([(pos[vt.vparent[child[k]]], pos[child[k]]) for k in vt.relay_levels])
+    sim.send_rounds([(pos[near], pos[far]) for near, far in _tree_rounds(vt)])
     sim.note_words_many(pos, RELAY_WORDS)
 
 
-def _vertex_count(vt: VirtualTree, values) -> int:
+def _vertex_count(vt: VirtualTree, layout: Layout, values) -> int:
     n = len(vt.vparent)
+    layout.check_size(n)
     if len(values) != n:
         raise ValueError("one value per vertex required")
     return n
@@ -323,9 +332,9 @@ def local_broadcast(sim: SimState, vt: VirtualTree, layout: Layout, values) -> l
     one round, and the relays one round per level of the appended links:
     every vertex receives once, before it relays, so the level rounds charge
     what relaying one message at a time would.  ``values`` holds one value
-    per vertex; any other length raises ValueError before a message.
+    per vertex; that or a layout of another size raises ValueError first.
     """
-    n = _vertex_count(vt, values)
+    n = _vertex_count(vt, layout, values)
     _charge_local_broadcast(sim, vt, layout.pos_arr)
     ptr, _, child = vt.blocks
     delivered = np.full(n, None, dtype=object)
@@ -342,10 +351,10 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     parent.  op must be associative and commutative.  A vertex's partial
     departs once its appended receipts are in, not waiting for the sibling
     deliveries folded into its own result, so all n - 1 messages are
-    charged with one ``send_at``.  ``values`` holds one value per vertex,
+    charged with one ``send_at``.  ``values`` and the layout are checked
     as for :func:`local_broadcast`.
     """
-    n = _vertex_count(vt, values)
+    n = _vertex_count(vt, layout, values)
     pos = layout.pos_arr
     child, vparent = vt.blocks.dst, vt.vparent
     fold = np.frompyfunc(op, 2, 1)
@@ -353,10 +362,9 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
     result = np.empty(n, dtype=object)
     result.fill(identity)
     ready = sim.clock[pos]
-    levels = vt.relay_levels
-    for j in reversed(range(len(levels))):
-        a = child[levels[j]]
-        x = vparent[a]
+    rounds = _tree_rounds(vt)
+    for j in reversed(range(len(rounds))):
+        x, a = rounds[j]
         if j:
             np.maximum.at(ready, x, ready[a] + 1)
         fold.at(up if j else result, x, up[a])  # in slot order, like one at a time

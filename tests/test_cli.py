@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -320,17 +319,8 @@ def test_oversized_n_is_rejected_before_any_tree_is_built(tmp_path, capsys, monk
 
 
 def test_refs_protocol_disagreement_is_exit_3(capsys, monkeypatch):
-    from spatialtree import virtual_tree
-    real = virtual_tree._from_csr
-
-    def tampered(*args):
-        # the direct side differs from the protocol in one block entry
-        vt = real(*args)
-        dst = vt.blocks.dst.copy()
-        dst[-1] = vt.root
-        return replace(vt, blocks=vt.blocks._replace(dst=dst))
-
-    monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
+    from test_virtual_tree import tamper_one_length
+    tamper_one_length(monkeypatch, 8, 0)  # the star's one block length
     code, _, err = run_cli(capsys, "run", "--algorithm", "lca",
                            "--kind", "star", "--n", "9")
     assert code == 3

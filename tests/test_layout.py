@@ -1,4 +1,5 @@
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,13 @@ from spatialtree.layout import (Layout, build_baseline, build_light_first,
                                 format_layout, heaviest_last_is_optimal,
                                 light_first_layout, light_first_positions,
                                 neighbor_distance_stats, verify_light_first)
+from spatialtree.lca import batched_lca, path_decomposition
 from spatialtree.rng import Lcg
+from spatialtree.sim import SimState
+from spatialtree.treefix import treefix_sum, treefix_topdown
 from spatialtree.trees import RootedTree, gen_tree, subtree_sizes
+from spatialtree.virtual_tree import (build_refs_protocol, local_broadcast, local_reduce,
+                                      transform)
 from test_virtual_tree import REFERENCE_CASES
 
 FIGURE_PARENTS = [-1, 0, 1, 1, 0, 4, 4, 6]
@@ -276,3 +282,38 @@ def test_format_layout_dump():
     assert len(lines) == 3
     v, p, r, c = lines[0].split()
     assert (v, p) == ("0", "0")
+
+
+# every simulated step that takes a layout, as a call on (sim, tree, its
+# virtual tree, layout)
+LAYOUT_ENTRY_POINTS = {
+    "batched_lca": lambda sim, t, vt, lay: batched_lca(sim, t, lay, [(1, 2)], seed=0),
+    "treefix_sum": lambda sim, t, vt, lay: treefix_sum(sim, t, lay, [1] * t.n, seed=0),
+    "treefix_topdown": lambda sim, t, vt, lay: treefix_topdown(sim, t, lay, [1] * t.n, seed=0),
+    "path_decomposition": lambda sim, t, vt, lay: path_decomposition(sim, t, lay, t.sizes, 0),
+    "local_broadcast": lambda sim, t, vt, lay: local_broadcast(sim, vt, lay, [1] * t.n),
+    "local_reduce": lambda sim, t, vt, lay: local_reduce(sim, vt, lay, [1] * t.n,
+                                                         operator.add, 0),
+    "build_refs_protocol": lambda sim, t, vt, lay: build_refs_protocol(sim, t, t.sizes, lay),
+}
+
+
+@pytest.mark.parametrize("other", [49, 51])
+@pytest.mark.parametrize("entry", LAYOUT_ENTRY_POINTS)
+def test_a_layout_of_another_size_raises_before_any_message(entry, other):
+    # a smaller layout used to raise IndexError; a larger one used to run
+    # and charge a layout that is not this tree's
+    run = LAYOUT_ENTRY_POINTS[entry]
+    t = gen_tree("random-attachment", 50, seed=1)
+    vt = transform(t, t.sizes)
+    lay = light_first_layout(gen_tree("random-attachment", other, seed=1))
+    sim = SimState(lay.placement(), trace=True)
+    sim.clock[:] = np.arange(other)
+    with pytest.raises(ValueError, match=f"layout places {other} vertices, the tree has 50"):
+        run(sim, t, vt, lay)
+    assert sim.report() == SimState(lay.placement()).report()
+    assert sim.clock.tolist() == list(range(other))
+    assert len(sim.events) == 0
+    # the tree's own layout runs
+    own = light_first_layout(t)
+    run(SimState(own.placement()), t, vt, own)

@@ -361,6 +361,9 @@ NOT_PAIRS = "each query must be a pair of integers"
     ([(2 ** 70, 1)], f"query ({2 ** 70}, 1) out of range"),
     ([(0, 1), (-2 ** 63 - 1, 2)], f"query ({-2 ** 63 - 1}, 2) out of range"),
     ([(2 ** 70, 1.5)], NOT_PAIRS),
+    # bools are ints to array("q"), but not vertex ids
+    ([(True, 0)], NOT_PAIRS),
+    ([(0, False)], NOT_PAIRS),
 ])
 def test_bad_queries_raise_before_any_message(queries, message):
     t, lay, sim = star_and_sim()

@@ -10,7 +10,7 @@ whole compact or undo round with one ``send_rounds``; it must still match
 runs every operation one vertex at a time, files each message under its
 round as it goes, and charges every round with its own ``sim.send_round``.
 The reference finds a block's relay levels by walking virtual parents, not
-with ``VirtualTree.relay_levels``.
+from ``VirtualTree.level``.
 """
 
 import math

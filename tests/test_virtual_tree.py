@@ -1,6 +1,5 @@
 import math
 import operator
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,10 +260,9 @@ def test_relay_levels_count_relay_hops(name, t):
     for x, c in zip(src, dst):
         hops[c] = 0 if x < 0 else hops[x] + 1
         level.append(hops[c])
-    want = [[k for k, h in enumerate(level) if h == j] for j in range(max(level, default=-1) + 1)]
-    assert [slots.tolist() for slots in vt.relay_levels] == want
-    assert vt.relay_levels is vt.relay_levels
-    assert not any(slots.flags.writeable for slots in vt.relay_levels)
+    assert vt.level.dtype == np.int8
+    assert vt.level.tolist() == level
+    assert not vt.level.flags.writeable
 
 
 @pytest.mark.parametrize("name,t", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
@@ -350,23 +348,51 @@ def test_refs_protocol_walk_matches_the_sequential_list_walk(monkeypatch, kind, 
             assert got.report() == want.report()
 
 
+def tamper_one_length(monkeypatch, length, field):
+    """Make _protocol_pattern give, for blocks of ``length`` children only,
+    a relay order whose last step has another place (field 0) or another
+    relaying place (field 1) than the direct pattern's."""
+    real = virtual_tree._protocol_pattern
+
+    def tampered(m):
+        msgs, order = real(m)
+        if m == length:
+            order = [list(a) for a in order]
+            order[field][-1] = -1 if order[field][-1] != -1 else 0
+        return msgs, order
+
+    monkeypatch.setattr(virtual_tree, "_protocol_pattern", tampered)
+
+
 def test_refs_protocol_check_catches_a_wrong_direct_side(monkeypatch):
     t = gen_tree("star", 9)
     sizes = subtree_sizes(t)
     lay = light_first_layout(t, sizes=sizes)
-    real = virtual_tree._from_csr
-
-    def tampered(*args):
-        # the direct side differs from the protocol in one block entry
-        vt = real(*args)
-        dst = vt.blocks.dst.copy()
-        dst[-1] = vt.root  # the root is never a child
-        return replace(vt, blocks=vt.blocks._replace(dst=dst))
-
-    monkeypatch.setattr(virtual_tree, "_from_csr", tampered)
+    tamper_one_length(monkeypatch, 8, 1)
     with pytest.raises(RuntimeError,
                        match="reference protocol disagrees with direct transform"):
         build_refs_protocol(SimState(lay.placement()), t, sizes, lay)
+
+
+def test_refs_protocol_check_covers_the_largest_block_length(monkeypatch):
+    # a tree with many block lengths, tampered in its largest one only
+    t = gen_tree("random-attachment", 2000, seed=4)
+    sizes = subtree_sizes(t)
+    lay = light_first_layout(t, sizes=sizes)
+    lengths = set(np.diff(light_first_csr(t, sizes)[0]).tolist()) - {0}
+    assert len(lengths) > 5
+    build_refs_protocol(SimState(lay.placement()), t, sizes, lay)
+    tamper_one_length(monkeypatch, max(lengths), 0)
+    with pytest.raises(RuntimeError,
+                       match="reference protocol disagrees with direct transform"):
+        build_refs_protocol(SimState(lay.placement()), t, sizes, lay)
+
+
+def test_protocol_relay_order_is_the_relay_pattern():
+    for m in range(1, 301):
+        places, relays = _protocol_pattern(m)[1]
+        want = virtual_tree._relay_pattern(m)
+        assert (places, relays) == (want[0].tolist(), want[1].tolist()), m
 
 
 def test_binary_tree_is_a_fixed_point():
