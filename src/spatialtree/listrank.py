@@ -18,6 +18,7 @@ Ranks and subtree sizes are returned as int64 arrays.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -52,14 +53,14 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     """Rank of every element as an int64 array: rank(head) = 0,
     rank(succ(x)) = rank(x) + 1.
 
-    ``succ`` is a sequence or array of ints, -1 marking the tail; anything
-    else raises ValueError before a message is charged.  Elements occupy
-    curve positions equal to their ids.  Each contraction iteration
-    charges one announce round (a message per live link) and one splice
-    round (a message per removed element), and logs its splices as
-    (removed, jumper, offset) arrays: each removed element, the
-    predecessor that jumped over it and its rank less the jumper's.  The
-    remnant of at most max(4, ceil(log2 m)) elements is walked
+    ``succ`` is a 1-D sequence or array of ints, -1 marking the tail, and
+    ``head`` an int; anything else raises ValueError before a message is
+    charged.  Elements occupy curve positions equal to their ids.  Each
+    contraction iteration charges one announce round (a message per live
+    link) and one splice round (a message per removed element), and logs
+    its splices as (removed, jumper, offset) arrays: each removed element,
+    the predecessor that jumped over it and its rank less the jumper's.
+    The remnant of at most max(4, ceil(log2 m)) elements is walked
     sequentially, then the log is replayed in descending order, one round
     per iteration, each jumper sending its rank to the elements it removed.
 
@@ -67,8 +68,12 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     is appended per contraction iteration.
     """
     nxt = np.array(succ)
+    if nxt.ndim != 1:
+        raise ValueError("successors must be a 1-D sequence")
     if nxt.dtype.kind not in "iu" and nxt.size:
         raise ValueError("successors must be integers")
+    if isinstance(head, bool) or not isinstance(head, numbers.Integral):
+        raise ValueError(f"head must be an integer, not {head!r}")
     _validate_chain(nxt, head)
     nxt = nxt.astype(np.int64, copy=False)  # in range, so exact
     m = len(nxt)

@@ -8,13 +8,20 @@ is modeled: the simulator prices exactly distance and dependency chains.
 
 Messages are charged one at a time (``send``), one synchronous round at a
 time (``send_round``, or several rounds in order with ``send_rounds``), or
-as a batch departing at given clocks (``send_at``).  In a round every
-message departs at its source's clock from the start of the round, so a
-position that both sends and receives in the same round sends its old
-clock; each receiver's clock rises to the largest depth it receives.  The
-positions of rounds and batches are checked whole before any of them is
-charged, and when tracing is on they record one event per message in
-array order.
+as a batch departing at given clocks (``send_at``).  The scalar paths send:
+``broadcast_range``, the one-block ``block_broadcast`` and
+``block_reduce``, and the walk over list ranking's remnant.  Every
+level-synchronous kernel charges rounds: list ranking, the sweeps,
+``permute``, ``compact``, ``broadcast_ranges``, the local broadcast and
+reduce and treefix.  Only the reference-passing protocol, whose messages
+wait on earlier messages of the same protocol, uses ``send_at``.
+
+In a round every message departs at its source's clock from the start of
+the round, so a position that both sends and receives in the same round
+sends its old clock; each receiver's clock rises to the largest depth it
+receives.  The positions of rounds and batches are checked whole before
+any of them is charged, and when tracing is on they record one event per
+message in array order.
 
 The clocks are one int64 array.  A round or a ``send_at`` batch is one
 gather of its departure clocks, turned in place into arrival depths, and
@@ -75,6 +82,7 @@ levels block by block like any round.
 from __future__ import annotations
 
 import functools
+import io
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -184,7 +192,8 @@ class SimState:
 
     ``trace`` is False (no trace), True (every event kept in memory, read
     through :attr:`events`) or a binary file that the trace streams to;
-    a streamed trace needs :meth:`flush_trace` once the run is done.
+    a streamed trace needs :meth:`flush_trace` once the run is done.  A
+    file opened in text mode raises ValueError.
     """
 
     __slots__ = (
@@ -211,6 +220,8 @@ class SimState:
         n = placement.n
         if trace and n >= 2 ** 31:
             raise ValueError(f"a traced run needs fewer than 2**31 positions, not n={n}")
+        if isinstance(trace, io.TextIOBase):
+            raise ValueError("a streamed trace needs a file opened in binary mode")
         self.placement = placement
         self.clock = np.zeros(n, dtype=np.int64)
         self.energy = 0
@@ -241,7 +252,14 @@ class SimState:
 
     def send(self, src: int, dst: int) -> None:
         """Record one message departing at the source's current clock.  Cost
-        is the Manhattan distance between positions."""
+        is the Manhattan distance between positions, which must be integers
+        on the placement: anything else raises ValueError."""
+        try:
+            if isinstance(src, bool) or isinstance(dst, bool):
+                raise TypeError("a bool is not a position")
+            src, dst = operator.index(src), operator.index(dst)
+        except TypeError:
+            raise ValueError(f"positions must be integers, not {src!r} -> {dst!r}") from None
         n = self.placement.n
         if src < 0 or src >= n or dst < 0 or dst >= n:
             raise ValueError(f"position out of range: {src} -> {dst} with n={n}")
@@ -518,15 +536,29 @@ def broadcast_ranges(sim: SimState, los, his) -> None:
     """:func:`broadcast_range` over each of the disjoint ranges
     [los[i], his[i]], charged as one round per level of their range trees.
 
-    A position receives at most once, before any send of its own, so level
+    ``los`` and ``his`` are 1-D integer arrays of equal length, and each
+    range lies on the placement and ends before the next one starts;
+    anything else raises ValueError before a message is charged.  A
+    position receives at most once, before any send of its own, so level
     rounds charge the same events and depths as the scalar order.
     """
-    los = np.asarray(los, dtype=np.int64)
-    his = np.asarray(his, dtype=np.int64)
+    los, his = np.asarray(los), np.asarray(his)
+    if los.ndim != 1 or los.shape != his.shape:
+        raise ValueError("broadcast_ranges needs two 1-D bound arrays of equal length")
+    if not len(los):
+        return
+    if los.dtype.kind not in "iu" or his.dtype.kind not in "iu":
+        raise ValueError("range bounds must be integers")
     bad = (los > his) | (los < 0) | (his >= sim.placement.n)
     if bad.any():
         i = int(bad.argmax())
         _check_range(sim, int(los[i]), int(his[i]))
+    # sorted and disjoint: each end lies before the next start
+    bad = his[:-1] >= los[1:]
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"range [{los[i + 1]}, {his[i + 1]}] does not start past "
+                         f"[{los[i]}, {his[i]}]")
     sim.send_rounds([(lo, mid + 1) for lo, mid in _range_levels(los, his)])
 
 
@@ -634,13 +666,16 @@ def permute(sim: SimState, targets: Sequence[int]) -> None:
 def compact(sim: SimState, flags) -> tuple[np.ndarray, int]:
     """Move flagged records to prefix positions, preserving order.
 
-    ``flags`` is a sequence or array of bools, one per position.  Returns
+    ``flags`` is a 1-D sequence or array of bools, one per position, or
+    ValueError is raised before anything is charged.  Returns
     (dest, count): dest is an int64 array whose entry i is the new position
     of the record at i, or -1 if unflagged, and count is the number of
     flagged records.  Costs what :func:`prefix_sum` over the flags charges,
     one sweep of [0, m), then the routing round.
     """
     flagged = np.asarray(flags, dtype=bool)
+    if flagged.ndim != 1:
+        raise ValueError("compact needs a 1-D sequence of flags")
     m = len(flagged)
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0

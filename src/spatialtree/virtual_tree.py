@@ -348,27 +348,26 @@ def local_reduce(sim: SimState, vt: VirtualTree, layout: Layout, values,
 
     Appended subtrees fold bottom-up into their owning sibling, one level at
     a time; each current child then delivers its combined block to the
-    parent.  op must be associative and commutative.  A vertex's partial
+    parent.  op must be associative and commutative.  The messages mirror
+    :func:`local_broadcast`'s, as a treefix rake does: the same links, far
+    to near, one round per relay level, deepest first.  A vertex hears from
+    its appended children in the rounds below its own and from its current
+    children only in the level-0 round, which is last, so its partial
     departs once its appended receipts are in, not waiting for the sibling
-    deliveries folded into its own result, so all n - 1 messages are
-    charged with one ``send_at``.  ``values`` and the layout are checked
-    as for :func:`local_broadcast`.
+    deliveries folded into its own result.  ``values`` and the layout are
+    checked as for :func:`local_broadcast`.
     """
     n = _vertex_count(vt, layout, values)
     pos = layout.pos_arr
-    child, vparent = vt.blocks.dst, vt.vparent
     fold = np.frompyfunc(op, 2, 1)
     up = np.fromiter(values, dtype=object, count=n)
     result = np.empty(n, dtype=object)
     result.fill(identity)
-    ready = sim.clock[pos]
     rounds = _tree_rounds(vt)
     for j in reversed(range(len(rounds))):
         x, a = rounds[j]
-        if j:
-            np.maximum.at(ready, x, ready[a] + 1)
         fold.at(up if j else result, x, up[a])  # in slot order, like one at a time
-    sim.send_at(pos[child], pos[vparent[child]], ready[child])
+    sim.send_rounds([(pos[far], pos[near]) for near, far in reversed(rounds)])
     sim.note_words_many(pos, RELAY_WORDS)
     return result.tolist()
 

@@ -152,6 +152,25 @@ def test_list_rank_rejects_non_integer_successors_before_charging():
         assert (sim.messages, sim.energy, sim.depth, len(sim.events)) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("succ,head,match", [
+    ([[1, -1], [-1, 0]], 0, "^successors must be a 1-D sequence$"),
+    (np.array(-1), 0, "^successors must be a 1-D sequence$"),
+    ([1, -1], True, "^head must be an integer, not True$"),
+    ([1, -1], 0.0, "^head must be an integer, not 0.0$"),
+    ([1, -1], "0", "^head must be an integer, not '0'$"),
+])
+def test_list_rank_rejects_a_bad_shape_or_head_before_charging(succ, head, match):
+    sim = SimState(Placement.for_size(CurveKind.HILBERT, 4), trace=True)
+    with pytest.raises(ValueError, match=match):
+        list_rank(sim, succ, head, seed=1)
+    assert (sim.messages, sim.energy, sim.depth, len(sim.events)) == (0, 0, 0, 0)
+
+
+def test_list_rank_takes_a_numpy_integer_head():
+    ranks = list_rank(sim_for(3), np.array([-1, 0, 1]), np.int32(2), seed=1)
+    assert ranks.tolist() == [2, 1, 0]
+
+
 @pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 - 1])
 def test_list_rank_names_a_uint64_successor_as_given(value):
     # in int64, 2**64 - 1 wraps to -1 and read as a tail

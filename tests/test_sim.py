@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import re
@@ -97,6 +98,16 @@ def test_send_rejects_out_of_range():
         s.send(0, 4)
     with pytest.raises(ValueError):
         s.send(-1, 0)
+
+
+@pytest.mark.parametrize("src,dst", [(1.0, 2), (1, 2.5), (True, 2), (1, np.True_), (None, 0)])
+def test_send_rejects_a_position_that_is_not_an_integer(src, dst):
+    s = fresh(4, trace=True)
+    with pytest.raises(ValueError, match="^positions must be integers, not "):
+        s.send(src, dst)
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
+    s.send(np.int32(1), np.int64(2))  # numpy integers are positions
+    assert state_of(s)[1:3] == (1, 1)
 
 
 def test_send_at_departs_at_the_given_clock():
@@ -432,6 +443,24 @@ def test_broadcast_ranges_match_scalar_broadcasts():
         broadcast_ranges(got, np.array([3]), np.array([64]))
 
 
+@pytest.mark.parametrize("los,his,match", [
+    # a float bound is not truncated to a position
+    ([3.9], [7.2], "^range bounds must be integers$"),
+    ([0, 8], [2], "^broadcast_ranges needs two 1-D bound arrays of equal length$"),
+    ([[0, 8]], [[2, 9]], "^broadcast_ranges needs two 1-D bound arrays of equal length$"),
+    # [0, 5] and [2, 7] overlap: position 7 would be left at clock 2
+    ([0, 2], [5, 7], "^range \\[2, 7\\] does not start past \\[0, 5\\]$"),
+    # disjoint, but not sorted by start
+    ([8, 0], [9, 2], "^range \\[0, 2\\] does not start past \\[8, 9\\]$"),
+])
+def test_broadcast_ranges_rejects_bad_ranges_before_charging(los, his, match):
+    s = fresh(16, trace=True)
+    s.clock[:] = np.arange(16)
+    with pytest.raises(ValueError, match=match):
+        broadcast_ranges(s, los, his)
+    assert state_of(s) == (0, 0, 0, list(range(16)), [])
+
+
 def test_depth_matches_longest_path_in_hand_built_dag():
     # 5 events: 0->1, 1->2, 0->3, 3->2, 2->0; longest dependent chain is 3
     s = fresh(4)
@@ -733,6 +762,13 @@ def test_compact_charges_like_prefix_sum_then_the_routing_round(data):
         assert dest.dtype == np.int64
         assert dest.tolist() == [c - 1 if f else -1 for c, f in zip(counts, flags)]
         assert count == counts[-1]
+
+
+def test_compact_rejects_2d_flags_before_charging():
+    s = fresh(4, trace=True)
+    with pytest.raises(ValueError, match="^compact needs a 1-D sequence of flags$"):
+        compact(s, [[True, False], [False, True]])
+    assert state_of(s) == (0, 0, 0, [0] * 4, [])
 
 
 def test_compact_empty_and_oversized_flags_charge_nothing():
@@ -1092,6 +1128,16 @@ def test_a_streamed_trace_writes_what_an_in_memory_dump_writes(tmp_path):
     assert streamed.report() == kept.report()
     with pytest.raises(ValueError, match="does not stream"):
         kept.flush_trace()
+
+
+def test_a_text_mode_trace_file_is_rejected_at_construction(tmp_path):
+    # a text sink would take the charges, then fail at its first write
+    with open(tmp_path / "trace.jsonl", "w") as fh:
+        for sink in (io.StringIO(), fh):
+            with pytest.raises(ValueError, match="^a streamed trace needs a file opened in "
+                                                 "binary mode$"):
+                fresh(16, trace=sink)
+    assert (tmp_path / "trace.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("trace", [True, "file"])

@@ -585,6 +585,23 @@ def test_local_reduce_matches_per_message_reference(kind):
         assert got.report() == want.report()
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_local_reduce_sends_the_broadcast_links_deepest_level_first(kind):
+    # from zero clocks a broadcast message's depth is its relay level + 1,
+    # so the reduce lists the broadcast's events by level, deepest first,
+    # each level in the broadcast's order, with its ends swapped
+    n = 255 if kind == "perfect-binary" else 300
+    t = gen_tree(kind, n, seed=5)
+    vt = vt_for(t)
+    for lay in (light_first_layout(t), build_baseline(t, "bfs", CurveKind.ZORDER)):
+        down = SimState(lay.placement(), trace=True)
+        up = SimState(lay.placement(), trace=True)
+        local_broadcast(down, vt, lay, [0] * n)
+        local_reduce(up, vt, lay, [0] * n, operator.add, 0)
+        mirror = sorted(down.events, key=lambda e: -e.depth)
+        assert [(e.src, e.dst) for e in up.events] == [(e.dst, e.src) for e in mirror]
+
+
 def test_broadcast_energy_recurrence_bound_general_trees():
     # E(n) <= 8 * alpha * degree * n with alpha = 3 on Hilbert and the
     # virtual tree sending at most 4 messages per vertex
