@@ -175,10 +175,14 @@ def _execute(args, t: RootedTree, curve: CurveKind, dump: bool, trace):
         else:
             got = local_reduce(sim, vt, lay, values, lambda a, b: a + b, 0)
             if args.check:
+                # summed along the parent ids, cheaper than building child lists
+                want = [0] * n
+                for v, p in enumerate(t.parent.tolist()):
+                    if p >= 0:
+                        want[p] += values[v]
                 for v in range(n):
-                    want = sum(values[c] for c in t.children[v])
-                    if got[v] != want:
-                        raise CheckFailure(f"vertex {v} reduced {got[v]}, wanted {want}")
+                    if got[v] != want[v]:
+                        raise CheckFailure(f"vertex {v} reduced {got[v]}, wanted {want[v]}")
         return sim, lines, mean_dist
 
     if args.algorithm in ("treefix", "treefix-topdown"):

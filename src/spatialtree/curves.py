@@ -120,11 +120,17 @@ def cell_distances(words, src, dst):
 
 def curve_indices(kind: CurveKind, k: int, rows, cols):
     """Vectorized inverse: curve indices of (rows, cols) arrays.  Raises
-    ValueError, naming the first, for a cell outside the 2^k x 2^k grid."""
+    ValueError, naming the first, for coordinates that are not integers or
+    a cell outside the 2^k x 2^k grid."""
     _check_order(k)
     kind = CurveKind(kind)
-    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
-                                     np.asarray(cols, dtype=np.int64))
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for a in (rows, cols):
+        # a cast would truncate 1.7 to 1
+        if a.size and a.dtype.kind not in "iu":
+            first = a.reshape(-1)[:1].tolist()[0]
+            raise ValueError(f"cell coordinates must be integers, not {first!r}")
+    rows, cols = np.broadcast_arrays(rows.astype(np.int64), cols.astype(np.int64))
     side = 1 << k
     if rows.size and (min(rows.min(), cols.min()) < 0
                       or max(rows.max(), cols.max()) >= side):
@@ -182,6 +188,7 @@ def zorder_longest_diagonal(k: int, i: int, j: int) -> int:
     boundary.  Steps inside a 2x2 block contribute 1, and the empty range
     (i == j) costs 0.
     """
+    _check_order(k)
     if i > j:
         raise ValueError(f"invalid range [{i}, {j}]")
     _check_index(k, i)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,19 +28,22 @@ class Layout:
     """Bijection between vertices and the first n positions of a curve.
 
     ``pos_arr`` is a read-only intp array of each vertex's position, which
-    the simulated steps index with; ``pos`` is it as a list, worked out on
-    first read.  Layouts are equal when kind, k and positions are.
+    the simulated steps index with; ``pos`` is it as a new list on each
+    read.  Layouts are equal when kind, k and positions are.
     """
 
     kind: CurveKind
     k: int
     pos_arr: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        self.placement()  # raises ValueError unless order k holds n cells
+
     def __eq__(self, other):
         return (isinstance(other, Layout) and (self.kind, self.k) == (other.kind, other.k)
                 and np.array_equal(self.pos_arr, other.pos_arr))
 
-    @cached_property
+    @property
     def pos(self) -> list[int]:
         return self.pos_arr.tolist()
 
@@ -134,11 +136,11 @@ def build_light_first(t: RootedTree, kind: CurveKind, seed: int = 0,
     """
     n = t.n
     kind = CurveKind(kind)
+    rng = Lcg(seed)
     if n == 1:
         sim = SimState(Placement.for_size(kind, 1), trace=trace,
                        audit_memory=audit_memory)
         return Layout.from_positions(kind, [0]), CostReport(0, 0, 0, 0), sim
-    rng = Lcg(seed)
     placement = Placement.for_size(kind, 2 * n - 1)
     sim = SimState(placement, trace=trace, audit_memory=audit_memory)
     sizes = subtree_sizes_via_tour(sim, t, rng.next_u64())
@@ -190,7 +192,9 @@ class NeighborStats(NamedTuple):
 
 
 def neighbor_distance_stats(t: RootedTree, layout: Layout) -> NeighborStats:
-    """Mean and max curve distance between parent and child over all edges."""
+    """Mean and max curve distance between parent and child over all edges.
+    A layout of another size than the tree raises ValueError."""
+    layout.check_size(t.n)
     if t.n == 1:
         return NeighborStats(0.0, 0)
     words = curve_coords(layout.kind, layout.k).T.view(np.int64).reshape(-1)

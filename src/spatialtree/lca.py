@@ -30,7 +30,7 @@ from .layout import Layout
 from .rng import Lcg
 from .sim import SimState, all_reduce_barrier, broadcast_ranges
 from .treefix import treefix_sum, treefix_topdown
-from .trees import RootedTree, light_first_csr
+from .trees import RootedTree, light_first_csr, size_array
 from .virtual_tree import VirtualTree, _charge_local_broadcast, build_refs_protocol
 
 # most queries one vertex may appear in; a pair (v, v) counts twice
@@ -78,11 +78,13 @@ def path_decomposition(sim: SimState, t: RootedTree, layout: Layout, sizes,
 def subtree_cover(decomp: PathDecomposition, sizes, layout: Layout) -> np.recarray:
     """One record per path root, with fields ``root``, ``lo``, ``hi`` (its
     contiguous position range) and ``layer``, sorted by layer and then by
-    ``lo``.  The root's path is the only record on layer 0."""
+    ``lo``.  The root's path is the only record on layer 0.  Sizes of
+    another length than the decomposition's raise ValueError."""
     path_root = decomp.path_root
+    size = size_array(len(path_root), sizes)
     root = np.flatnonzero(path_root == np.arange(len(path_root)))
     lo = layout.pos_arr[root]
-    hi = lo + np.asarray(sizes)[root] - 1
+    hi = lo + size[root] - 1
     layer = decomp.layer[root]
     order = np.lexsort((lo, layer))
     return np.rec.fromarrays((root[order], lo[order], hi[order], layer[order]),

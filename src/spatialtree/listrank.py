@@ -48,14 +48,13 @@ def _validate_chain(succ: np.ndarray, head: int) -> None:
         raise ChainError("successor links must form one chain covering all elements")
 
 
-def list_rank(sim: SimState, succ, head: int, seed: int,
-              iteration_stats: list | None = None) -> np.ndarray:
+def list_rank(sim: SimState, succ, head: int, seed: int) -> np.ndarray:
     """Rank of every element as an int64 array: rank(head) = 0,
     rank(succ(x)) = rank(x) + 1.
 
     ``succ`` is a 1-D sequence or array of ints, -1 marking the tail, and
-    ``head`` an int; anything else raises ValueError before a message is
-    charged.  Elements occupy curve positions equal to their ids.  Each
+    ``head`` and ``seed`` ints; anything else raises ValueError before a
+    message is charged.  Elements occupy curve positions equal to their ids.  Each
     contraction iteration charges one announce round (a message per live
     link) and one splice round (a message per removed element), and logs
     its splices as (removed, jumper, offset) arrays: each removed element,
@@ -63,9 +62,6 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     The remnant of at most max(4, ceil(log2 m)) elements is walked
     sequentially, then the log is replayed in descending order, one round
     per iteration, each jumper sending its rank to the elements it removed.
-
-    When ``iteration_stats`` is a list, one (live, messages, energy) triple
-    is appended per contraction iteration.
     """
     nxt = np.array(succ)
     if nxt.ndim != 1:
@@ -77,9 +73,9 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     _validate_chain(nxt, head)
     nxt = nxt.astype(np.int64, copy=False)  # in range, so exact
     m = len(nxt)
+    rng = Lcg(seed)
     if m == 1:
         return np.zeros(1, dtype=np.int64)
-    rng = Lcg(seed)
     pred = np.full(m, -1, dtype=np.int64)
     sender = np.flatnonzero(nxt >= 0)
     pred[nxt[sender]] = sender
@@ -89,7 +85,6 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
     threshold = max(4, math.ceil(math.log2(m)))
     log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     while len(live) > threshold:
-        msg0, en0 = sim.messages, sim.energy
         bits = rng.next_bits(len(live))
         coin[live] = bits
         linked = nxt[live] >= 0
@@ -112,9 +107,6 @@ def list_rank(sim: SimState, succ, head: int, seed: int,
         weight[p] += weight[removed]
         nxt[p] = z
         pred[z] = p
-        if iteration_stats is not None:
-            iteration_stats.append((len(live), sim.messages - msg0,
-                                    sim.energy - en0))
         sim.note_words_many(live, 7)  # succ, pred, weight, rank, tag, src, coin
         live = np.delete(live, picked)
         sim.rounds += 1

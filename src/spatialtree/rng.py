@@ -15,6 +15,8 @@ starting from the state the last one ended at.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MULT = 6364136223846793005
@@ -47,7 +49,12 @@ class Lcg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        """Start from ``seed`` mod 2^64; a seed that is not an integer
+        raises ValueError."""
+        try:
+            self.state = operator.index(seed) & _MASK
+        except TypeError:
+            raise ValueError(f"seed must be an integer, not {seed!r}") from None
 
     def next_u64(self) -> int:
         self.state = (self.state * _MULT + _INC) & _MASK

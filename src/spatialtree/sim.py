@@ -65,8 +65,8 @@ come from divide-by-ten passes.
 The module also provides the grid-wide communication primitives: range
 broadcast over a virtual complete binary tree, the all-reduce
 barrier, an up/down-sweep prefix sum, direct permutation routing, and
-compaction of flagged records.  ``prefix_sum`` folds any op over a
-sequence; ``compact`` charges the same sweep as a prefix sum of its flags,
+compaction of flagged records.  ``prefix_sum`` sums a sequence with
+``+``; ``compact`` charges the same sweep as a prefix sum of its flags,
 but ranks the flagged records in numpy and returns an int64 destination
 array.  The barrier, the prefix sum, ``compact`` and ``broadcast_ranges``
 charge their range trees one level per round, deepest level first on the
@@ -83,11 +83,12 @@ from __future__ import annotations
 
 import functools
 import io
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,11 +167,26 @@ class CostReport:
 
 @dataclass(frozen=True)
 class Placement:
-    """First n positions of an order-k curve are occupied; the rest is padding."""
+    """First n positions of an order-k curve are occupied; the rest is padding.
+
+    Anything but a curve kind, an integer order 0 <= k <= 31 and an integer
+    1 <= n <= 4^k raises ValueError.
+    """
 
     kind: CurveKind
     k: int
     n: int
+
+    def __post_init__(self):
+        CurveKind(self.kind)  # raises ValueError for any other kind
+        for name, x in (("order", self.k), ("size", self.n)):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"placement {name} must be an integer, not {x!r}")
+        if not 0 <= self.k <= 31:
+            raise ValueError(f"curve order k={self.k} outside 0..31")
+        if not 1 <= self.n <= cell_count(self.k):
+            raise ValueError(f"an order-{self.k} curve places 1 to {cell_count(self.k)} "
+                             f"positions, not {self.n}")
 
     @staticmethod
     def for_size(kind: CurveKind, n: int) -> "Placement":
@@ -618,9 +634,8 @@ def all_reduce_barrier(sim: SimState) -> None:
         _sweep(sim, n)
 
 
-def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
-               identity=0) -> list:
-    """Inclusive scan: position i ends up holding fold(values[0..i]).
+def prefix_sum(sim: SimState, values: Sequence) -> list:
+    """Inclusive scan: position i ends up holding the sum of values[0..i].
 
     Up-sweep computes subrange totals bottom-up; down-sweep pushes carries
     top-down over the same binary range tree.
@@ -631,7 +646,7 @@ def prefix_sum(sim: SimState, values: Sequence, op: Callable = operator.add,
     if m > sim.placement.n:
         raise ValueError("more values than occupied positions")
     _sweep(sim, m)
-    return list(accumulate(values, op, initial=identity))[1:]
+    return list(accumulate(values, initial=0))[1:]
 
 
 def permute(sim: SimState, targets: Sequence[int]) -> None:

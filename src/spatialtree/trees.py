@@ -28,10 +28,9 @@ class RootedTree:
     -1 at ``root``.  ``ptr`` and ``kids`` are the child CSR in id order:
     v's children are ``kids[ptr[v]:ptr[v+1]]``, ascending.  ``bfs`` is the
     breadth-first order of the walk that checks the input.  ``sizes``
-    (subtree sizes) and ``children`` (the CSR as Python lists) are worked
-    out on first use; the arrays never change, so neither goes stale.
-    ``values`` optionally holds one integer per vertex; its length is
-    checked whenever it is set.
+    (subtree sizes) is worked out on first use and kept; ``children`` (the
+    CSR as Python lists) is built on each read.  ``values`` optionally
+    holds one integer per vertex; its length is checked whenever it is set.
 
     Any input that is not a tree raises ValueError.
     """
@@ -98,9 +97,9 @@ class RootedTree:
                 s[p] += s[v]
         return _frozen(np.array(s, dtype=np.int32))
 
-    @cached_property
+    @property
     def children(self) -> list[list[int]]:
-        """Each vertex's children in CSR order, as Python lists."""
+        """Each vertex's children in CSR order, as new Python lists."""
         ptr, kids = self.ptr.tolist(), self.kids.tolist()
         return [kids[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
@@ -211,16 +210,24 @@ def lca_naive(t: RootedTree, u: int, v: int) -> int:
     return x
 
 
+def size_array(n: int, sizes) -> np.ndarray:
+    """``sizes`` as an int64 array; ValueError unless it holds n sizes."""
+    size = np.asarray(sizes, dtype=np.int64)
+    if size.shape != (n,):
+        raise ValueError(f"{size.size} subtree sizes given for {n} vertices")
+    return size
+
+
 def light_first_csr(t: RootedTree, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Every vertex's children in light-first order, as int32 CSR arrays.
 
     Block v is ``kids[ptr[v]:ptr[v+1]]``: v's children by ascending subtree
     size, ties in id order, so the last entry is the heavy (rightmost)
     child.  ``ptr`` is the tree's own.  This is the one place light-first
-    order is decided.
+    order is decided.  Sizes of any other length raise ValueError.
     """
     # lexsort is stable: equal sizes keep the id order of t.kids
-    order = np.lexsort((np.asarray(sizes, dtype=np.int64)[t.kids], t.parent[t.kids]))
+    order = np.lexsort((size_array(t.n, sizes)[t.kids], t.parent[t.kids]))
     return t.ptr, t.kids[order]
 
 

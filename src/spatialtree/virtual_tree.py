@@ -67,15 +67,14 @@ class BlockOrder(NamedTuple):
 class VirtualTree:
     """The virtual tree as one block CSR: ``blocks`` holds every child
     block's relay order, ``vparent`` each vertex's virtual parent (read-only
-    C ints, -1 at the root), ``root`` the root and ``level`` each slot's
-    relay level (read-only int8).  The current children C(v), at most two,
+    C ints, -1 at the root) and ``level`` each slot's relay level (read-only
+    int8).  The current children C(v), at most two,
     open block v with src -1 at level 0; the appended children A(x), at most
     two, are the entries whose src is x, in relay order, one level below x.
     """
 
     blocks: BlockOrder
     vparent: np.ndarray
-    root: int
     level: np.ndarray
 
     def relay_rounds(self, us, slots, lens) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -136,7 +135,7 @@ def _blocks_by_length(deg: np.ndarray) -> list[tuple[int, np.ndarray]]:
             if (m := int(deg[order[a]])) > 0]
 
 
-def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
+def _from_csr(ptr: np.ndarray, kids: np.ndarray) -> VirtualTree:
     """The virtual tree of a light-first child CSR: each block of m
     children follows the relay pattern of length m, laid over every block
     of that length with numpy gathers."""
@@ -157,7 +156,7 @@ def _from_csr(ptr: np.ndarray, kids: np.ndarray, root: int) -> VirtualTree:
     vparent = np.full(n, -1, dtype=np.int64)
     vparent[dst] = np.where(src < 0, np.repeat(np.arange(n), deg), src)
     ptr, src, dst, vparent = (_frozen(a.astype(np.intc)) for a in (ptr, src, dst, vparent))
-    return VirtualTree(BlockOrder(ptr, src, dst), vparent, root, _frozen(level))
+    return VirtualTree(BlockOrder(ptr, src, dst), vparent, _frozen(level))
 
 
 def transform(t: RootedTree, sizes) -> VirtualTree:
@@ -166,7 +165,7 @@ def transform(t: RootedTree, sizes) -> VirtualTree:
     Blocks are taken in light-first order so the result stays in light-first
     order; positions are untouched.
     """
-    return _from_csr(*light_first_csr(t, sizes), t.root)
+    return _from_csr(*light_first_csr(t, sizes))
 
 
 def _protocol_pattern(m: int):
@@ -300,7 +299,7 @@ def build_refs_protocol(sim: SimState, t: RootedTree, sizes,
     for m, (_, order) in patterns.items():
         if not all(map(np.array_equal, order, _relay_pattern(m)[:2])):
             raise RuntimeError("reference protocol disagrees with direct transform")
-    return _from_csr(ptr, kids, t.root)
+    return _from_csr(ptr, kids)
 
 
 def _tree_rounds(vt: VirtualTree):

@@ -226,6 +226,19 @@ def test_tree_file_values_are_used(tmp_path, capsys):
     assert stdout.splitlines()[:3] == ["0 18", "1 13", "2 7"]
 
 
+def test_reduce_check_compares_every_vertex_with_its_child_sum(tmp_path, capsys,
+                                                              monkeypatch):
+    import spatialtree.cli as cli_mod
+    tree = tmp_path / "t.txt"
+    tree.write_text("4\n-1 0 0 1\n5 6 7 8\n")
+    argv = ("run", "--algorithm", "reduce", "--tree", str(tree), "--check")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli_mod, "local_reduce", lambda *_args: [13, 8, 0, 1])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "vertex 3 reduced 1, wanted 0" in err
+
+
 def test_audit_memory_flag(capsys):
     code, _, err = run_cli(capsys, "run", "--algorithm", "treefix",
                            "--kind", "star", "--n", "64", "--audit-memory")

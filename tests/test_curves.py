@@ -338,3 +338,27 @@ def test_roundtrip_random_order7(i, j, kind):
     rows, cols = curve_coords(kind, 7)
     assert curve_indices(kind, 7, [rows[i]], [cols[i]]).tolist() == [i]
     assert table_distance(kind, 7, i, j) == table_distance(kind, 7, j, i)
+
+
+@pytest.mark.parametrize("rows,cols,first", [
+    ([1.7], [0.2], "1.7"),  # was truncated to cell (1, 0), index 3
+    ([0, 1], [0.0, 1.0], "0.0"),
+    (np.array([1.5]), 0, "1.5"),
+    ([True], [0], "True"),
+    ([0], ["1"], "'1'"),
+])
+def test_curve_indices_rejects_coordinates_that_are_not_integers(rows, cols, first):
+    with pytest.raises(ValueError, match=f"must be integers, not {first}"):
+        curve_indices(CurveKind.HILBERT, 2, rows, cols)
+
+
+def test_curve_indices_takes_empty_input():
+    for kind in CurveKind:
+        assert curve_indices(kind, 2, [], []).tolist() == []
+
+
+@pytest.mark.parametrize("k", [-1, 32])
+def test_zorder_longest_diagonal_checks_the_order_first(k):
+    # k = -1 used to fail with "negative shift count"
+    with pytest.raises(ValueError, match=f"curve order k={k} outside 0..31"):
+        zorder_longest_diagonal(k, 0, 0)

@@ -10,11 +10,12 @@ from spatialtree.layout import (Layout, build_baseline, build_light_first,
                                 format_layout, heaviest_last_is_optimal,
                                 light_first_layout, light_first_positions,
                                 neighbor_distance_stats, verify_light_first)
-from spatialtree.lca import batched_lca, path_decomposition
+from spatialtree.lca import batched_lca, path_decomposition, subtree_cover
 from spatialtree.rng import Lcg
 from spatialtree.sim import SimState
 from spatialtree.treefix import treefix_sum, treefix_topdown
-from spatialtree.trees import RootedTree, gen_tree, subtree_sizes
+from spatialtree.listrank import list_rank
+from spatialtree.trees import RootedTree, gen_tree, light_first_csr, subtree_sizes
 from spatialtree.virtual_tree import (build_refs_protocol, local_broadcast, local_reduce,
                                       transform)
 from test_virtual_tree import REFERENCE_CASES
@@ -317,3 +318,83 @@ def test_a_layout_of_another_size_raises_before_any_message(entry, other):
     # the tree's own layout runs
     own = light_first_layout(t)
     run(SimState(own.placement()), t, vt, own)
+
+
+def test_reading_children_and_pos_leaves_no_list_behind():
+    t = gen_tree("random-attachment", 300, seed=3)
+    lay = light_first_layout(t)
+    assert t.children == t.children and lay.pos == lay.pos == lay.pos_arr.tolist()
+    for held in (t, lay):
+        assert not [name for name, v in vars(held).items() if isinstance(v, list)]
+
+
+@pytest.mark.parametrize("other", [49, 80])
+def test_neighbor_distance_stats_rejects_a_layout_of_another_size(other):
+    # a smaller layout raised IndexError, and the 80-vertex one gave mean
+    # 4.86, max 11 for this tree
+    t = gen_tree("random-attachment", 50, seed=1)
+    lay = light_first_layout(gen_tree("random-attachment", other, seed=1))
+    with pytest.raises(ValueError, match=f"layout places {other} vertices, the tree has 50"):
+        neighbor_distance_stats(t, lay)
+
+
+def test_a_layout_on_too_small_a_curve_is_rejected():
+    # its placement used to be taken, and the first round raised IndexError
+    with pytest.raises(ValueError, match="an order-1 curve places 1 to 4 positions, not 10"):
+        Layout(CurveKind.HILBERT, 1, np.arange(10))
+    assert Layout(CurveKind.HILBERT, 2, np.arange(10)).placement().k == 2
+
+
+# every step that takes subtree sizes, as a call on (sim, tree, layout, sizes)
+SIZES_ENTRY_POINTS = {
+    "light_first_csr": lambda sim, t, lay, s: light_first_csr(t, s),
+    "transform": lambda sim, t, lay, s: transform(t, s),
+    "build_refs_protocol": lambda sim, t, lay, s: build_refs_protocol(sim, t, s, lay),
+    "path_decomposition": lambda sim, t, lay, s: path_decomposition(sim, t, lay, s, 0),
+    "light_first_layout": lambda sim, t, lay, s: light_first_layout(t, CurveKind.HILBERT, s),
+    "light_first_positions": lambda sim, t, lay, s: light_first_positions(t, s),
+    "subtree_cover": lambda sim, t, lay, s: subtree_cover(
+        path_decomposition(SimState(lay.placement()), t, lay, t.sizes, 0), s, lay),
+}
+
+
+@pytest.mark.parametrize("length", [49, 80])
+@pytest.mark.parametrize("entry", SIZES_ENTRY_POINTS)
+def test_sizes_of_another_length_raise_before_any_message(entry, length):
+    # a short list raised IndexError, and a long one was taken:
+    # transform(t, [1] * 80) built a tree
+    run = SIZES_ENTRY_POINTS[entry]
+    t = gen_tree("random-attachment", 50, seed=1)
+    lay = light_first_layout(t)
+    sim = SimState(lay.placement(), trace=True)
+    with pytest.raises(ValueError, match=f"{length} subtree sizes given for 50 vertices"):
+        run(sim, t, lay, [1] * length)
+    assert sim.report() == SimState(lay.placement()).report() and len(sim.events) == 0
+    run(sim, t, lay, t.sizes)  # the tree's own sizes run
+
+
+# every step that draws from a seed, as a call on (sim, tree, layout, seed)
+SEEDED_ENTRY_POINTS = {
+    "list_rank": lambda sim, t, lay, seed: list_rank(sim, [*range(1, t.n), -1], 0, seed),
+    "treefix_sum": lambda sim, t, lay, seed: treefix_sum(sim, t, lay, [1] * t.n, seed),
+    "treefix_topdown": lambda sim, t, lay, seed: treefix_topdown(sim, t, lay, [1] * t.n, seed),
+    "batched_lca": lambda sim, t, lay, seed: batched_lca(sim, t, lay, [(0, t.n - 1)], seed),
+    "path_decomposition": lambda sim, t, lay, seed: path_decomposition(sim, t, lay, t.sizes,
+                                                                       seed),
+    "build_light_first": lambda sim, t, lay, seed: build_light_first(t, CurveKind.HILBERT,
+                                                                     seed),
+}
+
+
+@pytest.mark.parametrize("n", [1, 50])
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+def test_a_seed_that_is_not_an_integer_raises_before_any_message(entry, n):
+    # seed=1.5 used to leak a TypeError from the generator
+    run = SEEDED_ENTRY_POINTS[entry]
+    t = gen_tree("random-attachment", n, seed=1)
+    lay = light_first_layout(t)
+    sim = SimState(lay.placement(), trace=True)
+    with pytest.raises(ValueError, match="seed must be an integer, not 1.5"):
+        run(sim, t, lay, 1.5)
+    assert sim.report() == SimState(lay.placement()).report() and len(sim.events) == 0
+    run(sim, t, lay, 2)

@@ -165,14 +165,14 @@ def test_range_nesting():
         t = gen_tree("random-attachment", n, seed=trial)
         lay = light_first_layout(t)
         sizes = subtree_sizes(t)
-        lo = [lay.pos[v] for v in range(n)]
-        hi = [lay.pos[v] + sizes[v] - 1 for v in range(n)]
-        for v in range(n):
+        lo = lay.pos
+        hi = [p + s - 1 for p, s in zip(lo, sizes)]
+        for v, kids in enumerate(t.children):
             p = t.parent[v]
             if p >= 0:
                 assert lo[p] < lo[v] and hi[v] <= hi[p]
                 assert hi[v] - lo[v] < hi[p] - lo[p]
-            for a, b in zip(t.children[v], t.children[v][1:]):
+            for a, b in zip(kids, kids[1:]):
                 assert (hi[a] < lo[b]) or (hi[b] < lo[a])
 
 

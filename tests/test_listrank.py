@@ -21,6 +21,42 @@ def sim_for(m):
     return SimState(Placement.for_size(CurveKind.HILBERT, m))
 
 
+class RoundRecorder(SimState):
+    """A SimState that records each ``send_rounds`` call: its (src, dst)
+    rounds and the messages and energy the call charged."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def send_rounds(self, rounds):
+        rounds = [(np.array(src), np.array(dst)) for src, dst in rounds]
+        messages, energy = self.messages, self.energy
+        super().send_rounds(rounds)
+        self.calls.append((rounds, self.messages - messages, self.energy - energy))
+
+
+def iteration_stats(sim: RoundRecorder):
+    """(live, messages, energy) of each contraction iteration of one
+    ``list_rank`` on ``sim``, read off its recorded rounds.
+
+    Each of the k iterations charges an announce round, then a splice
+    round, and the replay charges one round per iteration, last first:
+    the first 2k calls and the last k.  The tail never announces and is
+    never spliced out, so live is one more than the announce round's size.
+    """
+    assert all(len(rounds) == 1 for rounds, _, _ in sim.calls)
+    k, rest = divmod(len(sim.calls), 3)
+    assert rest == 0
+    contraction, replay = sim.calls[:2 * k], sim.calls[2 * k:]
+    splices = contraction[1::2]
+    # the replay sends each splice round back, jumper to removed element
+    for (((removed, jumper),), _, _), (((src, dst),), _, _) in zip(reversed(splices), replay):
+        assert src.tolist() == jumper.tolist() and dst.tolist() == removed.tolist()
+    return [(len(announce[0][0]) + 1, m1 + m2, e1 + e2)
+            for (announce, m1, e1), (_, m2, e2) in zip(contraction[::2], splices)]
+
+
 def random_chain(m, seed):
     rng = Lcg(seed)
     order = list(range(m))
@@ -218,9 +254,9 @@ def test_list_rank_contraction_iterations_bounded():
 def test_list_rank_per_iteration_message_and_energy_bounds():
     n = 1024
     succ, head, _ = random_chain(n, seed=3)
-    s = SimState(Placement.for_size(CurveKind.HILBERT, n), trace=True)
-    stats = []
-    list_rank(s, succ, head, seed=9, iteration_stats=stats)
+    s = RoundRecorder(Placement.for_size(CurveKind.HILBERT, n), trace=True)
+    list_rank(s, succ, head, seed=9)
+    stats = iteration_stats(s)
     # diameter bound: every message is at most 2*sqrt(grid cells) long
     side = 2 ** s.placement.k
     assert all(e.cost <= 2 * side for e in s.events)
@@ -232,10 +268,9 @@ def test_list_rank_per_iteration_message_and_energy_bounds():
 
 def test_list_rank_iteration_stats_pinned():
     succ, head, _ = random_chain(100, seed=3)
-    s = sim_for(100)
-    stats = []
-    list_rank(s, succ, head, seed=9, iteration_stats=stats)
-    assert stats == [(100, 124, 1009), (75, 90, 690), (59, 74, 553),
+    s = RoundRecorder(Placement.for_size(CurveKind.HILBERT, 100))
+    list_rank(s, succ, head, seed=9)
+    assert iteration_stats(s) == [(100, 124, 1009), (75, 90, 690), (59, 74, 553),
                      (43, 53, 444), (32, 38, 283), (25, 29, 206), (20, 20, 125),
                      (19, 22, 141), (15, 18, 93), (11, 13, 72), (8, 8, 53)]
     assert (s.energy, s.depth, s.messages, s.rounds) == (4416, 23, 588, 11)
@@ -296,14 +331,14 @@ def list_rank_reference(sim, succ, head, seed, iteration_stats):
 def test_list_rank_matches_element_at_a_time_reference(m):
     for seed in range(3):
         succ, head, _ = random_chain(m, seed=seed)
-        got = SimState(Placement.for_size(CurveKind.ZORDER, m), trace=True)
+        got = RoundRecorder(Placement.for_size(CurveKind.ZORDER, m), trace=True)
         want = SimState(Placement.for_size(CurveKind.ZORDER, m), trace=True)
         got.clock[:] = [x % 5 for x in range(m)]
         want.clock[:] = got.clock
-        got_stats, want_stats = [], []
-        ranks = list_rank(got, succ, head, seed + 50, iteration_stats=got_stats)
+        want_stats = []
+        ranks = list_rank(got, succ, head, seed + 50)
         assert ranks.tolist() == list_rank_reference(want, succ, head, seed + 50, want_stats)
-        assert got_stats == want_stats
+        assert iteration_stats(got) == want_stats
         assert got.report() == want.report() and got.clock.tolist() == want.clock.tolist()
         assert got.events == want.events
 

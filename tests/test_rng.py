@@ -100,3 +100,17 @@ def test_jump_table_stays_small_after_a_long_draw():
     # 4,096 entries of 16 bytes; the parent kept 131,072 (2 MiB)
     Lcg(9).next_bits(300_000)
     assert rng._POWERS.nbytes + rng._OFFSETS.nbytes <= 64 * 2 ** 10
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "7", None, np.float64(3)])
+def test_a_seed_that_is_not_an_integer_raises_value_error(seed):
+    # these used to leak "unsupported operand type(s) for &"
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Lcg(seed)
+
+
+def test_integer_seeds_of_any_integer_type_agree():
+    want = Lcg(2 ** 64 + 5).next_u64s(3).tolist()
+    assert Lcg(5).next_u64s(3).tolist() == want
+    assert Lcg(np.uint64(5)).next_u64s(3).tolist() == want
+    assert Lcg(np.int8(5)).next_u64s(3).tolist() == want

@@ -1219,3 +1219,28 @@ def test_note_words_many_equals_one_call_per_position(positions, words):
         note_words(want, pos, words)
     assert (got.max_words, got.violations) == (want.max_words, want.violations)
     assert all(type(pos) is int for pos, _ in got.violations)
+
+
+@pytest.mark.parametrize("kind,k,n,match", [
+    (CurveKind.HILBERT, 1, 10, "an order-1 curve places 1 to 4 positions, not 10"),
+    (CurveKind.ZORDER, 1, 0, "places 1 to 4 positions, not 0"),
+    (CurveKind.HILBERT, 16, 2 ** 32 + 1, "places 1 to 4294967296 positions"),
+    (CurveKind.HILBERT, -1, 1, "k=-1 outside 0..31"),
+    (CurveKind.HILBERT, 32, 1, "k=32 outside 0..31"),
+    ("peano", 1, 1, "not a valid CurveKind"),
+    (CurveKind.HILBERT, 1.0, 1, "order must be an integer"),
+    (CurveKind.HILBERT, 1, 2.0, "size must be an integer"),
+    (CurveKind.HILBERT, True, 1, "order must be an integer"),
+])
+def test_a_placement_off_its_curve_is_rejected(kind, k, n, match):
+    # Placement(HILBERT, 1, 10) used to be taken, and its first round
+    # raised IndexError from the 4-cell table
+    with pytest.raises(ValueError, match=match):
+        Placement(kind, k, n)
+
+
+def test_a_placement_filling_its_curve_is_taken():
+    for kind in (CurveKind.HILBERT, "zorder"):
+        for k, n in ((0, 1), (1, 4), (16, 2 ** 32), (31, 1)):
+            assert Placement(kind, k, n).n == n
+    assert Placement(CurveKind.HILBERT, np.int64(2), np.int32(16)).k == 2

@@ -363,9 +363,10 @@ def test_memory_audit_over_budget_reports_every_vertex_each_round():
     treefix_sum(sim, t, lay, [1] * 100, seed=3)
     # per-vertex reference: every round notes each vertex's state words
     want = SimState(lay.placement(), audit_memory=True, memory_budget=10)
+    pos = lay.pos
     for _ in range(sim.rounds):
         for v in range(t.n):
-            note_words(want, lay.pos[v], STATE_WORDS)
+            note_words(want, pos[v], STATE_WORDS)
     assert sim.rounds > 1
     assert sim.max_words == want.max_words == STATE_WORDS
     assert sim.violations == want.violations

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -349,3 +350,22 @@ def test_read_queries_names_the_malformed_line(tmp_path, text, line):
         read_queries(p)
     assert str(err.value) == (f"query file line {line}: expected two integers "
                               f"'u v', got {bad!r}")
+
+
+def test_children_is_built_on_each_read_and_kept_nowhere():
+    t = gen_tree("caterpillar", 9)
+    first = t.children
+    assert t.children == first and t.children is not first
+    assert not [name for name, v in vars(t).items() if isinstance(v, list)]
+
+
+def test_reading_children_of_a_large_tree_holds_no_memory():
+    # the cached lists held 1.62 MiB for this path
+    t = gen_tree("path", 16_383)
+    tracemalloc.start()
+    try:
+        assert len(t.children) == t.n
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2 ** 20

@@ -53,7 +53,8 @@ def cur_app(vt):
 def virtual_order(vt):
     """Top-down order over the current and appended links."""
     cur, app = cur_app(vt)
-    out = [vt.root]
+    root = vt.vparent.tolist().index(-1)  # the one vertex without a parent
+    out = [root]
     for v in out:  # the list grows while it is walked: breadth-first
         out.extend(cur[v])
         out.extend(app[v])
@@ -69,8 +70,8 @@ def reference_transform(t, sizes):
     cur = [[] for _ in range(n)]
     app = [[] for _ in range(n)]
     vparent = [-1] * n
-    for v in range(n):
-        kept, subs = _split_block(sorted(t.children[v], key=sizes.__getitem__))
+    for v, kids in enumerate(t.children):
+        kept, subs = _split_block(sorted(kids, key=sizes.__getitem__))
         cur[v] = kept
         for c in kept:
             vparent[c] = v
@@ -197,9 +198,10 @@ def reversed_children(t):
     """The same tree with every child list reversed, as an id relabelling:
     vertices are numbered breadth-first, each one's children last to first,
     so equal-size siblings swap their order."""
+    children = t.children
     order = [t.root]
     for v in order:  # the list grows while it is walked
-        order.extend(reversed(t.children[v]))
+        order.extend(reversed(children[v]))
     new = [0] * t.n
     for i, v in enumerate(order):
         new[v] = i
@@ -241,9 +243,9 @@ def test_transform_matches_per_vertex_reference(name, t):
     # reference order; with vertex v at position v, an event's source is
     # the child that sends
     sim = SimState(Placement.for_size(CurveKind.HILBERT, t.n), trace=True)
-    for v in range(t.n):
+    for v, kids in enumerate(t.children):
         got = block_reduce(sim, vt, range(t.n), v, v, lambda c: c, operator.add, 0)
-        assert got == sum(t.children[v])
+        assert got == sum(kids)
     slot_of = {c: k for k, c in enumerate(blocks[2])}
     assert [slot_of[e.src] for e in sim.events] == reference_reduce_slots(cur, app, blocks)
 
@@ -559,8 +561,8 @@ def test_local_reduce_examples_and_oracle():
         vals = [rng.next_below(100) for _ in range(n)]
         got = local_reduce(SimState(lay.placement()), vt_for(t), lay,
                            vals, operator.add, 0)
-        for v in range(n):
-            assert got[v] == sum(vals[c] for c in t.children[v])
+        for v, kids in enumerate(t.children):
+            assert got[v] == sum(vals[c] for c in kids)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
