@@ -130,7 +130,8 @@ def curve_indices(kind: CurveKind, k: int, rows, cols):
         if a.size and a.dtype.kind not in "iu":
             first = a.reshape(-1)[:1].tolist()[0]
             raise ValueError(f"cell coordinates must be integers, not {first!r}")
-    rows, cols = np.broadcast_arrays(rows.astype(np.int64), cols.astype(np.int64))
+    # checked in the given dtypes, so a uint64 past int64 is named as given
+    rows, cols = np.broadcast_arrays(rows, cols)
     side = 1 << k
     if rows.size and (min(rows.min(), cols.min()) < 0
                       or max(rows.max(), cols.max()) >= side):
@@ -138,6 +139,7 @@ def curve_indices(kind: CurveKind, k: int, rows, cols):
         i = int(bad.argmax())
         raise ValueError(f"cell ({rows.flat[i]}, {cols.flat[i]}) is outside the "
                          f"order-{k} grid: coordinates must lie in [0, {side})")
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
     if kind is CurveKind.ZORDER:
         idx = np.zeros_like(rows)
         for m in range(k):

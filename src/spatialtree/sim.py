@@ -92,7 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveKind, cell_count, cell_distances, curve_coords
+from .curves import CurveKind, _check_order, cell_count, cell_distances, curve_coords
 
 DEFAULT_MEMORY_BUDGET = 16
 # messages priced per block of a round, and trace records per chunk
@@ -182,8 +182,7 @@ class Placement:
         for name, x in (("order", self.k), ("size", self.n)):
             if isinstance(x, bool) or not isinstance(x, numbers.Integral):
                 raise ValueError(f"placement {name} must be an integer, not {x!r}")
-        if not 0 <= self.k <= 31:
-            raise ValueError(f"curve order k={self.k} outside 0..31")
+        _check_order(self.k)
         if not 1 <= self.n <= cell_count(self.k):
             raise ValueError(f"an order-{self.k} curve places 1 to {cell_count(self.k)} "
                              f"positions, not {self.n}")

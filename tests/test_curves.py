@@ -352,6 +352,14 @@ def test_curve_indices_rejects_coordinates_that_are_not_integers(rows, cols, fir
         curve_indices(CurveKind.HILBERT, 2, rows, cols)
 
 
+def test_curve_indices_names_a_uint64_coordinate_as_given():
+    # a cast to int64 first named 2**64 - 1 as -1
+    rows = np.array([0, 2 ** 64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match=rf"cell \({2 ** 64 - 1}, 1\) is outside"):
+        curve_indices(CurveKind.ZORDER, 2, rows, 1)
+    assert curve_indices(CurveKind.ZORDER, 2, rows[:1], np.int8(1)).tolist() == [1]
+
+
 def test_curve_indices_takes_empty_input():
     for kind in CurveKind:
         assert curve_indices(kind, 2, [], []).tolist() == []
